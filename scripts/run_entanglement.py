@@ -8,42 +8,9 @@ accuracies plus the classical/quantum prediction agreement rate.
 import argparse
 import sys
 
-import numpy as np
-
 sys.path.insert(0, "src")
 
-from qknn_sim import datasets, kmax, qadc, qknn  # noqa: E402
-
-
-def run_scheme(scheme, per_class, k, b, seeds, quantum=True):
-    acc_c, acc_q, agree, points = [], [], 0, 0
-    for seed in seeds:
-        corpus = datasets.gen_corpus(scheme, per_class, seed=1000 + seed)
-        rng = np.random.default_rng(seed)
-        order = rng.permutation(len(corpus))
-        cut = int(round(len(corpus) * 0.9))
-        train = qknn.TrainSet(corpus.states[order[:cut]],
-                              [corpus.labels[i] for i in order[:cut]])
-        hits_c = hits_q = 0
-        test_idx = order[cut:]
-        seqs = np.random.SeedSequence(seed).spawn(len(test_idx))
-        for idx, seq in zip(test_idx, seqs):
-            state, truth = corpus.states[idx], corpus.labels[idx]
-            c = qknn.classical_knn(state, train, k, b=b)
-            hits_c += c.label == truth
-            if quantum:
-                q = qknn.qknn_classify(
-                    state, train, k, qadc.PrecisionConfig(b),
-                    kmax.SearchConfig(seed=int(seq.generate_state(1)[0] % 2 ** 31)))
-                hits_q += q.label == truth
-                agree += q.label == c.label
-                points += 1
-        acc_c.append(hits_c / len(test_idx))
-        if quantum:
-            acc_q.append(hits_q / len(test_idx))
-    return (float(np.mean(acc_c)),
-            float(np.mean(acc_q)) if quantum else None,
-            agree / points if points else None)
+from qknn_sim import datasets, experiments  # noqa: E402
 
 
 def main():
@@ -52,16 +19,13 @@ def main():
     ap.add_argument("--k", type=int, default=5)
     ap.add_argument("--b", type=int, default=12)
     ap.add_argument("--seeds", type=int, default=5)
-    ap.add_argument("--classical-only", action="store_true")
     args = ap.parse_args()
 
     print(f"{'scheme':20s} {'classical':>10s} {'quantum':>10s} {'agreement':>10s}")
     for scheme in datasets.SCHEMES:
-        c, q, a = run_scheme(scheme, args.per_class, args.k, args.b,
-                             range(args.seeds), quantum=not args.classical_only)
-        q_str = f"{q:.4f}" if q is not None else "-"
-        a_str = f"{a:.4f}" if a is not None else "-"
-        print(f"{scheme:20s} {c:10.4f} {q_str:>10s} {a_str:>10s}")
+        row = experiments.entanglement_experiment(scheme, args.per_class, args.k, args.b,
+                                                  range(args.seeds))
+        print(f"{scheme:20s} {row.classical:10.4f} {row.quantum:>10.4f} {row.agreement:>10.4f}")
 
 
 if __name__ == "__main__":

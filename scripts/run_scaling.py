@@ -6,12 +6,11 @@ printing mean oracle queries (total, and up to the first moment the top-k
 set is assembled) with fitted log-log slopes.
 """
 import argparse
-import math
 import sys
 
 sys.path.insert(0, "src")
 
-from qknn_sim import kmax  # noqa: E402
+from qknn_sim import experiments  # noqa: E402
 
 
 def main():
@@ -22,31 +21,20 @@ def main():
     ap.add_argument("--seed", type=int, default=606)
     args = ap.parse_args()
 
-    m_values = [int(v) for v in args.M.split(",")]
-    rows = kmax.scaling_experiment(m_values, args.k, args.trials,
-                                   kmax.SearchConfig(seed=args.seed))
+    study = experiments.scaling_study([int(v) for v in args.M.split(",")], args.k,
+                                      args.trials, args.seed)
     print(f"{'M':>6s} {'total':>10s} {'to-solution':>12s} {'exact':>6s}")
-    for r in rows:
+    for r in study.rows:
         print(f"{r.M:6d} {r.mean_queries:10.1f} {r.mean_queries_to_solution:12.1f} "
               f"{r.success_rate:6.2f}")
-    if len(rows) >= 2:
-        slope_sol = kmax.fit_loglog_slope(m_values,
-                                          [r.mean_queries_to_solution for r in rows])
-        slope_tot = kmax.fit_loglog_slope(m_values, [r.mean_queries for r in rows])
+    if study.slopes is not None:
+        slope_tot, slope_sol = study.slopes
         print(f"slope: to-solution {slope_sol:.3f}, total {slope_tot:.3f}")
 
-    print("\nsqrt(k) trend at M=256:")
-    k_values = [1, 2, 4, 8]
-    means = []
-    for k in k_values:
-        row = kmax.scaling_experiment([256], k, args.trials,
-                                      kmax.SearchConfig(seed=args.seed + 101))[0]
-        means.append(row.mean_queries_to_solution)
-        print(f"  k={k}: {row.mean_queries_to_solution:.1f}")
-    coeff = sum(q * math.sqrt(k) for q, k in zip(means, k_values)) / sum(k_values)
-    rel = max(abs(q - coeff * math.sqrt(k)) / (coeff * math.sqrt(k))
-              for q, k in zip(means, k_values))
-    print(f"  max relative deviation from c*sqrt(k): {rel:.3f}")
+    print(f"\nsqrt(k) trend at M={experiments.SQRT_K_M}:")
+    for k, mean in zip(experiments.SQRT_K_VALUES, study.k_means):
+        print(f"  k={k}: {mean:.1f}")
+    print(f"  max relative deviation from c*sqrt(k): {study.k_max_rel_dev:.3f}")
 
 
 if __name__ == "__main__":

@@ -13,52 +13,45 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import datasets, kmax, oracle, qadc, qknn, subroutines
+from . import datasets, experiments, kmax, oracle, qadc, qknn, subroutines
 from .statevec import RegisterLayout, SimulationError, StateVector, pauli_x
 
 CSV_HEADER = "# qknn-sim v1"
 
-_DEFAULTS = {
-    "scheme": "2q-sep-vs-ent",
-    "M": "64",
-    "n": 2,
-    "k": 5,
-    "b": 12,
-    "mode": "classical",
-    "seed": 0,
-    "trials": 100,
-    "budget_rounds": 30,
-    "lam": 1.2,
-    "out": None,
-    "corpus": None,
-    "per_class": 100,
-    "split": 0.9,
-    "inject_fault": None,
-}
-
 
 @dataclass
 class RunConfig:
+    """Every setting a subcommand reads; the field names are the config-file keys."""
+
     subcommand: str
-    scheme: str
-    M: str  # single value or comma-separated sweep
-    n: int
-    k: int
-    b: int
-    mode: str
-    seed: int
-    trials: int
-    budget_rounds: int
-    lam: float
-    out: str | None
-    corpus: str | None
-    per_class: int
-    split: float
-    inject_fault: str | None
+    scheme: str = "2q-sep-vs-ent"
+    M: str = "64"  # single value or comma-separated sweep
+    n: int = 2
+    k: int = 5
+    b: int = 12
+    mode: str = "classical"
+    seed: int = 0
+    trials: int = 100
+    budget_rounds: int = 30
+    lam: float = 1.2
+    out: str | None = None
+    corpus: str | None = None
+    per_class: int = 100
+    split: float = 0.9
+    inject_fault: str | None = None
+
+    def __post_init__(self):
+        for name in ("n", "k", "trials", "per_class"):
+            if getattr(self, name) < 1:
+                raise SimulationError(f"--{name.replace('_', '-')} must be >= 1")
+        sizes = self.m_values()
+        if not sizes or min(sizes) < 1:
+            raise SimulationError(f"--M needs table sizes >= 1, got {self.M!r}")
 
     def m_values(self) -> list[int]:
         try:
@@ -85,28 +78,21 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
-def _coerce(key: str, value):
-    if value is None or key in ("scheme", "mode", "out", "corpus", "inject_fault", "M"):
-        return value
-    if key in ("lam", "split"):
-        return float(value)
-    return int(value)
-
-
 def build_run_config(args: argparse.Namespace) -> RunConfig:
+    types = {f.name: f.type for f in fields(RunConfig) if f.name != "subcommand"}
+    keys = list(types)
     file_values = parse_config_file(args.config) if args.config else {}
+    unknown = sorted(set(file_values) - set(keys))
+    if unknown:
+        raise SimulationError(f"{args.config}: unknown config key(s) {', '.join(unknown)}; "
+                              f"valid keys: {', '.join(keys)}")
     merged = {}
-    for f in fields(RunConfig):
-        if f.name == "subcommand":
-            continue
-        flag_val = getattr(args, f.name, None)
-        if flag_val is not None:
-            merged[f.name] = flag_val
-        elif f.name in file_values:
-            merged[f.name] = _coerce(f.name, file_values[f.name])
-        else:
-            merged[f.name] = _DEFAULTS[f.name]
-    return RunConfig(subcommand=args.subcommand, **merged)
+    for key in keys:
+        if getattr(args, key, None) is not None:
+            merged[key] = getattr(args, key)
+        elif key in file_values:
+            merged[key] = {"int": int, "float": float}.get(types[key], str)(file_values[key])
+    return RunConfig(args.subcommand, **merged)
 
 
 def _write_lines(path: str | None, lines: list[str]) -> None:
@@ -127,47 +113,28 @@ def cmd_gen_data(cfg: RunConfig) -> int:
     corpus = datasets.gen_corpus(cfg.scheme, cfg.per_class, cfg.seed)
     out = cfg.out or f"corpus_{cfg.scheme}.jsonl"
     datasets.write_corpus(corpus, out)
-    counts = {}
-    for label in corpus.labels:
-        counts[label] = counts.get(label, 0) + 1
+    counts = Counter(corpus.labels)
     for label in datasets.CLASSES[cfg.scheme]:
-        print(f"{label}: {counts.get(label, 0)}")
+        print(f"{label}: {counts[label]}")
     print(f"wrote {len(corpus)} records to {out}")
     return 0
-
-
-def split_corpus(corpus: datasets.LabeledStateCorpus, split: float, seed: int):
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(corpus))
-    cut = int(round(len(corpus) * split))
-    if cut < 1 or cut >= len(corpus):
-        raise SimulationError("split leaves an empty train or test side")
-    return order[:cut], order[cut:]
 
 
 def cmd_classify(cfg: RunConfig) -> int:
     if cfg.corpus is None:
         raise SimulationError("classify needs --corpus FILE")
     corpus = datasets.read_corpus(cfg.corpus)
-    train_idx, test_idx = split_corpus(corpus, cfg.split, cfg.seed)
-    train = qknn.TrainSet(corpus.states[train_idx],
-                          [corpus.labels[i] for i in train_idx])
-    if cfg.k > train.M:
-        raise SimulationError("k exceeds the train-set size")
-    if cfg.mode not in ("classical", "oracle-abstract", "circuit-exact"):
-        raise SimulationError(f"unknown mode {cfg.mode!r}")
+    train, test_idx, search_seeds = experiments.split_corpus(corpus, cfg.split, cfg.seed)
     rows = [CSV_HEADER, "test_id,true_label,predicted,queries,mode"]
     hits = 0
-    seeds = np.random.SeedSequence(cfg.seed).spawn(len(test_idx))
-    for pos, (idx, seq) in enumerate(zip(test_idx, seeds)):
+    for idx, search_seed in zip(test_idx, search_seeds):
         state = corpus.states[idx]
         truth = corpus.labels[idx]
         if cfg.mode == "classical":
             result = qknn.classical_knn(state, train, cfg.k, b=cfg.b)
         else:
-            search = cfg.search_config(int(seq.generate_state(1)[0] % 2 ** 31))
             result = qknn.qknn_classify(state, train, cfg.k, qadc.PrecisionConfig(cfg.b),
-                                        search, mode=cfg.mode)
+                                        cfg.search_config(search_seed), mode=cfg.mode)
         hits += result.label == truth
         rows.append(f"{idx},{truth},{result.label},{result.oracle_queries},{cfg.mode}")
     accuracy = hits / len(test_idx)
@@ -177,19 +144,15 @@ def cmd_classify(cfg: RunConfig) -> int:
 
 
 def cmd_bench(cfg: RunConfig) -> int:
-    m_values = cfg.m_values()
     traces: list = []
-    rows = kmax.scaling_experiment(m_values, cfg.k, cfg.trials, cfg.search_config(),
+    rows = kmax.scaling_experiment(cfg.m_values(), cfg.k, cfg.trials, cfg.search_config(),
                                    trace_sink=traces)
     lines = [CSV_HEADER, "M,k,trials,mean_queries,std_queries,mean_queries_to_solution,success_rate"]
     for r in rows:
         lines.append(f"{r.M},{r.k},{r.trials},{r.mean_queries:.4f},{r.std_queries:.4f},"
                      f"{r.mean_queries_to_solution:.4f},{r.success_rate:.4f}")
     if len(rows) >= 2:
-        slope_total = kmax.fit_loglog_slope([r.M for r in rows],
-                                            [r.mean_queries for r in rows])
-        slope_sol = kmax.fit_loglog_slope([r.M for r in rows],
-                                          [r.mean_queries_to_solution for r in rows])
+        slope_total, slope_sol = experiments.query_slopes(rows)
         lines.append(f"# fitted_slope_total={slope_total:.4f}")
         lines.append(f"# fitted_slope_to_solution={slope_sol:.4f}")
         print(f"fitted slope (queries to solution): {slope_sol:.4f}")
@@ -200,30 +163,15 @@ def cmd_bench(cfg: RunConfig) -> int:
 
 
 def cmd_discriminate(cfg: RunConfig) -> int:
+    rows = experiments.discrimination_sweep(cfg.m_values(), cfg.n, cfg.trials,
+                                            cfg.search_config())
     lines = [CSV_HEADER, "M,n,trials,success_rate,mean_queries,std_queries"]
-    means = []
-    m_values = cfg.m_values()
-    for M in m_values:
-        root = np.random.SeedSequence((cfg.seed, M))
-        hits, queries = 0, []
-        for seq in root.spawn(cfg.trials):
-            rng = np.random.default_rng(seq)
-            inst_seed = int(rng.integers(0, 2 ** 31))
-            states, chosen = datasets.gen_discrimination_instance(M, cfg.n, inst_seed)
-            train = qknn.TrainSet(states, list(range(M)))
-            search = kmax.SearchConfig(cfg.lam, cfg.budget_rounds,
-                                       int(rng.integers(0, 2 ** 31)))
-            found, res = qknn.discriminate(states[chosen], train, search)
-            hits += found == chosen
-            queries.append(res.queries_to_solution
-                           if res.queries_to_solution is not None else res.oracle_queries)
-        rate = hits / cfg.trials
-        means.append(float(np.mean(queries)))
-        lines.append(f"{M},{cfg.n},{cfg.trials},{rate:.4f},{np.mean(queries):.4f},"
-                     f"{np.std(queries):.4f}")
-        print(f"M={M}: success {rate:.3f}, mean queries {np.mean(queries):.1f}")
-    if len(m_values) >= 2:
-        slope = kmax.fit_loglog_slope(m_values, means)
+    for r in rows:
+        lines.append(f"{r.M},{cfg.n},{cfg.trials},{r.success_rate:.4f},{r.mean_queries:.4f},"
+                     f"{r.std_queries:.4f}")
+        print(f"M={r.M}: success {r.success_rate:.3f}, mean queries {r.mean_queries:.1f}")
+    if len(rows) >= 2:
+        slope = kmax.fit_loglog_slope([r.M for r in rows], [r.mean_queries for r in rows])
         lines.append(f"# fitted_slope={slope:.4f}")
         print(f"fitted slope: {slope:.4f}")
     _write_lines(cfg.out, lines)
@@ -327,11 +275,11 @@ def _suite_oracle_equivalence() -> dict:
     phis = np.array([[1, 0], [0, 1]], dtype=complex)
     V = subroutines.make_V(psi, layout, register="test")
     W = subroutines.make_W(phis, layout)
-    table = oracle.quantize_table(np.array([1.0, 0.0]), 2)
+    table = qadc.quantize_array(np.array([1.0, 0.0]), 2)
     worst = 0.0
     for y, A in [(0, frozenset({0})), (1, frozenset({1})), (1, frozenset({0, 1}))]:
         oc = oracle.assemble_O_yA(V, W, layout, cfg, y, A)
-        handle = oracle.oracle_abstract(table, y, A)
+        handle = oracle.TableOracleHandle(table, y, A)
         for j in range(2):
             dist = oc.q3_distribution(j)
             expected = int(handle.f(j))
@@ -362,8 +310,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     report = {"invariants": checks, "all_pass": all(c["pass"] for c in checks)}
     text = json.dumps(report, indent=2)
     if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text + "\n")
+        _write_lines(cfg.out, [text])
     print(text)
     return 0 if report["all_pass"] else 3
 
@@ -371,9 +318,15 @@ def cmd_verify(cfg: RunConfig) -> int:
 # --- entry point ---------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A usage error is bad input: exit 1 (argparse would exit 2)."""
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="qknn-sim",
-                                     description="fidelity-based quantum kNN simulator")
+    parser = _Parser(prog="qknn-sim", description="fidelity-based quantum kNN simulator")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name in ("gen-data", "classify", "verify", "bench", "discriminate"):
         p = sub.add_parser(name)
@@ -411,7 +364,7 @@ def main(argv=None) -> int:
     try:
         cfg = build_run_config(args)
         return _COMMANDS[args.subcommand](cfg)
-    except (SimulationError, FileNotFoundError, ValueError) as exc:
+    except (SimulationError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - defensive

@@ -230,14 +230,17 @@ def write_corpus(corpus: LabeledStateCorpus, path: str) -> None:
 def read_corpus(path: str) -> LabeledStateCorpus:
     states, labels, paths, scheme = [], [], [], None
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             rec = json.loads(line)
+            state = np.array([complex(re, im) for re, im in rec["amplitudes"]])
+            if not np.isfinite(state).all():
+                raise SimulationError(f"{path}:{lineno}: non-finite amplitude")
             scheme = rec["scheme"]
             labels.append(rec["label"])
             paths.append(rec.get("seed_path", ""))
-            states.append(np.array([complex(re, im) for re, im in rec["amplitudes"]]))
+            states.append(state)
     if scheme is None:
         raise SimulationError(f"empty corpus file {path!r}")
     return LabeledStateCorpus(scheme, np.array(states), labels, paths)

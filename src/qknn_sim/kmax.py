@@ -168,6 +168,8 @@ def k_maxima(backend, k: int, M: int | None = None,
     """Argmin-threshold k-maxima: grow A until no outside index beats min(A)."""
     if M is None:
         M = backend.M
+    if k < 1:
+        raise SimulationError("k must be >= 1")
     if k > M:
         raise SimulationError("k cannot exceed the table size")
     rng = np.random.default_rng(cfg.seed)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qadc import PrecisionConfig, fidelity_qadc_circuit, quantize_array
+from .qadc import PrecisionConfig, fidelity_qadc_circuit
 from .statevec import (
     Circuit,
     Gate,
@@ -261,8 +261,6 @@ class OracleHandle:
     measurement) and classical verification of a measured candidate.
     """
 
-    backend = "abstract"
-
     def __init__(self, y: int, A: frozenset[int], M: int):
         self.y = y
         self.A = frozenset(A)
@@ -279,8 +277,6 @@ class OracleHandle:
 class TableOracleHandle(OracleHandle):
     """Oracle-abstract backend: f evaluated on a quantized similarity table,
     Grover dynamics simulated exactly from the amplitude formulas."""
-
-    backend = "oracle-abstract"
 
     def __init__(self, values: np.ndarray, y: int, A: frozenset[int]):
         super().__init__(y, A, len(values))
@@ -316,8 +312,6 @@ class CircuitOracleHandle(OracleHandle):
     """Circuit-exact backend: Grover iterations applied to the simulated
     register machine with Q3 phase kickback."""
 
-    backend = "circuit-exact"
-
     def __init__(self, oracle: OracleCircuit):
         super().__init__(oracle.y, oracle.A, oracle.M)
         self.oracle = oracle
@@ -343,22 +337,6 @@ class CircuitOracleHandle(OracleHandle):
     def evaluate(self, j: int) -> bool:
         self.query_count += 1
         return bool(self.oracle.evaluate(j))
-
-
-def oracle_abstract(values: np.ndarray, y: int, A) -> TableOracleHandle:
-    """Boolean-function view of f_{y,A} over a quantized similarity table."""
-    values = np.asarray(values)
-    A = frozenset(A)
-    if not A or any(not 0 <= i < len(values) for i in A) or not 0 <= y < len(values):
-        raise SimulationError("invalid y or A for table oracle")
-    return TableOracleHandle(values, y, A)
-
-
-def quantize_table(exact: np.ndarray, b: int | None, mode: str = "fidelity") -> np.ndarray:
-    """Digitize a similarity table the way the circuit path would."""
-    if b is None:
-        return np.asarray(exact, dtype=float)
-    return quantize_array(exact, b, mode)
 
 
 # --- qubit accounting ---------------------------------------------------------

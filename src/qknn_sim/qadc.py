@@ -4,8 +4,9 @@ The chain has two halves. E^amp loads the train/test interference state so
 that the similarity (fidelity or real inner product) sits in the amplitude
 of an ancilla; E^dig runs phase estimation on the reflection operator,
 converts the estimated phase to the similarity with a reversible arithmetic
-permutation, and uncomputes every work register. Their composition maps
-|j>|0> -> |j>|F_j> (or |j>|X_j> for the dot-product variant).
+permutation, and uncomputes every work register. ``qadc_circuit`` is their
+one composition; it maps |j>|0> -> |j>|F_j> (or |j>|X_j> for the
+dot-product variant).
 
 Digital encodings:
 - fidelity: unsigned fixed point in [0, 1 - 2**-b]; F = 1 saturates to the
@@ -36,8 +37,6 @@ from .subroutines import (
     ReflectionOperator,
     StatePrepOracle,
     build_G,
-    build_H_dot,
-    build_U,
     make_V,
     make_W,
     qpe_circuit,
@@ -151,34 +150,36 @@ def arithmetic_map(cfg: PrecisionConfig, layout: RegisterLayout, mode: str = "fi
     return basis_permutation(targets, perm, f"QA[{mode}]")
 
 
-# --- the QADC operators ------------------------------------------------------
+# --- the QADC composition -----------------------------------------------------
 
 
-def _require_fresh(state: StateVector, registers) -> None:
-    for reg in registers:
+def qadc_circuit(op: ReflectionOperator, layout: RegisterLayout, cfg: PrecisionConfig,
+                 phase: str = "phase", fid: str = "fid", mode: str | None = None) -> Circuit:
+    """E^dig E^amp as one gate list: amp -> QPE -> arithmetic -> QPE^-1 -> amp^-1.
+
+    ``op`` is the reflection operator (G for fidelity, H for the dot product);
+    its ``amp_circuit`` is E^amp. ``mode`` picks the arithmetic table and
+    defaults to the operator's kind.
+    """
+    cfg.require_circuit_scale()
+    qpe = qpe_circuit(op, layout.qubits(phase))
+    circ = Circuit()
+    circ.extend(op.amp_circuit)
+    circ.extend(qpe)
+    circ.append(arithmetic_map(cfg, layout, mode or op.kind, phase, fid))
+    circ.extend(qpe.inverse())
+    circ.extend(op.amp_circuit.inverse())
+    return circ
+
+
+def apply_qadc(state: StateVector, op: ReflectionOperator, layout: RegisterLayout,
+               cfg: PrecisionConfig, phase: str = "phase", fid: str = "fid",
+               mode: str | None = None) -> StateVector:
+    """|j>|0> -> |j>|s_j> on a state whose work, phase and fid registers are fresh."""
+    for reg in op.work_registers + (phase, fid):
         if not state.register_is_zero(reg):
             raise SimulationError(f"register {reg!r} is not fresh")
-
-
-def apply_E_amp(state: StateVector, layout: RegisterLayout, V: StatePrepOracle,
-                W: StatePrepOracle, train: str = "train", test: str = "test",
-                b: str = "B") -> StateVector:
-    """|j>|0> -> |j>|Psi_j>: train-state load, test-state load, swap test."""
-    _require_fresh(state, (train, test, b))
-    state = state.apply_circuit(W.circuit)
-    return state.apply_circuit(build_U(V, layout, train, test, b))
-
-
-def apply_E_dig(state: StateVector, layout: RegisterLayout, G: ReflectionOperator,
-                cfg: PrecisionConfig, phase: str = "phase", fid: str = "fid",
-                arith_mode: str | None = None) -> StateVector:
-    """|j>|Psi_j> -> |j>|F_j>: phase estimation, arithmetic, full uncompute."""
-    _require_fresh(state, (phase, fid))
-    qpe = qpe_circuit(G, layout.qubits(phase))
-    state = state.apply_circuit(qpe)
-    state = state.apply(arithmetic_map(cfg, layout, arith_mode or G.kind, phase, fid))
-    state = state.apply_circuit(qpe.inverse())
-    return state.apply_circuit(G.amp_circuit.inverse())
+    return state.apply_circuit(qadc_circuit(op, layout, cfg, phase, fid, mode))
 
 
 def fidelity_qadc_circuit(V: StatePrepOracle, W: StatePrepOracle, layout: RegisterLayout,
@@ -186,41 +187,8 @@ def fidelity_qadc_circuit(V: StatePrepOracle, W: StatePrepOracle, layout: Regist
                           test: str = "test", b: str = "B", phase: str = "phase",
                           fid: str = "fid") -> Circuit:
     """The full F operator |j>|0> -> |j>|F_j> as a gate sequence."""
-    cfg.require_circuit_scale()
     G = build_G(V, W, layout, index, train, test, b)
-    qpe = qpe_circuit(G, layout.qubits(phase))
-    circ = Circuit()
-    circ.extend(G.amp_circuit)
-    circ.extend(qpe)
-    circ.append(arithmetic_map(cfg, layout, "fidelity", phase, fid))
-    circ.extend(qpe.inverse())
-    circ.extend(G.amp_circuit.inverse())
-    return circ
-
-
-def apply_F(state: StateVector, layout: RegisterLayout, V: StatePrepOracle,
-            W: StatePrepOracle, cfg: PrecisionConfig, train: str = "train",
-            test: str = "test", b: str = "B", phase: str = "phase",
-            fid: str = "fid", arith_mode: str | None = None) -> StateVector:
-    """F = E^dig E^amp on the fidelity path."""
-    _require_fresh(state, (train, test, b, phase, fid))
-    G = build_G(V, W, layout, "index", train, test, b)
-    state = apply_E_amp(state, layout, V, W, train, test, b)
-    return apply_E_dig(state, layout, G, cfg, phase, fid, arith_mode)
-
-
-def apply_X_dot(state: StateVector, layout: RegisterLayout, V: StatePrepOracle,
-                W: StatePrepOracle, cfg: PrecisionConfig, data: str = "data",
-                b: str = "B", phase: str = "phase", fid: str = "fid") -> StateVector:
-    """Dot-product analogue: Hadamard test plus phase estimation on H."""
-    _require_fresh(state, (data, b, phase, fid))
-    H = build_H_dot(V, W, layout, "index", data, b)
-    state = state.apply_circuit(H.amp_circuit)
-    qpe = qpe_circuit(H, layout.qubits(phase))
-    state = state.apply_circuit(qpe)
-    state = state.apply(arithmetic_map(cfg, layout, "dot", phase, fid))
-    state = state.apply_circuit(qpe.inverse())
-    return state.apply_circuit(H.amp_circuit.inverse())
+    return qadc_circuit(G, layout, cfg, phase, fid, "fidelity")
 
 
 # --- standalone abs-QADC ------------------------------------------------------
@@ -257,11 +225,8 @@ def abs_qadc(prep_unitary: np.ndarray, cfg: PrecisionConfig) -> QadcResult:
     state = StateVector.zero_state(layout)
     for q in layout.qubits("index"):
         state = state.apply(hadamard(q))
-    state = apply_F(state, layout, V, W, cfg, arith_mode="abs")
-    # conditional distribution of fid given each index value
-    probs = state.measure_probs(["index", "fid"]).reshape(2 ** cfg.b, d)
-    norm = probs.sum(axis=0, keepdims=True)
-    branch = (probs / np.where(norm > 0, norm, 1.0)).T
+    state = apply_qadc(state, build_G(V, W, layout), layout, cfg, mode="abs")
+    branch = np.array([fid_distribution(state, i) for i in range(d)])
     return QadcResult(state, layout, branch)
 
 

@@ -10,6 +10,7 @@ the tied classes.
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -37,6 +38,8 @@ class TrainSet:
         self.states = np.asarray(self.states, dtype=complex)
         if self.states.ndim != 2 or len(self.labels) != self.states.shape[0]:
             raise SimulationError("states/labels shape mismatch")
+        if not np.isfinite(self.states).all():
+            raise SimulationError("train states contain non-finite amplitudes")
         norms = np.linalg.norm(self.states, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-9):
             raise SimulationError("train states must be normalized")
@@ -153,14 +156,7 @@ def qknn_classify(test_state: np.ndarray, train: TrainSet, k: int,
         layout = oracle_layout(m, train.n, cfg.b)
         V = make_V(np.asarray(test_state, dtype=complex), layout, register="test")
         W = make_W(train.states, layout)
-        cache: dict = {}
-
-        def assemble(y, A):
-            key = (y, A)
-            if key not in cache:
-                cache[key] = assemble_O_yA(V, W, layout, cfg, y, A)
-            return cache[key]
-
+        assemble = functools.cache(lambda y, A: assemble_O_yA(V, W, layout, cfg, y, A))
         backend = CircuitBackend(assemble, table.quantized, cfg.b)
     else:
         raise SimulationError(f"unknown mode {mode!r}")

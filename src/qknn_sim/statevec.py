@@ -255,12 +255,6 @@ class StateVector:
         amps[0] = 1.0
         return cls(n, amps, layout)
 
-    @classmethod
-    def from_amplitudes(cls, amps: np.ndarray, layout: RegisterLayout | None = None) -> "StateVector":
-        amps = np.asarray(amps, dtype=complex)
-        n = int(round(np.log2(len(amps))))
-        return cls(n, amps.copy(), layout)
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 

@@ -255,8 +255,7 @@ def qft_inverse_matrix(b: int) -> np.ndarray:
     return np.exp(-2j * np.pi * x * t / d) / math.sqrt(d)
 
 
-def qpe_circuit(op: ReflectionOperator | Gate, phase_qubits: tuple[int, ...],
-                support: tuple[int, ...] | None = None) -> Circuit:
+def qpe_circuit(op: ReflectionOperator | Gate, phase_qubits: tuple[int, ...]) -> Circuit:
     """Standard phase estimation: controlled powers by repeated composition,
     then the inverse quantum Fourier transform on the phase register."""
     if isinstance(op, Gate):
@@ -267,8 +266,6 @@ def qpe_circuit(op: ReflectionOperator | Gate, phase_qubits: tuple[int, ...],
     else:
         base_matrix, base_support, base_prep, name = (
             op.matrix, op.support, op.prep_per_application, "G")
-    if support is not None:
-        base_support = support
     b = len(phase_qubits)
     circ = Circuit([hadamard(q) for q in phase_qubits])
     power = base_matrix
@@ -311,10 +308,6 @@ class EigenPair:
         theta = math.asin(min(alpha, 1.0)) / math.pi
         return cls(s, theta, alpha, beta)
 
-    @property
-    def eigenvalues(self) -> tuple[complex, complex]:
-        return (np.exp(2j * np.pi * self.theta), np.exp(-2j * np.pi * self.theta))
-
 
 @dataclass(eq=False)
 class EigenReport:
@@ -326,23 +319,34 @@ class EigenReport:
     degenerate: bool
 
 
-def _psi_block_vectors(psi: np.ndarray, phi: np.ndarray):
-    """(Psi_j0, Psi_j1, alpha, beta) on the (train, test, B) space.
+def _block_report(block: np.ndarray, pair: EigenPair, psi0: np.ndarray | None,
+                  psi1: np.ndarray | None) -> EigenReport:
+    """Check a G_j/H_j block against its analytic eigenstructure.
 
-    Sign convention follows the swap-test circuit output: the B=1 branch is
-    (|phi>_tr|psi>_tst - |psi>_tr|phi>_tst)/2.
+    The block is restricted to span(psi0, psi1); its eigenphases must be
+    +/-theta (differences taken mod 1), and alpha*psi0 + beta*psi1 must
+    recompose from the two eigenvectors. At the degenerate edges one vector
+    is None and the survivor must be an eigenvector on its own: psi0 with
+    eigenvalue -1 (theta = 1/2) or psi1 with eigenvalue +1 (theta = 0).
     """
-    sym = np.kron(psi, phi) + np.kron(phi, psi)      # test register on the high bits
-    anti = np.kron(psi, phi) - np.kron(phi, psi)
-    F = abs(np.vdot(psi, phi)) ** 2
-    pair = EigenPair.from_similarity(F)
-    dim = len(sym)
-    psi0 = np.concatenate([sym, np.zeros(dim)]) / (2 * pair.alpha)
-    if pair.beta > 1e-9:
-        psi1 = np.concatenate([np.zeros(dim), anti]) / (2 * pair.beta)
-    else:
-        psi1 = None
-    return psi0, psi1, pair
+    if psi1 is None:
+        resid = float(np.linalg.norm(block @ psi0 + psi0))
+        return EigenReport(pair.similarity, pair.theta, None, resid, 0.0, True)
+    if psi0 is None:
+        resid = float(np.linalg.norm(block @ psi1 - psi1))
+        return EigenReport(pair.similarity, pair.theta, None, resid, 0.0, True)
+    basis = np.column_stack([psi0, psi1])
+    evals, _ = np.linalg.eig(basis.conj().T @ block @ basis)
+    measured = tuple(sorted((float(np.angle(val)) / (2 * np.pi)) % 1.0 for val in evals))
+    expected = tuple(sorted((pair.theta % 1.0, (-pair.theta) % 1.0)))
+    phase_err = max(min(abs(a - b), 1.0 - abs(a - b)) for a, b in zip(measured, expected))
+    plus = (psi0 + 1j * psi1) / math.sqrt(2)
+    minus = (psi0 - 1j * psi1) / math.sqrt(2)
+    recomposed = (-1j / math.sqrt(2)) * (
+        np.exp(1j * np.pi * pair.theta) * plus - np.exp(-1j * np.pi * pair.theta) * minus)
+    direct = pair.alpha * psi0 + pair.beta * psi1
+    decomp_err = float(np.linalg.norm(recomposed - direct))
+    return EigenReport(pair.similarity, pair.theta, measured, phase_err, decomp_err, False)
 
 
 def g_block_matrix(psi: np.ndarray, phi: np.ndarray, layout: RegisterLayout,
@@ -370,63 +374,39 @@ def h_block_matrix(v: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def verify_eigendecomposition_dot(v: np.ndarray, u: np.ndarray) -> EigenReport:
-    """H_j analogue of the fidelity-path eigenstructure check (real states)."""
+    """H_j analogue of the fidelity-path eigenstructure check (real states).
+
+    X = +1 or -1 collapses the block onto one branch (flagged degenerate).
+    """
     v = np.asarray(v, dtype=complex)
     u = np.asarray(u, dtype=complex)
-    x = float(np.vdot(v, u).real)
-    pair = EigenPair.from_similarity(x)
-    hj = h_block_matrix(v, u)
-    dim = len(v)
-    if pair.beta <= 1e-9 or pair.alpha <= 1e-9:
-        # X = +/-1 collapses the block; the surviving branch is an eigenvector
-        if pair.beta <= 1e-9:
-            vec = np.concatenate([(v + u) / (2 * pair.alpha), np.zeros(dim)])
-            resid = float(np.linalg.norm(hj @ vec + vec))   # theta = 1/2
-        else:
-            vec = np.concatenate([np.zeros(dim), (v - u) / (2 * pair.beta)])
-            resid = float(np.linalg.norm(hj @ vec - vec))   # theta = 0
-        return EigenReport(x, pair.theta, None, resid, 0.0, True)
-    psi0 = np.concatenate([(v + u) / (2 * pair.alpha), np.zeros(dim)])
-    psi1 = np.concatenate([np.zeros(dim), (v - u) / (2 * pair.beta)])
-    basis = np.column_stack([psi0, psi1])
-    evals, _ = np.linalg.eig(basis.conj().T @ hj @ basis)
-    measured = tuple(sorted((float(np.angle(val)) / (2 * np.pi)) % 1.0 for val in evals))
-    expected = tuple(sorted((pair.theta % 1.0, (-pair.theta) % 1.0)))
-    phase_err = max(min(abs(a - b), 1.0 - abs(a - b)) for a, b in zip(measured, expected))
-    plus = (psi0 + 1j * psi1) / math.sqrt(2)
-    minus = (psi0 - 1j * psi1) / math.sqrt(2)
-    recomposed = (-1j / math.sqrt(2)) * (
-        np.exp(1j * np.pi * pair.theta) * plus - np.exp(-1j * np.pi * pair.theta) * minus)
-    direct = pair.alpha * psi0 + pair.beta * psi1
-    decomp_err = float(np.linalg.norm(recomposed - direct))
-    return EigenReport(x, pair.theta, measured, phase_err, decomp_err, False)
+    pair = EigenPair.from_similarity(float(np.vdot(v, u).real))
+    zeros = np.zeros(len(v))
+    psi0 = (np.concatenate([(v + u) / (2 * pair.alpha), zeros])
+            if pair.alpha > 1e-9 else None)
+    psi1 = (np.concatenate([zeros, (v - u) / (2 * pair.beta)])
+            if pair.beta > 1e-9 else None)
+    return _block_report(h_block_matrix(v, u), pair, psi0, psi1)
 
 
 def verify_eigendecomposition(psi: np.ndarray, phi: np.ndarray,
                               layout: RegisterLayout | None = None) -> EigenReport:
     """Diagonalize the constructed G_j block and compare with the analytic
-    eigenphases and the two-eigenvector decomposition of the swap-test state."""
+    eigenphases and the two-eigenvector decomposition of the swap-test state.
+
+    The B=1 branch follows the swap-test circuit's sign convention:
+    (|phi>_tr|psi>_tst - |psi>_tr|phi>_tst)/2. F = 1 collapses the block
+    onto the symmetric branch (flagged degenerate).
+    """
     n = int(round(math.log2(len(psi))))
     if layout is None:
         layout = RegisterLayout.from_sizes([("train", n), ("test", n), ("B", 1)])
     if 2 * n + 1 > 12:
         raise SimulationError("instance too large for dense eigendecomposition")
-    gj = g_block_matrix(psi, phi, layout)
-    psi0, psi1, pair = _psi_block_vectors(psi, phi)
-    if psi1 is None:
-        # F = 1: the block collapses to one dimension, G_j psi0 = -psi0
-        resid = float(np.linalg.norm(gj @ psi0 + psi0))
-        return EigenReport(pair.similarity, pair.theta, None, resid, 0.0, True)
-    basis = np.column_stack([psi0, psi1])
-    restricted = basis.conj().T @ gj @ basis
-    evals, _ = np.linalg.eig(restricted)
-    measured = tuple(sorted((float(np.angle(v)) / (2 * np.pi)) % 1.0 for v in evals))
-    expected = tuple(sorted(((pair.theta) % 1.0, (-pair.theta) % 1.0)))
-    phase_err = max(abs(a - b) for a, b in zip(measured, expected))
-    plus = (psi0 + 1j * psi1) / math.sqrt(2)
-    minus = (psi0 - 1j * psi1) / math.sqrt(2)
-    recomposed = (-1j / math.sqrt(2)) * (
-        np.exp(1j * np.pi * pair.theta) * plus - np.exp(-1j * np.pi * pair.theta) * minus)
-    direct = pair.alpha * psi0 + pair.beta * psi1
-    decomp_err = float(np.linalg.norm(recomposed - direct))
-    return EigenReport(pair.similarity, pair.theta, measured, phase_err, decomp_err, False)
+    sym = np.kron(psi, phi) + np.kron(phi, psi)      # test register on the high bits
+    anti = np.kron(psi, phi) - np.kron(phi, psi)
+    pair = EigenPair.from_similarity(abs(np.vdot(psi, phi)) ** 2)
+    zeros = np.zeros(len(sym))
+    psi0 = np.concatenate([sym, zeros]) / (2 * pair.alpha)
+    psi1 = np.concatenate([zeros, anti]) / (2 * pair.beta) if pair.beta > 1e-9 else None
+    return _block_report(g_block_matrix(psi, phi, layout), pair, psi0, psi1)

@@ -6,12 +6,11 @@ the classical-baseline derivation at this corpus scale (10**3 states per
 class); the a-priori planned floors are printed alongside for comparison.
 """
 import itertools
-import math
 import time
 
 import numpy as np
 
-from qknn_sim import datasets, kmax, oracle, qadc, qknn, subroutines
+from qknn_sim import datasets, experiments, kmax, oracle, qadc, qknn, subroutines
 from qknn_sim.statevec import RegisterLayout, StateVector, hadamard, pauli_x
 
 _t0 = None
@@ -184,10 +183,10 @@ def test_criterion_4_circuit_exact_oracle():
         layout = oracle.oracle_layout(1, 1, b)
         V = subroutines.make_V(psi, layout, register="test")
         W = subroutines.make_W(phis, layout)
-        table = oracle.quantize_table(F, b)
+        table = qadc.quantize_array(F, b)
         for y, A in [(0, {0}), (1, {1}), (0, {0, 1}), (1, {0, 1})]:
             oc = oracle.assemble_O_yA(V, W, layout, qadc.PrecisionConfig(b), y, A)
-            handle = oracle.oracle_abstract(table, y, A)
+            handle = oracle.TableOracleHandle(table, y, A)
             state = StateVector.zero_state(layout).apply(hadamard(0))
             out = oc.apply(state)
             joint = out.measure_probs(["index", "Q3"])
@@ -224,53 +223,24 @@ def test_criterion_6_query_scaling():
     stopping rule is reported separately (see mean_queries in the rows).
     """
     _start()
-    m_values = [16, 32, 64, 128, 256, 512, 1024]
-    rows = kmax.scaling_experiment(m_values, 1, 200, kmax.SearchConfig(seed=606))
-    slope = kmax.fit_loglog_slope(m_values, [r.mean_queries_to_solution for r in rows])
-    slope_total = kmax.fit_loglog_slope(m_values, [r.mean_queries for r in rows])
-
-    k_values = [1, 2, 4, 8]
-    k_means = []
-    for k in k_values:
-        row = kmax.scaling_experiment([256], k, 200, kmax.SearchConfig(seed=707))[0]
-        k_means.append(row.mean_queries_to_solution)
-    coeff = sum(q * math.sqrt(k) for q, k in zip(k_means, k_values)) / sum(k_values)
-    rel = [abs(q - coeff * math.sqrt(k)) / (coeff * math.sqrt(k))
-           for q, k in zip(k_means, k_values)]
-    ok = 0.35 <= slope <= 0.65 and max(rel) <= 0.25
+    study = experiments.scaling_study([16, 32, 64, 128, 256, 512, 1024], 1, 200, 606)
+    slope_total, slope = study.slopes
+    rel = study.k_max_rel_dev
+    ok = 0.35 <= slope <= 0.65 and rel <= 0.25
     _report(6, "query scaling O(sqrt(kM))", ok,
             f"slope={slope:.3f} (total incl. confirmation {slope_total:.3f}), "
-            f"sqrt(k) max rel dev={max(rel):.3f}", 300)
+            f"sqrt(k) max rel dev={rel:.3f}", 300)
 
 
 def test_criterion_7_state_discrimination():
     """k=1 search identifies the promised state in >= 99% of trials, O(sqrt M)."""
     _start()
-    m_values = [16, 64, 256]
-    means = []
-    total_ok = True
-    details = []
-    for M in m_values:
-        root = np.random.SeedSequence((979, M))
-        hits, queries = 0, []
-        for seq in root.spawn(100):
-            rng = np.random.default_rng(seq)
-            states, chosen = datasets.gen_discrimination_instance(
-                M, 4, int(rng.integers(0, 2 ** 31)))
-            train = qknn.TrainSet(states, list(range(M)))
-            found, res = qknn.discriminate(
-                states[chosen], train,
-                kmax.SearchConfig(seed=int(rng.integers(0, 2 ** 31))))
-            hits += found == chosen
-            queries.append(res.queries_to_solution
-                           if res.queries_to_solution is not None else res.oracle_queries)
-        means.append(float(np.mean(queries)))
-        total_ok &= hits >= 99
-        details.append(f"M={M}:{hits}%")
-    slope = kmax.fit_loglog_slope(m_values, means)
-    ok = total_ok and 0.35 <= slope <= 0.65
+    rows = experiments.discrimination_sweep([16, 64, 256], 4, 100, kmax.SearchConfig(seed=979))
+    slope = kmax.fit_loglog_slope([r.M for r in rows], [r.mean_queries for r in rows])
+    ok = all(r.hits >= 99 for r in rows) and 0.35 <= slope <= 0.65
+    details = " ".join(f"M={r.M}:{r.hits}%" for r in rows)
     _report(7, "state discrimination", ok,
-            f"accuracy {' '.join(details)}, query slope={slope:.3f}", 180)
+            f"accuracy {details}, query slope={slope:.3f}", 180)
 
 
 # Floors frozen from the 5-seed classical-baseline derivation at 10**3 states
@@ -294,41 +264,15 @@ PLANNED_FLOORS = {
 def test_criterion_8_entanglement_classification():
     """Desk-scale Table-I experiment: classical and oracle-abstract modes."""
     _start()
-    per_class = 1000
-    k = 5
     lines = []
     ok = True
     for scheme, floor in CRITERION_8_FLOORS.items():
-        acc_c, acc_q, agree, points = [], [], 0, 0
-        for seed in range(5):
-            corpus = datasets.gen_corpus(scheme, per_class, seed=1000 + seed)
-            rng = np.random.default_rng(seed)
-            order = rng.permutation(len(corpus))
-            cut = int(round(len(corpus) * 0.9))
-            tr, te = order[:cut], order[cut:]
-            train = qknn.TrainSet(corpus.states[tr], [corpus.labels[i] for i in tr])
-            hits_c = hits_q = 0
-            seqs = np.random.SeedSequence(seed).spawn(len(te))
-            for idx, seq in zip(te, seqs):
-                state = corpus.states[idx]
-                truth = corpus.labels[idx]
-                c = qknn.classical_knn(state, train, k, b=12)
-                q = qknn.qknn_classify(
-                    state, train, k, qadc.PrecisionConfig(12),
-                    kmax.SearchConfig(seed=int(seq.generate_state(1)[0] % 2 ** 31)))
-                hits_c += c.label == truth
-                hits_q += q.label == truth
-                agree += c.label == q.label
-                points += 1
-            acc_c.append(hits_c / len(te))
-            acc_q.append(hits_q / len(te))
-        mean_c, mean_q = float(np.mean(acc_c)), float(np.mean(acc_q))
-        agreement = agree / points
-        scheme_ok = mean_c >= floor and mean_q >= floor and agreement >= 0.99
-        ok &= scheme_ok
-        note = "met" if mean_c >= PLANNED_FLOORS[scheme] else "below"
-        lines.append(f"{scheme}: classical={mean_c:.3f} quantum={mean_q:.3f} "
-                     f"agree={agreement:.3f} floor={floor} "
+        row = experiments.entanglement_experiment(scheme, per_class=1000, k=5, b=12,
+                                                  seeds=range(5))
+        ok &= row.classical >= floor and row.quantum >= floor and row.agreement >= 0.99
+        note = "met" if row.classical >= PLANNED_FLOORS[scheme] else "below"
+        lines.append(f"{scheme}: classical={row.classical:.3f} quantum={row.quantum:.3f} "
+                     f"agree={row.agreement:.3f} floor={floor} "
                      f"(planned {PLANNED_FLOORS[scheme]}: {note})")
     _report(8, "entanglement classification", ok, "; ".join(lines), 600)
 

@@ -1,8 +1,12 @@
 """Command-line surface: outputs, determinism, validation, exit codes."""
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qknn_sim.cli import CSV_HEADER, main, parse_config_file
 
@@ -157,3 +161,58 @@ def test_bench_emits_per_trial_traces(tmp_path):
     for line in traces:
         obj = json.loads(line)
         assert set(obj) == {"seed", "M", "k", "rounds", "oracle_queries", "top_k"}
+
+
+def test_classify_rejects_non_finite_amplitudes(tmp_path, capsys):
+    corpus = _make_corpus(tmp_path, per_class=5)
+    records = [json.loads(line) for line in corpus.read_text().splitlines()]
+    records[3]["amplitudes"][0][0] = float("nan")
+    corpus.write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert run_cli(["classify", "--corpus", str(corpus), "--k", "1"]) == 1
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_config_file_unknown_key_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("lamda = 1.3\n")
+    assert run_cli(["bench", "--M", "16", "--trials", "1", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "lamda" in err and "valid keys:" in err and "lam" in err
+
+
+def test_output_path_that_is_a_directory_exits_1(tmp_path, capsys):
+    assert run_cli(["bench", "--M", "16", "--trials", "1", "--out", str(tmp_path)]) == 1
+    assert "error" in capsys.readouterr().err
+
+
+def exit_code(args):
+    try:
+        return run_cli(args)
+    except SystemExit as exc:  # argparse usage errors
+        return exc.code
+
+
+@pytest.mark.parametrize("args", [
+    ["bench", "--trials", "0"],
+    ["discriminate", "--trials", "0"],
+    ["bench", "--k", "0"],
+    ["discriminate", "--n", "-1"],
+    ["bench", "--M", "16,0"],
+    ["gen-data", "--per-class", "-1"],
+    ["bench", "--M", "-2,3"],      # argparse reads -2,3 as a flag
+    ["bench", "--trials", "x"],
+])
+def test_bad_counts_exit_1(args, capsys):
+    assert exit_code(args) == 1
+    assert "error" in capsys.readouterr().err
+
+
+@given(cmd=st.sampled_from(["bench", "discriminate"]), trials=st.integers(-2, 3),
+       k=st.integers(-2, 3), n=st.integers(-2, 3),
+       M=st.lists(st.integers(-2, 8), min_size=1, max_size=3))
+@settings(max_examples=40, deadline=None)
+def test_small_integer_arguments_never_exit_2(cmd, trials, k, n, M):
+    args = [cmd, f"--trials={trials}", f"--k={k}", f"--n={n}",
+            "--M=" + ",".join(map(str, M)), "--seed=0"]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert exit_code(args) in (0, 1)

@@ -71,6 +71,11 @@ def test_k_maxima_rejects_k_above_m():
         k_maxima(TableBackend(np.array([0.1, 0.2])), 3)
 
 
+def test_k_maxima_rejects_k_below_one():
+    with pytest.raises(SimulationError, match="k must be >= 1"):
+        k_maxima(TableBackend(np.array([0.1, 0.2])), 0)
+
+
 def test_k_maxima_exact_on_random_tables():
     """100 seeded 64-entry tables, k=3: exact top-k in at least 99 trials."""
     wins = 0

@@ -7,6 +7,7 @@ import pytest
 from qknn_sim.oracle import (
     CircuitOracleHandle,
     SimulationError,
+    TableOracleHandle,
     ThresholdState,
     assemble_O_yA,
     build_D,
@@ -14,13 +15,11 @@ from qknn_sim.oracle import (
     build_U_gt,
     build_U_neq,
     classical_action,
-    oracle_abstract,
     oracle_layout,
     prep_calls_per_oracle,
-    quantize_table,
     qubit_accounting,
 )
-from qknn_sim.qadc import PrecisionConfig
+from qknn_sim.qadc import PrecisionConfig, quantize_array
 from qknn_sim.statevec import StateVector, hadamard
 from qknn_sim.subroutines import make_V, make_W
 
@@ -118,10 +117,10 @@ def test_assembled_oracle_dyadic_family_b2():
     """Q3 equals f_{y,A}(j) deterministically for every j, y, A at b=2."""
     b = 2
     layout, V, W, F = _dyadic_setup(b)
-    table = quantize_table(F, b)
+    table = quantize_array(F, b)
     for y, A in [(0, {0}), (1, {1}), (0, {0, 1}), (1, {0, 1})]:
         oc = assemble_O_yA(V, W, layout, PrecisionConfig(b), y, A)
-        handle = oracle_abstract(table, y, A)
+        handle = TableOracleHandle(table, y, A)
         state = StateVector.zero_state(layout).apply(hadamard(0))
         out = oc.apply(state)
         joint = out.measure_probs(["index", "Q3"])
@@ -175,16 +174,16 @@ def test_oracle_netlist_mentions_core_pieces():
 
 def test_table_oracle_handle_examples():
     table = np.array([0.2, 0.8, 0.5, 0.7])
-    h = oracle_abstract(table, 3, {3})
+    h = TableOracleHandle(table, 3, {3})
     assert [h.f(j) for j in range(4)] == [False, True, False, False]
-    h = oracle_abstract(table, 1, {1})      # y is the argmax: nothing beats it
+    h = TableOracleHandle(table, 1, {1})      # y is the argmax: nothing beats it
     assert not any(h.f(j) for j in range(4))
-    tied = oracle_abstract(np.array([3, 3, 1], dtype=np.int64), 0, {0})
+    tied = TableOracleHandle(np.array([3, 3, 1], dtype=np.int64), 0, {0})
     assert not tied.f(1)                    # strict comparison on quantized ties
 
 
 def test_table_oracle_query_count_monotone():
-    h = oracle_abstract(np.array([0.1, 0.9]), 0, {0})
+    h = TableOracleHandle(np.array([0.1, 0.9]), 0, {0})
     rng = np.random.default_rng(0)
     h.run_round(3, rng)
     assert h.query_count == 3

@@ -1,4 +1,4 @@
-"""Digitization chain: quantization, arithmetic permutation, E^amp/E^dig/F."""
+"""Digitization chain: quantization, arithmetic permutation, the QADC composition."""
 import math
 
 import numpy as np
@@ -10,13 +10,11 @@ from qknn_sim.qadc import (
     PrecisionConfig,
     QuantizedValue,
     abs_qadc,
-    apply_E_amp,
-    apply_E_dig,
-    apply_F,
-    apply_X_dot,
+    apply_qadc,
     arithmetic_map,
     arithmetic_table,
     fid_distribution,
+    fidelity_qadc_circuit,
     quantize_array,
     quantize_dot,
     quantize_fidelity,
@@ -29,7 +27,7 @@ from qknn_sim.statevec import (
     hadamard,
     pauli_x,
 )
-from qknn_sim.subroutines import build_G, make_V, make_W
+from qknn_sim.subroutines import build_G, build_H_dot, make_V, make_W
 
 RNG = np.random.default_rng(1234)
 
@@ -112,8 +110,12 @@ def _dyadic_instance(b):
     return layout, V, W
 
 
+def _apply_F(state, layout, V, W, cfg):
+    return apply_qadc(state, build_G(V, W, layout), layout, cfg)
+
+
 def test_E_amp_matches_directly_constructed_state():
-    """Output equals sum_j c_j |j>|Psi_j> built from the closed form."""
+    """The E^amp half (G.amp_circuit) gives sum_j c_j |j>|Psi_j> in closed form."""
     rng = np.random.default_rng(8)
     layout = fidelity_layout(1, 1, 2)
     psi = haar(1, rng)
@@ -121,7 +123,7 @@ def test_E_amp_matches_directly_constructed_state():
     V = make_V(psi, layout, register="test")
     W = make_W(phis, layout)
     state = StateVector.zero_state(layout).apply(hadamard(0))
-    out = apply_E_amp(state, layout, V, W)
+    out = state.apply_circuit(build_G(V, W, layout).amp_circuit)
     expected = np.zeros(2 ** layout.num_qubits, dtype=complex)
     for j in range(2):
         sym = np.kron(psi, phis[j]) + np.kron(phis[j], psi)   # test on high bits
@@ -140,15 +142,16 @@ def test_E_amp_uniform_superposition_marginal():
     F = [abs(np.vdot(psi, p)) ** 2 for p in phis]
     V = make_V(psi, layout, register="test")
     W = make_W(phis, layout)
-    out = apply_E_amp(StateVector.zero_state(layout).apply(hadamard(0)), layout, V, W)
+    out = StateVector.zero_state(layout).apply(hadamard(0)).apply_circuit(
+        build_G(V, W, layout).amp_circuit)
     assert abs(out.measure_probs("B")[0] - (2 + F[0] + F[1]) / 4) < 1e-10
 
 
 def test_E_amp_rejects_dirty_ancilla():
     layout, V, W = _dyadic_instance(2)
     dirty = StateVector.zero_state(layout).apply(pauli_x(layout.qubits("B")[0]))
-    with pytest.raises(SimulationError):
-        apply_E_amp(dirty, layout, V, W)
+    with pytest.raises(SimulationError, match="'B' is not fresh"):
+        apply_qadc(dirty, build_G(V, W, layout), layout, PrecisionConfig(2))
 
 
 @pytest.mark.parametrize("j,expected_bits", [(0, None), (1, 0)])
@@ -161,7 +164,7 @@ def test_apply_F_dyadic_is_deterministic(j, expected_bits):
     state = StateVector.zero_state(layout)
     if j:
         state = state.apply(pauli_x(0))
-    out = apply_F(state, layout, V, W, PrecisionConfig(b))
+    out = _apply_F(state, layout, V, W, PrecisionConfig(b))
     dist = fid_distribution(out, j)
     assert abs(dist[expected_bits] - 1.0) < 1e-9
 
@@ -169,8 +172,8 @@ def test_apply_F_dyadic_is_deterministic(j, expected_bits):
 def test_apply_F_superposed_branches_match_single_runs():
     b = 2
     layout, V, W = _dyadic_instance(b)
-    out = apply_F(StateVector.zero_state(layout).apply(hadamard(0)), layout, V, W,
-                  PrecisionConfig(b))
+    out = _apply_F(StateVector.zero_state(layout).apply(hadamard(0)), layout, V, W,
+                   PrecisionConfig(b))
     assert abs(fid_distribution(out, 0)[3] - 1.0) < 1e-9
     assert abs(fid_distribution(out, 1)[0] - 1.0) < 1e-9
 
@@ -179,8 +182,8 @@ def test_apply_F_uncompute_cleanliness():
     """Ancilla registers return to |0..0> within trace distance 1e-6 (dyadic)."""
     b = 2
     layout, V, W = _dyadic_instance(b)
-    out = apply_F(StateVector.zero_state(layout).apply(hadamard(0)), layout, V, W,
-                  PrecisionConfig(b))
+    out = _apply_F(StateVector.zero_state(layout).apply(hadamard(0)), layout, V, W,
+                   PrecisionConfig(b))
     rho = out.partial_trace(["train", "test", "B", "phase"]).matrix
     target = np.zeros_like(rho)
     target[0, 0] = 1.0
@@ -191,7 +194,6 @@ def test_apply_F_uncompute_cleanliness():
 def test_apply_F_then_inverse_then_F_is_idempotent_on_content():
     b = 2
     layout, V, W = _dyadic_instance(b)
-    from qknn_sim.qadc import fidelity_qadc_circuit
     circ = fidelity_qadc_circuit(V, W, layout, PrecisionConfig(b))
     state = StateVector.zero_state(layout)
     once = state.apply_circuit(circ)
@@ -205,8 +207,7 @@ def test_apply_E_dig_uses_reflection_operator():
     b = 2
     layout, V, W = _dyadic_instance(b)
     G = build_G(V, W, layout)
-    amp = apply_E_amp(StateVector.zero_state(layout), layout, V, W)
-    out = apply_E_dig(amp, layout, G, PrecisionConfig(b))
+    out = apply_qadc(StateVector.zero_state(layout), G, layout, PrecisionConfig(b))
     assert abs(fid_distribution(out, 0)[3] - 1.0) < 1e-9
 
 
@@ -222,7 +223,7 @@ def test_apply_F_accuracy_random_instances():
         phis = np.stack([haar(1, rng) for _ in range(2)])
         V = make_V(psi, layout, register="test")
         W = make_W(phis, layout)
-        out = apply_F(StateVector.zero_state(layout).apply(hadamard(0)), layout, V, W, cfg)
+        out = _apply_F(StateVector.zero_state(layout).apply(hadamard(0)), layout, V, W, cfg)
         for j in range(2):
             F = abs(np.vdot(psi, phis[j])) ** 2
             best = int(np.argmax(fid_distribution(out, j)))
@@ -245,7 +246,8 @@ def test_apply_X_dot_known_values(u, expected_over_8):
     layout = _dot_layout(1, 1, b)
     V = make_V(v.astype(complex), layout, register="data")
     W = make_W(np.stack([u, u]).astype(complex), layout, index="index", train="data")
-    out = apply_X_dot(StateVector.zero_state(layout), layout, V, W, PrecisionConfig(b))
+    H = build_H_dot(V, W, layout, "index", "data")
+    out = apply_qadc(StateVector.zero_state(layout), H, layout, PrecisionConfig(b))
     dist = fid_distribution(out, 0)
     assert abs(dist[expected_over_8] - 1.0) < 1e-9
 

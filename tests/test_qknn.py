@@ -216,6 +216,8 @@ def test_trainset_validation():
         TrainSet(np.array([[1, 1]], dtype=complex), ["A"])   # unnormalized
     with pytest.raises(SimulationError):
         TrainSet(np.eye(2, dtype=complex), ["A"])            # label count mismatch
+    with pytest.raises(SimulationError, match="non-finite"):
+        TrainSet(np.array([[np.nan, 0]], dtype=complex), ["A"])
     three = TrainSet(np.eye(4, dtype=complex)[:3], ["A", "B", "C"])
     with pytest.raises(SimulationError):
         three.require_power_of_two()

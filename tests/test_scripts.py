@@ -1,0 +1,18 @@
+"""The experiment scripts run end to end on tiny inputs."""
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("script,args,expect", [
+    ("run_scaling.py", ["--M", "16,32", "--trials", "3"], "max relative deviation"),
+    ("run_entanglement.py", ["--per-class", "5", "--seeds", "1"], "3q-five-class"),
+])
+def test_script_runs(script, args, expect):
+    out = subprocess.run([sys.executable, f"scripts/{script}", *args], cwd=ROOT,
+                         capture_output=True, text=True, timeout=120, check=True).stdout
+    assert expect in out
