@@ -16,10 +16,8 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, fields
 
-import numpy as np
-
-from . import datasets, experiments, kmax, oracle, qadc, qknn, subroutines
-from .statevec import RegisterLayout, SimulationError, StateVector, pauli_x
+from . import datasets, experiments, invariants, kmax, qadc, qknn
+from .statevec import SimulationError
 
 CSV_HEADER = "# qknn-sim v1"
 
@@ -43,7 +41,6 @@ class RunConfig:
     corpus: str | None = None
     per_class: int = 100
     split: float = 0.9
-    inject_fault: str | None = None
 
     def __post_init__(self):
         for name in ("n", "k", "trials", "per_class"):
@@ -178,135 +175,8 @@ def cmd_discriminate(cfg: RunConfig) -> int:
     return 0
 
 
-# --- verification suites ------------------------------------------------------------
-
-
-def _check(name: str, deviation: float, tolerance: float) -> dict:
-    return {"name": name, "max_deviation": float(deviation),
-            "tolerance": tolerance, "pass": bool(deviation <= tolerance)}
-
-
-def _suite_swap_test(rng: np.random.Generator, pairs: int) -> dict:
-    layout = RegisterLayout.from_sizes([("train", 2), ("test", 2), ("B", 1)])
-    worst = 0.0
-    for _ in range(pairs):
-        psi, phi = datasets.haar_random_state(2, rng), datasets.haar_random_state(2, rng)
-        state = StateVector.zero_state(layout)
-        state = state.apply_circuit(subroutines.make_V(phi, layout, register="train").circuit)
-        state = state.apply_circuit(subroutines.make_V(psi, layout, register="test").circuit)
-        out = subroutines.swap_test_apply(state, layout)
-        F = abs(np.vdot(psi, phi)) ** 2
-        worst = max(worst, abs(out.measure_probs("B")[0] - (1 + F) / 2))
-    return _check("swap_test_probability_law", worst, 1e-10)
-
-
-def _suite_hadamard_test(rng: np.random.Generator, pairs: int) -> dict:
-    layout = RegisterLayout.from_sizes([("index", 1), ("data", 2), ("B", 1)])
-    worst = 0.0
-    for _ in range(pairs):
-        v = datasets.haar_random_state(2, rng).real
-        v /= np.linalg.norm(v)
-        us = np.stack([datasets.haar_random_state(2, rng).real for _ in range(2)])
-        us /= np.linalg.norm(us, axis=1, keepdims=True)
-        V = subroutines.make_V(v.astype(complex), layout, register="data")
-        W = subroutines.make_W(us.astype(complex), layout, index="index", train="data")
-        for j in range(2):
-            state = StateVector.zero_state(layout)
-            if j:
-                state = state.apply(pauli_x(0))
-            out = subroutines.hadamard_test_apply(state, layout, V, W)
-            want = (1 + float(v @ us[j])) / 2
-            got = float(out.collapse("index", j).measure_probs("B")[0])
-            worst = max(worst, abs(got - want))
-    return _check("hadamard_test_probability_law", worst, 1e-10)
-
-
-def _suite_eigenstructure(rng: np.random.Generator, instances: int) -> dict:
-    worst = 0.0
-    for _ in range(instances):
-        psi = datasets.haar_random_state(1, rng)
-        phi = datasets.haar_random_state(1, rng)
-        rep = subroutines.verify_eigendecomposition(psi, phi)
-        if not rep.degenerate:
-            worst = max(worst, rep.eigenphase_error, rep.decomposition_error)
-    return _check("reflection_eigenstructure", worst, 1e-9)
-
-
-def _suite_comparators(width: int, inject_fault: str | None) -> dict:
-    worst = 0
-    chain = tuple(range(2 * width + 1, 3 * width))
-    circ = oracle.build_J(tuple(range(width)), tuple(range(width, 2 * width)),
-                          2 * width, chain)
-    if inject_fault == "comparator":
-        circ.append(pauli_x(2 * width))  # negated comparator fixture
-    nq = 3 * width
-    for a in range(2 ** width):
-        for b_val in range(2 ** width):
-            x = a | (b_val << width)
-            y = oracle.classical_action(circ, nq, x)
-            got = (y >> (2 * width)) & 1
-            ancilla_dirty = (y >> (2 * width + 1)) != 0 or (y & (2 ** (2 * width) - 1)) != x
-            worst = max(worst, abs(got - (1 if a > b_val else 0)) + ancilla_dirty)
-    return _check(f"comparator_J_exhaustive_b{width}", worst, 0)
-
-
-def _suite_membership(m: int) -> dict:
-    import itertools
-    worst = 0
-    iq, pq = tuple(range(m)), tuple(range(m, 2 * m))
-    chain, tgt = tuple(range(2 * m, 3 * m)), 3 * m
-    for size in (1, 2, 3):
-        for A in itertools.combinations(range(2 ** m), size):
-            circ = oracle.Circuit()
-            for i in A:
-                circ.extend(oracle.build_D(i, iq, pq, chain, tgt))
-            for j in range(2 ** m):
-                y = oracle.classical_action(circ, 3 * m + 1, j)
-                chi = 1 if j in A else 0
-                worst = max(worst, abs(((y >> (3 * m)) & 1) - chi)
-                            + ((y & (2 ** (3 * m) - 1)) != j))
-    return _check(f"membership_D_cascade_m{m}", worst, 0)
-
-
-def _suite_oracle_equivalence() -> dict:
-    cfg = qadc.PrecisionConfig(2)
-    layout = oracle.oracle_layout(1, 1, 2)
-    psi = np.array([1, 0], dtype=complex)
-    phis = np.array([[1, 0], [0, 1]], dtype=complex)
-    V = subroutines.make_V(psi, layout, register="test")
-    W = subroutines.make_W(phis, layout)
-    table = qadc.quantize_array(np.array([1.0, 0.0]), 2)
-    worst = 0.0
-    for y, A in [(0, frozenset({0})), (1, frozenset({1})), (1, frozenset({0, 1}))]:
-        oc = oracle.assemble_O_yA(V, W, layout, cfg, y, A)
-        handle = oracle.TableOracleHandle(table, y, A)
-        for j in range(2):
-            dist = oc.q3_distribution(j)
-            expected = int(handle.f(j))
-            worst = max(worst, abs(dist[expected] - 1.0))
-    return _check("oracle_circuit_vs_abstract", worst, 1e-9)
-
-
-def _suite_folding() -> dict:
-    worst = 0
-    for b in range(2, 9):
-        table = qadc.arithmetic_table(qadc.PrecisionConfig(b))
-        for t in range(2 ** b):
-            worst = max(worst, abs(int(table[t]) - int(table[(2 ** b - t) % 2 ** b])))
-    return _check("arithmetic_theta_folding", worst, 0)
-
-
 def cmd_verify(cfg: RunConfig) -> int:
-    rng = np.random.default_rng(cfg.seed)
-    checks = [
-        _suite_swap_test(rng, 50),
-        _suite_hadamard_test(rng, 25),
-        _suite_eigenstructure(rng, 25),
-        _suite_comparators(3, cfg.inject_fault),
-        _suite_membership(2),
-        _suite_oracle_equivalence(),
-        _suite_folding(),
-    ]
+    checks = invariants.verify(cfg.seed)
     report = {"invariants": checks, "all_pass": all(c["pass"] for c in checks)}
     text = json.dumps(report, indent=2)
     if cfg.out:
@@ -345,8 +215,6 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--corpus", help="corpus JSONL path (classify)")
         p.add_argument("--per-class", dest="per_class", type=int)
         p.add_argument("--split", type=float)
-        p.add_argument("--inject-fault", dest="inject_fault",
-                       choices=("comparator",), help=argparse.SUPPRESS)
     return parser
 
 

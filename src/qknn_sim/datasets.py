@@ -228,17 +228,32 @@ def write_corpus(corpus: LabeledStateCorpus, path: str) -> None:
 
 
 def read_corpus(path: str) -> LabeledStateCorpus:
+    """Load a JSONL corpus: one known scheme, labels of that scheme, and the
+    same number of finite amplitudes on every record."""
     states, labels, paths, scheme = [], [], [], None
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            rec = json.loads(line)
-            state = np.array([complex(re, im) for re, im in rec["amplitudes"]])
+            where = f"{path}:{lineno}"
+            try:
+                rec = json.loads(line)
+                state = np.array([complex(re, im) for re, im in rec["amplitudes"]])
+                rec_scheme, label = rec["scheme"], rec["label"]
+            except (ValueError, KeyError, TypeError) as exc:
+                raise SimulationError(f"{where}: malformed record ({exc!r})") from exc
+            scheme = scheme or rec_scheme
+            if rec_scheme != scheme or scheme not in SCHEMES:
+                raise SimulationError(f"{where}: scheme {rec_scheme!r}; a corpus holds one "
+                                      f"scheme of {', '.join(SCHEMES)}")
+            if label not in CLASSES[scheme]:
+                raise SimulationError(f"{where}: label {label!r} is not a class of {scheme}")
+            if states and len(state) != len(states[0]):
+                raise SimulationError(f"{where}: {len(state)} amplitudes, the records "
+                                      f"before it have {len(states[0])}")
             if not np.isfinite(state).all():
-                raise SimulationError(f"{path}:{lineno}: non-finite amplitude")
-            scheme = rec["scheme"]
-            labels.append(rec["label"])
+                raise SimulationError(f"{where}: non-finite amplitude")
+            labels.append(label)
             paths.append(rec.get("seed_path", ""))
             states.append(state)
     if scheme is None:

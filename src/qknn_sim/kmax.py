@@ -246,7 +246,11 @@ def scaling_experiment(M_values, k: int, trials: int,
 
 
 def fit_loglog_slope(sizes, means) -> float:
-    """Least-squares slope of log(mean queries) against log(M)."""
+    """Least-squares slope of log(mean queries) against log(M); finite only
+    over two or more distinct sizes with positive means."""
+    if len(set(sizes)) < 2 or min(means) <= 0:
+        raise SimulationError(f"no log-log slope over M = {', '.join(map(str, sizes))}: "
+                              f"needs two distinct M and mean queries > 0, got {list(means)}")
     coeffs = np.polyfit(np.log(np.asarray(sizes, dtype=float)),
                         np.log(np.asarray(means, dtype=float)), 1)
     return float(coeffs[0])

@@ -33,6 +33,7 @@ from .statevec import (
     RegisterLayout,
     SimulationError,
     StateVector,
+    check_state_size,
     cnot,
     hadamard,
     mcx,
@@ -231,6 +232,7 @@ def assemble_O_yA(V: StatePrepOracle, W: StatePrepOracle, layout: RegisterLayout
 
 def classical_action(circuit: Circuit, num_qubits: int, x: int) -> int:
     """Output basis state of a reversible (classical) circuit on basis input x."""
+    check_state_size(num_qubits)
     amps = np.zeros(2 ** num_qubits, dtype=complex)
     amps[x] = 1.0
     out = StateVector(num_qubits, amps).apply_circuit(circuit)

@@ -212,17 +212,15 @@ def abs_qadc(prep_unitary: np.ndarray, cfg: PrecisionConfig) -> QadcResult:
     prep_unitary = np.asarray(prep_unitary, dtype=complex)
     d = prep_unitary.shape[0]
     n = int(round(math.log2(d)))
-    if d > 2 ** 10:
-        raise SimulationError("abs-QADC limited to dimension 2**10")
     layout = RegisterLayout.from_sizes([
         ("index", n), ("train", n), ("test", n), ("B", 1),
         ("phase", cfg.b), ("fid", cfg.b),
     ])
+    state = StateVector.zero_state(layout)  # size check before W's d**2 x d**2 matrix
     psi = prep_unitary[:, 0]
     V = make_V(psi, layout, register="test")
     copies = np.eye(d, dtype=complex)  # |j>|0> -> |j>|j>
     W = make_W(copies, layout)
-    state = StateVector.zero_state(layout)
     for q in layout.qubits("index"):
         state = state.apply(hadamard(q))
     state = apply_qadc(state, build_G(V, W, layout), layout, cfg, mode="abs")

@@ -22,6 +22,9 @@ import numpy as np
 
 NORM_ATOL = 1e-10
 UNITARY_ATOL = 1e-12
+# Largest state the engine allocates: 2**24 amplitudes are 256 MiB, and
+# applying a circuit holds a working copy next to the input.
+MAX_QUBITS = 24
 
 _H_MATRIX = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 _X_MATRIX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -30,6 +33,14 @@ _Z_MATRIX = np.array([[1, 0], [0, -1]], dtype=complex)
 
 class SimulationError(Exception):
     """Raised for violated preconditions (bad registers, non-unitary gates...)."""
+
+
+def check_state_size(num_qubits: int) -> None:
+    """Refuse, before allocating, a state larger than MAX_QUBITS qubits."""
+    if num_qubits > MAX_QUBITS:
+        raise SimulationError(
+            f"a {num_qubits}-qubit state needs {16 * 2 ** num_qubits / 2 ** 20:,.0f} MiB; "
+            f"the simulator allows at most {MAX_QUBITS} qubits")
 
 
 @dataclass(frozen=True)
@@ -251,6 +262,7 @@ class StateVector:
             n, layout = layout_or_n.num_qubits, layout_or_n
         else:
             n, layout = layout_or_n, None
+        check_state_size(n)
         amps = np.zeros(2 ** n, dtype=complex)
         amps[0] = 1.0
         return cls(n, amps, layout)
@@ -258,31 +270,16 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def _check_qubits(self, qubits) -> None:
-        for q in qubits:
-            if not 0 <= q < self.num_qubits:
-                raise SimulationError(f"qubit index {q} out of range for {self.num_qubits} qubits")
-
     def apply(self, gate: Gate) -> "StateVector":
-        self._check_qubits(gate.targets)
-        self._check_qubits(gate.controls)
         amps = self.amplitudes.copy()
-        if gate.matrix is not None:
-            _apply_matrix(amps, self.num_qubits, gate.targets, gate.controls, gate.matrix)
-        else:
-            _apply_perm(amps, self.num_qubits, gate.targets, gate.controls, gate.perm)
+        _apply_gate(amps, self.num_qubits, gate, gate.targets, gate.controls)
         return StateVector(self.num_qubits, amps, self.layout)
 
     def apply_circuit(self, circuit: Circuit) -> "StateVector":
         # one working copy for the whole gate list; kernels mutate in place
         amps = self.amplitudes.copy()
         for gate in circuit:
-            self._check_qubits(gate.targets)
-            self._check_qubits(gate.controls)
-            if gate.matrix is not None:
-                _apply_matrix(amps, self.num_qubits, gate.targets, gate.controls, gate.matrix)
-            else:
-                _apply_perm(amps, self.num_qubits, gate.targets, gate.controls, gate.perm)
+            _apply_gate(amps, self.num_qubits, gate, gate.targets, gate.controls)
         return StateVector(self.num_qubits, amps, self.layout)
 
     # -- register helpers --
@@ -402,36 +399,31 @@ class DensityMatrix:
 
 # --- application kernels ---------------------------------------------------
 
-def _moved_block(amps: np.ndarray, n: int, targets, controls):
-    """View the state as (controls..., rest..., targets...) and slice controls=1.
+def _apply_gate(amps: np.ndarray, n: int, gate: Gate, targets, controls) -> None:
+    """Apply ``gate`` in place on ``targets`` under ``controls`` (its own qubits,
+    or their positions in a sub-register).
 
-    Returns (moved_view, block) where writes into ``block``'s source go
-    through to ``amps``. The trailing target axes are ordered so that
-    flattening them yields the little-endian local index of ``targets``.
+    The state is viewed as (controls..., rest..., targets...), with the
+    trailing target axes ordered so that flattening them yields the
+    little-endian local index of ``targets``; only the controls=1 slice is
+    rewritten, by the matrix or by the basis permutation.
     """
-    tensor = amps.reshape((2,) * n)
+    for q in targets + controls:
+        if not 0 <= q < n:
+            raise SimulationError(f"qubit index {q} out of range for {n} qubits")
     c, t = len(controls), len(targets)
     src = [n - 1 - q for q in controls] + [n - 1 - q for q in targets]
     dst = list(range(c)) + [n - 1 - i for i in range(t)]
-    moved = np.moveaxis(tensor, src, dst)
-    return moved, moved[(1,) * c]
-
-
-def _apply_matrix(amps: np.ndarray, n: int, targets, controls, matrix) -> None:
-    moved, block = _moved_block(amps, n, targets, controls)
-    t = len(targets)
+    moved = np.moveaxis(amps.reshape((2,) * n), src, dst)
+    block = moved[(1,) * c]
     flat = np.ascontiguousarray(block).reshape(-1, 2 ** t)
-    out = flat @ matrix.T
-    moved[(1,) * len(controls)] = out.reshape(block.shape)
-
-
-def _apply_perm(amps: np.ndarray, n: int, targets, controls, perm) -> None:
-    moved, block = _moved_block(amps, n, targets, controls)
-    t = len(targets)
-    flat = np.ascontiguousarray(block).reshape(-1, 2 ** t)
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(len(perm))
-    moved[(1,) * len(controls)] = flat[:, inv].reshape(block.shape)
+    if gate.matrix is not None:
+        out = flat @ gate.matrix.T
+    else:
+        inv = np.empty_like(gate.perm)
+        inv[gate.perm] = np.arange(len(gate.perm))
+        out = flat[:, inv]
+    moved[(1,) * c] = out.reshape(block.shape)
 
 
 def _register_value_mask(n: int, qubits: tuple[int, ...], value: int) -> np.ndarray:
@@ -463,9 +455,6 @@ def circuit_to_matrix(circuit: Circuit, qubits: tuple[int, ...]) -> np.ndarray:
         ctl = tuple(local[q] for q in gate.controls)
         for j in range(dim):
             col = cols[:, j].copy()
-            if gate.matrix is not None:
-                _apply_matrix(col, k, tgt, ctl, gate.matrix)
-            else:
-                _apply_perm(col, k, tgt, ctl, gate.perm)
+            _apply_gate(col, k, gate, tgt, ctl)
             cols[:, j] = col
     return cols

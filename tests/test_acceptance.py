@@ -5,13 +5,12 @@ lines and measured values. Criterion 8's accuracy floors are frozen from
 the classical-baseline derivation at this corpus scale (10**3 states per
 class); the a-priori planned floors are printed alongside for comparison.
 """
-import itertools
+import math
 import time
 
 import numpy as np
 
-from qknn_sim import datasets, experiments, kmax, oracle, qadc, qknn, subroutines
-from qknn_sim.statevec import RegisterLayout, StateVector, hadamard, pauli_x
+from qknn_sim import experiments, invariants, kmax, oracle
 
 _t0 = None
 
@@ -31,39 +30,11 @@ def _report(num, label, ok, detail, budget_s):
 
 
 def test_criterion_1_interference_test_laws():
-    """Swap and Hadamard test probability laws to 1e-10 over 200 pairs each."""
+    """Swap and Hadamard test probability laws to 1e-10 over 200 and 100 pairs."""
     _start()
     rng = np.random.default_rng(101)
-    worst_swap = 0.0
-    for i in range(200):
-        n = 1 + i % 3
-        layout = RegisterLayout.from_sizes([("train", n), ("test", n), ("B", 1)])
-        psi = datasets.haar_random_state(n, rng)
-        phi = datasets.haar_random_state(n, rng)
-        state = StateVector.zero_state(layout)
-        state = state.apply_circuit(subroutines.make_V(phi, layout, register="train").circuit)
-        state = state.apply_circuit(subroutines.make_V(psi, layout, register="test").circuit)
-        out = subroutines.swap_test_apply(state, layout)
-        F = abs(np.vdot(psi, phi)) ** 2
-        worst_swap = max(worst_swap, abs(out.measure_probs("B")[0] - (1 + F) / 2))
-
-    worst_had = 0.0
-    layout = RegisterLayout.from_sizes([("index", 1), ("data", 2), ("B", 1)])
-    for _ in range(100):
-        v = rng.normal(size=4)
-        v /= np.linalg.norm(v)
-        us = rng.normal(size=(2, 4))
-        us /= np.linalg.norm(us, axis=1, keepdims=True)
-        V = subroutines.make_V(v.astype(complex), layout, register="data")
-        W = subroutines.make_W(us.astype(complex), layout, index="index", train="data")
-        for j in range(2):
-            state = StateVector.zero_state(layout)
-            if j:
-                state = state.apply(pauli_x(0))
-            out = subroutines.hadamard_test_apply(state, layout, V, W)
-            want = (1 + float(v @ us[j])) / 2
-            worst_had = max(worst_had, abs(out.measure_probs("B")[0] - want))
-
+    worst_swap = invariants.swap_test_law(rng, 200, sizes=(1, 2, 3))
+    worst_had = invariants.hadamard_test_law(rng, 100)
     ok = worst_swap < 1e-10 and worst_had < 1e-10
     _report(1, "swap/Hadamard test laws", ok,
             f"max deviation swap={worst_swap:.2e} hadamard={worst_had:.2e}", 10)
@@ -73,62 +44,8 @@ def test_criterion_2_eigenstructure():
     """Eigenphases of G_j and H_j match the analytic form; block identities hold."""
     _start()
     rng = np.random.default_rng(202)
-    worst_phase = worst_decomp = 0.0
-    for i in range(100):
-        n = 1 + i % 2
-        rep = subroutines.verify_eigendecomposition(
-            datasets.haar_random_state(n, rng), datasets.haar_random_state(n, rng))
-        worst_phase = max(worst_phase, rep.eigenphase_error)
-        worst_decomp = max(worst_decomp, rep.decomposition_error)
-    for _ in range(100):
-        v = rng.normal(size=4)
-        v /= np.linalg.norm(v)
-        u = rng.normal(size=4)
-        u /= np.linalg.norm(u)
-        rep = subroutines.verify_eigendecomposition_dot(v, u)
-        worst_phase = max(worst_phase, rep.eigenphase_error)
-        worst_decomp = max(worst_decomp, rep.decomposition_error)
-
-    # block-diagonal identities on full operators, M=4
-    worst_block = 0.0
-    n, M = 2, 4
-    layout = RegisterLayout.from_sizes([("index", 2), ("train", n), ("test", n), ("B", 1)])
-    psi = datasets.haar_random_state(n, rng)
-    phis = np.stack([datasets.haar_random_state(n, rng) for _ in range(M)])
-    G = subroutines.build_G(subroutines.make_V(psi, layout, register="test"),
-                            subroutines.make_W(phis, layout), layout)
-    block_layout = RegisterLayout.from_sizes([("train", n), ("test", n), ("B", 1)])
-    dim = 2 ** (2 * n + 1)
-    for j in range(M):
-        gj = subroutines.g_block_matrix(psi, phis[j], block_layout)
-        for _ in range(50 // M):
-            v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-            v /= np.linalg.norm(v)
-            full = np.zeros(M * dim, dtype=complex)
-            full[j::M] = v
-            want = np.zeros(M * dim, dtype=complex)
-            want[j::M] = gj @ v
-            worst_block = max(worst_block, np.linalg.norm(G.matrix @ full - want))
-    vd = rng.normal(size=2)
-    vd /= np.linalg.norm(vd)
-    us = rng.normal(size=(4, 2))
-    us /= np.linalg.norm(us, axis=1, keepdims=True)
-    hlayout = RegisterLayout.from_sizes([("index", 2), ("data", 1), ("B", 1)])
-    H = subroutines.build_H_dot(
-        subroutines.make_V(vd.astype(complex), hlayout, register="data"),
-        subroutines.make_W(us.astype(complex), hlayout, index="index", train="data"),
-        hlayout)
-    for j in range(4):
-        hj = subroutines.h_block_matrix(vd.astype(complex), us[j].astype(complex))
-        for _ in range(12):
-            v = rng.normal(size=4) + 1j * rng.normal(size=4)
-            v /= np.linalg.norm(v)
-            full = np.zeros(16, dtype=complex)
-            full[j::4] = v
-            want = np.zeros(16, dtype=complex)
-            want[j::4] = hj @ v
-            worst_block = max(worst_block, np.linalg.norm(H.matrix @ full - want))
-
+    worst_phase, worst_decomp = invariants.eigenstructure_errors(rng, 100, 100, sizes=(1, 2))
+    worst_block = invariants.block_diagonality(rng)   # full operators, M=4
     ok = worst_phase < 1e-9 and worst_decomp < 1e-9 and worst_block < 1e-10
     _report(2, "reflection eigenstructure", ok,
             f"max phase err={worst_phase:.2e} decomp err={worst_decomp:.2e} "
@@ -138,68 +55,21 @@ def test_criterion_2_eigenstructure():
 def test_criterion_3_comparators_exhaustive():
     """J exact on all pairs up to b=4; D cascade exact for m<=3, |A|<=3."""
     _start()
-    for width in (1, 2, 3, 4):
-        aq, bq = tuple(range(width)), tuple(range(width, 2 * width))
-        out = 2 * width
-        chain = tuple(range(2 * width + 1, 3 * width))
-        nq = max(3 * width, 2 * width + 1)
-        circ = oracle.build_J(aq, bq, out, chain)
-        for a in range(2 ** width):
-            for b_ in range(2 ** width):
-                x = a | (b_ << width)
-                y = oracle.classical_action(circ, nq, x)
-                assert (y >> (2 * width)) & 1 == (1 if a > b_ else 0)
-                assert y & (2 ** (2 * width) - 1) == x and y >> (2 * width + 1) == 0
+    ok = (all(invariants.comparator_J(width) == 0 for width in (1, 2, 3, 4))
+          and all(invariants.membership_D(m) == 0 for m in (1, 2, 3)))
     checked_j = sum(4 ** w for w in (1, 2, 3, 4))
-
-    checked_d = 0
-    for m in (1, 2, 3):
-        iq, pq = tuple(range(m)), tuple(range(m, 2 * m))
-        chain, tgt = tuple(range(2 * m, 3 * m)), 3 * m
-        for size in (1, 2, 3):
-            for A in itertools.combinations(range(2 ** m), size):
-                circ = None
-                for i in A:
-                    d = oracle.build_D(i, iq, pq, chain, tgt)
-                    circ = d if circ is None else (circ.extend(d.gates) or circ)
-                for j in range(2 ** m):
-                    y = oracle.classical_action(circ, 3 * m + 1, j)
-                    assert (y >> (3 * m)) & 1 == (1 if j in A else 0)
-                    assert y & (2 ** (3 * m) - 1) == j
-                    checked_d += 1
-    _report(3, "comparator exhaustiveness", True,
+    checked_d = sum(math.comb(2 ** m, size) * 2 ** m for m in (1, 2, 3) for size in (1, 2, 3))
+    _report(3, "comparator exhaustiveness", ok,
             f"{checked_j} J pairs and {checked_d} D evaluations exact", 5)
 
 
 def test_criterion_4_circuit_exact_oracle():
     """Assembled oracle equals f_{y,A} with probability 1 on the dyadic family."""
     _start()
-    psi = np.array([1, 0], dtype=complex)
-    phis = np.array([[1, 0], [0, 1]], dtype=complex)
-    F = np.array([1.0, 0.0])
-    worst = 0.0
-    cases = 0
-    for b in (2, 3):
-        layout = oracle.oracle_layout(1, 1, b)
-        V = subroutines.make_V(psi, layout, register="test")
-        W = subroutines.make_W(phis, layout)
-        table = qadc.quantize_array(F, b)
-        for y, A in [(0, {0}), (1, {1}), (0, {0, 1}), (1, {0, 1})]:
-            oc = oracle.assemble_O_yA(V, W, layout, qadc.PrecisionConfig(b), y, A)
-            handle = oracle.TableOracleHandle(table, y, A)
-            state = StateVector.zero_state(layout).apply(hadamard(0))
-            out = oc.apply(state)
-            joint = out.measure_probs(["index", "Q3"])
-            for j in range(2):
-                expected = 1 if (F[j] > F[y] and j not in A) else 0
-                worst = max(worst, abs(joint[j + 2 * expected] - 0.5))
-                assert handle.f(j) == bool(expected)
-                cases += 1
-            anc = out.measure_probs(["train", "test", "B", "phase", "fid",
-                                     "index_p", "fid_p", "Q1", "Q2"])
-            worst = max(worst, 1.0 - anc[0])
-    ok = worst < 1e-9
-    _report(4, "circuit-exact oracle", ok,
+    bits = (2, 3)
+    worst = invariants.oracle_equivalence(bits)
+    cases = len(bits) * len(invariants.DYADIC_CASES) * 2
+    _report(4, "circuit-exact oracle", worst < 1e-9,
             f"{cases} (j,y,A,b) cases, max deviation {worst:.2e}, abstract agrees", 60)
 
 
@@ -283,11 +153,7 @@ def test_criterion_9_qubit_accounting():
     details = []
     ok = True
     for b in (2, 3):
-        layout = oracle.oracle_layout(1, 1, b)
-        V = subroutines.make_V(np.array([1, 0], dtype=complex), layout, register="test")
-        W = subroutines.make_W(np.array([[1, 0], [0, 1]], dtype=complex), layout)
-        oc = oracle.assemble_O_yA(V, W, layout, qadc.PrecisionConfig(b), 1, {1})
-        rep = oracle.qubit_accounting(oc, n=1)
+        rep = oracle.qubit_accounting(invariants.dyadic_oracle(b, 1, {1}), n=1)
         ok &= rep.builder_peak == rep.layout_total
         details.append(f"b={b}: peak={rep.builder_peak} layout={rep.layout_total} "
                        f"formula={rep.closed_form} delta=+{rep.delta}")

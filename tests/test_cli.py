@@ -2,13 +2,17 @@
 import contextlib
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qknn_sim import invariants
 from qknn_sim.cli import CSV_HEADER, main, parse_config_file
+from qknn_sim.oracle import build_J
+from qknn_sim.statevec import pauli_x
 
 
 def run_cli(args):
@@ -99,10 +103,16 @@ def test_verify_report_is_valid_json_and_passes(tmp_path, capsys):
     assert all("max_deviation" in c and "tolerance" in c for c in report["invariants"])
 
 
-def test_verify_fault_injection_fails_named_invariant(tmp_path):
+def test_verify_fault_injection_fails_named_invariant(tmp_path, monkeypatch):
+    def negated_J(a_qubits, b_qubits, out, chain):
+        circ = build_J(a_qubits, b_qubits, out, chain)
+        circ.append(pauli_x(out))
+        return circ
+
+    # only the registry's J check sees the fault; the assembled oracle keeps the real J
+    monkeypatch.setattr(invariants, "build_J", negated_J)
     out = tmp_path / "report.json"
-    code = run_cli(["verify", "--seed", "0", "--inject-fault", "comparator",
-                    "--out", str(out)])
+    code = run_cli(["verify", "--seed", "0", "--out", str(out)])
     assert code == 3
     report = json.loads(out.read_text())
     failing = [c["name"] for c in report["invariants"] if not c["pass"]]
@@ -172,6 +182,22 @@ def test_classify_rejects_non_finite_amplitudes(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("hostile", [
+    {"scheme": "2q-sep-vs-ent"},                  # a second scheme
+    {"label": "banana"},                          # not a class of the scheme
+    {"amplitudes": [[1.0, 0.0], [0.0, 0.0]]},     # 2 amplitudes among 4
+    {"amplitudes": [1.0, 0.0, 0.0, 0.0]},         # not [re, im] pairs
+    {"amplitudes": None},
+])
+def test_classify_rejects_inconsistent_corpus_record(tmp_path, capsys, hostile):
+    corpus = _make_corpus(tmp_path, per_class=5)
+    records = [json.loads(line) for line in corpus.read_text().splitlines()]
+    records[3].update(hostile)
+    corpus.write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert run_cli(["classify", "--corpus", str(corpus), "--k", "1"]) == 1
+    assert f"{corpus}:4: " in capsys.readouterr().err
+
+
 def test_config_file_unknown_key_exits_1(tmp_path, capsys):
     cfg = tmp_path / "typo.cfg"
     cfg.write_text("lamda = 1.3\n")
@@ -201,6 +227,9 @@ def exit_code(args):
     ["gen-data", "--per-class", "-1"],
     ["bench", "--M", "-2,3"],      # argparse reads -2,3 as a flag
     ["bench", "--trials", "x"],
+    ["discriminate", "--M", "1,2", "--n", "1", "--trials", "2"],   # zero mean queries at M=1
+    ["bench", "--M", "1,2", "--k", "1", "--trials", "2"],
+    ["discriminate", "--M", "1,1", "--n", "1", "--trials", "1"],   # one distinct M
 ])
 def test_bad_counts_exit_1(args, capsys):
     assert exit_code(args) == 1
@@ -214,5 +243,7 @@ def test_bad_counts_exit_1(args, capsys):
 def test_small_integer_arguments_never_exit_2(cmd, trials, k, n, M):
     args = [cmd, f"--trials={trials}", f"--k={k}", f"--n={n}",
             "--M=" + ",".join(map(str, M)), "--seed=0"]
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert exit_code(args) in (0, 1)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qknn_sim.oracle import classical_action
 from qknn_sim.statevec import (
     Circuit,
     DensityMatrix,
@@ -63,6 +64,16 @@ def _prep(psi):
 def test_gate_rejects_out_of_range_index():
     with pytest.raises(SimulationError):
         StateVector.zero_state(2).apply(pauli_x(5))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: StateVector.zero_state(40),
+    lambda: StateVector.zero_state(RegisterLayout.from_sizes([("a", 20), ("b", 20)])),
+    lambda: classical_action(Circuit([pauli_x(0)]), 40, 0),
+])
+def test_state_size_cap_refuses_before_allocating(make):
+    with pytest.raises(SimulationError, match="40-qubit state"):
+        make()
 
 
 def test_gate_rejects_non_unitary_matrix():

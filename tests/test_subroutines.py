@@ -4,14 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from qknn_sim import invariants
 from qknn_sim.statevec import RegisterLayout, SimulationError, StateVector, pauli_x, register_unitary
 from qknn_sim.subroutines import (
     EigenPair,
     build_G,
-    build_H_dot,
     build_U,
     g_block_matrix,
-    h_block_matrix,
     hadamard_test_apply,
     make_V,
     make_W,
@@ -23,7 +22,7 @@ from qknn_sim.subroutines import (
     verify_eigendecomposition_dot,
     zero_reflection,
 )
-from qknn_sim.statevec import circuit_to_matrix, hadamard
+from qknn_sim.statevec import circuit_to_matrix
 
 RNG = np.random.default_rng(20240917)
 
@@ -73,13 +72,7 @@ def test_swap_test_known_probabilities(psi, phi, pr0):
 
 def test_swap_test_law_random_pairs():
     """Pr(B=0) = (1 + F)/2 to 1e-10 over random pairs, n up to 3."""
-    for n in (1, 2, 3):
-        layout = _swap_layout(n)
-        for _ in range(20):
-            psi, phi = haar(n), haar(n)
-            out = swap_test_apply(_loaded_pair(psi, phi, layout), layout)
-            F = abs(np.vdot(psi, phi)) ** 2
-            assert abs(out.measure_probs("B")[0] - (1 + F) / 2) < 1e-10
+    assert invariants.swap_test_law(RNG, 60, sizes=(1, 2, 3)) < 1e-10
 
 
 def test_swap_test_rejects_dirty_control():
@@ -120,17 +113,7 @@ def test_hadamard_test_known_probabilities(case):
 
 def test_hadamard_test_law_random_real_pairs():
     """Pr(B=0) = (1 + Re<v|u_j>)/2 to 1e-10, checked per index branch."""
-    for _ in range(25):
-        v = real_unit(2)
-        us = np.stack([real_unit(2) for _ in range(2)])
-        layout, V, W = _dot_setup(v, us)
-        for j in range(2):
-            state = StateVector.zero_state(layout)
-            if j:
-                state = state.apply(pauli_x(0))
-            out = hadamard_test_apply(state, layout, V, W)
-            want = (1 + float(np.vdot(v, us[j]).real)) / 2
-            assert abs(out.measure_probs("B")[0] - want) < 1e-10
+    assert invariants.hadamard_test_law(RNG, 25) < 1e-10
 
 
 def test_validate_W_exhaustive():
@@ -181,21 +164,7 @@ def test_G_acts_block_diagonally():
     """|G(|j> (x) v) - |j> (x) G_j v| < 1e-10 for all j and random v."""
     rng = np.random.default_rng(77)
     for n, M in ((1, 2), (2, 4)):
-        psi = haar(n, rng)
-        phis = np.stack([haar(n, rng) for _ in range(M)])
-        layout, V, W, G = _g_setup(psi, phis, n)
-        block_layout = RegisterLayout.from_sizes([("train", n), ("test", n), ("B", 1)])
-        dim = 2 ** (2 * n + 1)
-        for j in range(M):
-            gj = g_block_matrix(psi, phis[j], block_layout)
-            for _ in range(50 // M):
-                v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-                v /= np.linalg.norm(v)
-                full = np.zeros(M * dim, dtype=complex)
-                full[j::M] = v
-                expected = np.zeros(M * dim, dtype=complex)
-                expected[j::M] = gj @ v
-                assert np.linalg.norm(G.matrix @ full - expected) < 1e-10
+        assert invariants.g_block_diagonality(rng, n, M) < 1e-10
 
 
 def test_W_S0_Wdag_expands_to_controlled_reflections():
@@ -224,22 +193,7 @@ def test_W_S0_Wdag_expands_to_controlled_reflections():
 
 
 def test_H_acts_block_diagonally():
-    rng = np.random.default_rng(31)
-    v = real_unit(1, rng)
-    us = np.stack([real_unit(1, rng) for _ in range(4)])
-    layout, V, W = _dot_setup(v, us)
-    H = build_H_dot(V, W, layout)
-    M, dim = 4, 4
-    for j in range(M):
-        hj = h_block_matrix(v, us[j])
-        for _ in range(12):
-            vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-            vec /= np.linalg.norm(vec)
-            full = np.zeros(M * dim, dtype=complex)
-            full[j::M] = vec
-            expected = np.zeros(M * dim, dtype=complex)
-            expected[j::M] = hj @ vec
-            assert np.linalg.norm(H.matrix @ full - expected) < 1e-10
+    assert invariants.h_block_diagonality(np.random.default_rng(31)) < 1e-10
 
 
 def test_qpe_z_eigenstate_is_exact():
@@ -314,21 +268,13 @@ def test_verify_eigendecomposition_matches_target_fidelity():
 def test_eigendecomposition_property_sweep():
     """100 random instances all verify within 1e-9."""
     rng = np.random.default_rng(4242)
-    passed = 0
-    for _ in range(100):
-        n = int(rng.integers(1, 3))
-        rep = verify_eigendecomposition(haar(n, rng), haar(n, rng))
-        ok = rep.eigenphase_error < 1e-9 and rep.decomposition_error < 1e-9
-        passed += ok
-    assert passed == 100
+    phase_err, decomp_err = invariants.eigenstructure_errors(rng, 100, 0, sizes=(1, 2))
+    assert phase_err < 1e-9 and decomp_err < 1e-9
 
 
 def test_dot_eigendecomposition_and_degenerate_edges():
     rng = np.random.default_rng(7)
-    for _ in range(30):
-        rep = verify_eigendecomposition_dot(real_unit(2, rng), real_unit(2, rng))
-        assert rep.degenerate or (rep.eigenphase_error < 1e-9
-                                  and rep.decomposition_error < 1e-9)
+    assert max(invariants.eigenstructure_errors(rng, 0, 30)) < 1e-9
     v = real_unit(2, rng)
     opposite = verify_eigendecomposition_dot(v, -v)   # X = -1 edge, flagged
     assert opposite.degenerate and opposite.eigenphase_error < 1e-9
