@@ -92,12 +92,12 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(args.subcommand, **merged)
 
 
-def _write_lines(path: str | None, lines: list[str]) -> None:
+def _write_lines(path: str | None, lines: list[str], mode: str = "w") -> None:
     text = "\n".join(lines) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w") as fh:
+        with open(path, mode) as fh:
             fh.write(text)
 
 
@@ -148,14 +148,14 @@ def cmd_bench(cfg: RunConfig) -> int:
     for r in rows:
         lines.append(f"{r.M},{r.k},{r.trials},{r.mean_queries:.4f},{r.std_queries:.4f},"
                      f"{r.mean_queries_to_solution:.4f},{r.success_rate:.4f}")
-    if len(rows) >= 2:
-        slope_total, slope_sol = experiments.query_slopes(rows)
-        lines.append(f"# fitted_slope_total={slope_total:.4f}")
-        lines.append(f"# fitted_slope_to_solution={slope_sol:.4f}")
-        print(f"fitted slope (queries to solution): {slope_sol:.4f}")
-    _write_lines(cfg.out, lines)
+    _write_lines(cfg.out, lines)  # rows and traces first: a failed fit keeps them
     if cfg.out:
         _write_lines(cfg.out + ".traces.jsonl", traces)
+    if len(rows) >= 2:
+        slope_total, slope_sol = experiments.query_slopes(rows)
+        _write_lines(cfg.out, [f"# fitted_slope_total={slope_total:.4f}",
+                               f"# fitted_slope_to_solution={slope_sol:.4f}"], "a")
+        print(f"fitted slope (queries to solution): {slope_sol:.4f}")
     return 0
 
 
@@ -167,11 +167,11 @@ def cmd_discriminate(cfg: RunConfig) -> int:
         lines.append(f"{r.M},{cfg.n},{cfg.trials},{r.success_rate:.4f},{r.mean_queries:.4f},"
                      f"{r.std_queries:.4f}")
         print(f"M={r.M}: success {r.success_rate:.3f}, mean queries {r.mean_queries:.1f}")
+    _write_lines(cfg.out, lines)  # rows first: a failed fit keeps them
     if len(rows) >= 2:
         slope = kmax.fit_loglog_slope([r.M for r in rows], [r.mean_queries for r in rows])
-        lines.append(f"# fitted_slope={slope:.4f}")
+        _write_lines(cfg.out, [f"# fitted_slope={slope:.4f}"], "a")
         print(f"fitted slope: {slope:.4f}")
-    _write_lines(cfg.out, lines)
     return 0
 
 

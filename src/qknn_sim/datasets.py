@@ -115,8 +115,7 @@ def _maxent_2q(rng: np.random.Generator) -> np.ndarray:
     return np.kron(u1, u0) @ bell  # qubit 0 on the low bit
 
 
-def _product3(block01: np.ndarray | None, rng: np.random.Generator,
-              arrangement: str) -> np.ndarray:
+def _product3(rng: np.random.Generator, arrangement: str) -> np.ndarray:
     if arrangement == "A-B-C":
         a, b, c = (haar_random_state(1, rng) for _ in range(3))
         return np.kron(c, np.kron(b, a))
@@ -151,7 +150,7 @@ def generate_state(scheme: str, class_id: str, rng: np.random.Generator) -> np.n
         if class_id == "ABC":
             return _abc_3q(rng)
         if class_id in ("A-B-C", "AB-C", "A-BC", "AC-B"):
-            return _product3(None, rng, class_id)
+            return _product3(rng, class_id)
     raise SimulationError(f"unknown class {class_id!r} for scheme {scheme!r}")
 
 

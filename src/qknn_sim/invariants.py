@@ -68,17 +68,31 @@ def hadamard_test_law(rng: np.random.Generator, pairs: int) -> float:
     return worst
 
 
-def eigenstructure_errors(rng: np.random.Generator, instances: int, dot_instances: int,
-                          sizes=(1, 2)) -> tuple[float, float]:
-    """Worst (eigenphase, recomposition) error of G_j over Haar pairs, n cycling
-    through ``sizes``, then of H_j over real 2-qubit pairs. The eigenphases
-    must be +/-theta with sin(pi*theta) = sqrt((1+s)/2)."""
-    reports = [sub.verify_eigendecomposition(haar(n, rng), haar(n, rng))
-               for n in itertools.islice(itertools.cycle(sizes), instances)]
-    reports += [sub.verify_eigendecomposition_dot(_real_unit(rng, 4), _real_unit(rng, 4))
-                for _ in range(dot_instances)]
-    return (max((r.eigenphase_error for r in reports), default=0.0),
-            max((r.decomposition_error for r in reports), default=0.0))
+def g_eigen_law(psi: np.ndarray, phi: np.ndarray) -> float:
+    """Eigen-law deviation of G_j for test state psi and train state phi. Its
+    branches are the swap-test outputs |phi>_tr|psi>_tst +- |psi>_tr|phi>_tst."""
+    n = len(psi).bit_length() - 1
+    layout = RegisterLayout.from_sizes([("train", n), ("test", n), ("B", 1)])
+    return sub.eigen_law_error(sub.g_block_matrix(psi, phi, layout), abs(np.vdot(psi, phi)) ** 2,
+                               np.kron(psi, phi) + np.kron(phi, psi),
+                               np.kron(psi, phi) - np.kron(phi, psi))
+
+
+def h_eigen_law(v: np.ndarray, u: np.ndarray) -> float:
+    """Eigen-law deviation of H_j for real test state v and train state u; its
+    branches are the Hadamard-test outputs v +- u."""
+    return sub.eigen_law_error(sub.h_block_matrix(v, u), float(np.vdot(v, u).real), v + u, v - u)
+
+
+def eigenstructure_law(rng: np.random.Generator, instances: int, dot_instances: int,
+                       sizes=(1, 2)) -> float:
+    """Worst eigen-law deviation of G_j over Haar pairs, n cycling through
+    ``sizes``, then of H_j over real 2-qubit pairs: B v+- = e^{+-2 pi i theta} v+-
+    with sin(pi*theta) = sqrt((1+s)/2) (``subroutines.eigen_law_error``)."""
+    errors = [g_eigen_law(haar(n, rng), haar(n, rng))
+              for n in itertools.islice(itertools.cycle(sizes), instances)]
+    errors += [h_eigen_law(_real_unit(rng, 4), _real_unit(rng, 4)) for _ in range(dot_instances)]
+    return max(errors, default=0.0)
 
 
 def _block_error(op_matrix: np.ndarray, blocks: list, rng: np.random.Generator) -> float:
@@ -106,7 +120,7 @@ def g_block_diagonality(rng: np.random.Generator, n: int, M: int) -> float:
     phis = np.stack([haar(n, rng) for _ in range(M)])
     G = sub.build_G(sub.make_V(psi, layout, register="test"), sub.make_W(phis, layout), layout)
     block_layout = RegisterLayout.from_sizes([("train", n), ("test", n), ("B", 1)])
-    return _block_error(G.matrix, [sub.g_block_matrix(psi, phi, block_layout) for phi in phis],
+    return _block_error(G.gate.matrix, [sub.g_block_matrix(psi, phi, block_layout) for phi in phis],
                         rng)
 
 
@@ -117,7 +131,7 @@ def h_block_diagonality(rng: np.random.Generator) -> float:
     layout = RegisterLayout.from_sizes([("index", 2), ("data", 1), ("B", 1)])
     H = sub.build_H_dot(sub.make_V(v, layout, register="data"),
                         sub.make_W(us, layout, index="index", train="data"), layout)
-    return _block_error(H.matrix, [sub.h_block_matrix(v, u) for u in us], rng)
+    return _block_error(H.gate.matrix, [sub.h_block_matrix(v, u) for u in us], rng)
 
 
 def block_diagonality(rng: np.random.Generator) -> float:
@@ -215,7 +229,7 @@ REGISTRY = (
     Invariant("swap_test_probability_law", 1e-10, lambda rng: swap_test_law(rng, 50, (2,))),
     Invariant("hadamard_test_probability_law", 1e-10, lambda rng: hadamard_test_law(rng, 25)),
     Invariant("reflection_eigenstructure", 1e-9,
-              lambda rng: max(eigenstructure_errors(rng, 25, 25, (1,)))),
+              lambda rng: eigenstructure_law(rng, 25, 25, (1,))),
     Invariant("comparator_J_exhaustive_b3", 0, lambda rng: comparator_J(3)),
     Invariant("membership_D_cascade_m2", 0, lambda rng: membership_D(2)),
     Invariant("oracle_circuit_vs_abstract", 1e-9, lambda rng: oracle_equivalence((2,))),

@@ -79,16 +79,6 @@ def u_neq_gates(a: int, b: int, carry: int | None, flag: int) -> list[Gate]:
             pauli_x(a), mcx((carry, a, b), flag), pauli_x(a)]
 
 
-def build_U_gt() -> Circuit:
-    """The single-bit comparator stage on qubits (a, b, carry, flag)."""
-    return Circuit(u_gt_gates(0, 1, 2, 3))
-
-
-def build_U_neq() -> Circuit:
-    """The single-bit inequality stage on qubits (a, b, carry, flag)."""
-    return Circuit(u_neq_gates(0, 1, 2, 3))
-
-
 def _eq_chain_stage(a: int, b: int, prev: int | None, cur: int) -> list[Gate]:
     """cur ^= [prefix equal through this bit]; prev=None means first stage."""
     if prev is None:

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .statevec import (
+    MAX_DENSE_QUBITS,
     Circuit,
     Gate,
     RegisterLayout,
@@ -63,26 +64,6 @@ class PrecisionConfig:
         if self.b > CIRCUIT_MAX_BITS:
             raise SimulationError(
                 f"circuit-level registers support b <= {CIRCUIT_MAX_BITS}, got {self.b}")
-
-
-@dataclass(frozen=True)
-class QuantizedValue:
-    """A b-bit fraction: value = bits / 2**b in [0, 1)."""
-
-    bits: int
-    b: int
-
-    def __post_init__(self):
-        if not 0 <= self.bits < 2 ** self.b:
-            raise SimulationError("quantized bits out of range")
-
-    @property
-    def value(self) -> float:
-        return self.bits / 2 ** self.b
-
-    @classmethod
-    def from_value(cls, x: float, b: int) -> "QuantizedValue":
-        return cls(round_bits(x, b), b)
 
 
 def round_bits(x: float, b: int) -> int:
@@ -162,7 +143,7 @@ def qadc_circuit(op: ReflectionOperator, layout: RegisterLayout, cfg: PrecisionC
     defaults to the operator's kind.
     """
     cfg.require_circuit_scale()
-    qpe = qpe_circuit(op, layout.qubits(phase))
+    qpe = qpe_circuit(op.gate, layout.qubits(phase))
     circ = Circuit()
     circ.extend(op.amp_circuit)
     circ.extend(qpe)
@@ -211,7 +192,14 @@ def abs_qadc(prep_unitary: np.ndarray, cfg: PrecisionConfig) -> QadcResult:
     cfg.require_circuit_scale()
     prep_unitary = np.asarray(prep_unitary, dtype=complex)
     d = prep_unitary.shape[0]
-    n = int(round(math.log2(d)))
+    n = d.bit_length() - 1
+    if prep_unitary.shape != (d, d) or d < 2 or d != 2 ** n:
+        raise SimulationError(f"abs_qadc needs a square d x d preparation with d a power of "
+                              f"two >= 2, got shape {prep_unitary.shape}")
+    if 3 * n + 1 > MAX_DENSE_QUBITS:
+        raise SimulationError(f"abs_qadc at d = {d} needs a {3 * n + 1}-qubit reflection "
+                              f"operator; dense operators allow at most {MAX_DENSE_QUBITS} "
+                              f"qubits (d <= {2 ** ((MAX_DENSE_QUBITS - 1) // 3)})")
     layout = RegisterLayout.from_sizes([
         ("index", n), ("train", n), ("test", n), ("B", 1),
         ("phase", cfg.b), ("fid", cfg.b),

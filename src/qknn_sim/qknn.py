@@ -109,7 +109,7 @@ def top_k_indices(values: np.ndarray, k: int) -> list[int]:
     return order[:k]
 
 
-def majority_vote(neighbor_labels: list, k: int | None = None):
+def majority_vote(neighbor_labels: list):
     """Majority label; a tie goes to the nearest neighbor among tied classes."""
     if not neighbor_labels:
         raise SimulationError("cannot vote over an empty neighbor list")

@@ -25,6 +25,8 @@ UNITARY_ATOL = 1e-12
 # Largest state the engine allocates: 2**24 amplitudes are 256 MiB, and
 # applying a circuit holds a working copy next to the input.
 MAX_QUBITS = 24
+# Largest qubit subset circuit_to_matrix builds a dense unitary on (4096 x 4096).
+MAX_DENSE_QUBITS = 12
 
 _H_MATRIX = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 _X_MATRIX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -226,10 +228,6 @@ def cswap(control: int, t1: int, t2: int) -> Gate:
     return Gate("CSWAP", (t1, t2), (control,), matrix=swap)
 
 
-def single_qubit(q: int, matrix: np.ndarray, name: str = "U1") -> Gate:
-    return Gate(name, (q,), matrix=np.asarray(matrix, dtype=complex))
-
-
 def register_unitary(targets: tuple[int, ...], matrix: np.ndarray, name: str,
                      controls: tuple[int, ...] = (),
                      prep_counts: tuple[tuple[str, int], ...] = ()) -> Gate:
@@ -420,9 +418,8 @@ def _apply_gate(amps: np.ndarray, n: int, gate: Gate, targets, controls) -> None
     if gate.matrix is not None:
         out = flat @ gate.matrix.T
     else:
-        inv = np.empty_like(gate.perm)
-        inv[gate.perm] = np.arange(len(gate.perm))
-        out = flat[:, inv]
+        out = np.empty_like(flat)
+        out[:, gate.perm] = flat
     moved[(1,) * c] = out.reshape(block.shape)
 
 
@@ -438,11 +435,11 @@ def _register_value_mask(n: int, qubits: tuple[int, ...], value: int) -> np.ndar
 def circuit_to_matrix(circuit: Circuit, qubits: tuple[int, ...]) -> np.ndarray:
     """Dense unitary of a circuit on the given qubit subset (little-endian).
 
-    All gates must act within ``qubits``; dimension capped at 2**12.
+    All gates must act within ``qubits``; at most MAX_DENSE_QUBITS of them.
     """
     qubits = tuple(qubits)
-    if len(qubits) > 12:
-        raise SimulationError("circuit_to_matrix supports at most 12 qubits")
+    if len(qubits) > MAX_DENSE_QUBITS:
+        raise SimulationError(f"circuit_to_matrix supports at most {MAX_DENSE_QUBITS} qubits")
     local = {q: i for i, q in enumerate(qubits)}
     missing = circuit.qubits() - set(qubits)
     if missing:

@@ -15,8 +15,7 @@ test and sin(pi*theta_j) = sqrt((1+X_j)/2) with X_j the real inner product.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,20 +58,16 @@ class StatePrepOracle:
     unitary on (index, train); each use is accounted as a single W query.
     """
 
-    kind: str  # "V" | "W"
     circuit: Circuit
     registers: tuple[str, ...]
     states: np.ndarray  # V: (2**n,), W: (M, 2**n)
-
-    def inverse_circuit(self) -> Circuit:
-        return self.circuit.inverse()
 
 
 def make_V(psi: np.ndarray, layout: RegisterLayout, register: str = "test") -> StatePrepOracle:
     qubits = layout.qubits(register)
     mat = unitary_with_first_column(psi)
     gate = register_unitary(qubits, mat, "V", prep_counts=(("V", 1),))
-    return StatePrepOracle("V", Circuit([gate]), (register,), np.asarray(psi, dtype=complex))
+    return StatePrepOracle(Circuit([gate]), (register,), np.asarray(psi, dtype=complex))
 
 
 def make_W(phis: np.ndarray, layout: RegisterLayout, index: str = "index",
@@ -90,7 +85,7 @@ def make_W(phis: np.ndarray, layout: RegisterLayout, index: str = "index",
         blocks += np.kron(unitary_with_first_column(phis[j]), _basis_projector(M, j))
     qubits = layout.qubits(index) + layout.qubits(train)
     gate = register_unitary(qubits, blocks, "W", prep_counts=(("W", 1),))
-    return StatePrepOracle("W", Circuit([gate]), (index, train), phis)
+    return StatePrepOracle(Circuit([gate]), (index, train), phis)
 
 
 def _basis_projector(dim: int, j: int) -> np.ndarray:
@@ -196,54 +191,47 @@ def zero_reflection(qubits: tuple[int, ...]) -> Circuit:
 
 @dataclass(eq=False)
 class ReflectionOperator:
-    """A compiled reflection operator (G or H) plus the pieces QADC needs."""
+    """A reflection operator (G or H) plus the pieces QADC needs."""
 
     kind: str                      # "fidelity" | "dot"
-    circuit: Circuit               # one application, as gates
-    support: tuple[int, ...]       # qubits the operator acts on
-    matrix: np.ndarray             # dense unitary on the support
-    amp_circuit: Circuit           # the E^amp circuit (uncomputed at the end)
+    gate: Gate                     # dense G or H on its support, with its prep counts
+    amp_circuit: Circuit           # the prep circuit: E^amp, uncomputed at the end
     work_registers: tuple[str, ...]
-    layout: RegisterLayout
-    prep_per_application: Counter = field(default_factory=Counter)
+
+
+def reflection_operator(kind: str, prep: Circuit, layout: RegisterLayout,
+                        work: tuple[str, ...], support: tuple[str, ...]) -> ReflectionOperator:
+    """prep S0 prep^dag Z_B on the ``support`` registers, as one dense gate.
+
+    S0 reflects about |0..0> on the ``work`` registers, whose last one is
+    the interference ancilla B.
+    """
+    (bq,) = layout.qubits(work[-1])
+    circ = Circuit([pauli_z(bq)])
+    circ.extend(prep.inverse())
+    circ.extend(zero_reflection(layout.qubits_of(work)))
+    circ.extend(prep)
+    qubits = layout.qubits_of(support)
+    gate = register_unitary(qubits, circuit_to_matrix(circ, qubits),
+                            "G" if kind == "fidelity" else "H",
+                            prep_counts=tuple(circ.prep_counts().items()))
+    return ReflectionOperator(kind, gate, prep, work)
 
 
 def build_G(V: StatePrepOracle, W: StatePrepOracle, layout: RegisterLayout,
             index: str = "index", train: str = "train", test: str = "test",
             b: str = "B") -> ReflectionOperator:
     """G = U W S0 W^dag U^dag Z_B on (index, train, test, B)."""
-    for reg in (index, train, test, b):
-        layout.range(reg)
-    (bq,) = layout.qubits(b)
-    u_circ = build_U(V, layout, train, test, b)
-    circ = Circuit([pauli_z(bq)])
-    circ.extend(u_circ.inverse())
-    circ.extend(W.inverse_circuit())
-    circ.extend(zero_reflection(layout.qubits_of([train, test, b])))
-    circ.extend(W.circuit)
-    circ.extend(u_circ)
-    support = layout.qubits_of([index, train, test, b])
-    matrix = circuit_to_matrix(circ, support)
-    amp = Circuit()
-    amp.extend(W.circuit)
-    amp.extend(u_circ)
-    return ReflectionOperator("fidelity", circ, support, matrix, amp,
-                              (train, test, b), layout, circ.prep_counts())
+    prep = Circuit(W.circuit.gates + build_U(V, layout, train, test, b).gates)
+    return reflection_operator("fidelity", prep, layout, (train, test, b),
+                               (index, train, test, b))
 
 
 def build_H_dot(V: StatePrepOracle, W: StatePrepOracle, layout: RegisterLayout,
                 index: str = "index", data: str = "data", b: str = "B") -> ReflectionOperator:
     """H = V_c S0 V_c^dag Z_B with V_c the prepare-and-interfere unitary."""
-    (bq,) = layout.qubits(b)
-    vc = hadamard_test_circuit(V, W, layout, data, b)
-    circ = Circuit([pauli_z(bq)])
-    circ.extend(vc.inverse())
-    circ.extend(zero_reflection(layout.qubits_of([data, b])))
-    circ.extend(vc)
-    support = layout.qubits_of([index, data, b])
-    matrix = circuit_to_matrix(circ, support)
-    return ReflectionOperator("dot", circ, support, matrix, vc,
-                              (data, b), layout, circ.prep_counts())
+    return reflection_operator("dot", hadamard_test_circuit(V, W, layout, data, b), layout,
+                               (data, b), (index, data, b))
 
 
 # --- quantum phase estimation ------------------------------------------------
@@ -255,33 +243,28 @@ def qft_inverse_matrix(b: int) -> np.ndarray:
     return np.exp(-2j * np.pi * x * t / d) / math.sqrt(d)
 
 
-def qpe_circuit(op: ReflectionOperator | Gate, phase_qubits: tuple[int, ...]) -> Circuit:
-    """Standard phase estimation: controlled powers by repeated composition,
-    then the inverse quantum Fourier transform on the phase register."""
-    if isinstance(op, Gate):
-        base_matrix = op.matrix
-        base_support = op.targets
-        base_prep: Counter = Counter(dict(op.prep_counts))
-        name = op.name
-    else:
-        base_matrix, base_support, base_prep, name = (
-            op.matrix, op.support, op.prep_per_application, "G")
+def qpe_circuit(op: Gate, phase_qubits: tuple[int, ...]) -> Circuit:
+    """Standard phase estimation of an uncontrolled unitary gate: controlled
+    powers by repeated composition, then the inverse quantum Fourier
+    transform on the phase register."""
+    if op.matrix is None or op.controls:
+        raise SimulationError(f"{op.name}: phase estimation needs an uncontrolled matrix gate")
     b = len(phase_qubits)
     circ = Circuit([hadamard(q) for q in phase_qubits])
-    power = base_matrix
+    power = op.matrix
     reps = 1
     for k, ctl in enumerate(phase_qubits):
         if k > 0:
             power = power @ power  # compose, never diagonalize
             reps *= 2
-        counts = tuple((tag, cnt * reps) for tag, cnt in base_prep.items())
-        circ.append(register_unitary(base_support, power, f"{name}^{reps}",
+        counts = tuple((tag, cnt * reps) for tag, cnt in op.prep_counts)
+        circ.append(register_unitary(op.targets, power, f"{op.name}^{reps}",
                                      controls=(ctl,), prep_counts=counts))
     circ.append(register_unitary(phase_qubits, qft_inverse_matrix(b), "IQFT"))
     return circ
 
 
-def qpe_apply(state: StateVector, layout: RegisterLayout, op: ReflectionOperator | Gate,
+def qpe_apply(state: StateVector, layout: RegisterLayout, op: Gate,
               phase: str = "phase") -> StateVector:
     if not state.register_is_zero(phase):
         raise SimulationError("phase register is not fresh")
@@ -291,62 +274,31 @@ def qpe_apply(state: StateVector, layout: RegisterLayout, op: ReflectionOperator
 # --- eigenstructure ----------------------------------------------------------
 
 
-@dataclass(eq=False)
-class EigenPair:
-    """Analytic eigenstructure of a G_j/H_j block for similarity value s."""
-
-    similarity: float          # F_j in [0,1] or X_j in [-1,1]
-    theta: float               # phase units, sin(pi*theta) = sqrt((1+s)/2)
-    alpha: float
-    beta: float
-
-    @classmethod
-    def from_similarity(cls, s: float) -> "EigenPair":
-        s = min(max(s, -1.0), 1.0)
-        alpha = math.sqrt((1.0 + s) / 2.0)
-        beta = math.sqrt(max(1.0 - alpha ** 2, 0.0))
-        theta = math.asin(min(alpha, 1.0)) / math.pi
-        return cls(s, theta, alpha, beta)
+def eigenphase(s: float) -> float:
+    """theta in [0, 1/2] with sin(pi*theta) = sqrt((1+s)/2), s clamped to [-1, 1]."""
+    return math.asin(math.sqrt((1.0 + min(max(s, -1.0), 1.0)) / 2.0)) / math.pi
 
 
-@dataclass(eq=False)
-class EigenReport:
-    similarity: float
-    theta_expected: float
-    theta_measured: tuple[float, float] | None
-    eigenphase_error: float
-    decomposition_error: float
-    degenerate: bool
+def eigen_law_error(block: np.ndarray, s: float, branch0: np.ndarray,
+                    branch1: np.ndarray) -> float:
+    """Worst ||B v - e^{+-2 pi i theta} v|| of a G_j/H_j block B over
+    v+- = (psi0 +- i psi1)/sqrt(2), theta = eigenphase(s).
 
-
-def _block_report(block: np.ndarray, pair: EigenPair, psi0: np.ndarray | None,
-                  psi1: np.ndarray | None) -> EigenReport:
-    """Check a G_j/H_j block against its analytic eigenstructure.
-
-    The block is restricted to span(psi0, psi1); its eigenphases must be
-    +/-theta (differences taken mod 1), and alpha*psi0 + beta*psi1 must
-    recompose from the two eigenvectors. At the degenerate edges one vector
-    is None and the survivor must be an eigenvector on its own: psi0 with
-    eigenvalue -1 (theta = 1/2) or psi1 with eigenvalue +1 (theta = 0).
+    psi0 = |branch0>|0>_B and psi1 = |branch1>|1>_B, each normalized, with B
+    the block's highest qubit. At a degenerate edge one branch vanishes and
+    the survivor must be an eigenvector on its own, with e^{2 pi i theta}:
+    psi0 with -1 (theta = 1/2) or psi1 with +1 (theta = 0).
     """
-    if psi1 is None:
-        resid = float(np.linalg.norm(block @ psi0 + psi0))
-        return EigenReport(pair.similarity, pair.theta, None, resid, 0.0, True)
-    if psi0 is None:
-        resid = float(np.linalg.norm(block @ psi1 - psi1))
-        return EigenReport(pair.similarity, pair.theta, None, resid, 0.0, True)
-    basis = np.column_stack([psi0, psi1])
-    evals, _ = np.linalg.eig(basis.conj().T @ block @ basis)
-    measured = tuple(sorted((float(np.angle(val)) / (2 * np.pi)) % 1.0 for val in evals))
-    expected = tuple(sorted((pair.theta % 1.0, (-pair.theta) % 1.0)))
-    phase_err = max(min(abs(a - b), 1.0 - abs(a - b)) for a, b in zip(measured, expected))
-    plus = (psi0 + 1j * psi1) / math.sqrt(2)
-    minus = (psi0 - 1j * psi1) / math.sqrt(2)
-    recomposed = (-1j / math.sqrt(2)) * (
-        np.exp(1j * np.pi * pair.theta) * plus - np.exp(-1j * np.pi * pair.theta) * minus)
-    direct = pair.alpha * psi0 + pair.beta * psi1
-    decomp_err = float(np.linalg.norm(recomposed - direct))
-    return EigenReport(pair.similarity, pair.theta, measured, phase_err, decomp_err, False)
+    zeros = np.zeros(len(branch0), dtype=complex)
+    n0, n1 = np.linalg.norm(branch0), np.linalg.norm(branch1)
+    psi0 = np.concatenate([branch0 / n0, zeros]) if n0 > 1e-9 else None
+    psi1 = np.concatenate([zeros, branch1 / n1]) if n1 > 1e-9 else None
+    if psi0 is None or psi1 is None:  # degenerate edge: one eigenvector survives
+        cases = [(psi1 if psi0 is None else psi0, 1)]
+    else:
+        cases = [((psi0 + sign * 1j * psi1) / math.sqrt(2), sign) for sign in (1, -1)]
+    phase = 2j * math.pi * eigenphase(s)
+    return max(float(np.linalg.norm(block @ v - np.exp(sign * phase) * v)) for v, sign in cases)
 
 
 def g_block_matrix(psi: np.ndarray, phi: np.ndarray, layout: RegisterLayout,
@@ -371,42 +323,3 @@ def h_block_matrix(v: np.ndarray, u: np.ndarray) -> np.ndarray:
     full = 2 * dim
     z_b = np.diag(np.concatenate([np.ones(dim), -np.ones(dim)])).astype(complex)
     return (np.eye(full, dtype=complex) - 2.0 * np.outer(psi_j, psi_j.conj())) @ z_b
-
-
-def verify_eigendecomposition_dot(v: np.ndarray, u: np.ndarray) -> EigenReport:
-    """H_j analogue of the fidelity-path eigenstructure check (real states).
-
-    X = +1 or -1 collapses the block onto one branch (flagged degenerate).
-    """
-    v = np.asarray(v, dtype=complex)
-    u = np.asarray(u, dtype=complex)
-    pair = EigenPair.from_similarity(float(np.vdot(v, u).real))
-    zeros = np.zeros(len(v))
-    psi0 = (np.concatenate([(v + u) / (2 * pair.alpha), zeros])
-            if pair.alpha > 1e-9 else None)
-    psi1 = (np.concatenate([zeros, (v - u) / (2 * pair.beta)])
-            if pair.beta > 1e-9 else None)
-    return _block_report(h_block_matrix(v, u), pair, psi0, psi1)
-
-
-def verify_eigendecomposition(psi: np.ndarray, phi: np.ndarray,
-                              layout: RegisterLayout | None = None) -> EigenReport:
-    """Diagonalize the constructed G_j block and compare with the analytic
-    eigenphases and the two-eigenvector decomposition of the swap-test state.
-
-    The B=1 branch follows the swap-test circuit's sign convention:
-    (|phi>_tr|psi>_tst - |psi>_tr|phi>_tst)/2. F = 1 collapses the block
-    onto the symmetric branch (flagged degenerate).
-    """
-    n = int(round(math.log2(len(psi))))
-    if layout is None:
-        layout = RegisterLayout.from_sizes([("train", n), ("test", n), ("B", 1)])
-    if 2 * n + 1 > 12:
-        raise SimulationError("instance too large for dense eigendecomposition")
-    sym = np.kron(psi, phi) + np.kron(phi, psi)      # test register on the high bits
-    anti = np.kron(psi, phi) - np.kron(phi, psi)
-    pair = EigenPair.from_similarity(abs(np.vdot(psi, phi)) ** 2)
-    zeros = np.zeros(len(sym))
-    psi0 = np.concatenate([sym, zeros]) / (2 * pair.alpha)
-    psi1 = np.concatenate([zeros, anti]) / (2 * pair.beta) if pair.beta > 1e-9 else None
-    return _block_report(g_block_matrix(psi, phi, layout), pair, psi0, psi1)

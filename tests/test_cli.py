@@ -236,6 +236,20 @@ def test_bad_counts_exit_1(args, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd,extra", [("discriminate", ["--n", "1"]), ("bench", ["--k", "1"])])
+def test_failed_slope_fit_keeps_the_rows(cmd, extra, tmp_path, capsys):
+    """A sweep whose slope cannot be fitted exits 1 naming the M values, and
+    its --out file still holds the per-M rows (bench also keeps its traces)."""
+    out = tmp_path / "d.csv"
+    assert exit_code([cmd, "--M", "1,2", "--trials", "2", *extra, "--out", str(out)]) == 1
+    assert "M = 1, 2" in capsys.readouterr().err
+    lines = out.read_text().splitlines()
+    assert lines[0] == CSV_HEADER and len(lines) == 4
+    assert [line.split(",")[0] for line in lines[2:]] == ["1", "2"]
+    if cmd == "bench":
+        assert len((tmp_path / "d.csv.traces.jsonl").read_text().splitlines()) == 4
+
+
 @given(cmd=st.sampled_from(["bench", "discriminate"]), trials=st.integers(-2, 3),
        k=st.integers(-2, 3), n=st.integers(-2, 3),
        M=st.lists(st.integers(-2, 8), min_size=1, max_size=3))

@@ -10,15 +10,15 @@ from qknn_sim.oracle import (
     ThresholdState,
     assemble_O_yA,
     build_J,
-    build_U_gt,
-    build_U_neq,
     classical_action,
     oracle_layout,
     prep_calls_per_oracle,
     qubit_accounting,
+    u_gt_gates,
+    u_neq_gates,
 )
 from qknn_sim.qadc import PrecisionConfig
-from qknn_sim.statevec import StateVector
+from qknn_sim.statevec import Circuit, StateVector
 from qknn_sim.subroutines import make_V, make_W
 
 
@@ -37,7 +37,7 @@ def test_threshold_state_validation():
     (1, 0, 0, False),
 ])
 def test_u_gt_truth_table(a, b, carry, expect_flip):
-    circ = build_U_gt()
+    circ = Circuit(u_gt_gates(0, 1, 2, 3))
     for flag in (0, 1):
         x = a | (b << 1) | (carry << 2) | (flag << 3)
         y = classical_action(circ, 4, x)
@@ -50,7 +50,7 @@ def test_u_gt_truth_table(a, b, carry, expect_flip):
     (0, 1, 0, False),
 ])
 def test_u_neq_truth_table(a, b, carry, expect_flip):
-    circ = build_U_neq()
+    circ = Circuit(u_neq_gates(0, 1, 2, 3))
     for flag in (0, 1):
         x = a | (b << 1) | (carry << 2) | (flag << 3)
         y = classical_action(circ, 4, x)

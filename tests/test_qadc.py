@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from qknn_sim import invariants
 from qknn_sim.qadc import (
     PrecisionConfig,
-    QuantizedValue,
     abs_qadc,
     apply_qadc,
     arithmetic_map,
@@ -55,8 +54,7 @@ def test_precision_config_bounds():
 @settings(max_examples=200, deadline=None)
 def test_quantized_value_round_trip(b, bits):
     bits %= 2 ** b
-    q = QuantizedValue(bits, b)
-    assert QuantizedValue.from_value(q.value, b).bits == bits
+    assert round_bits(bits / 2 ** b, b) == bits
 
 
 def test_round_bits_ties_to_even():
@@ -304,3 +302,14 @@ def test_abs_qadc_small_amplitude_resolution_limit():
     from qknn_sim.subroutines import unitary_with_first_column
     res = abs_qadc(unitary_with_first_column(c.astype(complex)), PrecisionConfig(5))
     assert res.branch_distributions[0][0] > 0.5
+
+
+@pytest.mark.parametrize("prep,match", [
+    (np.eye(16), "d = 16"),          # 13-qubit reflection operator, over the dense cap
+    (np.eye(4)[:, :2], r"shape \(4, 2\)"),
+    (np.eye(3), r"shape \(3, 3\)"),
+])
+def test_abs_qadc_rejects_unsupported_preparation(prep, match):
+    """abs_qadc refuses, before building anything, what its dense G cannot hold."""
+    with pytest.raises(SimulationError, match=match):
+        abs_qadc(prep, PrecisionConfig(2))

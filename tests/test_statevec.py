@@ -19,7 +19,6 @@ from qknn_sim.statevec import (
     mcz,
     pauli_x,
     register_unitary,
-    single_qubit,
     toffoli,
 )
 
@@ -78,7 +77,7 @@ def test_state_size_cap_refuses_before_allocating(make):
 
 def test_gate_rejects_non_unitary_matrix():
     with pytest.raises(SimulationError):
-        single_qubit(0, np.array([[1, 1], [0, 1]], dtype=complex))
+        register_unitary((0,), np.array([[1, 1], [0, 1]], dtype=complex), "U1")
 
 
 def test_gate_rejects_non_bijective_permutation():
@@ -180,7 +179,7 @@ def _random_circuit(n, gates, rng):
         else:
             z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             q, _ = np.linalg.qr(z)
-            circ.append(single_qubit(int(qubits[0]), q))
+            circ.append(register_unitary((int(qubits[0]),), q, "U1"))
     return circ
 
 

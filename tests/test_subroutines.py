@@ -7,9 +7,10 @@ import pytest
 from qknn_sim import invariants
 from qknn_sim.statevec import RegisterLayout, SimulationError, StateVector, pauli_x, register_unitary
 from qknn_sim.subroutines import (
-    EigenPair,
     build_G,
     build_U,
+    eigen_law_error,
+    eigenphase,
     g_block_matrix,
     hadamard_test_apply,
     make_V,
@@ -18,8 +19,6 @@ from qknn_sim.subroutines import (
     swap_test_apply,
     unitary_with_first_column,
     validate_W,
-    verify_eigendecomposition,
-    verify_eigendecomposition_dot,
     zero_reflection,
 )
 from qknn_sim.statevec import circuit_to_matrix
@@ -147,17 +146,14 @@ def test_G_block_eigenphases_match_fidelity():
     """Known angles: F=1 gives theta=1/2, F=0 gives 1/4, F=1/2 gives 1/3."""
     psi = np.array([1, 0], dtype=complex)
     phis = np.array([[1, 0], [0, 1]], dtype=complex)
-    layout, V, W, G = _g_setup(psi, phis, 1)
-    block = RegisterLayout.from_sizes([("train", 1), ("test", 1), ("B", 1)])
-    rep1 = verify_eigendecomposition(psi, phis[0], block)
-    assert rep1.degenerate and abs(rep1.theta_expected - 0.5) < 1e-12
-    rep0 = verify_eigendecomposition(psi, phis[1], block)
-    assert abs(rep0.theta_expected - 0.25) < 1e-12
-    assert rep0.eigenphase_error < 1e-9
+    # F = 1 is degenerate: the B=1 branch vanishes and psi0 alone has eigenvalue -1
+    assert abs(eigenphase(1.0) - 0.5) < 1e-12
+    assert invariants.g_eigen_law(psi, phis[0]) < 1e-9
+    assert abs(eigenphase(0.0) - 0.25) < 1e-12
+    assert invariants.g_eigen_law(psi, phis[1]) < 1e-9
     plus = np.array([1, 1], dtype=complex) / math.sqrt(2)
-    rep_half = verify_eigendecomposition(plus, np.array([1, 0], dtype=complex), block)
-    assert abs(rep_half.theta_expected - 1 / 3) < 1e-12
-    assert rep_half.eigenphase_error < 1e-9
+    assert abs(eigenphase(abs(np.vdot(plus, phis[0])) ** 2) - 1 / 3) < 1e-12
+    assert invariants.g_eigen_law(plus, phis[0]) < 1e-9
 
 
 def test_G_acts_block_diagonally():
@@ -176,7 +172,7 @@ def test_W_S0_Wdag_expands_to_controlled_reflections():
     layout, V, W, _ = _g_setup(psi, phis, n)
     from qknn_sim.statevec import Circuit
     circ = Circuit()
-    circ.extend(W.inverse_circuit())
+    circ.extend(W.circuit.inverse())
     circ.extend(zero_reflection(layout.qubits_of(["train", "test", "B"])))
     circ.extend(W.circuit)
     got = circuit_to_matrix(circ, layout.qubits_of(["index", "train", "test", "B"]))
@@ -217,7 +213,7 @@ def test_qpe_on_G_dyadic_phases():
         if j:
             state = state.apply(pauli_x(0))
         state = state.apply_circuit(W.circuit).apply_circuit(build_U(V, layout))
-        probs = qpe_apply(state, layout, G, phase="phase").measure_probs("phase")
+        probs = qpe_apply(state, layout, G.gate, phase="phase").measure_probs("phase")
         for t, p in outcomes.items():
             assert abs(probs[t] - p) < 1e-9
         assert abs(probs.sum() - 1) < 1e-12
@@ -250,33 +246,47 @@ def test_qpe_non_dyadic_peaks_near_theta():
 
 def test_eigenpair_invariant():
     for F in (0.0, 0.3, 0.65, 1.0):
-        pair = EigenPair.from_similarity(F)
-        assert abs(pair.alpha ** 2 - (1 + F) / 2) < 1e-10
-        assert abs(pair.alpha - math.sin(math.pi * pair.theta)) < 1e-12
+        alpha = math.sin(math.pi * eigenphase(F))
+        assert abs(alpha ** 2 - (1 + F) / 2) < 1e-10
+        assert abs(alpha - math.sqrt((1 + F) / 2)) < 1e-12
 
 
 def test_verify_eigendecomposition_matches_target_fidelity():
     """F = 0.3 gives eigenphases +/- arcsin(sqrt(0.65))/pi."""
     psi = np.array([1, 0], dtype=complex)
     phi = np.array([math.sqrt(0.3), math.sqrt(0.7)], dtype=complex)
-    rep = verify_eigendecomposition(psi, phi)
     theta = math.asin(math.sqrt(0.65)) / math.pi
-    assert abs(rep.theta_expected - theta) < 1e-12
-    assert rep.eigenphase_error < 1e-9 and rep.decomposition_error < 1e-9
+    assert abs(eigenphase(abs(np.vdot(psi, phi)) ** 2) - theta) < 1e-12
+    assert invariants.g_eigen_law(psi, phi) < 1e-9
 
 
 def test_eigendecomposition_property_sweep():
     """100 random instances all verify within 1e-9."""
     rng = np.random.default_rng(4242)
-    phase_err, decomp_err = invariants.eigenstructure_errors(rng, 100, 0, sizes=(1, 2))
-    assert phase_err < 1e-9 and decomp_err < 1e-9
+    assert invariants.eigenstructure_law(rng, 100, 0, sizes=(1, 2)) < 1e-9
 
 
 def test_dot_eigendecomposition_and_degenerate_edges():
     rng = np.random.default_rng(7)
-    assert max(invariants.eigenstructure_errors(rng, 0, 30)) < 1e-9
+    assert invariants.eigenstructure_law(rng, 0, 30) < 1e-9
     v = real_unit(2, rng)
-    opposite = verify_eigendecomposition_dot(v, -v)   # X = -1 edge, flagged
-    assert opposite.degenerate and opposite.eigenphase_error < 1e-9
-    same = verify_eigendecomposition_dot(v, v)        # X = +1, theta = 1/2
-    assert same.degenerate and abs(same.theta_expected - 0.5) < 1e-12
+    assert invariants.h_eigen_law(v, -v) < 1e-9       # X = -1 edge: psi1 alone, eigenvalue +1
+    assert invariants.h_eigen_law(v, v) < 1e-9        # X = +1, theta = 1/2
+    assert abs(eigenphase(1.0) - 0.5) < 1e-12
+
+
+def test_eigen_law_reads_the_operator():
+    """The law holds for G_j, edges included, but G_j^dag is off by
+    2|sin(2 pi theta)| and the identity at F = 0 (theta = 1/4) by sqrt(2)."""
+    rng = np.random.default_rng(11)
+    block = RegisterLayout.from_sizes([("train", 1), ("test", 1), ("B", 1)])
+    zero, one = np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex)
+    for psi, phi in [(zero, one), (zero, zero)] + [(haar(1, rng), haar(1, rng)) for _ in range(20)]:
+        F = abs(np.vdot(psi, phi)) ** 2
+        branches = (np.kron(psi, phi) + np.kron(phi, psi), np.kron(psi, phi) - np.kron(phi, psi))
+        gj = g_block_matrix(psi, phi, block)
+        assert eigen_law_error(gj, F, *branches) < 1e-9
+        adjoint = eigen_law_error(gj.conj().T, F, *branches)
+        assert abs(adjoint - 2 * abs(math.sin(2 * math.pi * eigenphase(F)))) < 1e-9
+        if F < 1e-12:
+            assert adjoint >= 1 and eigen_law_error(np.eye(8), F, *branches) >= 1
