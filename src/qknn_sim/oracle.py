@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -145,7 +145,11 @@ def oracle_layout(m: int, n: int, b: int) -> RegisterLayout:
 
 @dataclass(eq=False)
 class OracleCircuit:
-    """Circuit-exact O_{y,A} plus bookkeeping for query/qubit accounting."""
+    """Circuit-exact O_{y,A} plus bookkeeping for query/qubit accounting.
+
+    The circuit is deterministic, so each candidate's verdict is simulated
+    once and remembered for the life of this instance.
+    """
 
     circuit: Circuit
     layout: RegisterLayout
@@ -154,6 +158,7 @@ class OracleCircuit:
     M: int
     cfg: PrecisionConfig
     prep_counts: Counter
+    _verdicts: dict = field(default_factory=dict, init=False, repr=False)
 
     def netlist(self) -> str:
         return self.circuit.netlist()
@@ -173,7 +178,9 @@ class OracleCircuit:
 
     def evaluate(self, j: int) -> int:
         """Most probable Q3 outcome on basis input |j>|0...0>."""
-        return int(np.argmax(self.q3_distribution(j)))
+        if j not in self._verdicts:
+            self._verdicts[j] = int(np.argmax(self.q3_distribution(j)))
+        return self._verdicts[j]
 
 
 def assemble_O_yA(V: StatePrepOracle, W: StatePrepOracle, layout: RegisterLayout,
@@ -302,7 +309,13 @@ class TableOracleHandle(OracleHandle):
 
 class CircuitOracleHandle(OracleHandle):
     """Circuit-exact backend: Grover iterations applied to the simulated
-    register machine with Q3 phase kickback."""
+    register machine with Q3 phase kickback.
+
+    The state after r iterations depends only on (y, A, r), so the handle
+    keeps the index marginal of every depth simulated so far and the deepest
+    state; a deeper round extends that state by the missing iterations. The
+    model's query count is charged in full for every round regardless.
+    """
 
     def __init__(self, oracle: OracleCircuit):
         super().__init__(oracle.y, oracle.A, oracle.M)
@@ -316,15 +329,18 @@ class CircuitOracleHandle(OracleHandle):
                          else pauli_z(index[0]))
         diffusion += [pauli_x(q) for q in index] + [hadamard(q) for q in index]
         self._diffusion = Circuit(diffusion)
+        # the deepest state simulated, and the index marginal after r iterations
+        self._state = StateVector.zero_state(layout).apply_circuit(self._init)
+        self._marginals = [self._state.measure_probs("index")]
 
     def run_round(self, r: int, rng: np.random.Generator) -> int:
-        state = StateVector.zero_state(self.oracle.layout).apply_circuit(self._init)
-        for _ in range(r):
-            state = self.oracle.apply(state)
-            self.query_count += 1
-            state = state.apply_circuit(self._diffusion)
-        outcome, _ = state.sample_measurement("index", rng)
-        return outcome
+        self.query_count += r
+        while len(self._marginals) <= r:
+            self._state = self.oracle.apply(self._state).apply_circuit(self._diffusion)
+            self._marginals.append(self._state.measure_probs("index"))
+        probs = self._marginals[r]
+        # the same draw as StateVector.sample_measurement
+        return int(rng.choice(len(probs), p=probs / probs.sum()))
 
     def evaluate(self, j: int) -> bool:
         self.query_count += 1

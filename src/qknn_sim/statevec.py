@@ -446,12 +446,11 @@ def circuit_to_matrix(circuit: Circuit, qubits: tuple[int, ...]) -> np.ndarray:
         raise SimulationError(f"circuit touches qubits outside subset: {sorted(missing)}")
     k = len(qubits)
     dim = 2 ** k
-    cols = np.eye(dim, dtype=complex)
+    # every basis column at once: a 2k-qubit vector whose low k qubits are the
+    # local ones and whose high k qubits number the column
+    cols = np.eye(dim, dtype=complex).reshape(-1)
     for gate in circuit:
         tgt = tuple(local[q] for q in gate.targets)
         ctl = tuple(local[q] for q in gate.controls)
-        for j in range(dim):
-            col = cols[:, j].copy()
-            _apply_gate(col, k, gate, tgt, ctl)
-            cols[:, j] = col
-    return cols
+        _apply_gate(cols, 2 * k, gate, tgt, ctl)
+    return cols.reshape(dim, dim).T.copy()

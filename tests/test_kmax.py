@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qknn_sim.kmax import (
     SearchConfig,
@@ -84,6 +86,21 @@ def test_k_maxima_exact_on_random_tables():
         res = k_maxima(TableBackend(table), 3, cfg=SearchConfig(seed=seed))
         wins += set(res.top_k) == set(np.argsort(table)[::-1][:3])
     assert wins >= 99
+
+
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=64).flatmap(
+    lambda values: st.tuples(st.just(values), st.integers(1, len(values)),
+                             st.integers(0, 2 ** 31 - 1))))
+@settings(max_examples=60, deadline=None)
+def test_k_maxima_invariants_on_tied_tables(case):
+    """On tied integer tables: k distinct indices in [0, M), queries equal
+    iterations plus one verification per round, and the last threshold fails."""
+    values, k, seed = case
+    res = k_maxima(TableBackend(np.array(values)), k, cfg=SearchConfig(seed=seed))
+    assert len(res.top_k) == k
+    assert all(0 <= i < len(values) for i in res.top_k)
+    assert res.oracle_queries == res.iterations + res.search_rounds
+    assert res.rounds[-1][1] is None
 
 
 def test_k_maxima_exhaustive_small_tables():

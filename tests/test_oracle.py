@@ -1,8 +1,13 @@
 """Comparator circuits, membership gates, and the assembled threshold oracle."""
+import dataclasses
+import functools
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from qknn_sim import invariants
+from qknn_sim.kmax import CircuitBackend, SearchConfig, k_maxima
 from qknn_sim.oracle import (
     CircuitOracleHandle,
     SimulationError,
@@ -17,7 +22,7 @@ from qknn_sim.oracle import (
     u_gt_gates,
     u_neq_gates,
 )
-from qknn_sim.qadc import PrecisionConfig
+from qknn_sim.qadc import PrecisionConfig, quantize_array
 from qknn_sim.statevec import Circuit, StateVector
 from qknn_sim.subroutines import make_V, make_W
 
@@ -161,3 +166,133 @@ def test_oracle_rejects_m_wider_than_b():
     W = make_W(phis, layout)
     with pytest.raises(SimulationError):
         assemble_O_yA(V, W, layout, PrecisionConfig(2), 0, {0})
+
+
+class _CountingHandle(CircuitOracleHandle):
+    """The cached handle, recording the depths, candidates and generator it is
+    given and counting the simulator work its own oracle copy does."""
+
+    def __init__(self, oracle):
+        super().__init__(oracle)
+        self.depths, self.candidates, self.rng = [], set(), None
+        self.calls = Counter()
+        for name in ("apply", "q3_distribution"):
+            def counted(*args, _method=getattr(oracle, name), _name=name):
+                self.calls[_name] += 1
+                return _method(*args)
+            setattr(oracle, name, counted)
+
+    def run_round(self, r, rng):
+        self.depths.append(r)
+        self.rng = rng
+        return super().run_round(r, rng)
+
+    def evaluate(self, j):
+        self.candidates.add(j)
+        return super().evaluate(j)
+
+
+class _RebuildingHandle(CircuitOracleHandle):
+    """The brute-force reference: every round rebuilds its state from |0...0>
+    and samples it, every verification simulates its candidate again."""
+
+    def __init__(self, oracle):
+        super().__init__(oracle)
+        self.marginals, self.rng = {}, None
+
+    def run_round(self, r, rng):
+        self.rng = rng
+        state = StateVector.zero_state(self.oracle.layout).apply_circuit(self._init)
+        for _ in range(r):
+            state = self.oracle.apply(state)
+            self.query_count += 1
+            state = state.apply_circuit(self._diffusion)
+        self.marginals[r] = state.measure_probs("index")
+        outcome, _ = state.sample_measurement("index", rng)
+        return outcome
+
+    def evaluate(self, j):
+        self.query_count += 1
+        return bool(np.argmax(self.oracle.q3_distribution(j)))
+
+
+class _HandleBackend(CircuitBackend):
+    """CircuitBackend yielding ``handle_cls`` over a fresh copy of each
+    assembled oracle, so no verdict is shared between handles."""
+
+    def __init__(self, handle_cls, assemble, values, b):
+        super().__init__(assemble, values, b)
+        self.handle_cls, self.handles = handle_cls, []
+
+    def oracle_for(self, y, A):
+        handle = self.handle_cls(dataclasses.replace(self._assemble(y, frozenset(A))))
+        self.handles.append(handle)
+        return handle
+
+
+@pytest.mark.parametrize("kind,M,k,seed", [("haar", 2, 1, 0), ("haar", 2, 1, 1),
+                                           ("basis", 2, 1, 4), ("basis", 2, 1, 5),
+                                           ("basis", 4, 2, 4)])
+def test_cached_search_matches_brute_force(kind, M, k, seed):
+    """k_maxima over the cached circuit handle equals the rebuilding reference
+    field by field and leaves the generator in the same state, while each
+    handle simulates at most max(r) Grover iterations and each candidate once.
+
+    Haar-random states give non-dyadic fidelities; basis states (fidelities
+    1, 0, 1, 0 to a |0> test state) make these seeds replace a member of A
+    before the final threshold, so the runs span two oracles.
+    """
+    b = 2
+    if kind == "haar":
+        rng = np.random.default_rng([seed, 9])
+        states = rng.normal(size=(M + 1, 2)) + 1j * rng.normal(size=(M + 1, 2))
+        states /= np.linalg.norm(states, axis=1, keepdims=True)
+    else:
+        states = np.array([[1, 0], [0, 1]] * (M // 2) + [[1, 0]], dtype=complex)
+    layout = oracle_layout(M.bit_length() - 1, 1, b)
+    V, W = make_V(states[M], layout, register="test"), make_W(states[:M], layout)
+    cfg = PrecisionConfig(b)
+    values = quantize_array(np.abs(states[:M].conj() @ states[M]) ** 2, b)
+    assembled = functools.cache(lambda y, A: assemble_O_yA(V, W, layout, cfg, y, A))
+    search = SearchConfig(max_rounds=10, seed=seed)
+    results = {}
+    for cls in (_CountingHandle, _RebuildingHandle):
+        backend = _HandleBackend(cls, assembled, values, b)
+        results[cls] = (k_maxima(backend, k, M, search), backend.handles)
+    (got, cached), (want, reference) = results[_CountingHandle], results[_RebuildingHandle]
+    for name in ("top_k", "rounds", "oracle_queries", "data_prep_queries", "iterations",
+                 "search_rounds"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert cached[-1].rng.bit_generator.state == reference[-1].rng.bit_generator.state
+    assert len(cached) == len(got.rounds)
+    for handle in cached:
+        grover_apps = handle.calls["apply"] - handle.calls["q3_distribution"]
+        assert grover_apps <= max(handle.depths)
+        assert handle.calls["q3_distribution"] <= len(handle.candidates)
+
+
+def test_cached_rounds_match_rebuilt_rounds_at_any_depth():
+    """Depths in any order, deeper and shallower than those cached, give the
+    rebuilt state's index marginal bit for bit and the same draws; the
+    deepest depth sets the number of Grover iterations simulated.
+
+    One marked index of M = 4 (fidelities 1, 0, 0, 0, threshold y = 1)
+    makes the marginal a point mass after 1 and 4 iterations and uniform
+    after 0 and 3, so sampling the wrong depth changes the draws.
+    """
+    layout = oracle_layout(2, 1, 2)
+    V = make_V(np.array([1, 0], dtype=complex), layout, register="test")
+    W = make_W(np.array([[1, 0], [0, 1], [0, 1], [0, 1]], dtype=complex), layout)
+    oc = assemble_O_yA(V, W, layout, PrecisionConfig(2), 1, {1})
+    depths = [4, 0, 1, 3, 0]
+    cached = _CountingHandle(dataclasses.replace(oc))
+    reference = _RebuildingHandle(dataclasses.replace(oc))
+    rng_cached, rng_reference = np.random.default_rng(6), np.random.default_rng(6)
+    for r in depths:
+        assert cached.run_round(r, rng_cached) == reference.run_round(r, rng_reference)
+    assert rng_cached.bit_generator.state == rng_reference.bit_generator.state
+    assert cached.query_count == reference.query_count == sum(depths)
+    assert cached.calls["apply"] == max(depths)
+    for r in depths:
+        assert np.array_equal(cached._marginals[r], reference.marginals[r])
+    assert cached._marginals[1][0] > 1 - 1e-9 and abs(cached._marginals[0][0] - 0.25) < 1e-9

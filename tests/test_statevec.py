@@ -11,6 +11,7 @@ from qknn_sim.statevec import (
     RegisterLayout,
     SimulationError,
     StateVector,
+    _apply_gate,
     basis_permutation,
     circuit_to_matrix,
     cnot,
@@ -237,6 +238,53 @@ def test_circuit_to_matrix_matches_application():
     state = random_state(4, rng)
     direct = StateVector(4, state).apply_circuit(circ).amplitudes
     np.testing.assert_allclose(mat @ state, direct, atol=1e-12)
+
+
+def _random_gate(labels, span, rng):
+    """A 1-qubit, controlled, multi-target or permutation gate on at most
+    ``span`` of ``labels``."""
+    kind = int(rng.integers(0, 4)) if span > 1 else int(rng.choice([0, 3]))
+    qubits = [int(q) for q in rng.permutation(labels)]
+    t = 1 if kind < 2 else int(rng.integers(1 if kind == 3 else 2, min(span, 3) + 1))
+    c = int(rng.integers(1 if kind == 1 else 0, span - t + 1)) if kind else 0
+    targets, controls = tuple(qubits[:t]), tuple(qubits[t:t + c])
+    if kind == 3:
+        return basis_permutation(targets, rng.permutation(2 ** t), "P", controls)
+    z = rng.normal(size=(2 ** t, 2 ** t)) + 1j * rng.normal(size=(2 ** t, 2 ** t))
+    return register_unitary(targets, np.linalg.qr(z)[0], f"U{t}", controls)
+
+
+def _per_column_matrix(circuit, qubits):
+    """circuit_to_matrix's reference: every gate applied to one basis column at a time."""
+    k = len(qubits)
+    local = {q: i for i, q in enumerate(qubits)}
+    cols = np.eye(2 ** k, dtype=complex)
+    for gate in circuit:
+        tgt = tuple(local[q] for q in gate.targets)
+        ctl = tuple(local[q] for q in gate.controls)
+        for j in range(2 ** k):
+            col = cols[:, j].copy()
+            _apply_gate(col, k, gate, tgt, ctl)
+            cols[:, j] = col
+    return cols
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_circuit_to_matrix_equals_per_column_reference(seed):
+    """The batched dense unitary equals the per-column one on 1-5 qubits drawn
+    from a larger label set, in any order: bit for bit while every gate leaves
+    a local qubit free, to 1e-12 otherwise (numpy multiplies a single-row
+    block by another kernel, so that column rounds differently)."""
+    rng = np.random.default_rng(seed)
+    qubits = tuple(int(q) for q in rng.choice(8, size=int(rng.integers(1, 6)), replace=False))
+    span = int(rng.integers(1, len(qubits) + 1))
+    circ = Circuit([_random_gate(qubits, span, rng) for _ in range(int(rng.integers(1, 12)))])
+    got, want = circuit_to_matrix(circ, qubits), _per_column_matrix(circ, qubits)
+    if all(len(g.qubits()) < len(qubits) for g in circ):
+        assert np.array_equal(got, want)
+    else:
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_density_matrix_validation():
