@@ -27,6 +27,7 @@ CLASSES = {
     "2q-sep-vs-maxent": ("separable", "maxent"),
     "3q-five-class": ("A-B-C", "AB-C", "A-BC", "AC-B", "ABC"),
 }
+QUBITS = {"2q-sep-vs-ent": 2, "2q-sep-vs-maxent": 2, "3q-five-class": 3}
 ENTANGLED_ENTROPY_FLOOR = 0.05
 MAXENT_ENTROPY_MIN = 1.0 - 1e-6
 SCHMIDT_SEP_TOL = 1e-9
@@ -67,11 +68,13 @@ def entanglement_entropy_bits(state: np.ndarray, n: int, part: tuple[int, ...]) 
 
 def label_entanglement(state: np.ndarray, scheme: str) -> str:
     """Class id of a state under the given scheme; raises if it fits none."""
+    if scheme not in QUBITS:
+        raise SimulationError(f"unknown scheme {scheme!r}")
     state = np.asarray(state, dtype=complex)
-    n = int(round(math.log2(len(state))))
-    if scheme in ("2q-sep-vs-ent", "2q-sep-vs-maxent"):
-        if n != 2:
-            raise SimulationError("two-qubit scheme needs a 2-qubit state")
+    n = QUBITS[scheme]
+    if len(state) != 2 ** n:
+        raise SimulationError(f"{scheme} needs a {n}-qubit state")
+    if n == 2:
         if is_separable_bipartition(state, 2, (0,)):
             return "separable"
         if scheme == "2q-sep-vs-ent":
@@ -79,22 +82,18 @@ def label_entanglement(state: np.ndarray, scheme: str) -> str:
         if entanglement_entropy_bits(state, 2, (0,)) >= MAXENT_ENTROPY_MIN:
             return "maxent"
         raise SimulationError("state is neither separable nor maximally entangled")
-    if scheme == "3q-five-class":
-        if n != 3:
-            raise SimulationError("three-qubit scheme needs a 3-qubit state")
-        sep = tuple(is_separable_bipartition(state, 3, (q,)) for q in range(3))
-        mapping = {
-            (True, True, True): "A-B-C",
-            (False, False, True): "AB-C",
-            (True, False, False): "A-BC",
-            (False, True, False): "AC-B",
-            (False, False, False): "ABC",
-        }
-        if sep not in mapping:
-            # exactly two separable cuts cannot happen for a pure state
-            raise SimulationError(f"inconsistent separability pattern {sep}")
-        return mapping[sep]
-    raise SimulationError(f"unknown scheme {scheme!r}")
+    sep = tuple(is_separable_bipartition(state, 3, (q,)) for q in range(3))
+    mapping = {
+        (True, True, True): "A-B-C",
+        (False, False, True): "AB-C",
+        (True, False, False): "A-BC",
+        (False, True, False): "AC-B",
+        (False, False, False): "ABC",
+    }
+    if sep not in mapping:
+        # exactly two separable cuts cannot happen for a pure state
+        raise SimulationError(f"inconsistent separability pattern {sep}")
+    return mapping[sep]
 
 
 # --- generators ----------------------------------------------------------------
@@ -227,8 +226,10 @@ def write_corpus(corpus: LabeledStateCorpus, path: str) -> None:
 
 
 def read_corpus(path: str) -> LabeledStateCorpus:
-    """Load a JSONL corpus: one known scheme, labels of that scheme, and the
-    same number of finite amplitudes on every record."""
+    """Load a JSONL corpus: one known scheme, labels of that scheme, and on
+    every record 2**n finite amplitudes (n the scheme's qubit count) whose
+    norm is 1 within 1e-9, the train-set tolerance. Any other record raises
+    SimulationError naming its file and line."""
     states, labels, paths, scheme = [], [], [], None
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -237,9 +238,15 @@ def read_corpus(path: str) -> LabeledStateCorpus:
             where = f"{path}:{lineno}"
             try:
                 rec = json.loads(line)
-                state = np.array([complex(re, im) for re, im in rec["amplitudes"]])
+                pairs = rec["amplitudes"]
+                if any(type(x) not in (int, float) for pair in pairs for x in pair):
+                    raise TypeError("amplitudes must be [re, im] pairs of numbers")
+                state = np.array([complex(re, im) for re, im in pairs])
                 rec_scheme, label = rec["scheme"], rec["label"]
-            except (ValueError, KeyError, TypeError) as exc:
+                seed_path = rec.get("seed_path", "")
+                if not isinstance(seed_path, str):
+                    raise TypeError("seed_path must be a string")
+            except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
                 raise SimulationError(f"{where}: malformed record ({exc!r})") from exc
             scheme = scheme or rec_scheme
             if rec_scheme != scheme or scheme not in SCHEMES:
@@ -247,13 +254,15 @@ def read_corpus(path: str) -> LabeledStateCorpus:
                                       f"scheme of {', '.join(SCHEMES)}")
             if label not in CLASSES[scheme]:
                 raise SimulationError(f"{where}: label {label!r} is not a class of {scheme}")
-            if states and len(state) != len(states[0]):
-                raise SimulationError(f"{where}: {len(state)} amplitudes, the records "
-                                      f"before it have {len(states[0])}")
+            if len(state) != 2 ** QUBITS[scheme]:
+                raise SimulationError(f"{where}: {len(state)} amplitudes; a {scheme} record "
+                                      f"has {2 ** QUBITS[scheme]}")
             if not np.isfinite(state).all():
                 raise SimulationError(f"{where}: non-finite amplitude")
+            if abs(np.linalg.norm(state) - 1.0) > 1e-9:
+                raise SimulationError(f"{where}: norm {np.linalg.norm(state):.12g}, not 1")
             labels.append(label)
-            paths.append(rec.get("seed_path", ""))
+            paths.append(seed_path)
             states.append(state)
     if scheme is None:
         raise SimulationError(f"empty corpus file {path!r}")

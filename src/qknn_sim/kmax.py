@@ -31,7 +31,6 @@ import numpy as np
 
 from .oracle import (
     CircuitOracleHandle,
-    OracleCircuit,
     OracleHandle,
     SimulationError,
     TableOracleHandle,
@@ -87,13 +86,13 @@ class KMaxResult:
         })
 
 
-def grover_search_unknown(oracle: OracleHandle, M: int, cfg: SearchConfig,
+def grover_search_unknown(oracle: OracleHandle, cfg: SearchConfig,
                           rng: np.random.Generator | None = None) -> SearchResult:
     """Find one index with f(index) = 1, or fail after max_rounds rounds."""
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     m = 1.0
-    cap = math.sqrt(M)
+    cap = math.sqrt(oracle.M)
     iterations = 0
     for rounds in range(1, cfg.max_rounds + 1):
         r = int(rng.integers(0, max(int(math.ceil(m)), 1)))
@@ -115,9 +114,7 @@ class TableBackend:
 
     def __init__(self, values: np.ndarray, b: int | None = None):
         self.values = np.asarray(values)
-        self.b = b
-        counts = prep_calls_per_oracle(b) if b is not None else {}
-        self.prep_calls = sum(counts.values())
+        self.prep_calls = sum(prep_calls_per_oracle(b).values()) if b is not None else 0
 
     def value(self, i: int) -> float:
         return self.values[i]
@@ -136,31 +133,20 @@ class TableBackend:
         return len(self.values)
 
 
-class CircuitBackend:
-    """Oracle factory running the assembled circuit on the register machine."""
+class CircuitBackend(TableBackend):
+    """Oracle factory running the assembled circuit on the register machine;
+    ``values`` is the quantized table that sets thresholds and checks top-k."""
 
     def __init__(self, assemble, values: np.ndarray, b: int):
+        super().__init__(values, b)
         self._assemble = assemble  # (y, A) -> OracleCircuit
-        self.values = np.asarray(values)
-        self.b = b
-        self.prep_calls = sum(prep_calls_per_oracle(b).values())
-
-    def value(self, i: int) -> float:
-        return self.values[i]
 
     def oracle_for(self, y: int, A: frozenset) -> CircuitOracleHandle:
-        oc: OracleCircuit = self._assemble(y, frozenset(A))
-        return CircuitOracleHandle(oc)
+        return CircuitOracleHandle(self._assemble(y, frozenset(A)))
 
-    def is_top_k(self, A: set) -> bool:
-        k = len(A)
-        best = np.sort(self.values)[::-1][:k]
-        mine = np.sort(self.values[sorted(A)])[::-1]
-        return bool(np.array_equal(best, mine))
-
-    @property
-    def M(self) -> int:
-        return len(self.values)
+    # an entry of this class's own, so that the benchmark tracer, which wraps
+    # methods through each class's __dict__, finds and counts it here too
+    is_top_k = TableBackend.is_top_k
 
 
 def k_maxima(backend, k: int, M: int | None = None,
@@ -182,7 +168,7 @@ def k_maxima(backend, k: int, M: int | None = None,
     while True:
         y = min(A, key=lambda i: (backend.value(i), i))
         handle = backend.oracle_for(y, frozenset(A))
-        res = grover_search_unknown(handle, M, cfg, rng)
+        res = grover_search_unknown(handle, cfg, rng)
         oracle_queries += handle.query_count
         iterations += res.iterations
         search_rounds += res.rounds

@@ -156,7 +156,6 @@ class OracleCircuit:
     y: int
     A: frozenset[int]
     M: int
-    cfg: PrecisionConfig
     prep_counts: Counter
     _verdicts: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -224,7 +223,7 @@ def assemble_O_yA(V: StatePrepOracle, W: StatePrepOracle, layout: RegisterLayout
     circ.extend(d_gates)
     circ.extend(compare)
     circ.extend(f_main.inverse())
-    return OracleCircuit(circ, layout, y, A, M, cfg, circ.prep_counts())
+    return OracleCircuit(circ, layout, y, A, M, circ.prep_counts())
 
 
 def classical_action(circuit: Circuit, num_qubits: int, x: int) -> int:
@@ -256,8 +255,9 @@ def prep_calls_per_oracle(b: int) -> Counter:
 class OracleHandle:
     """A (y, A) oracle with a query counter; queries only ever increase.
 
-    Subclasses implement one search round (r Grover iterations plus a
-    measurement) and classical verification of a measured candidate.
+    Subclasses implement ``run_round(r, rng)``, one search round (r Grover
+    iterations plus a measurement), and ``evaluate(j)``, the classical
+    verification of a measured candidate.
     """
 
     def __init__(self, y: int, A: frozenset[int], M: int):
@@ -265,12 +265,6 @@ class OracleHandle:
         self.A = frozenset(A)
         self.M = M
         self.query_count = 0
-
-    def run_round(self, r: int, rng: np.random.Generator) -> int:
-        raise NotImplementedError
-
-    def evaluate(self, j: int) -> bool:
-        raise NotImplementedError
 
 
 class TableOracleHandle(OracleHandle):

@@ -111,7 +111,7 @@ def arithmetic_table(cfg: PrecisionConfig, mode: str = "fidelity") -> np.ndarray
 
 
 def arithmetic_map(cfg: PrecisionConfig, layout: RegisterLayout, mode: str = "fidelity",
-                   phase: str = "phase", fid: str = "fid") -> Gate:
+                   fid: str = "fid") -> Gate:
     """Reversible |t>|z> -> |t>|z XOR g(t)> permutation on (phase, fid).
 
     On a fresh fid register this writes the digitized similarity; the XOR
@@ -120,14 +120,14 @@ def arithmetic_map(cfg: PrecisionConfig, layout: RegisterLayout, mode: str = "fi
     cfg.require_circuit_scale()
     table = arithmetic_table(cfg, mode)
     b = cfg.b
-    if layout.size(phase) != b or layout.size(fid) != b:
+    if layout.size("phase") != b or layout.size(fid) != b:
         raise SimulationError("phase/fid register width does not match precision")
     size = 2 ** (2 * b)
     local = np.arange(size)
     t = local & (2 ** b - 1)
     z = local >> b
     perm = t | ((z ^ table[t]) << b)
-    targets = layout.qubits(phase) + layout.qubits(fid)
+    targets = layout.qubits("phase") + layout.qubits(fid)
     return basis_permutation(targets, perm, f"QA[{mode}]")
 
 
@@ -135,7 +135,7 @@ def arithmetic_map(cfg: PrecisionConfig, layout: RegisterLayout, mode: str = "fi
 
 
 def qadc_circuit(op: ReflectionOperator, layout: RegisterLayout, cfg: PrecisionConfig,
-                 phase: str = "phase", fid: str = "fid", mode: str | None = None) -> Circuit:
+                 fid: str = "fid", mode: str | None = None) -> Circuit:
     """E^dig E^amp as one gate list: amp -> QPE -> arithmetic -> QPE^-1 -> amp^-1.
 
     ``op`` is the reflection operator (G for fidelity, H for the dot product);
@@ -143,33 +143,32 @@ def qadc_circuit(op: ReflectionOperator, layout: RegisterLayout, cfg: PrecisionC
     defaults to the operator's kind.
     """
     cfg.require_circuit_scale()
-    qpe = qpe_circuit(op.gate, layout.qubits(phase))
+    qpe = qpe_circuit(op.gate, layout.qubits("phase"))
     circ = Circuit()
     circ.extend(op.amp_circuit)
     circ.extend(qpe)
-    circ.append(arithmetic_map(cfg, layout, mode or op.kind, phase, fid))
+    circ.append(arithmetic_map(cfg, layout, mode or op.kind, fid))
     circ.extend(qpe.inverse())
     circ.extend(op.amp_circuit.inverse())
     return circ
 
 
 def apply_qadc(state: StateVector, op: ReflectionOperator, layout: RegisterLayout,
-               cfg: PrecisionConfig, phase: str = "phase", fid: str = "fid",
-               mode: str | None = None) -> StateVector:
+               cfg: PrecisionConfig, mode: str | None = None) -> StateVector:
     """|j>|0> -> |j>|s_j> on a state whose work, phase and fid registers are fresh."""
-    for reg in op.work_registers + (phase, fid):
+    for reg in op.work_registers + ("phase", "fid"):
         if not state.register_is_zero(reg):
             raise SimulationError(f"register {reg!r} is not fresh")
-    return state.apply_circuit(qadc_circuit(op, layout, cfg, phase, fid, mode))
+    return state.apply_circuit(qadc_circuit(op, layout, cfg, mode=mode))
 
 
 def fidelity_qadc_circuit(V: StatePrepOracle, W: StatePrepOracle, layout: RegisterLayout,
-                          cfg: PrecisionConfig, index: str = "index", train: str = "train",
-                          test: str = "test", b: str = "B", phase: str = "phase",
+                          cfg: PrecisionConfig, index: str = "index",
                           fid: str = "fid") -> Circuit:
-    """The full F operator |j>|0> -> |j>|F_j> as a gate sequence."""
-    G = build_G(V, W, layout, index, train, test, b)
-    return qadc_circuit(G, layout, cfg, phase, fid, "fidelity")
+    """The full F operator |j>|0> -> |j>|F_j> as a gate sequence, on the
+    ``index``/``fid`` pair (the oracle's second F uses the primed pair)."""
+    G = build_G(V, W, layout, index)
+    return qadc_circuit(G, layout, cfg, fid, "fidelity")
 
 
 # --- standalone abs-QADC ------------------------------------------------------
@@ -216,12 +215,10 @@ def abs_qadc(prep_unitary: np.ndarray, cfg: PrecisionConfig) -> QadcResult:
     return QadcResult(state, layout, branch)
 
 
-def fid_distribution(state: StateVector, index_value: int,
-                     index: str = "index", fid: str = "fid") -> np.ndarray:
+def fid_distribution(state: StateVector, index_value: int) -> np.ndarray:
     """Conditional distribution over fid outcomes given an index outcome."""
-    probs = state.measure_probs([index, fid])
-    layout = state.layout
-    m = layout.size(index)
+    probs = state.measure_probs(["index", "fid"])
+    m = state.layout.size("index")
     arr = probs.reshape(-1, 2 ** m)[:, index_value]
     total = arr.sum()
     if total <= 0:

@@ -69,8 +69,6 @@ class FidelityTable:
 
     exact: np.ndarray
     quantized: np.ndarray | None
-    b: int | None
-    measure: str  # "fidelity" | "dot"
 
     @classmethod
     def from_states(cls, test_state: np.ndarray, train: TrainSet,
@@ -87,7 +85,7 @@ class FidelityTable:
         else:
             raise SimulationError(f"unknown measure {measure!r}")
         quant = quantize_array(exact, b, measure) if b is not None else None
-        return cls(exact, quant, b, measure)
+        return cls(exact, quant)
 
     def ranking_values(self) -> np.ndarray:
         return self.quantized if self.quantized is not None else self.exact
@@ -183,7 +181,3 @@ def discriminate(test_state: np.ndarray, train: TrainSet,
     if table.exact[found] < 1.0 - 1e-6:
         raise SimulationError("discrimination promise violated: no exact match found")
     return int(found), result
-
-
-def bures_distance(fidelity: float) -> float:
-    return math.sqrt(max(2.0 - 2.0 * math.sqrt(max(fidelity, 0.0)), 0.0))

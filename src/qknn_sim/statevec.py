@@ -1,4 +1,4 @@
-"""Dense state-vector engine: registers, gates, measurement, density matrices.
+"""Dense state-vector engine: registers, gates, circuits and measurement.
 
 Conventions used throughout the package:
 
@@ -11,6 +11,10 @@ Conventions used throughout the package:
   are applied by index remapping rather than matrix multiplication.
 - All operations are pure: they return new StateVector values and never
   mutate their inputs.
+- Measurement gives Born-rule marginals over named registers; sampling
+  draws one outcome from a seeded generator and collapses onto it.
+- States above MAX_QUBITS qubits and dense circuit unitaries above
+  MAX_DENSE_QUBITS qubits are refused before anything is allocated.
 """
 from __future__ import annotations
 
@@ -20,13 +24,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-NORM_ATOL = 1e-10
 UNITARY_ATOL = 1e-12
 # Largest state the engine allocates: 2**24 amplitudes are 256 MiB, and
 # applying a circuit holds a working copy next to the input.
 MAX_QUBITS = 24
-# Largest qubit subset circuit_to_matrix builds a dense unitary on (4096 x 4096).
-MAX_DENSE_QUBITS = 12
+# Largest qubit subset circuit_to_matrix builds a dense unitary on (1024 x 1024);
+# it peaks at three 16 MiB arrays of 2**20 amplitudes (768 MiB at 12 qubits).
+MAX_DENSE_QUBITS = 10
 
 _H_MATRIX = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 _X_MATRIX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -320,31 +324,6 @@ class StateVector:
         probs = self.measure_probs(register)
         return bool(probs[1:].sum() <= atol)
 
-    def inner_product(self, other: "StateVector") -> complex:
-        if other.num_qubits != self.num_qubits:
-            raise SimulationError("inner product dimension mismatch")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def partial_trace(self, kept: str | list[str]) -> "DensityMatrix":
-        """Reduced density matrix over the kept registers (in layout order)."""
-        names = [kept] if isinstance(kept, str) else list(kept)
-        if self.layout is None:
-            raise SimulationError("state has no register layout")
-        ordered = [name for name in self.layout.names if name in names]
-        if set(ordered) != set(names):
-            raise SimulationError(f"unknown register in {names}")
-        qubits = self.layout.qubits_of(ordered)
-        return self.partial_trace_qubits(qubits)
-
-    def partial_trace_qubits(self, qubits: tuple[int, ...]) -> "DensityMatrix":
-        n, k = self.num_qubits, len(qubits)
-        tensor = self.amplitudes.reshape((2,) * n)
-        axes = [n - 1 - q for q in qubits]
-        moved = np.moveaxis(tensor, axes, [k - 1 - i for i in range(k)])
-        mat = moved.reshape(2 ** k, -1)
-        rho = mat @ mat.conj().T
-        return DensityMatrix(2 ** k, rho)
-
     # -- persistence --
 
     def dump_json(self) -> str:
@@ -361,38 +340,6 @@ class StateVector:
         amps = np.array([complex(re, im) for re, im in obj["amplitudes"]])
         layout = RegisterLayout.from_json_obj(obj["layout"]) if obj.get("layout") else None
         return cls(obj["num_qubits"], amps, layout)
-
-
-@dataclass(eq=False)
-class DensityMatrix:
-    """Trace-normalized Hermitian matrix; used for entanglement labeling."""
-
-    dimension: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = self.matrix
-        if m.shape != (self.dimension, self.dimension):
-            raise SimulationError("density matrix shape mismatch")
-        if abs(np.trace(m) - 1.0) > 1e-10:
-            raise SimulationError("density matrix trace != 1")
-        if not np.allclose(m, m.conj().T, atol=1e-12):
-            raise SimulationError("density matrix not Hermitian")
-
-    def eigenvalues(self) -> np.ndarray:
-        vals = np.linalg.eigvalsh(self.matrix)
-        if vals.min() < -1e-10:
-            raise SimulationError("density matrix has negative eigenvalue")
-        return vals
-
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
-
-    def entropy_bits(self) -> float:
-        """Von Neumann entropy in bits."""
-        vals = np.clip(self.eigenvalues(), 0.0, 1.0)
-        vals = vals[vals > 1e-15]
-        return float(-(vals * np.log2(vals)).sum())
 
 
 # --- application kernels ---------------------------------------------------

@@ -42,9 +42,7 @@ def unitary_with_first_column(psi: np.ndarray) -> np.ndarray:
     if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
         raise SimulationError("state-prep target is not normalized")
     q, _ = np.linalg.qr(np.column_stack([psi, np.eye(d, dtype=complex)]))
-    phase = np.vdot(q[:, 0], psi)
-    q[:, 0] *= phase / abs(phase)
-    # kill the residual O(eps) mismatch so V|0> reproduces psi to ~1e-16
+    # QR gives psi's direction up to a phase and O(eps); V|0> must be psi exactly
     q[:, 0] = psi
     return q
 
@@ -59,7 +57,6 @@ class StatePrepOracle:
     """
 
     circuit: Circuit
-    registers: tuple[str, ...]
     states: np.ndarray  # V: (2**n,), W: (M, 2**n)
 
 
@@ -67,7 +64,7 @@ def make_V(psi: np.ndarray, layout: RegisterLayout, register: str = "test") -> S
     qubits = layout.qubits(register)
     mat = unitary_with_first_column(psi)
     gate = register_unitary(qubits, mat, "V", prep_counts=(("V", 1),))
-    return StatePrepOracle(Circuit([gate]), (register,), np.asarray(psi, dtype=complex))
+    return StatePrepOracle(Circuit([gate]), np.asarray(psi, dtype=complex))
 
 
 def make_W(phis: np.ndarray, layout: RegisterLayout, index: str = "index",
@@ -81,42 +78,18 @@ def make_W(phis: np.ndarray, layout: RegisterLayout, index: str = "index",
         raise SimulationError("train state dimension does not match train register")
     blocks = np.zeros((M * dim, M * dim), dtype=complex)
     for j in range(M):
-        # index register sits on the low bits: local value = j + t*M
-        blocks += np.kron(unitary_with_first_column(phis[j]), _basis_projector(M, j))
+        # index register sits on the low bits: block j holds local values j + t*M
+        blocks[j::M, j::M] = unitary_with_first_column(phis[j])
     qubits = layout.qubits(index) + layout.qubits(train)
     gate = register_unitary(qubits, blocks, "W", prep_counts=(("W", 1),))
-    return StatePrepOracle(Circuit([gate]), (index, train), phis)
-
-
-def _basis_projector(dim: int, j: int) -> np.ndarray:
-    p = np.zeros((dim, dim), dtype=complex)
-    p[j, j] = 1.0
-    return p
-
-
-def validate_W(W: StatePrepOracle, layout: RegisterLayout, atol: float = 1e-10) -> None:
-    """Exhaustively check W|j>|0> = |j>|phi_j> and identity on the index register."""
-    index, train = W.registers
-    m, n = layout.size(index), layout.size(train)
-    if m > 3 or n > 3:
-        raise SimulationError("exhaustive W validation limited to M <= 8, n <= 3")
-    wmat = circuit_to_matrix(W.circuit, layout.qubits(index) + layout.qubits(train))
-    M, dim = 2 ** m, 2 ** n
-    for j in range(M):
-        col = wmat[:, j]  # input |j>|0>
-        expected = np.zeros(M * dim, dtype=complex)
-        for t in range(dim):
-            expected[j + t * M] = W.states[j][t]
-        if np.linalg.norm(col - expected) > atol:
-            raise SimulationError(f"W action wrong on index {j}")
+    return StatePrepOracle(Circuit([gate]), phis)
 
 
 # --- interference tests ------------------------------------------------------
 
 
-def swap_test_circuit(layout: RegisterLayout, train: str = "train", test: str = "test",
-                      b: str = "B") -> Circuit:
-    tr, ts, (bq,) = layout.qubits(train), layout.qubits(test), layout.qubits(b)
+def swap_test_circuit(layout: RegisterLayout) -> Circuit:
+    tr, ts, (bq,) = layout.qubits("train"), layout.qubits("test"), layout.qubits("B")
     if len(tr) != len(ts):
         raise SimulationError("train/test register size mismatch")
     circ = Circuit([hadamard(bq)])
@@ -126,34 +99,32 @@ def swap_test_circuit(layout: RegisterLayout, train: str = "train", test: str = 
     return circ
 
 
-def swap_test_apply(state: StateVector, layout: RegisterLayout, train: str = "train",
-                    test: str = "test", b: str = "B") -> StateVector:
+def swap_test_apply(state: StateVector, layout: RegisterLayout) -> StateVector:
     """Apply the swap-test network (sans measurement) with B as control."""
-    if not state.register_is_zero(b):
+    if not state.register_is_zero("B"):
         raise SimulationError("swap test control register B is not fresh")
-    return state.apply_circuit(swap_test_circuit(layout, train, test, b))
+    return state.apply_circuit(swap_test_circuit(layout))
 
 
-def build_U(V: StatePrepOracle, layout: RegisterLayout, train: str = "train",
-            test: str = "test", b: str = "B") -> Circuit:
+def build_U(V: StatePrepOracle, layout: RegisterLayout) -> Circuit:
     """Test-state preparation followed by the swap-test network."""
     circ = Circuit()
     circ.extend(V.circuit)
-    circ.extend(swap_test_circuit(layout, train, test, b))
+    circ.extend(swap_test_circuit(layout))
     return circ
 
 
-def hadamard_test_circuit(V: StatePrepOracle, W: StatePrepOracle, layout: RegisterLayout,
-                          data: str = "data", b: str = "B") -> Circuit:
+def hadamard_test_circuit(V: StatePrepOracle, W: StatePrepOracle,
+                          layout: RegisterLayout) -> Circuit:
     """Prepare the test state, then interfere it with the indexed train state.
 
     Combined unitary of the preparation and Hadamard-test steps: on input
     |j>|0^n>|0>_B the output is (1/2)[(|v>+|u_j>)|0>_B + (|v>-|u_j>)|1>_B].
     """
-    (bq,) = layout.qubits(b)
+    (bq,) = layout.qubits("B")
     v_gate = V.circuit.gates[0]
     w_gate = W.circuit.gates[0]
-    if v_gate.targets != layout.qubits(data):
+    if v_gate.targets != layout.qubits("data"):
         raise SimulationError("test-state oracle does not act on the data register")
     circ = Circuit()
     circ.extend(V.circuit)
@@ -167,12 +138,12 @@ def hadamard_test_circuit(V: StatePrepOracle, W: StatePrepOracle, layout: Regist
 
 
 def hadamard_test_apply(state: StateVector, layout: RegisterLayout, V: StatePrepOracle,
-                        W: StatePrepOracle, data: str = "data", b: str = "B") -> StateVector:
-    if not state.register_is_zero(b):
+                        W: StatePrepOracle) -> StateVector:
+    if not state.register_is_zero("B"):
         raise SimulationError("Hadamard test control register B is not fresh")
-    if not state.register_is_zero(data):
+    if not state.register_is_zero("data"):
         raise SimulationError("Hadamard test data register is not fresh")
-    return state.apply_circuit(hadamard_test_circuit(V, W, layout, data, b))
+    return state.apply_circuit(hadamard_test_circuit(V, W, layout))
 
 
 # --- reflection operators ----------------------------------------------------
@@ -219,19 +190,19 @@ def reflection_operator(kind: str, prep: Circuit, layout: RegisterLayout,
 
 
 def build_G(V: StatePrepOracle, W: StatePrepOracle, layout: RegisterLayout,
-            index: str = "index", train: str = "train", test: str = "test",
-            b: str = "B") -> ReflectionOperator:
-    """G = U W S0 W^dag U^dag Z_B on (index, train, test, B)."""
-    prep = Circuit(W.circuit.gates + build_U(V, layout, train, test, b).gates)
-    return reflection_operator("fidelity", prep, layout, (train, test, b),
-                               (index, train, test, b))
+            index: str = "index") -> ReflectionOperator:
+    """G = U W S0 W^dag U^dag Z_B on (index, train, test, B); ``index`` names
+    the register W reads (the primed copy in the oracle's second F)."""
+    prep = Circuit(W.circuit.gates + build_U(V, layout).gates)
+    return reflection_operator("fidelity", prep, layout, ("train", "test", "B"),
+                               (index, "train", "test", "B"))
 
 
-def build_H_dot(V: StatePrepOracle, W: StatePrepOracle, layout: RegisterLayout,
-                index: str = "index", data: str = "data", b: str = "B") -> ReflectionOperator:
+def build_H_dot(V: StatePrepOracle, W: StatePrepOracle,
+                layout: RegisterLayout) -> ReflectionOperator:
     """H = V_c S0 V_c^dag Z_B with V_c the prepare-and-interfere unitary."""
-    return reflection_operator("dot", hadamard_test_circuit(V, W, layout, data, b), layout,
-                               (data, b), (index, data, b))
+    return reflection_operator("dot", hadamard_test_circuit(V, W, layout), layout,
+                               ("data", "B"), ("index", "data", "B"))
 
 
 # --- quantum phase estimation ------------------------------------------------
@@ -264,13 +235,6 @@ def qpe_circuit(op: Gate, phase_qubits: tuple[int, ...]) -> Circuit:
     return circ
 
 
-def qpe_apply(state: StateVector, layout: RegisterLayout, op: Gate,
-              phase: str = "phase") -> StateVector:
-    if not state.register_is_zero(phase):
-        raise SimulationError("phase register is not fresh")
-    return state.apply_circuit(qpe_circuit(op, layout.qubits(phase)))
-
-
 # --- eigenstructure ----------------------------------------------------------
 
 
@@ -301,13 +265,11 @@ def eigen_law_error(block: np.ndarray, s: float, branch0: np.ndarray,
     return max(float(np.linalg.norm(block @ v - np.exp(sign * phase) * v)) for v, sign in cases)
 
 
-def g_block_matrix(psi: np.ndarray, phi: np.ndarray, layout: RegisterLayout,
-                   train: str = "train", test: str = "test", b: str = "B") -> np.ndarray:
+def g_block_matrix(psi: np.ndarray, phi: np.ndarray, layout: RegisterLayout) -> np.ndarray:
     """Dense G_j = U S_j U^dag Z_B on the (train, test, B) qubits."""
-    n = layout.size(train)
-    V = make_V(psi, layout, register=test)
-    u_mat = circuit_to_matrix(build_U(V, layout, train, test, b),
-                              layout.qubits_of([train, test, b]))
+    n = layout.size("train")
+    V = make_V(psi, layout, register="test")
+    u_mat = circuit_to_matrix(build_U(V, layout), layout.qubits_of(["train", "test", "B"]))
     dim = 2 ** (2 * n + 1)
     w = np.zeros(dim, dtype=complex)
     w[: 2 ** n] = phi                       # |phi>_tr |0>_tst |0>_B

@@ -188,6 +188,7 @@ def test_classify_rejects_non_finite_amplitudes(tmp_path, capsys):
     {"amplitudes": [[1.0, 0.0], [0.0, 0.0]]},     # 2 amplitudes among 4
     {"amplitudes": [1.0, 0.0, 0.0, 0.0]},         # not [re, im] pairs
     {"amplitudes": None},
+    {"amplitudes": [[3.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]},  # norm 3
 ])
 def test_classify_rejects_inconsistent_corpus_record(tmp_path, capsys, hostile):
     corpus = _make_corpus(tmp_path, per_class=5)
@@ -196,6 +197,20 @@ def test_classify_rejects_inconsistent_corpus_record(tmp_path, capsys, hostile):
     corpus.write_text("".join(json.dumps(r) + "\n" for r in records))
     assert run_cli(["classify", "--corpus", str(corpus), "--k", "1"]) == 1
     assert f"{corpus}:4: " in capsys.readouterr().err
+
+
+def test_classify_rejects_wrong_amplitude_count_for_scheme(tmp_path, capsys):
+    """A 2-qubit scheme whose records all hold 3 normalized amplitudes."""
+    corpus = _make_corpus(tmp_path, scheme="2q-sep-vs-ent", per_class=5)
+    records = [json.loads(line) for line in corpus.read_text().splitlines()]
+    for rec in records:
+        amps = np.array([complex(re, im) for re, im in rec["amplitudes"][:3]])
+        amps /= np.linalg.norm(amps)
+        rec["amplitudes"] = [[a.real, a.imag] for a in amps]
+    corpus.write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert run_cli(["classify", "--corpus", str(corpus), "--k", "1"]) == 1
+    err = capsys.readouterr().err
+    assert f"{corpus}:1: 3 amplitudes" in err
 
 
 def test_config_file_unknown_key_exits_1(tmp_path, capsys):

@@ -1,13 +1,18 @@
 """Corpus generation, entanglement labeling, and instance sampling."""
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from qknn_sim.datasets import (
     CLASSES,
+    QUBITS,
     SCHEMES,
+    LabeledStateCorpus,
     SimulationError,
     entanglement_entropy_bits,
     gen_class,
@@ -156,4 +161,108 @@ def test_read_corpus_empty_file_raises(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("")
     with pytest.raises(SimulationError):
+        read_corpus(str(path))
+
+
+@st.composite
+def corpora(draw):
+    """Any small corpus write_corpus can hold: unit-norm states of the scheme's
+    size from arbitrary float parts (signed zeros and subnormals included),
+    labels of the scheme, and arbitrary seed-path text."""
+    scheme = draw(st.sampled_from(SCHEMES))
+    count = draw(st.integers(1, 5))
+    dim = 2 ** QUBITS[scheme]
+    parts = st.lists(st.floats(-1, 1), min_size=2 * dim, max_size=2 * dim)
+    states = []
+    for _ in range(count):
+        v = np.array(draw(parts))
+        z = v[:dim] + 1j * v[dim:]
+        assume(np.linalg.norm(z) > 1e-3)
+        states.append(z / np.linalg.norm(z))
+    labels = draw(st.lists(st.sampled_from(CLASSES[scheme]), min_size=count, max_size=count))
+    paths = draw(st.lists(st.text(), min_size=count, max_size=count))
+    return LabeledStateCorpus(scheme, np.array(states), labels, paths)
+
+
+@given(corpus=corpora())
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_corpus_round_trip_is_bit_exact(tmp_path, corpus):
+    path = tmp_path / "corpus.jsonl"
+    write_corpus(corpus, str(path))
+    loaded = read_corpus(str(path))
+    assert loaded.scheme == corpus.scheme
+    assert loaded.states.dtype == corpus.states.dtype
+    assert loaded.states.tobytes() == corpus.states.tobytes()
+    assert loaded.labels == corpus.labels
+    assert loaded.seed_paths == corpus.seed_paths
+
+
+_JUNK = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4),
+                  st.lists(st.integers(), max_size=3),
+                  st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+
+
+@st.composite
+def hostile_lines(draw, rec):
+    """One JSON line that read_corpus must refuse in a 2-qubit corpus of the
+    scheme of ``rec``, made by breaking the valid record ``rec``."""
+    rec = json.loads(json.dumps(rec))
+    amps = rec["amplitudes"]
+    kind = draw(st.sampled_from(["field type", "seed_path type", "missing key", "non-finite",
+                                 "boolean part", "ragged", "length", "norm", "label",
+                                 "scheme", "not a record", "not json"]))
+    if kind == "field type":
+        rec[draw(st.sampled_from(["amplitudes", "label", "scheme"]))] = draw(_JUNK)
+    elif kind == "seed_path type":
+        rec["seed_path"] = draw(_JUNK.filter(lambda v: not isinstance(v, str)))
+    elif kind == "missing key":
+        del rec[draw(st.sampled_from(["amplitudes", "label", "scheme"]))]
+    elif kind == "non-finite":
+        i, part = draw(st.integers(0, len(amps) - 1)), draw(st.integers(0, 1))
+        amps[i][part] = draw(st.sampled_from([math.nan, math.inf, -math.inf, 10 ** 400]))
+    elif kind == "boolean part":
+        i, part = draw(st.integers(0, len(amps) - 1)), draw(st.integers(0, 1))
+        amps[i][part] = draw(st.booleans())
+    elif kind == "ragged":
+        i = draw(st.integers(0, len(amps) - 1))
+        amps[i] = draw(st.sampled_from([amps[i][:1], amps[i] + [0.0], []]))
+    elif kind == "length":
+        size = draw(st.sampled_from([0, 1, 2, 3, 5, 8]))
+        v = np.array([complex(re, im) for re, im in amps] * 2)[:size]
+        if size and np.linalg.norm(v) > 0:
+            v /= np.linalg.norm(v)
+        rec["amplitudes"] = [[a.real, a.imag] for a in v]
+    elif kind == "norm":
+        scale = draw(st.floats(0, 0.999) | st.floats(1.001, 1e6))
+        rec["amplitudes"] = [[scale * re, scale * im] for re, im in amps]
+    elif kind == "label":
+        rec["label"] = draw(st.sampled_from([c for s in SCHEMES for c in CLASSES[s]
+                                             if c not in CLASSES[rec["scheme"]]]))
+    elif kind == "scheme":
+        rec["scheme"] = draw(st.sampled_from([s for s in SCHEMES if s != rec["scheme"]]))
+    elif kind == "not a record":
+        return json.dumps(draw(_JUNK.filter(lambda v: not isinstance(v, dict))))
+    else:
+        return draw(st.text(alphabet='{}[]":,0123 ', min_size=1).filter(str.strip)
+                    | st.just("[" * 100_000))
+    return json.dumps(rec)
+
+
+_BASE = gen_corpus("2q-sep-vs-maxent", 3, seed=4)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_read_corpus_names_the_line_of_a_hostile_record(tmp_path, data):
+    """Every broken record raises SimulationError naming its line, never
+    another exception; the first record is kept intact so it sets the scheme."""
+    path = tmp_path / "corpus.jsonl"
+    write_corpus(_BASE, str(path))
+    lines = path.read_text().splitlines()
+    pos = data.draw(st.integers(1, len(lines) - 1))
+    lines[pos] = data.draw(hostile_lines(json.loads(lines[pos])))
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SimulationError, match=f":{pos + 1}: "):
         read_corpus(str(path))

@@ -174,13 +174,23 @@ def test_apply_F_superposed_branches_match_single_runs():
     assert abs(fid_distribution(out, 1)[0] - 1.0) < 1e-9
 
 
+def _reduced_density_matrix(state, registers):
+    """rho over ``registers`` (given in layout order) with the rest traced out."""
+    qubits = state.layout.qubits_of(registers)
+    n, k = state.num_qubits, len(qubits)
+    moved = np.moveaxis(state.amplitudes.reshape((2,) * n), [n - 1 - q for q in qubits],
+                        [k - 1 - i for i in range(k)])
+    mat = moved.reshape(2 ** k, -1)
+    return mat @ mat.conj().T
+
+
 def test_apply_F_uncompute_cleanliness():
     """Ancilla registers return to |0..0> within trace distance 1e-6 (dyadic)."""
     b = 2
     layout, V, W = _dyadic_instance(b)
     out = _apply_F(StateVector.zero_state(layout).apply(hadamard(0)), layout, V, W,
                    PrecisionConfig(b))
-    rho = out.partial_trace(["train", "test", "B", "phase"]).matrix
+    rho = _reduced_density_matrix(out, ["train", "test", "B", "phase"])
     target = np.zeros_like(rho)
     target[0, 0] = 1.0
     eigs = np.linalg.eigvalsh(rho - target)
@@ -242,7 +252,7 @@ def test_apply_X_dot_known_values(u, expected_over_8):
     layout = _dot_layout(1, 1, b)
     V = make_V(v.astype(complex), layout, register="data")
     W = make_W(np.stack([u, u]).astype(complex), layout, index="index", train="data")
-    H = build_H_dot(V, W, layout, "index", "data")
+    H = build_H_dot(V, W, layout)
     out = apply_qadc(StateVector.zero_state(layout), H, layout, PrecisionConfig(b))
     dist = fid_distribution(out, 0)
     assert abs(dist[expected_over_8] - 1.0) < 1e-9

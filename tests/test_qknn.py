@@ -11,7 +11,6 @@ from qknn_sim.qknn import (
     FidelityTable,
     SimulationError,
     TrainSet,
-    bures_distance,
     classical_knn,
     discriminate,
     majority_vote,
@@ -197,18 +196,6 @@ def test_discriminate_promise_violation():
     stranger = haar_random_state(2, np.random.default_rng(77))
     with pytest.raises(SimulationError):
         discriminate(stranger, train, SearchConfig(seed=1))
-
-
-def test_bures_distance_is_monotone_in_fidelity():
-    """Top-k by fidelity equals bottom-k by Bures distance, exactly."""
-    rng = np.random.default_rng(12)
-    train = random_train(12, 2, rng)
-    test = haar_random_state(2, rng)
-    table = FidelityTable.from_states(test, train, "fidelity")
-    by_f = top_k_indices(table.exact, 4)
-    dist = np.array([bures_distance(f) for f in table.exact])
-    by_b = sorted(range(12), key=lambda i: (dist[i], i))[:4]
-    assert by_f == by_b
 
 
 def test_trainset_validation():

@@ -1,4 +1,6 @@
-"""Engine-level checks: gates, measurement, reduced states, persistence."""
+"""Engine-level checks: gates, measurement, dense unitaries, persistence."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,8 +8,8 @@ from hypothesis import strategies as st
 
 from qknn_sim.oracle import classical_action
 from qknn_sim.statevec import (
+    MAX_DENSE_QUBITS,
     Circuit,
-    DensityMatrix,
     RegisterLayout,
     SimulationError,
     StateVector,
@@ -126,44 +128,6 @@ def test_zero_probability_collapse_raises():
         StateVector.zero_state(layout).collapse("q", 1)
 
 
-def test_inner_products():
-    zero = StateVector.zero_state(1)
-    one = zero.apply(pauli_x(0))
-    plus = zero.apply(hadamard(0))
-    assert abs(zero.inner_product(zero) - 1) < 1e-12
-    assert abs(zero.inner_product(one)) < 1e-12
-    assert abs(zero.inner_product(plus) - INV_SQRT2) < 1e-12
-
-
-def test_inner_product_dimension_mismatch():
-    with pytest.raises(SimulationError):
-        StateVector.zero_state(1).inner_product(StateVector.zero_state(2))
-
-
-def test_partial_trace_bell_is_maximally_mixed():
-    layout = RegisterLayout.from_sizes([("a", 1), ("b", 1)])
-    bell = StateVector.zero_state(layout).apply(hadamard(0)).apply(cnot(0, 1))
-    rho = bell.partial_trace("a")
-    np.testing.assert_allclose(rho.matrix, np.eye(2) / 2, atol=1e-12)
-    assert abs(rho.entropy_bits() - 1.0) < 1e-9
-
-
-def test_partial_trace_product_state():
-    layout = RegisterLayout.from_sizes([("a", 1), ("b", 1)])
-    state = StateVector.zero_state(layout).apply(hadamard(1))  # |0> (x) |+>
-    rho = state.partial_trace("b")
-    np.testing.assert_allclose(rho.matrix, np.full((2, 2), 0.5), atol=1e-12)
-    assert abs(rho.purity() - 1.0) < 1e-10
-
-
-def test_partial_trace_basis_state():
-    layout = RegisterLayout.from_sizes([("a", 2), ("c", 1)])
-    rho = StateVector.zero_state(layout).partial_trace("a")
-    expected = np.zeros((4, 4))
-    expected[0, 0] = 1
-    np.testing.assert_allclose(rho.matrix, expected, atol=1e-14)
-
-
 def _random_circuit(n, gates, rng):
     circ = Circuit()
     for _ in range(gates):
@@ -231,6 +195,20 @@ def test_permutation_gate_matches_matrix_gate():
     np.testing.assert_allclose(via_perm.amplitudes, via_gate.amplitudes, atol=1e-14)
 
 
+def test_dense_unitary_cap_refuses_before_allocating():
+    """10 qubits build; 11 (a 64 MiB column block) are refused with no large allocation."""
+    assert MAX_DENSE_QUBITS == 10
+    assert circuit_to_matrix(Circuit([pauli_x(9)]), tuple(range(10))).shape == (1024, 1024)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SimulationError, match="at most 10 qubits"):
+            circuit_to_matrix(Circuit([pauli_x(10)]), tuple(range(11)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
 def test_circuit_to_matrix_matches_application():
     rng = np.random.default_rng(8)
     circ = _random_circuit(4, 10, rng)
@@ -285,13 +263,6 @@ def test_circuit_to_matrix_equals_per_column_reference(seed):
         assert np.array_equal(got, want)
     else:
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-
-
-def test_density_matrix_validation():
-    with pytest.raises(SimulationError):
-        DensityMatrix(2, np.array([[0.5, 0], [0, 0.6]], dtype=complex))
-    with pytest.raises(SimulationError):
-        DensityMatrix(2, np.array([[0.5, 0.3], [0.1, 0.5]], dtype=complex))
 
 
 def test_json_round_trip():

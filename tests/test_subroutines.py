@@ -15,10 +15,9 @@ from qknn_sim.subroutines import (
     hadamard_test_apply,
     make_V,
     make_W,
-    qpe_apply,
+    qpe_circuit,
     swap_test_apply,
     unitary_with_first_column,
-    validate_W,
     zero_reflection,
 )
 from qknn_sim.statevec import circuit_to_matrix
@@ -116,9 +115,14 @@ def test_hadamard_test_law_random_real_pairs():
 
 
 def test_validate_W_exhaustive():
+    """W|j>|0> = |j>|phi_j> on every index j, to 1e-10."""
     layout = RegisterLayout.from_sizes([("index", 3), ("train", 2)])
     states = np.stack([haar(2) for _ in range(8)])
-    validate_W(make_W(states, layout), layout)
+    w_mat = circuit_to_matrix(make_W(states, layout).circuit, layout.qubits_of(["index", "train"]))
+    for j in range(8):
+        expected = np.zeros(32, dtype=complex)
+        expected[j::8] = states[j]  # index on the low bits: local value j + t*M
+        assert np.linalg.norm(w_mat[:, j] - expected) <= 1e-10
 
 
 def test_W_acts_as_identity_on_index():
@@ -195,7 +199,8 @@ def test_H_acts_block_diagonally():
 def test_qpe_z_eigenstate_is_exact():
     layout = RegisterLayout.from_sizes([("sys", 1), ("phase", 3)])
     from qknn_sim.statevec import pauli_z
-    out = qpe_apply(StateVector.zero_state(layout), layout, pauli_z(0), phase="phase")
+    out = StateVector.zero_state(layout).apply_circuit(
+        qpe_circuit(pauli_z(0), layout.qubits("phase")))
     assert abs(out.measure_probs("phase")[0] - 1.0) < 1e-10
 
 
@@ -213,7 +218,8 @@ def test_qpe_on_G_dyadic_phases():
         if j:
             state = state.apply(pauli_x(0))
         state = state.apply_circuit(W.circuit).apply_circuit(build_U(V, layout))
-        probs = qpe_apply(state, layout, G.gate, phase="phase").measure_probs("phase")
+        probs = state.apply_circuit(qpe_circuit(G.gate, layout.qubits("phase"))).measure_probs(
+            "phase")
         for t, p in outcomes.items():
             assert abs(probs[t] - p) < 1e-9
         assert abs(probs.sum() - 1) < 1e-12
@@ -238,7 +244,8 @@ def test_qpe_non_dyadic_peaks_near_theta():
         state_vec = np.zeros(2 ** layout.num_qubits, dtype=complex)
         state_vec[: 8] = amp
         state = StateVector(layout.num_qubits, state_vec, layout)
-        probs = qpe_apply(state, layout, gate, phase="phase").measure_probs("phase")
+        probs = state.apply_circuit(qpe_circuit(gate, layout.qubits("phase"))).measure_probs(
+            "phase")
         t_star = int(np.argmax(probs))
         near = min(abs(t_star / 2 ** b - theta), abs(t_star / 2 ** b - (1 - theta)))
         assert near <= 2 ** (-b) + 1e-12
