@@ -204,8 +204,10 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--M", help="table size, or comma-separated sweep")
         p.add_argument("--n", type=int, help="qubits per state")
         p.add_argument("--k", type=int, help="number of neighbors")
-        p.add_argument("--b", type=int, help="similarity register bits")
-        p.add_argument("--mode", choices=("classical", "oracle-abstract", "circuit-exact"))
+        p.add_argument("--b", type=int, help="similarity register bits, in [2, 30]")
+        p.add_argument("--mode", choices=("classical", "oracle-abstract", "circuit-exact"),
+                       help="circuit-exact is limited to M <= 4, n <= 1, b <= 3, which no "
+                            "corpus scheme meets (all have n >= 2): API use only for now")
         p.add_argument("--seed", type=int)
         p.add_argument("--trials", type=int)
         p.add_argument("--budget-rounds", dest="budget_rounds", type=int)

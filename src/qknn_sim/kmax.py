@@ -109,12 +109,15 @@ class TableBackend:
 
     ``values`` is the quantized (or raw, for pure scaling studies) table;
     ``prep_calls`` is the V+W call count of one oracle application, zero
-    when the table has no associated circuit width.
+    when the table has no associated circuit width. The table must not change
+    after construction: ``is_top_k`` sorts it once, so each call costs
+    O(k log k) rather than O(M log M).
     """
 
     def __init__(self, values: np.ndarray, b: int | None = None):
         self.values = np.asarray(values)
         self.prep_calls = sum(prep_calls_per_oracle(b).values()) if b is not None else 0
+        self._descending = None  # the table sorted once, on the first is_top_k
 
     def value(self, i: int) -> float:
         return self.values[i]
@@ -123,10 +126,11 @@ class TableBackend:
         return TableOracleHandle(self.values, y, A)
 
     def is_top_k(self, A: set) -> bool:
-        k = len(A)
-        best = np.sort(self.values)[::-1][:k]
-        mine = np.sort(self.values[sorted(A)])[::-1]
-        return bool(np.array_equal(best, mine))
+        """Whether A's values are the table's len(A) largest, as a multiset."""
+        if self._descending is None:
+            self._descending = np.sort(self.values)[::-1]
+        mine = np.sort(self.values[list(A)])[::-1]
+        return bool(np.array_equal(self._descending[:len(A)], mine))
 
     @property
     def M(self) -> int:

@@ -278,6 +278,7 @@ class TableOracleHandle(OracleHandle):
         marked[list(A)] = False
         self._marked_idx = np.flatnonzero(marked)
         self._unmarked_idx = np.flatnonzero(~marked)
+        self._theta = math.asin(math.sqrt(self.solution_count / self.M))
 
     def f(self, j: int) -> bool:
         return bool(self.values[j] > self.values[self.y] and j not in self.A)
@@ -288,13 +289,13 @@ class TableOracleHandle(OracleHandle):
 
     def run_round(self, r: int, rng: np.random.Generator) -> int:
         """Success probability after r Grover iterations is sin^2((2r+1)theta)
-        with sin^2(theta) = t/M; measurement is uniform within each class."""
+        with sin^2(theta) = t/M; measurement is uniform within each class.
+        The uniform draw is an ``integers`` index into the class, the same
+        value and stream position as ``rng.choice`` on it."""
         self.query_count += r
-        t = self.solution_count
-        theta = math.asin(math.sqrt(t / self.M))
-        if rng.random() < math.sin((2 * r + 1) * theta) ** 2:
-            return int(rng.choice(self._marked_idx))
-        return int(rng.choice(self._unmarked_idx))
+        hit = rng.random() < math.sin((2 * r + 1) * self._theta) ** 2
+        pool = self._marked_idx if hit else self._unmarked_idx
+        return int(pool[rng.integers(0, len(pool))])
 
     def evaluate(self, j: int) -> bool:
         self.query_count += 1

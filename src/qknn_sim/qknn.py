@@ -73,6 +73,8 @@ class FidelityTable:
     @classmethod
     def from_states(cls, test_state: np.ndarray, train: TrainSet,
                     measure: str = "fidelity", b: int | None = None) -> "FidelityTable":
+        if b is not None:
+            PrecisionConfig(b)  # refuses b outside [2, 30], as the quantum path does
         test_state = np.asarray(test_state, dtype=complex)
         overlaps = train.states.conj() @ test_state
         if measure == "fidelity":
@@ -103,8 +105,7 @@ class Classification:
 
 def top_k_indices(values: np.ndarray, k: int) -> list[int]:
     """Top k by value, descending; ties resolved toward the lowest index."""
-    order = sorted(range(len(values)), key=lambda i: (-values[i], i))
-    return order[:k]
+    return np.lexsort((np.arange(len(values)), -values))[:k].tolist()
 
 
 def majority_vote(neighbor_labels: list):

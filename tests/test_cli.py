@@ -213,6 +213,26 @@ def test_classify_rejects_wrong_amplitude_count_for_scheme(tmp_path, capsys):
     assert f"{corpus}:1: 3 amplitudes" in err
 
 
+@pytest.mark.parametrize("mode", ["classical", "oracle-abstract"])
+@pytest.mark.parametrize("b", ["0", "31"])
+def test_classify_rejects_precision_bits_out_of_range(tmp_path, capsys, mode, b):
+    """Both table paths refuse the same --b; at b = 0 every quantized value
+    would be 0 and the neighbors simply the lowest indices."""
+    corpus = _make_corpus(tmp_path, per_class=5)
+    assert run_cli(["classify", "--corpus", str(corpus), "--mode", mode,
+                    "--k", "1", "--b", b]) == 1
+    assert "precision bits must be in [2, 30]" in capsys.readouterr().err
+
+
+def test_classify_circuit_exact_is_out_of_reach_of_every_scheme(tmp_path, capsys):
+    """Every scheme has n >= 2 qubits while circuit-exact is capped at n <= 1:
+    even a 4-state train split (6 records, split 0.67) exits 1 naming the cap."""
+    corpus = _make_corpus(tmp_path, scheme="2q-sep-vs-ent", per_class=3)
+    assert run_cli(["classify", "--corpus", str(corpus), "--mode", "circuit-exact",
+                    "--k", "1", "--b", "2", "--split", "0.67"]) == 1
+    assert "M <= 4, n <= 1, b <= 3" in capsys.readouterr().err
+
+
 def test_config_file_unknown_key_exits_1(tmp_path, capsys):
     cfg = tmp_path / "typo.cfg"
     cfg.write_text("lamda = 1.3\n")

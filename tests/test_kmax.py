@@ -55,6 +55,26 @@ def test_single_target_mean_iterations_bound():
     assert np.mean(iters) <= 4.5 * math.sqrt(64)
 
 
+@given(st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0]), min_size=1, max_size=30),
+       st.data())
+@settings(max_examples=200)
+def test_is_top_k_matches_fresh_full_sort(values, data):
+    """Repeated calls on one backend, with A near the true top-k or anywhere,
+    give the verdict of a fresh full np.sort every time."""
+    table = np.array(values)
+    backend = TableBackend(table)
+    order = np.lexsort((np.arange(len(table)), -table))
+    for _ in range(6):
+        k = data.draw(st.integers(1, len(table)))
+        A = set(int(i) for i in order[:k])
+        if data.draw(st.booleans()):  # swap one member for any index outside A
+            A.discard(data.draw(st.sampled_from(sorted(A))))
+            A.add(data.draw(st.sampled_from(sorted(set(range(len(table))) - A))))
+        best = np.sort(table)[::-1][:k]
+        mine = np.sort(table[sorted(A)])[::-1]
+        assert backend.is_top_k(A) == bool(np.array_equal(best, mine))
+
+
 def test_k_maxima_small_table():
     res = k_maxima(TableBackend(np.array([0.1, 0.9, 0.5, 0.7])), 2,
                    cfg=SearchConfig(seed=5))

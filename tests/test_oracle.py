@@ -1,10 +1,13 @@
 """Comparator circuits, membership gates, and the assembled threshold oracle."""
 import dataclasses
 import functools
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qknn_sim import invariants
 from qknn_sim.kmax import CircuitBackend, SearchConfig, k_maxima
@@ -137,6 +140,29 @@ def test_table_oracle_query_count_monotone():
     assert h.query_count == 3
     h.evaluate(1)
     assert h.query_count == 4
+
+
+@given(st.lists(st.integers(0, 4), min_size=2, max_size=40), st.data(),
+       st.integers(0, 6), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=200)
+def test_table_run_round_draw_matches_generator_choice(values, data, r, seed):
+    """Twin generators: run_round's index draw gives what rng.choice on the
+    same class gave, and leaves the stream at the same place."""
+    table = np.array(values, dtype=np.int64)
+    M = len(table)
+    y = data.draw(st.integers(0, M - 1))
+    A = data.draw(st.sets(st.integers(0, M - 1), max_size=M - 1)) | {y}
+    handle = TableOracleHandle(table, y, frozenset(A))
+    mine, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = handle.run_round(r, mine)
+
+    marked = table > table[y]
+    marked[list(A)] = False
+    theta = math.asin(math.sqrt(marked.sum() / M))
+    hit = reference.random() < math.sin((2 * r + 1) * theta) ** 2
+    expected = int(reference.choice(np.flatnonzero(marked if hit else ~marked)))
+    assert got == expected
+    assert mine.random() == reference.random()
 
 
 def test_circuit_handle_runs_search_round():

@@ -68,6 +68,21 @@ def test_top_k_deterministic_tie_break():
     assert top_k_indices(values, 3) == [0, 2, 3]
 
 
+@given(st.lists(st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0]), min_size=1,
+                max_size=40),
+       st.integers(1, 40), st.booleans())
+@settings(max_examples=300)
+def test_top_k_indices_matches_python_key_sort(values, k, quantized):
+    """The lexsort path against the reference key sort (-v, i): heavy ties,
+    negative dot values, -0.0 tying with 0.0, float and int64 tables."""
+    table = np.array(values)
+    if quantized:
+        table = np.round(table * 4).astype(np.int64)
+    k = min(k, len(table))
+    reference = sorted(range(len(table)), key=lambda i: (-table[i], i))[:k]
+    assert top_k_indices(table, k) == reference
+
+
 def test_classical_knn_validation():
     train = random_train(4, 1)
     with pytest.raises(SimulationError):
