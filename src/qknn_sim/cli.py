@@ -1,9 +1,9 @@
 """Command-line entry point and experiment orchestration.
 
-Subcommands: gen-data, classify, verify, bench, discriminate.
-Config precedence is flags > config file > defaults; the config file is
-plain ``key = value`` lines (same keys as the long flags, hyphens or
-underscores), with ``#`` comments. All outputs are machine readable: JSON
+Subcommands: gen-data, classify, verify, bench, discriminate; each offers
+only the settings it reads. Precedence is flags > config file > defaults;
+the config file is ``key = value`` lines (any ``RunConfig`` field, hyphens
+or underscores), with ``#`` comments. All outputs are machine readable: JSON
 lines for corpora and reports, CSV with a ``# qknn-sim v1`` header comment
 for result tables. Exit codes: 0 ok, 1 validation error, 2 runtime error,
 3 verification failure.
@@ -24,7 +24,7 @@ CSV_HEADER = "# qknn-sim v1"
 
 @dataclass
 class RunConfig:
-    """Every setting a subcommand reads; the field names are the config-file keys."""
+    """Every setting; field names are the config-file keys, annotations the types."""
 
     subcommand: str
     scheme: str = "2q-sep-vs-ent"
@@ -49,6 +49,8 @@ class RunConfig:
         sizes = self.m_values()
         if not sizes or min(sizes) < 1:
             raise SimulationError(f"--M needs table sizes >= 1, got {self.M!r}")
+        if not 0 < self.split < 1:  # NaN fails too
+            raise SimulationError("--split must be in (0, 1)")
 
     def m_values(self) -> list[int]:
         try:
@@ -75,20 +77,24 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
+_TYPES = {f.name: {"int": int, "float": float}.get(f.type, str)
+          for f in fields(RunConfig) if f.name != "subcommand"}
+_FLAGS = {key: "--" + key.replace("_", "-") for key in _TYPES} | {"lam": "--lambda"}
+
+
 def build_run_config(args: argparse.Namespace) -> RunConfig:
-    types = {f.name: f.type for f in fields(RunConfig) if f.name != "subcommand"}
-    keys = list(types)
+    """Flags over config file over defaults, for the subcommand's own settings."""
     file_values = parse_config_file(args.config) if args.config else {}
-    unknown = sorted(set(file_values) - set(keys))
+    unknown = sorted(set(file_values) - set(_TYPES))
     if unknown:
         raise SimulationError(f"{args.config}: unknown config key(s) {', '.join(unknown)}; "
-                              f"valid keys: {', '.join(keys)}")
+                              f"valid keys: {', '.join(_TYPES)}")
     merged = {}
-    for key in keys:
-        if getattr(args, key, None) is not None:
+    for key in _COMMANDS[args.subcommand][1]:
+        if getattr(args, key) is not None:
             merged[key] = getattr(args, key)
         elif key in file_values:
-            merged[key] = {"int": int, "float": float}.get(types[key], str)(file_values[key])
+            merged[key] = _TYPES[key](file_values[key])
     return RunConfig(args.subcommand, **merged)
 
 
@@ -188,6 +194,28 @@ def cmd_verify(cfg: RunConfig) -> int:
 # --- entry point ---------------------------------------------------------------------
 
 
+# subcommand -> (handler, the settings it reads); make_parser offers exactly these
+_COMMANDS = {
+    "gen-data": (cmd_gen_data, "scheme per_class seed out".split()),
+    "classify": (cmd_classify, "corpus mode k b split seed budget_rounds lam out".split()),
+    "verify": (cmd_verify, "seed out".split()),
+    "bench": (cmd_bench, "M k trials seed budget_rounds lam out".split()),
+    "discriminate": (cmd_discriminate, "M n trials seed budget_rounds lam out".split()),
+}
+
+# argparse options beyond the flag name and type
+_FLAG_OPTIONS = {
+    "scheme": {"choices": datasets.SCHEMES},
+    "M": {"help": "table size, or comma-separated sweep"},
+    "n": {"help": "qubits per state"}, "k": {"help": "number of neighbors"},
+    "b": {"help": "similarity register bits, in [2, 30]"},
+    "mode": {"choices": ("classical", "oracle-abstract", "circuit-exact"),
+             "help": "circuit-exact is limited to M <= 4, n <= 1, b <= 3, which no "
+                     "corpus scheme meets (all have n >= 2): API use only for now"},
+    "corpus": {"help": "corpus JSONL path"},
+}
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         """A usage error is bad input: exit 1 (argparse would exit 2)."""
@@ -198,42 +226,19 @@ class _Parser(argparse.ArgumentParser):
 def make_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qknn-sim", description="fidelity-based quantum kNN simulator")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in ("gen-data", "classify", "verify", "bench", "discriminate"):
-        p = sub.add_parser(name)
-        p.add_argument("--scheme", choices=datasets.SCHEMES)
-        p.add_argument("--M", help="table size, or comma-separated sweep")
-        p.add_argument("--n", type=int, help="qubits per state")
-        p.add_argument("--k", type=int, help="number of neighbors")
-        p.add_argument("--b", type=int, help="similarity register bits, in [2, 30]")
-        p.add_argument("--mode", choices=("classical", "oracle-abstract", "circuit-exact"),
-                       help="circuit-exact is limited to M <= 4, n <= 1, b <= 3, which no "
-                            "corpus scheme meets (all have n >= 2): API use only for now")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--trials", type=int)
-        p.add_argument("--budget-rounds", dest="budget_rounds", type=int)
-        p.add_argument("--lambda", dest="lam", type=float)
-        p.add_argument("--out")
+    for name, (_, settings) in _COMMANDS.items():
+        p = sub.add_parser(name, allow_abbrev=False)  # else bench --b would be --budget-rounds
+        for key in settings:
+            p.add_argument(_FLAGS[key], dest=key, type=_TYPES[key], **_FLAG_OPTIONS.get(key, {}))
         p.add_argument("--config", help="key = value config file")
-        p.add_argument("--corpus", help="corpus JSONL path (classify)")
-        p.add_argument("--per-class", dest="per_class", type=int)
-        p.add_argument("--split", type=float)
     return parser
-
-
-_COMMANDS = {
-    "gen-data": cmd_gen_data,
-    "classify": cmd_classify,
-    "verify": cmd_verify,
-    "bench": cmd_bench,
-    "discriminate": cmd_discriminate,
-}
 
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         cfg = build_run_config(args)
-        return _COMMANDS[args.subcommand](cfg)
+        return _COMMANDS[args.subcommand][0](cfg)
     except (SimulationError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

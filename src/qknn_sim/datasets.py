@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statevec import SimulationError
+from .statevec import MAX_QUBITS, SimulationError, to_mib
 
 SCHEMES = ("2q-sep-vs-ent", "2q-sep-vs-maxent", "3q-five-class")
 CLASSES = {
@@ -195,7 +195,15 @@ def gen_corpus(scheme: str, per_class: int, seed: int) -> LabeledStateCorpus:
 
 
 def gen_discrimination_instance(M: int, n: int, seed):
-    """M pairwise-distinguishable Haar states plus a promised test index."""
+    """M pairwise-distinguishable Haar states plus a promised test index.
+
+    M * 2**n amplitudes above 2**MAX_QUBITS are refused before allocation."""
+    amplitudes = M * 2 ** n
+    if amplitudes > 2 ** MAX_QUBITS:
+        raise SimulationError(
+            f"a discrimination instance of M={M} states on n={n} qubits needs "
+            f"{to_mib(16 * amplitudes):,.0f} MiB; at most 2**{MAX_QUBITS} amplitudes "
+            f"({to_mib(16 << MAX_QUBITS):,.0f} MiB) fit")
     root = np.random.default_rng(seed)
     states: list[np.ndarray] = []
     for _ in range(M):

@@ -36,6 +36,7 @@ from .oracle import (
     TableOracleHandle,
     prep_calls_per_oracle,
 )
+from .statevec import MAX_QUBITS, to_mib
 
 DIFFUSION_PREP_CALLS = 4  # two (V, W) pairs per Grover iteration
 
@@ -208,8 +209,14 @@ def scaling_experiment(M_values, k: int, trials: int,
                        trace_sink: list | None = None) -> list[ScalingRow]:
     """Mean oracle queries of full k-maxima runs over random distinct tables.
 
-    ``trace_sink``, when given, receives one JSON line per trial.
+    ``trace_sink``, when given, receives one JSON line per trial. A table
+    above 2**MAX_QUBITS entries is refused before any is allocated.
     """
+    largest = max(map(int, M_values), default=0)
+    if largest > 2 ** MAX_QUBITS:
+        raise SimulationError(
+            f"a table of M={largest} entries needs {to_mib(8 * largest):,.0f} MiB; "
+            f"at most 2**{MAX_QUBITS} entries ({to_mib(8 << MAX_QUBITS):,.0f} MiB) fit")
     rows = []
     root = np.random.SeedSequence(cfg.seed)
     for M in M_values:

@@ -37,12 +37,10 @@ from .statevec import (
     cnot,
     hadamard,
     mcx,
-    mcz,
     pauli_x,
-    pauli_z,
     toffoli,
 )
-from .subroutines import StatePrepOracle, make_W
+from .subroutines import StatePrepOracle, make_W, zero_reflection
 
 
 @dataclass(frozen=True)
@@ -319,11 +317,8 @@ class CircuitOracleHandle(OracleHandle):
         (q3,) = layout.qubits("Q3")
         index = layout.qubits("index")
         self._init = Circuit([pauli_x(q3), hadamard(q3)] + [hadamard(q) for q in index])
-        diffusion = [hadamard(q) for q in index] + [pauli_x(q) for q in index]
-        diffusion.append(mcz(index[:-1], index[-1]) if len(index) > 1
-                         else pauli_z(index[0]))
-        diffusion += [pauli_x(q) for q in index] + [hadamard(q) for q in index]
-        self._diffusion = Circuit(diffusion)
+        h_index = [hadamard(q) for q in index]
+        self._diffusion = Circuit(h_index + zero_reflection(index).gates + h_index)
         # the deepest state simulated, and the index marginal after r iterations
         self._state = StateVector.zero_state(layout).apply_circuit(self._init)
         self._marginals = [self._state.measure_probs("index")]

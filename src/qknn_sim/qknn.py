@@ -24,6 +24,9 @@ from .statevec import SimulationError
 from .subroutines import make_V, make_W
 
 REAL_ATOL = 1e-12
+# Similarity bits for discrimination: high enough that the generator's pairwise
+# fidelity gap (1e-6) cannot collide with the saturated maximum after quantization.
+DISCRIMINATION_BITS = 20
 
 
 @dataclass(eq=False)
@@ -160,7 +163,8 @@ def qknn_classify(test_state: np.ndarray, train: TrainSet, k: int,
     else:
         raise SimulationError(f"unknown mode {mode!r}")
     result = k_maxima(backend, k, train.M, search)
-    ranked = sorted(result.top_k, key=lambda i: (-table.quantized[i], i))
+    found = np.sort(np.fromiter(result.top_k, dtype=int))
+    ranked = found[top_k_indices(table.quantized[found], len(found))].tolist()
     label = majority_vote([train.labels[i] for i in ranked])
     return Classification(label, tuple(ranked),
                           tuple(float(table.exact[i]) for i in ranked),
@@ -168,14 +172,13 @@ def qknn_classify(test_state: np.ndarray, train: TrainSet, k: int,
 
 
 def discriminate(test_state: np.ndarray, train: TrainSet,
-                 search: SearchConfig = SearchConfig(), b: int = 20) -> tuple[int, KMaxResult]:
+                 search: SearchConfig = SearchConfig()) -> tuple[int, KMaxResult]:
     """Identify which train state the test state is, promised an exact match.
 
-    Fidelity reaches 1 only at the match, so k-maxima with k = 1 finds it;
-    b defaults high enough that the generator's pairwise fidelity gap
-    (1e-6) cannot collide with the saturated maximum after quantization.
+    Fidelity reaches 1 only at the match, so k-maxima with k = 1 finds it on
+    the table quantized to DISCRIMINATION_BITS.
     """
-    table = FidelityTable.from_states(test_state, train, "fidelity", b)
+    table = FidelityTable.from_states(test_state, train, "fidelity", DISCRIMINATION_BITS)
     backend = TableBackend(table.quantized, b=None)  # prep cost not modeled here
     result = k_maxima(backend, 1, train.M, search)
     (found,) = result.top_k

@@ -19,6 +19,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -31,6 +32,9 @@ MAX_QUBITS = 24
 # Largest qubit subset circuit_to_matrix builds a dense unitary on (1024 x 1024);
 # it peaks at three 16 MiB arrays of 2**20 amplitudes (768 MiB at 12 qubits).
 MAX_DENSE_QUBITS = 10
+# Probability a register may keep outside |0..0> after an exact uncompute:
+# floating-point rounding across a circuit, far below any real leak.
+ZERO_REGISTER_ATOL = 1e-12
 
 _H_MATRIX = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 _X_MATRIX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -47,6 +51,11 @@ def check_state_size(num_qubits: int) -> None:
         raise SimulationError(
             f"a {num_qubits}-qubit state needs {16 * 2 ** num_qubits / 2 ** 20:,.0f} MiB; "
             f"the simulator allows at most {MAX_QUBITS} qubits")
+
+
+def to_mib(nbytes: int) -> float:
+    """nbytes in MiB for a refusal message; inf where a float cannot hold it."""
+    return nbytes / 2 ** 20 if nbytes < 2 ** 1000 else math.inf
 
 
 @dataclass(frozen=True)
@@ -320,9 +329,9 @@ class StateVector:
             raise SimulationError(f"zero-probability collapse requested (outcome {outcome})")
         return StateVector(self.num_qubits, amps / norm, self.layout)
 
-    def register_is_zero(self, register: str, atol: float = 1e-12) -> bool:
+    def register_is_zero(self, register: str) -> bool:
         probs = self.measure_probs(register)
-        return bool(probs[1:].sum() <= atol)
+        return bool(probs[1:].sum() <= ZERO_REGISTER_ATOL)
 
     # -- persistence --
 

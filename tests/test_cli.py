@@ -2,7 +2,11 @@
 import contextlib
 import io
 import json
+import re
+import shlex
 import warnings
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qknn_sim import invariants
-from qknn_sim.cli import CSV_HEADER, main, parse_config_file
+from qknn_sim.cli import CSV_HEADER, RunConfig, main, make_parser, parse_config_file
 from qknn_sim.oracle import build_J
 from qknn_sim.statevec import pauli_x
 
@@ -290,9 +294,86 @@ def test_failed_slope_fit_keeps_the_rows(cmd, extra, tmp_path, capsys):
        M=st.lists(st.integers(-2, 8), min_size=1, max_size=3))
 @settings(max_examples=40, deadline=None)
 def test_small_integer_arguments_never_exit_2(cmd, trials, k, n, M):
-    args = [cmd, f"--trials={trials}", f"--k={k}", f"--n={n}",
-            "--M=" + ",".join(map(str, M)), "--seed=0"]
+    size = f"--k={k}" if cmd == "bench" else f"--n={n}"
+    args = [cmd, f"--trials={trials}", size, "--M=" + ",".join(map(str, M)), "--seed=0"]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()), \
             warnings.catch_warnings():
         warnings.simplefilter("error")
         assert exit_code(args) in (0, 1)
+
+
+# the settings each subcommand reads; it offers these flags and no others
+READS = {
+    "gen-data": {"scheme", "per_class", "seed", "out"},
+    "classify": {"corpus", "mode", "k", "b", "split", "seed", "budget_rounds", "lam", "out"},
+    "verify": {"seed", "out"},
+    "bench": {"M", "k", "trials", "seed", "budget_rounds", "lam", "out"},
+    "discriminate": {"M", "n", "trials", "seed", "budget_rounds", "lam", "out"},
+}
+SETTINGS = [f.name for f in fields(RunConfig) if f.name != "subcommand"]
+
+
+def flag(setting):
+    return "--lambda" if setting == "lam" else "--" + setting.replace("_", "-")
+
+
+def test_help_lists_only_the_settings_read(capsys):
+    for cmd, reads in READS.items():
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, "--help"])
+        assert exc.value.code == 0
+        offered = set(re.findall(r"(--[\w-]+)", capsys.readouterr().out))
+        assert offered == {flag(s) for s in reads} | {"--help", "--config"}, cmd
+
+
+@pytest.mark.parametrize("cmd,args", [
+    *[(cmd, [flag(s), "1"]) for cmd in READS for s in SETTINGS if s not in READS[cmd]],
+    ("bench", ["--budget", "3"]),       # abbreviates --budget-rounds
+    ("bench", ["--b", "9"]),            # would abbreviate --budget-rounds
+    ("bench", ["--lam", "1.3"]),        # abbreviates --lambda
+    ("gen-data", ["--per", "3"]),       # abbreviates --per-class
+])
+def test_unread_settings_and_abbreviations_exit_1(cmd, args, capsys):
+    assert exit_code([cmd, *args]) == 1
+    assert f"unrecognized arguments: {args[0]}" in capsys.readouterr().err
+
+
+def test_config_file_serves_every_subcommand(tmp_path, capsys):
+    """Keys a subcommand does not read are ignored, even values it would refuse."""
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("per-class = 3\nn = 0\nsplit = 5\nscheme = 3q-five-class\nk = 1\n")
+    out = tmp_path / "b.csv"
+    assert run_cli(["bench", "--M", "16", "--trials", "2", "--config", str(cfg),
+                    "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[2].startswith("16,1,2,")
+    assert run_cli(["discriminate", "--M", "4", "--trials", "1", "--config", str(cfg)]) == 1
+    assert "--n must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("split", ["nan", "inf", "0", "1", "-0.5"])
+def test_classify_split_outside_unit_interval_exits_1(split, tmp_path, capsys):
+    assert run_cli(["classify", "--corpus", str(tmp_path / "unread.jsonl"),
+                    "--split", split]) == 1
+    assert "--split must be in (0, 1)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args,named", [
+    (["discriminate", "--M", "2,4", "--n", "40", "--trials", "1"], "M=2 states on n=40 qubits"),
+    (["discriminate", "--M", "2", "--n", "26", "--trials", "1"], "M=2 states on n=26 qubits"),
+    (["bench", "--M", "20000000000", "--trials", "1"], "M=20000000000 entries"),
+])
+def test_sizes_beyond_memory_exit_1_before_allocation(args, named, capsys):
+    assert exit_code(args) == 1
+    err = capsys.readouterr().err
+    assert named in err and "MiB" in err
+
+
+def test_readme_command_lines_parse():
+    """Every qknn-sim line in README's code blocks is accepted by the parser."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```\n(.*?)^```", readme.read_text(), re.S | re.M)
+    lines = [line for block in blocks for line in block.splitlines()
+             if line.startswith("qknn-sim ")]
+    assert len(lines) >= 6
+    for line in lines:
+        make_parser().parse_args(shlex.split(line, comments=True)[1:])

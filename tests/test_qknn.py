@@ -190,6 +190,23 @@ def test_qknn_coarse_quantization_returns_admissible_completion():
     assert got == best
 
 
+def test_qknn_neighbors_ranked_by_value_then_lowest_index():
+    """At b=2 the top-k holds tied quantized values: neighbors come nearest
+    first, ties by lowest index, and the vote reads that order."""
+    rng = np.random.default_rng(10)
+    train = random_train(8, 2, rng, labels=list("ABCDABCD"))
+    tied = 0
+    for seed in range(20):
+        test = haar_random_state(2, rng)
+        table = FidelityTable.from_states(test, train, "fidelity", b=2)
+        res = qknn_classify(test, train, 4, PrecisionConfig(2), SearchConfig(seed=seed))
+        reference = sorted(res.neighbors, key=lambda i: (-table.quantized[i], i))
+        assert list(res.neighbors) == reference
+        assert res.label == majority_vote([train.labels[i] for i in reference])
+        tied += len(set(table.quantized[reference].tolist())) < len(reference)
+    assert tied >= 10
+
+
 def test_discriminate_examples():
     states, chosen = gen_discrimination_instance(8, 2, seed=1)
     train = TrainSet(states, list(range(8)))
