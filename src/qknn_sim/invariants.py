@@ -194,7 +194,7 @@ def oracle_equivalence(bits: tuple[int, ...]) -> float:
         for y, A in DYADIC_CASES:
             oc = dyadic_oracle(b, y, A)
             handle = oracle.TableOracleHandle(table, y, A)
-            out = oc.apply(StateVector.zero_state(oc.layout).apply(hadamard(0)))
+            out = StateVector.zero_state(oc.layout).apply(hadamard(0)).apply_circuit(oc.circuit)
             joint = out.measure_probs(["index", "Q3"])
             for j in range(2):
                 expected = 1 if (F[j] > F[y] and j not in A) else 0
@@ -203,6 +203,48 @@ def oracle_equivalence(bits: tuple[int, ...]) -> float:
             anc = out.measure_probs(["train", "test", "B", "phase", "fid",
                                      "index_p", "fid_p", "Q1", "Q2"])
             worst = max(worst, 1.0 - anc[0])
+    return worst
+
+
+def _haar_oracle(rng: np.random.Generator, m: int) -> oracle.OracleCircuit:
+    """O_{y,A} at b = 2 for 2**m Haar train states and a Haar test state, all
+    of one qubit, at a random threshold state with |A| = max(1, M // 2)."""
+    M = 2 ** m
+    layout = oracle.oracle_layout(m, 1, 2)
+    states = np.stack([haar(1, rng) for _ in range(M + 1)])
+    A = [int(i) for i in rng.permutation(M)[: max(1, M // 2)]]
+    return oracle.assemble_O_yA(sub.make_V(states[M], layout, register="test"),
+                                sub.make_W(states[:M], layout), layout, qadc.PrecisionConfig(2),
+                                A[0], A)
+
+
+def phase_oracle_vs_kickback(rng: np.random.Generator) -> float:
+    """Worst gap between the simulator's Q3-free search and the model circuit.
+
+    On the dyadic family at b = 2 and on one Haar instance at M = 2 and one
+    at M = 4: the worst index-marginal difference, over r <= 3 Grover
+    iterations, between the circuit handle's search oracle and the
+    full circuit with Q3 prepared in |->, plus one for each candidate whose
+    superposed verdict differs from the most probable Q3 outcome of the
+    full circuit run on |j>.
+    """
+    oracles = [dyadic_oracle(2, y, A) for y, A in DYADIC_CASES]
+    oracles += [_haar_oracle(rng, 1), _haar_oracle(rng, 2)]
+    worst = 0.0
+    for oc in oracles:
+        handle = oracle.CircuitOracleHandle(oc)
+        index = oc.layout.qubits("index")
+        (q3,) = oc.layout.qubits("Q3")
+        diffusion = oracle.index_diffusion(index)
+        kickback = StateVector.zero_state(oc.layout).apply_circuit(
+            Circuit([pauli_x(q3), hadamard(q3)] + [hadamard(q) for q in index]))
+        for r in range(4):
+            if r:
+                kickback = kickback.apply_circuit(oc.circuit).apply_circuit(diffusion)
+            gap = np.abs(handle.marginal(r) - kickback.measure_probs("index")).max()
+            worst = max(worst, float(gap))
+        worst += sum(oc.evaluate(j) != int(np.argmax(oc.q3_distribution(j)))
+                     for j in range(oc.M))
     return worst
 
 
@@ -235,6 +277,7 @@ REGISTRY = (
     Invariant("oracle_circuit_vs_abstract", 1e-9, lambda rng: oracle_equivalence((2,))),
     Invariant("arithmetic_theta_folding", 0, lambda rng: arithmetic_folding()),
     Invariant("reflection_block_diagonality", 1e-10, block_diagonality),
+    Invariant("phase_oracle_vs_kickback", 1e-12, phase_oracle_vs_kickback),
 )
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from .statevec import (
     cnot,
     hadamard,
     mcx,
+    mcz,
     pauli_x,
     toffoli,
 )
@@ -141,12 +143,20 @@ def oracle_layout(m: int, n: int, b: int) -> RegisterLayout:
     ])
 
 
+# A superposed verdict this close to 1/2 is recomputed from the full circuit.
+VERDICT_MARGIN = 1e-9
+
+
 @dataclass(eq=False)
 class OracleCircuit:
     """Circuit-exact O_{y,A} plus bookkeeping for query/qubit accounting.
 
-    The circuit is deterministic, so each candidate's verdict is simulated
-    once and remembered for the life of this instance.
+    ``circuit`` is the model: U^dag . T . U, where T = X_Q2 . Toffoli(Q1,
+    Q2, Q3) . X_Q2 flips the kickback qubit Q3, the layout's highest qubit.
+    The simulator runs two circuits derived from it on ``search_layout``,
+    the layout without Q3: ``U`` itself, and the search oracle ``search`` =
+    U^dag . S . U with S = X_Q2 . CZ(Q1, Q2) . X_Q2, the sign
+    (-1)^(Q1 and not Q2) that T gives with Q3 held in |->.
     """
 
     circuit: Circuit
@@ -155,7 +165,13 @@ class OracleCircuit:
     A: frozenset[int]
     M: int
     prep_counts: Counter
+    U: Circuit
+    search: Circuit
     _verdicts: dict = field(default_factory=dict, init=False, repr=False)
+
+    @property
+    def search_layout(self) -> RegisterLayout:
+        return RegisterLayout(self.layout.registers[:-1])
 
     def netlist(self) -> str:
         return self.circuit.netlist()
@@ -164,19 +180,36 @@ class OracleCircuit:
         return len(self.circuit.qubits())
 
     def apply(self, state: StateVector) -> StateVector:
-        return state.apply_circuit(self.circuit)
+        """One query of the search oracle."""
+        return state.apply_circuit(self.search)
 
     def q3_distribution(self, j: int) -> np.ndarray:
+        """Q3's distribution after the model circuit on basis input |j>|0...0>."""
         state = StateVector.zero_state(self.layout)
         for l, q in enumerate(self.layout.qubits("index")):
             if (j >> l) & 1:
                 state = state.apply(pauli_x(q))
-        return self.apply(state).measure_probs("Q3")
+        return state.apply_circuit(self.circuit).measure_probs("Q3")
+
+    @cached_property
+    def marked_probs(self) -> np.ndarray:
+        """P(Q1 = 1, Q2 = 0 | j) after U for every j, which is the model's
+        P(Q3 = 1 | j). U never changes the index register, so one run of U on
+        the uniform index state gives all of them."""
+        layout = self.search_layout
+        uniform = Circuit([hadamard(q) for q in layout.qubits("index")])
+        state = StateVector.zero_state(layout).apply_circuit(uniform)
+        joint = state.apply_circuit(self.U).measure_probs(["index", "Q1", "Q2"])
+        return self.M * joint[self.M: 2 * self.M]
 
     def evaluate(self, j: int) -> int:
-        """Most probable Q3 outcome on basis input |j>|0...0>."""
+        """Most probable Q3 outcome on basis input |j>|0...0>, read from
+        ``marked_probs``; one within VERDICT_MARGIN of 1/2 is read from the
+        model circuit run on |j> instead."""
         if j not in self._verdicts:
-            self._verdicts[j] = int(np.argmax(self.q3_distribution(j)))
+            p = self.marked_probs[j]
+            self._verdicts[j] = (int(np.argmax(self.q3_distribution(j)))
+                                 if abs(p - 0.5) < VERDICT_MARGIN else int(p > 0.5))
         return self._verdicts[j]
 
 
@@ -211,17 +244,11 @@ def assemble_O_yA(V: StatePrepOracle, W: StatePrepOracle, layout: RegisterLayout
     compare.extend(f_prime.inverse())
     compare.extend(load_y)
 
-    circ = Circuit()
-    circ.extend(f_main)
-    circ.extend(compare)
-    circ.extend(d_gates)
-    circ.append(pauli_x(q2))
-    circ.append(toffoli(q1, q2, q3))
-    circ.append(pauli_x(q2))
-    circ.extend(d_gates)
-    circ.extend(compare)
-    circ.extend(f_main.inverse())
-    return OracleCircuit(circ, layout, y, A, M, circ.prep_counts())
+    U = Circuit(f_main.gates + compare.gates + d_gates.gates)
+    U_dag = d_gates.gates + compare.gates + f_main.inverse().gates
+    circ = Circuit(U.gates + [pauli_x(q2), toffoli(q1, q2, q3), pauli_x(q2)] + U_dag)
+    search = Circuit(U.gates + [pauli_x(q2), mcz((q1,), q2), pauli_x(q2)] + U_dag)
+    return OracleCircuit(circ, layout, y, A, M, circ.prep_counts(), U, search)
 
 
 def classical_action(circuit: Circuit, num_qubits: int, x: int) -> int:
@@ -248,6 +275,12 @@ def prep_calls_per_oracle(b: int) -> Counter:
 
 
 # --- grover machinery shared by both backends ---------------------------------
+
+
+def index_diffusion(index: tuple[int, ...]) -> Circuit:
+    """The Grover diffusion H^m . (reflection about |0...0>) . H^m on ``index``."""
+    h_index = [hadamard(q) for q in index]
+    return Circuit(h_index + zero_reflection(index).gates + h_index)
 
 
 class OracleHandle:
@@ -301,8 +334,9 @@ class TableOracleHandle(OracleHandle):
 
 
 class CircuitOracleHandle(OracleHandle):
-    """Circuit-exact backend: Grover iterations applied to the simulated
-    register machine with Q3 phase kickback.
+    """Circuit-exact backend: Grover iterations of the search oracle, the
+    model's phase oracle without its Q3 kickback qubit, applied to the
+    simulated register machine on the Q3-free layout.
 
     The state after r iterations depends only on (y, A, r), so the handle
     keeps the index marginal of every depth simulated so far and the deepest
@@ -313,22 +347,24 @@ class CircuitOracleHandle(OracleHandle):
     def __init__(self, oracle: OracleCircuit):
         super().__init__(oracle.y, oracle.A, oracle.M)
         self.oracle = oracle
-        layout = oracle.layout
-        (q3,) = layout.qubits("Q3")
+        layout = oracle.search_layout
         index = layout.qubits("index")
-        self._init = Circuit([pauli_x(q3), hadamard(q3)] + [hadamard(q) for q in index])
-        h_index = [hadamard(q) for q in index]
-        self._diffusion = Circuit(h_index + zero_reflection(index).gates + h_index)
+        self._init = Circuit([hadamard(q) for q in index])
+        self._diffusion = index_diffusion(index)
         # the deepest state simulated, and the index marginal after r iterations
         self._state = StateVector.zero_state(layout).apply_circuit(self._init)
         self._marginals = [self._state.measure_probs("index")]
 
-    def run_round(self, r: int, rng: np.random.Generator) -> int:
-        self.query_count += r
+    def marginal(self, r: int) -> np.ndarray:
+        """Index marginal after r Grover iterations of the search oracle."""
         while len(self._marginals) <= r:
             self._state = self.oracle.apply(self._state).apply_circuit(self._diffusion)
             self._marginals.append(self._state.measure_probs("index"))
-        probs = self._marginals[r]
+        return self._marginals[r]
+
+    def run_round(self, r: int, rng: np.random.Generator) -> int:
+        self.query_count += r
+        probs = self.marginal(r)
         # the same draw as StateVector.sample_measurement
         return int(rng.choice(len(probs), p=probs / probs.sum()))
 

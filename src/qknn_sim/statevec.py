@@ -142,7 +142,7 @@ class Gate:
             m = self.matrix
             if m.shape != (dim, dim):
                 raise SimulationError(f"{self.name}: matrix shape {m.shape} != ({dim},{dim})")
-            if not np.allclose(m.conj().T @ m, np.eye(dim), atol=UNITARY_ATOL):
+            if not np.abs(m.conj().T @ m - np.eye(dim)).max() <= UNITARY_ATOL:
                 raise SimulationError(f"{self.name}: matrix is not unitary within {UNITARY_ATOL}")
         if self.perm is not None:
             p = self.perm

@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import math
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from qknn_sim.oracle import (
     u_neq_gates,
 )
 from qknn_sim.qadc import PrecisionConfig, quantize_array
-from qknn_sim.statevec import Circuit, StateVector
+from qknn_sim.statevec import Circuit, StateVector, hadamard, pauli_x
 from qknn_sim.subroutines import make_V, make_W
 
 
@@ -322,3 +323,121 @@ def test_cached_rounds_match_rebuilt_rounds_at_any_depth():
     for r in depths:
         assert np.array_equal(cached._marginals[r], reference.marginals[r])
     assert cached._marginals[1][0] > 1 - 1e-9 and abs(cached._marginals[0][0] - 0.25) < 1e-9
+
+
+FIVE_CASES = [("haar", 2, 1, 0), ("haar", 2, 1, 1), ("basis", 2, 1, 4), ("basis", 2, 1, 5),
+              ("basis", 4, 2, 4)]
+
+
+def _search_instance(kind, M, seed, b=2):
+    """The instances of test_cached_search_matches_brute_force: a cached
+    (y, A) -> OracleCircuit assembler and the quantized table."""
+    if kind == "haar":
+        rng = np.random.default_rng([seed, 9])
+        states = rng.normal(size=(M + 1, 2)) + 1j * rng.normal(size=(M + 1, 2))
+        states /= np.linalg.norm(states, axis=1, keepdims=True)
+    else:
+        states = np.array([[1, 0], [0, 1]] * (M // 2) + [[1, 0]], dtype=complex)
+    layout = oracle_layout(M.bit_length() - 1, 1, b)
+    V, W = make_V(states[M], layout, register="test"), make_W(states[:M], layout)
+    cfg = PrecisionConfig(b)
+    values = quantize_array(np.abs(states[:M].conj() @ states[M]) ** 2, b)
+    return functools.cache(lambda y, A: assemble_O_yA(V, W, layout, cfg, y, A)), values
+
+
+class _KickbackHandle(CircuitOracleHandle):
+    """The model as written: every round rebuilds the full state with Q3 in
+    |->, applies the model circuit r times, and samples it; every
+    verification runs the model circuit on its candidate."""
+
+    def run_round(self, r, rng):
+        self.rng = rng
+        self.query_count += r
+        layout = self.oracle.layout
+        (q3,) = layout.qubits("Q3")
+        state = StateVector.zero_state(layout).apply_circuit(
+            Circuit([pauli_x(q3), hadamard(q3)] + self._init.gates))
+        for _ in range(r):
+            state = state.apply_circuit(self.oracle.circuit).apply_circuit(self._diffusion)
+        outcome, _ = state.sample_measurement("index", rng)
+        return outcome
+
+    def evaluate(self, j):
+        self.query_count += 1
+        return bool(np.argmax(self.oracle.q3_distribution(j)))
+
+
+@pytest.mark.parametrize("kind,M,k,seed", FIVE_CASES)
+def test_phase_oracle_search_matches_kickback_model(kind, M, k, seed):
+    """k_maxima over the Q3-free circuit handle equals k_maxima over the
+    model circuit with Q3 in |-> field by field, and leaves the generator
+    in the same state."""
+    assembled, values = _search_instance(kind, M, seed)
+    search = SearchConfig(max_rounds=10, seed=seed)
+    results = {}
+    for cls in (_CountingHandle, _KickbackHandle):
+        backend = _HandleBackend(cls, assembled, values, 2)
+        results[cls] = (k_maxima(backend, k, M, search), backend.handles)
+    (got, handles), (want, reference) = results[_CountingHandle], results[_KickbackHandle]
+    for name in ("top_k", "rounds", "oracle_queries", "data_prep_queries", "iterations",
+                 "search_rounds"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert handles[-1].rng.bit_generator.state == reference[-1].rng.bit_generator.state
+
+
+class _OwnCircuitsBackend(_HandleBackend):
+    """Each handle's oracle holds Circuit objects of its own, so the runs of
+    each can be told apart by identity."""
+
+    def oracle_for(self, y, A):
+        oc = self._assemble(y, frozenset(A))
+        fresh = dataclasses.replace(oc, circuit=Circuit(list(oc.circuit)),
+                                    U=Circuit(list(oc.U)), search=Circuit(list(oc.search)))
+        handle = self.handle_cls(fresh)
+        self.handles.append(handle)
+        return handle
+
+
+@pytest.mark.parametrize("kind,M,k,seed", FIVE_CASES)
+def test_each_handle_runs_max_depth_search_queries_and_one_U(monkeypatch, kind, M, k, seed):
+    """Per handle: at most max(r) applications of the search oracle, at most
+    one run of U for all verdicts, and the model circuit only for fallbacks."""
+    applied = []  # every circuit run, kept alive so identities stay distinct
+    apply_circuit = StateVector.apply_circuit
+
+    def counted(state, circuit):
+        applied.append(circuit)
+        return apply_circuit(state, circuit)
+
+    monkeypatch.setattr(StateVector, "apply_circuit", counted)
+    assembled, values = _search_instance(kind, M, seed)
+    backend = _OwnCircuitsBackend(_CountingHandle, assembled, values, 2)
+    k_maxima(backend, k, M, SearchConfig(max_rounds=10, seed=seed))
+    assert backend.handles
+    for handle in backend.handles:
+        oc = handle.oracle
+        runs = Counter(name for c in applied for name in ("search", "U", "circuit")
+                       if c is getattr(oc, name))
+        assert runs["search"] <= max(handle.depths)
+        assert runs["U"] == (1 if handle.candidates else 0)
+        assert runs["circuit"] == handle.calls["q3_distribution"]
+
+
+@pytest.mark.parametrize("kind,M,seed", [("haar", 2, 0), ("haar", 2, 1), ("basis", 4, 4)])
+def test_fallback_verdicts_equal_superposed_verdicts(monkeypatch, kind, M, seed):
+    """With the 1/2-margin at 1.0 every verdict comes from the model circuit
+    run on its candidate; the verdicts are the superposed run's."""
+    assembled, _ = _search_instance(kind, M, seed)
+    cases = [(y, frozenset({y})) for y in range(2)] + [(M - 1, frozenset({0, M - 1}))]
+    superposed = {case: [dataclasses.replace(assembled(*case)).evaluate(j) for j in range(M)]
+                  for case in cases}
+    monkeypatch.setattr("qknn_sim.oracle.VERDICT_MARGIN", 1.0)
+    for case in cases:
+        oc = dataclasses.replace(assembled(*case))
+        oc.q3_distribution = mock.Mock(wraps=oc.q3_distribution)
+        assert [oc.evaluate(j) for j in range(M)] == superposed[case]
+        assert [c.args for c in oc.q3_distribution.call_args_list] == [(j,) for j in range(M)]
+
+
+def test_phase_oracle_vs_kickback_law():
+    assert invariants.phase_oracle_vs_kickback(np.random.default_rng(0)) <= 1e-12

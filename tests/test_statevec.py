@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qknn_sim.oracle import classical_action
+from qknn_sim.oracle import classical_action, oracle_layout
+from qknn_sim.qadc import PrecisionConfig, fidelity_qadc_circuit
 from qknn_sim.statevec import (
     MAX_DENSE_QUBITS,
     Circuit,
+    Gate,
     RegisterLayout,
     SimulationError,
     StateVector,
@@ -24,6 +26,7 @@ from qknn_sim.statevec import (
     register_unitary,
     toffoli,
 )
+from qknn_sim.subroutines import make_V, make_W
 
 INV_SQRT2 = 1 / np.sqrt(2)
 
@@ -81,6 +84,28 @@ def test_state_size_cap_refuses_before_allocating(make):
 def test_gate_rejects_non_unitary_matrix():
     with pytest.raises(SimulationError):
         register_unitary((0,), np.array([[1, 1], [0, 1]], dtype=complex), "U1")
+
+
+@pytest.mark.parametrize("matrix", [np.diag([1 + 4e-6, 1]), np.diag([np.nan, 1])])
+def test_gate_rejects_matrix_off_unitary_by_more_than_the_tolerance(matrix):
+    """The unitarity tolerance is absolute on every entry of M^dag M - I,
+    the diagonal included, and NaN is never within it."""
+    with pytest.raises(SimulationError, match="not unitary within 1e-12"):
+        Gate("bad", (0,), matrix=matrix.astype(complex))
+
+
+def test_gate_accepts_the_dense_reflection_powers_of_the_fidelity_digitizer():
+    """The controlled G^k gates fidelity_qadc_circuit builds, at n = 2 and
+    b = 3 on Haar states, pass the strict unitarity check."""
+    rng = np.random.default_rng(3)
+    layout = oracle_layout(2, 2, 3)
+    states = np.stack([random_state(2, rng) for _ in range(5)])
+    circ = fidelity_qadc_circuit(make_V(states[4], layout, register="test"),
+                                 make_W(states[:4], layout), layout, PrecisionConfig(3))
+    dense = [g for g in circ if g.matrix is not None and len(g.targets) > 1]
+    assert len(dense) >= 3
+    for g in dense:
+        Gate(g.name, g.targets, g.controls, matrix=g.matrix)
 
 
 def test_gate_rejects_non_bijective_permutation():
