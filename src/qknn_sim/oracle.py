@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -143,10 +143,6 @@ def oracle_layout(m: int, n: int, b: int) -> RegisterLayout:
     ])
 
 
-# A superposed verdict this close to 1/2 is recomputed from the full circuit.
-VERDICT_MARGIN = 1e-9
-
-
 @dataclass(eq=False)
 class OracleCircuit:
     """Circuit-exact O_{y,A} plus bookkeeping for query/qubit accounting.
@@ -167,7 +163,6 @@ class OracleCircuit:
     prep_counts: Counter
     U: Circuit
     search: Circuit
-    _verdicts: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def search_layout(self) -> RegisterLayout:
@@ -204,13 +199,8 @@ class OracleCircuit:
 
     def evaluate(self, j: int) -> int:
         """Most probable Q3 outcome on basis input |j>|0...0>, read from
-        ``marked_probs``; one within VERDICT_MARGIN of 1/2 is read from the
-        model circuit run on |j> instead."""
-        if j not in self._verdicts:
-            p = self.marked_probs[j]
-            self._verdicts[j] = (int(np.argmax(self.q3_distribution(j)))
-                                 if abs(p - 0.5) < VERDICT_MARGIN else int(p > 0.5))
-        return self._verdicts[j]
+        ``marked_probs`` (0 on a tie, as argmax of ``q3_distribution``)."""
+        return int(self.marked_probs[j] > 0.5)
 
 
 def assemble_O_yA(V: StatePrepOracle, W: StatePrepOracle, layout: RegisterLayout,

@@ -3,7 +3,6 @@ import dataclasses
 import functools
 import math
 from collections import Counter
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -401,7 +400,7 @@ class _OwnCircuitsBackend(_HandleBackend):
 @pytest.mark.parametrize("kind,M,k,seed", FIVE_CASES)
 def test_each_handle_runs_max_depth_search_queries_and_one_U(monkeypatch, kind, M, k, seed):
     """Per handle: at most max(r) applications of the search oracle, at most
-    one run of U for all verdicts, and the model circuit only for fallbacks."""
+    one run of U for all verdicts, and no run of the model circuit."""
     applied = []  # every circuit run, kept alive so identities stay distinct
     apply_circuit = StateVector.apply_circuit
 
@@ -420,23 +419,7 @@ def test_each_handle_runs_max_depth_search_queries_and_one_U(monkeypatch, kind, 
                        if c is getattr(oc, name))
         assert runs["search"] <= max(handle.depths)
         assert runs["U"] == (1 if handle.candidates else 0)
-        assert runs["circuit"] == handle.calls["q3_distribution"]
-
-
-@pytest.mark.parametrize("kind,M,seed", [("haar", 2, 0), ("haar", 2, 1), ("basis", 4, 4)])
-def test_fallback_verdicts_equal_superposed_verdicts(monkeypatch, kind, M, seed):
-    """With the 1/2-margin at 1.0 every verdict comes from the model circuit
-    run on its candidate; the verdicts are the superposed run's."""
-    assembled, _ = _search_instance(kind, M, seed)
-    cases = [(y, frozenset({y})) for y in range(2)] + [(M - 1, frozenset({0, M - 1}))]
-    superposed = {case: [dataclasses.replace(assembled(*case)).evaluate(j) for j in range(M)]
-                  for case in cases}
-    monkeypatch.setattr("qknn_sim.oracle.VERDICT_MARGIN", 1.0)
-    for case in cases:
-        oc = dataclasses.replace(assembled(*case))
-        oc.q3_distribution = mock.Mock(wraps=oc.q3_distribution)
-        assert [oc.evaluate(j) for j in range(M)] == superposed[case]
-        assert [c.args for c in oc.q3_distribution.call_args_list] == [(j,) for j in range(M)]
+        assert runs["circuit"] == handle.calls["q3_distribution"] == 0
 
 
 def test_phase_oracle_vs_kickback_law():
