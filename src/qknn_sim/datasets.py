@@ -56,14 +56,22 @@ def schmidt_coefficients(state: np.ndarray, n: int, part: tuple[int, ...]) -> np
     return np.linalg.svd(moved.reshape(2 ** k, -1), compute_uv=False)
 
 
+def _separable(schmidt: np.ndarray) -> bool:
+    return bool(schmidt[0] >= 1.0 - SCHMIDT_SEP_TOL)
+
+
+def _entropy_bits(schmidt: np.ndarray) -> float:
+    lam2 = schmidt ** 2
+    lam2 = lam2[lam2 > 1e-15]
+    return float(-(lam2 * np.log2(lam2)).sum())
+
+
 def is_separable_bipartition(state: np.ndarray, n: int, part: tuple[int, ...]) -> bool:
-    return bool(schmidt_coefficients(state, n, part)[0] >= 1.0 - SCHMIDT_SEP_TOL)
+    return _separable(schmidt_coefficients(state, n, part))
 
 
 def entanglement_entropy_bits(state: np.ndarray, n: int, part: tuple[int, ...]) -> float:
-    lam2 = schmidt_coefficients(state, n, part) ** 2
-    lam2 = lam2[lam2 > 1e-15]
-    return float(-(lam2 * np.log2(lam2)).sum())
+    return _entropy_bits(schmidt_coefficients(state, n, part))
 
 
 def label_entanglement(state: np.ndarray, scheme: str) -> str:
@@ -75,11 +83,12 @@ def label_entanglement(state: np.ndarray, scheme: str) -> str:
     if len(state) != 2 ** n:
         raise SimulationError(f"{scheme} needs a {n}-qubit state")
     if n == 2:
-        if is_separable_bipartition(state, 2, (0,)):
+        schmidt = schmidt_coefficients(state, 2, (0,))  # one decomposition per cut
+        if _separable(schmidt):
             return "separable"
         if scheme == "2q-sep-vs-ent":
             return "entangled"
-        if entanglement_entropy_bits(state, 2, (0,)) >= MAXENT_ENTROPY_MIN:
+        if _entropy_bits(schmidt) >= MAXENT_ENTROPY_MIN:
             return "maxent"
         raise SimulationError("state is neither separable nor maximally entangled")
     sep = tuple(is_separable_bipartition(state, 3, (q,)) for q in range(3))

@@ -58,7 +58,7 @@ def hadamard_test_law(rng: np.random.Generator, pairs: int) -> float:
     for _ in range(pairs):
         v, us = _real_unit(rng, 4), _real_units(rng, 2, 4)
         V = sub.make_V(v.astype(complex), layout, register="data")
-        W = sub.make_W(us.astype(complex), layout, index="index", train="data")
+        W = sub.make_W(us.astype(complex), layout, train="data")
         for j in range(2):
             state = StateVector.zero_state(layout)
             if j:
@@ -130,7 +130,7 @@ def h_block_diagonality(rng: np.random.Generator) -> float:
     us = _real_units(rng, 4, 2).astype(complex)
     layout = RegisterLayout.from_sizes([("index", 2), ("data", 1), ("B", 1)])
     H = sub.build_H_dot(sub.make_V(v, layout, register="data"),
-                        sub.make_W(us, layout, index="index", train="data"), layout)
+                        sub.make_W(us, layout, train="data"), layout)
     return _block_error(H.gate.matrix, [sub.h_block_matrix(v, u) for u in us], rng)
 
 
@@ -162,9 +162,7 @@ def membership_D(m: int) -> int:
     worst = 0
     for size in (1, 2, 3):
         for A in itertools.combinations(range(2 ** m), size):
-            circ = Circuit()
-            for i in A:
-                circ.extend(oracle.build_D(i, iq, pq, chain, tgt))
+            circ = Circuit([g for i in A for g in oracle.build_D(i, iq, pq, chain, tgt)])
             for j in range(2 ** m):
                 y = oracle.classical_action(circ, 3 * m + 1, j)
                 wrong = ((y >> (3 * m)) & 1) != (j in A)

@@ -42,7 +42,7 @@ from .statevec import (
     pauli_x,
     toffoli,
 )
-from .subroutines import StatePrepOracle, make_W, zero_reflection
+from .subroutines import StatePrepOracle, zero_reflection
 
 
 @dataclass(frozen=True)
@@ -160,7 +160,6 @@ class OracleCircuit:
     y: int
     A: frozenset[int]
     M: int
-    prep_counts: Counter
     U: Circuit
     search: Circuit
 
@@ -205,8 +204,9 @@ class OracleCircuit:
 
 def assemble_O_yA(V: StatePrepOracle, W: StatePrepOracle, layout: RegisterLayout,
                   cfg: PrecisionConfig, y: int, A) -> OracleCircuit:
-    """Steps: F on (index,fid); F on (index',fid') loaded with y; J; mid-circuit
-    uncompute of the primed registers; D cascade; X+Toffoli; mirror uncompute."""
+    """Steps: F on (index,fid); F renamed onto (index',fid') loaded with y; J;
+    mid-circuit uncompute of the primed registers; D cascade; X+Toffoli;
+    mirror uncompute."""
     cfg.require_circuit_scale()
     A = frozenset(A)
     m, b = layout.size("index"), cfg.b
@@ -215,30 +215,24 @@ def assemble_O_yA(V: StatePrepOracle, W: StatePrepOracle, layout: RegisterLayout
     if m > b:
         raise SimulationError("circuit-exact oracle hosts comparator chains in the "
                               "phase register and needs log2(M) <= b")
-    W_p = make_W(W.states, layout, index="index_p", train="train")
+    index, index_p = layout.qubits("index"), layout.qubits("index_p")
+    fid, fid_p = layout.qubits("fid"), layout.qubits("fid_p")
     f_main = fidelity_qadc_circuit(V, W, layout, cfg)
-    f_prime = fidelity_qadc_circuit(V, W_p, layout, cfg, index="index_p", fid="fid_p")
+    f_inv = f_main.inverse()
+    # F' is F with the primed pair standing in for (index, fid)
+    primed = dict(zip(index + fid, index_p + fid_p))
     phase = layout.qubits("phase")
     (q1,), (q2,), (q3,) = layout.qubits("Q1"), layout.qubits("Q2"), layout.qubits("Q3")
-    load_y = Circuit([pauli_x(layout.qubits("index_p")[l]) for l in range(m) if (y >> l) & 1])
-    j_gate = build_J(layout.qubits("fid"), layout.qubits("fid_p"), q1, phase[: b - 1])
-    d_gates = Circuit()
-    for i in sorted(A):
-        d_gates.extend(build_D(i, layout.qubits("index"), layout.qubits("index_p"),
-                               phase[:m], q2))
+    load_y = [pauli_x(index_p[l]) for l in range(m) if (y >> l) & 1]
+    compare = (load_y + f_main.remap(primed).gates + build_J(fid, fid_p, q1, phase[: b - 1]).gates
+               + f_inv.remap(primed).gates + load_y)
+    d_gates = [g for i in sorted(A) for g in build_D(i, index, index_p, phase[:m], q2)]
 
-    compare = Circuit()
-    compare.extend(load_y)
-    compare.extend(f_prime)
-    compare.extend(j_gate)
-    compare.extend(f_prime.inverse())
-    compare.extend(load_y)
-
-    U = Circuit(f_main.gates + compare.gates + d_gates.gates)
-    U_dag = d_gates.gates + compare.gates + f_main.inverse().gates
+    U = Circuit(f_main.gates + compare + d_gates)
+    U_dag = d_gates + compare + f_inv.gates
     circ = Circuit(U.gates + [pauli_x(q2), toffoli(q1, q2, q3), pauli_x(q2)] + U_dag)
     search = Circuit(U.gates + [pauli_x(q2), mcz((q1,), q2), pauli_x(q2)] + U_dag)
-    return OracleCircuit(circ, layout, y, A, M, circ.prep_counts(), U, search)
+    return OracleCircuit(circ, layout, y, A, M, U, search)
 
 
 def classical_action(circuit: Circuit, num_qubits: int, x: int) -> int:

@@ -110,8 +110,7 @@ def arithmetic_table(cfg: PrecisionConfig, mode: str = "fidelity") -> np.ndarray
     return out
 
 
-def arithmetic_map(cfg: PrecisionConfig, layout: RegisterLayout, mode: str = "fidelity",
-                   fid: str = "fid") -> Gate:
+def arithmetic_map(cfg: PrecisionConfig, layout: RegisterLayout, mode: str = "fidelity") -> Gate:
     """Reversible |t>|z> -> |t>|z XOR g(t)> permutation on (phase, fid).
 
     On a fresh fid register this writes the digitized similarity; the XOR
@@ -120,14 +119,14 @@ def arithmetic_map(cfg: PrecisionConfig, layout: RegisterLayout, mode: str = "fi
     cfg.require_circuit_scale()
     table = arithmetic_table(cfg, mode)
     b = cfg.b
-    if layout.size("phase") != b or layout.size(fid) != b:
+    if layout.size("phase") != b or layout.size("fid") != b:
         raise SimulationError("phase/fid register width does not match precision")
     size = 2 ** (2 * b)
     local = np.arange(size)
     t = local & (2 ** b - 1)
     z = local >> b
     perm = t | ((z ^ table[t]) << b)
-    targets = layout.qubits("phase") + layout.qubits(fid)
+    targets = layout.qubits("phase") + layout.qubits("fid")
     return basis_permutation(targets, perm, f"QA[{mode}]")
 
 
@@ -135,7 +134,7 @@ def arithmetic_map(cfg: PrecisionConfig, layout: RegisterLayout, mode: str = "fi
 
 
 def qadc_circuit(op: ReflectionOperator, layout: RegisterLayout, cfg: PrecisionConfig,
-                 fid: str = "fid", mode: str | None = None) -> Circuit:
+                 mode: str | None = None) -> Circuit:
     """E^dig E^amp as one gate list: amp -> QPE -> arithmetic -> QPE^-1 -> amp^-1.
 
     ``op`` is the reflection operator (G for fidelity, H for the dot product);
@@ -144,13 +143,9 @@ def qadc_circuit(op: ReflectionOperator, layout: RegisterLayout, cfg: PrecisionC
     """
     cfg.require_circuit_scale()
     qpe = qpe_circuit(op.gate, layout.qubits("phase"))
-    circ = Circuit()
-    circ.extend(op.amp_circuit)
-    circ.extend(qpe)
-    circ.append(arithmetic_map(cfg, layout, mode or op.kind, fid))
-    circ.extend(qpe.inverse())
-    circ.extend(op.amp_circuit.inverse())
-    return circ
+    return Circuit(op.amp_circuit.gates + qpe.gates
+                   + [arithmetic_map(cfg, layout, mode or op.kind)]
+                   + qpe.inverse().gates + op.amp_circuit.inverse().gates)
 
 
 def apply_qadc(state: StateVector, op: ReflectionOperator, layout: RegisterLayout,
@@ -163,12 +158,11 @@ def apply_qadc(state: StateVector, op: ReflectionOperator, layout: RegisterLayou
 
 
 def fidelity_qadc_circuit(V: StatePrepOracle, W: StatePrepOracle, layout: RegisterLayout,
-                          cfg: PrecisionConfig, index: str = "index",
-                          fid: str = "fid") -> Circuit:
-    """The full F operator |j>|0> -> |j>|F_j> as a gate sequence, on the
-    ``index``/``fid`` pair (the oracle's second F uses the primed pair)."""
-    G = build_G(V, W, layout, index)
-    return qadc_circuit(G, layout, cfg, fid, "fidelity")
+                          cfg: PrecisionConfig) -> Circuit:
+    """The full F operator |j>|0> -> |j>|F_j> as a gate sequence on the
+    index/fid pair; the oracle's second F is this circuit with its qubits
+    renamed onto the primed pair (``Circuit.remap``)."""
+    return qadc_circuit(build_G(V, W, layout), layout, cfg, "fidelity")
 
 
 # --- standalone abs-QADC ------------------------------------------------------

@@ -133,6 +133,8 @@ class Gate:
     def __post_init__(self):
         if len(set(self.targets)) != len(self.targets):
             raise SimulationError(f"{self.name}: repeated target qubits")
+        if len(set(self.controls)) != len(self.controls):
+            raise SimulationError(f"{self.name}: repeated control qubits")
         if set(self.targets) & set(self.controls):
             raise SimulationError(f"{self.name}: control/target overlap")
         dim = 2 ** len(self.targets)
@@ -177,11 +179,21 @@ class Circuit:
     def append(self, gate: Gate) -> None:
         self.gates.append(gate)
 
-    def extend(self, other: "Circuit | list[Gate]") -> None:
-        self.gates.extend(other.gates if isinstance(other, Circuit) else other)
-
     def inverse(self) -> "Circuit":
         return Circuit([g.inverse() for g in reversed(self.gates)])
+
+    def remap(self, mapping: dict[int, int]) -> "Circuit":
+        """The same gates on renamed qubits: q becomes mapping.get(q, q).
+
+        Matrices and permutations are shared, not copied; every gate is
+        rebuilt through ``Gate``, so a mapping that merges two qubits of one
+        gate raises SimulationError.
+        """
+        def move(qubits):
+            return tuple(mapping.get(q, q) for q in qubits)
+
+        return Circuit([Gate(g.name, move(g.targets), move(g.controls), g.matrix, g.perm,
+                             g.prep_counts) for g in self.gates])
 
     def qubits(self) -> set[int]:
         out: set[int] = set()

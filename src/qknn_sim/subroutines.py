@@ -67,11 +67,10 @@ def make_V(psi: np.ndarray, layout: RegisterLayout, register: str = "test") -> S
     return StatePrepOracle(Circuit([gate]), np.asarray(psi, dtype=complex))
 
 
-def make_W(phis: np.ndarray, layout: RegisterLayout, index: str = "index",
-           train: str = "train") -> StatePrepOracle:
+def make_W(phis: np.ndarray, layout: RegisterLayout, train: str = "train") -> StatePrepOracle:
     phis = np.asarray(phis, dtype=complex)
     M, dim = phis.shape
-    m = layout.size(index)
+    m = layout.size("index")
     if M != 2 ** m:
         raise SimulationError(f"W needs M = 2**{m} train states, got {M}")
     if dim != 2 ** layout.size(train):
@@ -80,7 +79,7 @@ def make_W(phis: np.ndarray, layout: RegisterLayout, index: str = "index",
     for j in range(M):
         # index register sits on the low bits: block j holds local values j + t*M
         blocks[j::M, j::M] = unitary_with_first_column(phis[j])
-    qubits = layout.qubits(index) + layout.qubits(train)
+    qubits = layout.qubits("index") + layout.qubits(train)
     gate = register_unitary(qubits, blocks, "W", prep_counts=(("W", 1),))
     return StatePrepOracle(Circuit([gate]), phis)
 
@@ -92,11 +91,8 @@ def swap_test_circuit(layout: RegisterLayout) -> Circuit:
     tr, ts, (bq,) = layout.qubits("train"), layout.qubits("test"), layout.qubits("B")
     if len(tr) != len(ts):
         raise SimulationError("train/test register size mismatch")
-    circ = Circuit([hadamard(bq)])
-    for q1, q2 in zip(tr, ts):
-        circ.append(cswap(bq, q1, q2))
-    circ.append(hadamard(bq))
-    return circ
+    return Circuit([hadamard(bq)] + [cswap(bq, q1, q2) for q1, q2 in zip(tr, ts)]
+                   + [hadamard(bq)])
 
 
 def swap_test_apply(state: StateVector, layout: RegisterLayout) -> StateVector:
@@ -108,10 +104,7 @@ def swap_test_apply(state: StateVector, layout: RegisterLayout) -> StateVector:
 
 def build_U(V: StatePrepOracle, layout: RegisterLayout) -> Circuit:
     """Test-state preparation followed by the swap-test network."""
-    circ = Circuit()
-    circ.extend(V.circuit)
-    circ.extend(swap_test_circuit(layout))
-    return circ
+    return Circuit(V.circuit.gates + swap_test_circuit(layout).gates)
 
 
 def hadamard_test_circuit(V: StatePrepOracle, W: StatePrepOracle,
@@ -126,15 +119,12 @@ def hadamard_test_circuit(V: StatePrepOracle, W: StatePrepOracle,
     w_gate = W.circuit.gates[0]
     if v_gate.targets != layout.qubits("data"):
         raise SimulationError("test-state oracle does not act on the data register")
-    circ = Circuit()
-    circ.extend(V.circuit)
-    circ.append(hadamard(bq))
-    circ.append(Gate("V^-1", v_gate.targets, (bq,), matrix=v_gate.matrix.conj().T,
-                     prep_counts=(("V", 1),)))
-    circ.append(Gate("W", w_gate.targets, (bq,), matrix=w_gate.matrix,
-                     prep_counts=(("W", 1),)))
-    circ.append(hadamard(bq))
-    return circ
+    return Circuit(V.circuit.gates + [
+        hadamard(bq),
+        Gate("V^-1", v_gate.targets, (bq,), matrix=v_gate.matrix.conj().T,
+             prep_counts=(("V", 1),)),
+        Gate("W", w_gate.targets, (bq,), matrix=w_gate.matrix, prep_counts=(("W", 1),)),
+        hadamard(bq)])
 
 
 def hadamard_test_apply(state: StateVector, layout: RegisterLayout, V: StatePrepOracle,
@@ -151,13 +141,9 @@ def hadamard_test_apply(state: StateVector, layout: RegisterLayout, V: StatePrep
 
 def zero_reflection(qubits: tuple[int, ...]) -> Circuit:
     """S0 = 1 - 2|0..0><0..0| on the given qubits, via X-conjugated multi-Z."""
-    circ = Circuit([pauli_x(q) for q in qubits])
-    if len(qubits) == 1:
-        circ.append(pauli_z(qubits[0]))
-    else:
-        circ.append(mcz(qubits[:-1], qubits[-1]))
-    circ.extend([pauli_x(q) for q in qubits])
-    return circ
+    flips = [pauli_x(q) for q in qubits]
+    core = pauli_z(qubits[0]) if len(qubits) == 1 else mcz(qubits[:-1], qubits[-1])
+    return Circuit(flips + [core] + flips)
 
 
 @dataclass(eq=False)
@@ -178,10 +164,8 @@ def reflection_operator(kind: str, prep: Circuit, layout: RegisterLayout,
     the interference ancilla B.
     """
     (bq,) = layout.qubits(work[-1])
-    circ = Circuit([pauli_z(bq)])
-    circ.extend(prep.inverse())
-    circ.extend(zero_reflection(layout.qubits_of(work)))
-    circ.extend(prep)
+    circ = Circuit([pauli_z(bq)] + prep.inverse().gates
+                   + zero_reflection(layout.qubits_of(work)).gates + prep.gates)
     qubits = layout.qubits_of(support)
     gate = register_unitary(qubits, circuit_to_matrix(circ, qubits),
                             "G" if kind == "fidelity" else "H",
@@ -189,13 +173,11 @@ def reflection_operator(kind: str, prep: Circuit, layout: RegisterLayout,
     return ReflectionOperator(kind, gate, prep, work)
 
 
-def build_G(V: StatePrepOracle, W: StatePrepOracle, layout: RegisterLayout,
-            index: str = "index") -> ReflectionOperator:
-    """G = U W S0 W^dag U^dag Z_B on (index, train, test, B); ``index`` names
-    the register W reads (the primed copy in the oracle's second F)."""
+def build_G(V: StatePrepOracle, W: StatePrepOracle, layout: RegisterLayout) -> ReflectionOperator:
+    """G = U W S0 W^dag U^dag Z_B on (index, train, test, B)."""
     prep = Circuit(W.circuit.gates + build_U(V, layout).gates)
     return reflection_operator("fidelity", prep, layout, ("train", "test", "B"),
-                               (index, "train", "test", "B"))
+                               ("index", "train", "test", "B"))
 
 
 def build_H_dot(V: StatePrepOracle, W: StatePrepOracle,

@@ -104,7 +104,7 @@ def test_assembled_oracle_reversibility():
 def test_oracle_prep_counts_match_formula():
     b = 2
     oc = invariants.dyadic_oracle(b, 1, {1})
-    assert oc.prep_counts == prep_calls_per_oracle(b)
+    assert oc.circuit.prep_counts() == prep_calls_per_oracle(b)
 
 
 def test_oracle_evaluate_most_probable_outcome():
@@ -256,19 +256,13 @@ class _HandleBackend(CircuitBackend):
         return handle
 
 
-@pytest.mark.parametrize("kind,M,k,seed", [("haar", 2, 1, 0), ("haar", 2, 1, 1),
-                                           ("basis", 2, 1, 4), ("basis", 2, 1, 5),
-                                           ("basis", 4, 2, 4)])
-def test_cached_search_matches_brute_force(kind, M, k, seed):
-    """k_maxima over the cached circuit handle equals the rebuilding reference
-    field by field and leaves the generator in the same state, while each
-    handle simulates at most max(r) Grover iterations and each candidate once.
+FIVE_CASES = [("haar", 2, 1, 0), ("haar", 2, 1, 1), ("basis", 2, 1, 4), ("basis", 2, 1, 5),
+              ("basis", 4, 2, 4)]
 
-    Haar-random states give non-dyadic fidelities; basis states (fidelities
-    1, 0, 1, 0 to a |0> test state) make these seeds replace a member of A
-    before the final threshold, so the runs span two oracles.
-    """
-    b = 2
+
+def _search_instance(kind, M, seed, b=2):
+    """A cached (y, A) -> OracleCircuit assembler and the quantized table of
+    one search instance: Haar-random or basis train and test states."""
     if kind == "haar":
         rng = np.random.default_rng([seed, 9])
         states = rng.normal(size=(M + 1, 2)) + 1j * rng.normal(size=(M + 1, 2))
@@ -279,11 +273,24 @@ def test_cached_search_matches_brute_force(kind, M, k, seed):
     V, W = make_V(states[M], layout, register="test"), make_W(states[:M], layout)
     cfg = PrecisionConfig(b)
     values = quantize_array(np.abs(states[:M].conj() @ states[M]) ** 2, b)
-    assembled = functools.cache(lambda y, A: assemble_O_yA(V, W, layout, cfg, y, A))
+    return functools.cache(lambda y, A: assemble_O_yA(V, W, layout, cfg, y, A)), values
+
+
+@pytest.mark.parametrize("kind,M,k,seed", FIVE_CASES)
+def test_cached_search_matches_brute_force(kind, M, k, seed):
+    """k_maxima over the cached circuit handle equals the rebuilding reference
+    field by field and leaves the generator in the same state, while each
+    handle simulates at most max(r) Grover iterations and each candidate once.
+
+    Haar-random states give non-dyadic fidelities; basis states (fidelities
+    1, 0, 1, 0 to a |0> test state) make these seeds replace a member of A
+    before the final threshold, so the runs span two oracles.
+    """
+    assembled, values = _search_instance(kind, M, seed)
     search = SearchConfig(max_rounds=10, seed=seed)
     results = {}
     for cls in (_CountingHandle, _RebuildingHandle):
-        backend = _HandleBackend(cls, assembled, values, b)
+        backend = _HandleBackend(cls, assembled, values, 2)
         results[cls] = (k_maxima(backend, k, M, search), backend.handles)
     (got, cached), (want, reference) = results[_CountingHandle], results[_RebuildingHandle]
     for name in ("top_k", "rounds", "oracle_queries", "data_prep_queries", "iterations",
@@ -322,26 +329,6 @@ def test_cached_rounds_match_rebuilt_rounds_at_any_depth():
     for r in depths:
         assert np.array_equal(cached._marginals[r], reference.marginals[r])
     assert cached._marginals[1][0] > 1 - 1e-9 and abs(cached._marginals[0][0] - 0.25) < 1e-9
-
-
-FIVE_CASES = [("haar", 2, 1, 0), ("haar", 2, 1, 1), ("basis", 2, 1, 4), ("basis", 2, 1, 5),
-              ("basis", 4, 2, 4)]
-
-
-def _search_instance(kind, M, seed, b=2):
-    """The instances of test_cached_search_matches_brute_force: a cached
-    (y, A) -> OracleCircuit assembler and the quantized table."""
-    if kind == "haar":
-        rng = np.random.default_rng([seed, 9])
-        states = rng.normal(size=(M + 1, 2)) + 1j * rng.normal(size=(M + 1, 2))
-        states /= np.linalg.norm(states, axis=1, keepdims=True)
-    else:
-        states = np.array([[1, 0], [0, 1]] * (M // 2) + [[1, 0]], dtype=complex)
-    layout = oracle_layout(M.bit_length() - 1, 1, b)
-    V, W = make_V(states[M], layout, register="test"), make_W(states[:M], layout)
-    cfg = PrecisionConfig(b)
-    values = quantize_array(np.abs(states[:M].conj() @ states[M]) ** 2, b)
-    return functools.cache(lambda y, A: assemble_O_yA(V, W, layout, cfg, y, A)), values
 
 
 class _KickbackHandle(CircuitOracleHandle):

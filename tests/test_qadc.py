@@ -251,7 +251,7 @@ def test_apply_X_dot_known_values(u, expected_over_8):
     v = np.array([1.0, 0.0])
     layout = _dot_layout(1, 1, b)
     V = make_V(v.astype(complex), layout, register="data")
-    W = make_W(np.stack([u, u]).astype(complex), layout, index="index", train="data")
+    W = make_W(np.stack([u, u]).astype(complex), layout, train="data")
     H = build_H_dot(V, W, layout)
     out = apply_qadc(StateVector.zero_state(layout), H, layout, PrecisionConfig(b))
     dist = fid_distribution(out, 0)

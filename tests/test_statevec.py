@@ -294,6 +294,37 @@ def test_circuit_to_matrix_equals_per_column_reference(seed):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
+@given(st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_remap_is_the_same_circuit_on_renamed_qubits(seed):
+    """Under a random qubit bijection, the renamed circuit's dense unitary on
+    the mapped qubits is bit for bit the original's on its own qubits, and
+    every gate keeps its name, prep counts and matrix or permutation."""
+    rng = np.random.default_rng(seed)
+    qubits = tuple(int(q) for q in rng.choice(8, size=int(rng.integers(1, 6)), replace=False))
+    span = int(rng.integers(1, len(qubits) + 1))
+    gates = [_random_gate(qubits, span, rng) for _ in range(int(rng.integers(1, 12)))]
+    gates.append(register_unitary(qubits[:1], np.eye(2), "W", prep_counts=(("W", 1),)))
+    circ = Circuit(gates)
+    image = tuple(int(q) for q in rng.permutation(10)[: len(qubits)])
+    renamed = circ.remap(dict(zip(qubits, image)))
+    assert np.array_equal(circuit_to_matrix(renamed, image), circuit_to_matrix(circ, qubits))
+    for old, new in zip(circ, renamed, strict=True):
+        assert (new.name, new.prep_counts) == (old.name, old.prep_counts)
+        assert new.matrix is old.matrix and new.perm is old.perm
+
+
+@pytest.mark.parametrize("gate,mapping", [
+    (cnot(0, 1), {1: 0}),                                   # control onto target
+    (cswap(0, 1, 2), {2: 1}),                               # two targets merged
+    (mcz((0, 1), 2), {1: 0}),                               # two controls merged
+    (basis_permutation((0, 1), np.array([1, 0, 3, 2]), "P", (2,)), {2: 0}),
+])
+def test_remap_refuses_to_merge_qubits_of_one_gate(gate, mapping):
+    with pytest.raises(SimulationError):
+        Circuit([hadamard(5), gate]).remap(mapping)
+
+
 def test_json_round_trip():
     layout = RegisterLayout.from_sizes([("a", 1), ("b", 2)])
     state = StateVector.zero_state(layout).apply(hadamard(0)).apply(cnot(0, 2))

@@ -91,7 +91,7 @@ def _dot_setup(v, us):
     n = int(round(math.log2(len(v))))
     layout = RegisterLayout.from_sizes([("index", m), ("data", n), ("B", 1)])
     V = make_V(np.asarray(v, dtype=complex), layout, register="data")
-    W = make_W(np.asarray(us, dtype=complex), layout, index="index", train="data")
+    W = make_W(np.asarray(us, dtype=complex), layout, train="data")
     return layout, V, W
 
 
@@ -175,10 +175,9 @@ def test_W_S0_Wdag_expands_to_controlled_reflections():
     phis = np.stack([haar(n, rng) for _ in range(M)])
     layout, V, W, _ = _g_setup(psi, phis, n)
     from qknn_sim.statevec import Circuit
-    circ = Circuit()
-    circ.extend(W.circuit.inverse())
-    circ.extend(zero_reflection(layout.qubits_of(["train", "test", "B"])))
-    circ.extend(W.circuit)
+    circ = Circuit(W.circuit.inverse().gates
+                   + zero_reflection(layout.qubits_of(["train", "test", "B"])).gates
+                   + W.circuit.gates)
     got = circuit_to_matrix(circ, layout.qubits_of(["index", "train", "test", "B"]))
     dim = 2 ** (2 * n + 1)
     want = np.zeros_like(got)
