@@ -7,8 +7,9 @@ accuracies plus the classical/quantum prediction agreement rate.
 """
 import argparse
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from qknn_sim import datasets, experiments  # noqa: E402
 

@@ -7,8 +7,9 @@ set is assembled) with fitted log-log slopes.
 """
 import argparse
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from qknn_sim import experiments  # noqa: E402
 

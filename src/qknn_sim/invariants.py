@@ -42,8 +42,8 @@ def swap_test_law(rng: np.random.Generator, pairs: int, sizes: tuple[int, ...]) 
         layout = RegisterLayout.from_sizes([("train", n), ("test", n), ("B", 1)])
         psi, phi = haar(n, rng), haar(n, rng)
         state = StateVector.zero_state(layout)
-        state = state.apply_circuit(sub.make_V(phi, layout, register="train").circuit)
-        state = state.apply_circuit(sub.make_V(psi, layout, register="test").circuit)
+        state = state.apply(sub.make_V(phi, layout, register="train"))
+        state = state.apply(sub.make_V(psi, layout, register="test"))
         out = sub.swap_test_apply(state, layout)
         F = abs(np.vdot(psi, phi)) ** 2
         worst = max(worst, abs(out.measure_probs("B")[0] - (1 + F) / 2))

@@ -120,9 +120,6 @@ class TableBackend:
         self.prep_calls = sum(prep_calls_per_oracle(b).values()) if b is not None else 0
         self._descending = None  # the table sorted once, on the first is_top_k
 
-    def value(self, i: int) -> float:
-        return self.values[i]
-
     def oracle_for(self, y: int, A: frozenset) -> TableOracleHandle:
         return TableOracleHandle(self.values, y, A)
 
@@ -171,7 +168,7 @@ def k_maxima(backend, k: int, M: int | None = None,
     search_rounds = 0
     queries_to_solution = 0 if backend.is_top_k(A) else None
     while True:
-        y = min(A, key=lambda i: (backend.value(i), i))
+        y = min(A, key=lambda i: (backend.values[i], i))
         handle = backend.oracle_for(y, frozenset(A))
         res = grover_search_unknown(handle, cfg, rng)
         oracle_queries += handle.query_count

@@ -42,7 +42,7 @@ from .statevec import (
     pauli_x,
     toffoli,
 )
-from .subroutines import StatePrepOracle, zero_reflection
+from .subroutines import zero_reflection
 
 
 @dataclass(frozen=True)
@@ -167,12 +167,6 @@ class OracleCircuit:
     def search_layout(self) -> RegisterLayout:
         return RegisterLayout(self.layout.registers[:-1])
 
-    def netlist(self) -> str:
-        return self.circuit.netlist()
-
-    def peak_qubits(self) -> int:
-        return len(self.circuit.qubits())
-
     def apply(self, state: StateVector) -> StateVector:
         """One query of the search oracle."""
         return state.apply_circuit(self.search)
@@ -202,7 +196,7 @@ class OracleCircuit:
         return int(self.marked_probs[j] > 0.5)
 
 
-def assemble_O_yA(V: StatePrepOracle, W: StatePrepOracle, layout: RegisterLayout,
+def assemble_O_yA(V: Gate, W: Gate, layout: RegisterLayout,
                   cfg: PrecisionConfig, y: int, A) -> OracleCircuit:
     """Steps: F on (index,fid); F renamed onto (index',fid') loaded with y; J;
     mid-circuit uncompute of the primed registers; D cascade; X+Toffoli;
@@ -383,7 +377,7 @@ def qubit_accounting(oracle: OracleCircuit, n: int) -> QubitReport:
     k_j = k_d = 0
     formula = 2 * m + 2 * b + k_j + 1 + max(k_d + 2 - m - b, 2 * n + b - k_j)
     total = layout.num_qubits
-    peak = oracle.peak_qubits()
+    peak = len(oracle.circuit.qubits())
     regs = {name: layout.size(name) for name in layout.names}
     expl = ("Q1, Q2 and Q3 are dedicated qubits in the fixed register machine; "
             "the closed-form count packs the two comparison flags into work "

@@ -36,7 +36,6 @@ from .statevec import (
 )
 from .subroutines import (
     ReflectionOperator,
-    StatePrepOracle,
     build_G,
     make_V,
     make_W,
@@ -157,7 +156,7 @@ def apply_qadc(state: StateVector, op: ReflectionOperator, layout: RegisterLayou
     return state.apply_circuit(qadc_circuit(op, layout, cfg, mode=mode))
 
 
-def fidelity_qadc_circuit(V: StatePrepOracle, W: StatePrepOracle, layout: RegisterLayout,
+def fidelity_qadc_circuit(V: Gate, W: Gate, layout: RegisterLayout,
                           cfg: PrecisionConfig) -> Circuit:
     """The full F operator |j>|0> -> |j>|F_j> as a gate sequence on the
     index/fid pair; the oracle's second F is this circuit with its qubits

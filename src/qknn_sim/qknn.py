@@ -29,6 +29,16 @@ REAL_ATOL = 1e-12
 DISCRIMINATION_BITS = 20
 
 
+def require_unit_states(states: np.ndarray, what: str) -> None:
+    """Refuse a state (1-D) or rows of states (2-D) that hold a non-finite
+    amplitude or whose norm is off 1 by more than 1e-9."""
+    if not np.isfinite(states).all():
+        raise SimulationError(f"{what} {'contain' if states.ndim == 2 else 'contains'} "
+                              "non-finite amplitudes")
+    if np.any(np.abs(np.linalg.norm(states, axis=-1) - 1.0) > 1e-9):
+        raise SimulationError(f"{what} must be normalized")
+
+
 @dataclass(eq=False)
 class TrainSet:
     """M labeled pure states. M must be a power of two only for the circuit
@@ -41,11 +51,7 @@ class TrainSet:
         self.states = np.asarray(self.states, dtype=complex)
         if self.states.ndim != 2 or len(self.labels) != self.states.shape[0]:
             raise SimulationError("states/labels shape mismatch")
-        if not np.isfinite(self.states).all():
-            raise SimulationError("train states contain non-finite amplitudes")
-        norms = np.linalg.norm(self.states, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-9):
-            raise SimulationError("train states must be normalized")
+        require_unit_states(self.states, "train states")
 
     @property
     def M(self) -> int:
@@ -79,6 +85,9 @@ class FidelityTable:
         if b is not None:
             PrecisionConfig(b)  # refuses b outside [2, 30], as the quantum path does
         test_state = np.asarray(test_state, dtype=complex)
+        if test_state.shape != train.states.shape[1:]:
+            raise SimulationError(f"test state shape {test_state.shape} != train state shape")
+        require_unit_states(test_state, "test state")
         overlaps = train.states.conj() @ test_state
         if measure == "fidelity":
             exact = np.abs(overlaps) ** 2
@@ -156,8 +165,7 @@ def qknn_classify(test_state: np.ndarray, train: TrainSet, k: int,
         if train.M > 4 or train.n > 1 or cfg.b > 3:
             raise SimulationError("circuit-exact mode is limited to M <= 4, n <= 1, b <= 3")
         layout = oracle_layout(m, train.n, cfg.b)
-        V = make_V(np.asarray(test_state, dtype=complex), layout, register="test")
-        W = make_W(train.states, layout)
+        V, W = make_V(test_state, layout), make_W(train.states, layout)
         assemble = functools.cache(lambda y, A: assemble_O_yA(V, W, layout, cfg, y, A))
         backend = CircuitBackend(assemble, table.quantized, cfg.b)
     else:

@@ -109,8 +109,11 @@ class RegisterLayout:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "RegisterLayout":
-        regs = sorted(((v[0], v[1], k) for k, v in obj.items()))
-        return cls(tuple((name, start, size) for start, size, name in regs))
+        regs = sorted((start, size, name) for name, (start, size) in obj.items())
+        layout = cls.from_sizes([(name, size) for _, size, name in regs])
+        if layout.registers != tuple((name, start, size) for start, size, name in regs):
+            raise SimulationError(f"registers {obj} do not tile the qubits from 0 without gaps")
+        return layout
 
 
 @dataclass(frozen=True, eq=False)
@@ -359,7 +362,12 @@ class StateVector:
     def load_json(cls, text: str) -> "StateVector":
         obj = json.loads(text)
         amps = np.array([complex(re, im) for re, im in obj["amplitudes"]])
+        if not np.isfinite(amps).all():
+            raise SimulationError("state holds non-finite amplitudes")
         layout = RegisterLayout.from_json_obj(obj["layout"]) if obj.get("layout") else None
+        if layout is not None and layout.num_qubits != obj["num_qubits"]:
+            raise SimulationError(f"layout covers {layout.num_qubits} qubits, "
+                                  f"the state has {obj['num_qubits']}")
         return cls(obj["num_qubits"], amps, layout)
 
 

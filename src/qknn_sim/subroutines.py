@@ -15,7 +15,7 @@ test and sin(pi*theta_j) = sqrt((1+X_j)/2) with X_j the real inner product.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,27 +47,14 @@ def unitary_with_first_column(psi: np.ndarray) -> np.ndarray:
     return q
 
 
-@dataclass(eq=False)
-class StatePrepOracle:
-    """A state-preparation oracle: V for the test state, W for the train set.
-
-    V maps |0^n> to the stored test state on its register. W is multiplexed:
-    |j>|0^n> -> |j>|phi_j> for every index j, realized as a block-diagonal
-    unitary on (index, train); each use is accounted as a single W query.
-    """
-
-    circuit: Circuit
-    states: np.ndarray  # V: (2**n,), W: (M, 2**n)
-
-
-def make_V(psi: np.ndarray, layout: RegisterLayout, register: str = "test") -> StatePrepOracle:
-    qubits = layout.qubits(register)
+def make_V(psi: np.ndarray, layout: RegisterLayout, register: str = "test") -> Gate:
+    """V, the test-state oracle: |0^n> -> |psi> on ``register``."""
     mat = unitary_with_first_column(psi)
-    gate = register_unitary(qubits, mat, "V", prep_counts=(("V", 1),))
-    return StatePrepOracle(Circuit([gate]), np.asarray(psi, dtype=complex))
+    return register_unitary(layout.qubits(register), mat, "V", prep_counts=(("V", 1),))
 
 
-def make_W(phis: np.ndarray, layout: RegisterLayout, train: str = "train") -> StatePrepOracle:
+def make_W(phis: np.ndarray, layout: RegisterLayout, train: str = "train") -> Gate:
+    """W, the train-set oracle: |j>|0^n> -> |j>|phi_j> as one gate and one query."""
     phis = np.asarray(phis, dtype=complex)
     M, dim = phis.shape
     m = layout.size("index")
@@ -80,8 +67,7 @@ def make_W(phis: np.ndarray, layout: RegisterLayout, train: str = "train") -> St
         # index register sits on the low bits: block j holds local values j + t*M
         blocks[j::M, j::M] = unitary_with_first_column(phis[j])
     qubits = layout.qubits("index") + layout.qubits(train)
-    gate = register_unitary(qubits, blocks, "W", prep_counts=(("W", 1),))
-    return StatePrepOracle(Circuit([gate]), phis)
+    return register_unitary(qubits, blocks, "W", prep_counts=(("W", 1),))
 
 
 # --- interference tests ------------------------------------------------------
@@ -102,33 +88,26 @@ def swap_test_apply(state: StateVector, layout: RegisterLayout) -> StateVector:
     return state.apply_circuit(swap_test_circuit(layout))
 
 
-def build_U(V: StatePrepOracle, layout: RegisterLayout) -> Circuit:
+def build_U(V: Gate, layout: RegisterLayout) -> Circuit:
     """Test-state preparation followed by the swap-test network."""
-    return Circuit(V.circuit.gates + swap_test_circuit(layout).gates)
+    return Circuit([V] + swap_test_circuit(layout).gates)
 
 
-def hadamard_test_circuit(V: StatePrepOracle, W: StatePrepOracle,
-                          layout: RegisterLayout) -> Circuit:
+def hadamard_test_circuit(V: Gate, W: Gate, layout: RegisterLayout) -> Circuit:
     """Prepare the test state, then interfere it with the indexed train state.
 
     Combined unitary of the preparation and Hadamard-test steps: on input
     |j>|0^n>|0>_B the output is (1/2)[(|v>+|u_j>)|0>_B + (|v>-|u_j>)|1>_B].
     """
     (bq,) = layout.qubits("B")
-    v_gate = V.circuit.gates[0]
-    w_gate = W.circuit.gates[0]
-    if v_gate.targets != layout.qubits("data"):
+    if V.targets != layout.qubits("data"):
         raise SimulationError("test-state oracle does not act on the data register")
-    return Circuit(V.circuit.gates + [
-        hadamard(bq),
-        Gate("V^-1", v_gate.targets, (bq,), matrix=v_gate.matrix.conj().T,
-             prep_counts=(("V", 1),)),
-        Gate("W", w_gate.targets, (bq,), matrix=w_gate.matrix, prep_counts=(("W", 1),)),
-        hadamard(bq)])
+    return Circuit([V, hadamard(bq), replace(V.inverse(), controls=(bq,)),
+                    replace(W, controls=(bq,)), hadamard(bq)])
 
 
-def hadamard_test_apply(state: StateVector, layout: RegisterLayout, V: StatePrepOracle,
-                        W: StatePrepOracle) -> StateVector:
+def hadamard_test_apply(state: StateVector, layout: RegisterLayout, V: Gate,
+                        W: Gate) -> StateVector:
     if not state.register_is_zero("B"):
         raise SimulationError("Hadamard test control register B is not fresh")
     if not state.register_is_zero("data"):
@@ -173,15 +152,14 @@ def reflection_operator(kind: str, prep: Circuit, layout: RegisterLayout,
     return ReflectionOperator(kind, gate, prep, work)
 
 
-def build_G(V: StatePrepOracle, W: StatePrepOracle, layout: RegisterLayout) -> ReflectionOperator:
+def build_G(V: Gate, W: Gate, layout: RegisterLayout) -> ReflectionOperator:
     """G = U W S0 W^dag U^dag Z_B on (index, train, test, B)."""
-    prep = Circuit(W.circuit.gates + build_U(V, layout).gates)
+    prep = Circuit([W] + build_U(V, layout).gates)
     return reflection_operator("fidelity", prep, layout, ("train", "test", "B"),
                                ("index", "train", "test", "B"))
 
 
-def build_H_dot(V: StatePrepOracle, W: StatePrepOracle,
-                layout: RegisterLayout) -> ReflectionOperator:
+def build_H_dot(V: Gate, W: Gate, layout: RegisterLayout) -> ReflectionOperator:
     """H = V_c S0 V_c^dag Z_B with V_c the prepare-and-interfere unitary."""
     return reflection_operator("dot", hadamard_test_circuit(V, W, layout), layout,
                                ("data", "B"), ("index", "data", "B"))

@@ -115,7 +115,7 @@ def test_oracle_evaluate_most_probable_outcome():
 
 def test_oracle_netlist_mentions_core_pieces():
     oc = invariants.dyadic_oracle(2, 1, {1})
-    text = oc.netlist()
+    text = oc.circuit.netlist()
     for token in ("W ", "V ", "IQFT", "QA[fidelity]", "TOFFOLI"):
         assert token in text
     for line in text.splitlines():

@@ -240,3 +240,27 @@ def test_trainset_validation():
     three = TrainSet(np.eye(4, dtype=complex)[:3], ["A", "B", "C"])
     with pytest.raises(SimulationError):
         three.require_power_of_two()
+
+
+BAD_TEST_STATES = {
+    "nan": np.full(2, np.nan, dtype=complex),
+    "inf": np.array([np.inf, 0], dtype=complex),
+    "norm 3": np.array([3, 0], dtype=complex),
+    "wrong length": np.array([1, 0, 0, 0], dtype=complex),
+}
+CLASSIFIERS = {
+    "classical_knn": lambda state, train: classical_knn(state, train, 1),
+    "qknn_classify": lambda state, train: qknn_classify(state, train, 1, PrecisionConfig(3),
+                                                        SearchConfig(seed=0)),
+    "discriminate": lambda state, train: discriminate(state, train, SearchConfig(seed=0)),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_TEST_STATES))
+@pytest.mark.parametrize("classify", sorted(CLASSIFIERS))
+def test_classifiers_refuse_bad_test_state(classify, bad):
+    """No neighbour values of NaN, no fidelity of 9 and no promised match on an
+    all-NaN state: every classifier checks the test state as it checks the train set."""
+    train = TrainSet(np.eye(2, dtype=complex), ["A", "B"])
+    with pytest.raises(SimulationError, match="test state"):
+        CLASSIFIERS[classify](BAD_TEST_STATES[bad], train)

@@ -12,7 +12,8 @@ ROOT = Path(__file__).resolve().parents[1]
     ("run_scaling.py", ["--M", "16,32", "--trials", "3"], "max relative deviation"),
     ("run_entanglement.py", ["--per-class", "5", "--seeds", "1"], "3q-five-class"),
 ])
-def test_script_runs(script, args, expect):
-    out = subprocess.run([sys.executable, f"scripts/{script}", *args], cwd=ROOT,
+def test_script_runs(script, args, expect, tmp_path):
+    """Each script finds the package from its own location, from any directory."""
+    out = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args], cwd=tmp_path,
                          capture_output=True, text=True, timeout=120, check=True).stdout
     assert expect in out

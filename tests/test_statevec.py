@@ -1,4 +1,5 @@
 """Engine-level checks: gates, measurement, dense unitaries, persistence."""
+import json
 import tracemalloc
 
 import numpy as np
@@ -331,6 +332,21 @@ def test_json_round_trip():
     loaded = StateVector.load_json(state.dump_json())
     np.testing.assert_allclose(loaded.amplitudes, state.amplitudes, atol=1e-15)
     assert loaded.layout.to_json_obj() == layout.to_json_obj()
+
+
+@pytest.mark.parametrize("amplitudes,layout", [
+    ([[float("nan"), 0.0], [0.0, 0.0]], {"a": [0, 1]}),    # NaN amplitude
+    ([[1.0, 0.0], [0.0, float("inf")]], None),               # infinite amplitude
+    ([[1.0, 0.0], [0.0, 0.0]], {"a": [0, 3]}),               # register past the last qubit
+    ([[1.0, 0.0]] + [[0.0, 0.0]] * 3, {"a": [0, 1]}),       # register short of the last qubit
+    ([[1.0, 0.0]] + [[0.0, 0.0]] * 3, {"a": [0, 1], "b": [2, 1]}),  # gap at qubit 1
+    ([[1.0, 0.0]] + [[0.0, 0.0]] * 3, {"a": [0, 2], "b": [1, 1]}),  # overlap at qubit 1
+])
+def test_load_json_refuses_bad_state(amplitudes, layout):
+    num_qubits = len(amplitudes).bit_length() - 1
+    text = json.dumps({"num_qubits": num_qubits, "amplitudes": amplitudes, "layout": layout})
+    with pytest.raises(SimulationError):
+        StateVector.load_json(text)
 
 
 def test_netlist_format():

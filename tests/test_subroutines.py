@@ -8,11 +8,13 @@ from qknn_sim import invariants
 from qknn_sim.statevec import RegisterLayout, SimulationError, StateVector, pauli_x, register_unitary
 from qknn_sim.subroutines import (
     build_G,
+    build_H_dot,
     build_U,
     eigen_law_error,
     eigenphase,
     g_block_matrix,
     hadamard_test_apply,
+    hadamard_test_circuit,
     make_V,
     make_W,
     qpe_circuit,
@@ -20,7 +22,7 @@ from qknn_sim.subroutines import (
     unitary_with_first_column,
     zero_reflection,
 )
-from qknn_sim.statevec import circuit_to_matrix
+from qknn_sim.statevec import Circuit, circuit_to_matrix
 
 RNG = np.random.default_rng(20240917)
 
@@ -118,7 +120,8 @@ def test_validate_W_exhaustive():
     """W|j>|0> = |j>|phi_j> on every index j, to 1e-10."""
     layout = RegisterLayout.from_sizes([("index", 3), ("train", 2)])
     states = np.stack([haar(2) for _ in range(8)])
-    w_mat = circuit_to_matrix(make_W(states, layout).circuit, layout.qubits_of(["index", "train"]))
+    w_mat = circuit_to_matrix(Circuit([make_W(states, layout)]),
+                              layout.qubits_of(["index", "train"]))
     for j in range(8):
         expected = np.zeros(32, dtype=complex)
         expected[j::8] = states[j]  # index on the low bits: local value j + t*M
@@ -128,7 +131,7 @@ def test_validate_W_exhaustive():
 def test_W_acts_as_identity_on_index():
     layout = RegisterLayout.from_sizes([("index", 2), ("train", 1)])
     states = np.stack([haar(1) for _ in range(4)])
-    w_mat = circuit_to_matrix(make_W(states, layout).circuit, (0, 1, 2))
+    w_mat = circuit_to_matrix(Circuit([make_W(states, layout)]), (0, 1, 2))
     # every column keeps its index-block: entries across different j vanish
     for j in range(4):
         for t in range(2):
@@ -174,10 +177,9 @@ def test_W_S0_Wdag_expands_to_controlled_reflections():
     psi = haar(n, rng)
     phis = np.stack([haar(n, rng) for _ in range(M)])
     layout, V, W, _ = _g_setup(psi, phis, n)
-    from qknn_sim.statevec import Circuit
-    circ = Circuit(W.circuit.inverse().gates
+    circ = Circuit([W.inverse()]
                    + zero_reflection(layout.qubits_of(["train", "test", "B"])).gates
-                   + W.circuit.gates)
+                   + [W])
     got = circuit_to_matrix(circ, layout.qubits_of(["index", "train", "test", "B"]))
     dim = 2 ** (2 * n + 1)
     want = np.zeros_like(got)
@@ -193,6 +195,20 @@ def test_W_S0_Wdag_expands_to_controlled_reflections():
 
 def test_H_acts_block_diagonally():
     assert invariants.h_block_diagonality(np.random.default_rng(31)) < 1e-10
+
+
+def test_reflection_operators_count_their_oracle_queries():
+    """G uses V and W twice each (U, U^dag, W, W^dag); H uses V four times
+    (V and V^-1 in the prep and again in its inverse) and W twice, and the
+    Hadamard test's controlled V^-1 and W are each one query, controlled on B."""
+    phis = np.stack([haar(1) for _ in range(2)])
+    layout, V, W, G = _g_setup(haar(1), phis, 1)
+    assert dict(G.gate.prep_counts) == {"V": 2, "W": 2}
+    layout, V, W = _dot_setup([1.0, 0.0], [[0.6, 0.8], [0.0, 1.0]])
+    assert dict(build_H_dot(V, W, layout).gate.prep_counts) == {"V": 4, "W": 2}
+    controlled = [g for g in hadamard_test_circuit(V, W, layout) if g.controls]
+    assert [(g.name, g.controls, g.prep_counts) for g in controlled] == [
+        ("V^-1", layout.qubits("B"), (("V", 1),)), ("W", layout.qubits("B"), (("W", 1),))]
 
 
 def test_qpe_z_eigenstate_is_exact():
@@ -216,7 +232,7 @@ def test_qpe_on_G_dyadic_phases():
         state = StateVector.zero_state(layout)
         if j:
             state = state.apply(pauli_x(0))
-        state = state.apply_circuit(W.circuit).apply_circuit(build_U(V, layout))
+        state = state.apply(W).apply_circuit(build_U(V, layout))
         probs = state.apply_circuit(qpe_circuit(G.gate, layout.qubits("phase"))).measure_probs(
             "phase")
         for t, p in outcomes.items():
