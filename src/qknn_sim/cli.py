@@ -210,8 +210,8 @@ _FLAG_OPTIONS = {
     "n": {"help": "qubits per state"}, "k": {"help": "number of neighbors"},
     "b": {"help": "similarity register bits, in [2, 30]"},
     "mode": {"choices": ("classical", "oracle-abstract", "circuit-exact"),
-             "help": "circuit-exact is limited to M <= 4, n <= 1, b <= 3, which no "
-                     "corpus scheme meets (all have n >= 2): API use only for now"},
+             "help": "circuit-exact is limited to M <= 8, n <= 2, b <= 3 "
+                     "(2-qubit schemes, at most 8 train states)"},
     "corpus": {"help": "corpus JSONL path"},
 }
 

@@ -204,46 +204,49 @@ def oracle_equivalence(bits: tuple[int, ...]) -> float:
     return worst
 
 
-def _haar_oracle(rng: np.random.Generator, m: int) -> oracle.OracleCircuit:
+def haar_oracle(rng: np.random.Generator, m: int, n: int = 1) -> oracle.OracleCircuit:
     """O_{y,A} at b = 2 for 2**m Haar train states and a Haar test state, all
-    of one qubit, at a random threshold state with |A| = max(1, M // 2)."""
+    of n qubits, at a random threshold state with |A| = max(1, M // 2)."""
     M = 2 ** m
-    layout = oracle.oracle_layout(m, 1, 2)
-    states = np.stack([haar(1, rng) for _ in range(M + 1)])
+    layout = oracle.oracle_layout(m, n, 2)
+    states = np.stack([haar(n, rng) for _ in range(M + 1)])
     A = [int(i) for i in rng.permutation(M)[: max(1, M // 2)]]
     return oracle.assemble_O_yA(sub.make_V(states[M], layout, register="test"),
                                 sub.make_W(states[:M], layout), layout, qadc.PrecisionConfig(2),
                                 A[0], A)
 
 
-def phase_oracle_vs_kickback(rng: np.random.Generator) -> float:
-    """Worst gap between the simulator's Q3-free search and the model circuit.
+def kickback_gap(oc: oracle.OracleCircuit, depth: int = 3) -> float:
+    """Worst gap between the simulator's reduced search and the model circuit.
 
-    On the dyadic family at b = 2 and on one Haar instance at M = 2 and one
-    at M = 4: the worst index-marginal difference, over r <= 3 Grover
-    iterations, between the circuit handle's search oracle and the
-    full circuit with Q3 prepared in |->, plus one for each candidate whose
-    superposed verdict differs from the most probable Q3 outcome of the
-    full circuit run on |j>.
+    The worst index-marginal difference, over r <= ``depth`` Grover
+    iterations, between the circuit handle's search oracle and the full
+    circuit with Q3 prepared in |->, plus one for each candidate whose
+    superposed verdict differs from the most probable Q3 outcome of the full
+    circuit run on |j>.
     """
-    oracles = [dyadic_oracle(2, y, A) for y, A in DYADIC_CASES]
-    oracles += [_haar_oracle(rng, 1), _haar_oracle(rng, 2)]
+    handle = oracle.CircuitOracleHandle(oc)
+    index = oc.layout.qubits("index")
+    (q3,) = oc.layout.qubits("Q3")
+    diffusion = oracle.index_diffusion(index)
+    kickback = StateVector.zero_state(oc.layout).apply_circuit(
+        Circuit([pauli_x(q3), hadamard(q3)] + [hadamard(q) for q in index]))
     worst = 0.0
-    for oc in oracles:
-        handle = oracle.CircuitOracleHandle(oc)
-        index = oc.layout.qubits("index")
-        (q3,) = oc.layout.qubits("Q3")
-        diffusion = oracle.index_diffusion(index)
-        kickback = StateVector.zero_state(oc.layout).apply_circuit(
-            Circuit([pauli_x(q3), hadamard(q3)] + [hadamard(q) for q in index]))
-        for r in range(4):
-            if r:
-                kickback = kickback.apply_circuit(oc.circuit).apply_circuit(diffusion)
-            gap = np.abs(handle.marginal(r) - kickback.measure_probs("index")).max()
-            worst = max(worst, float(gap))
-        worst += sum(oc.evaluate(j) != int(np.argmax(oc.q3_distribution(j)))
-                     for j in range(oc.M))
-    return worst
+    for r in range(depth + 1):
+        if r:
+            kickback = kickback.apply_circuit(oc.circuit).apply_circuit(diffusion)
+        gap = np.abs(handle.marginal(r) - kickback.measure_probs("index")).max()
+        worst = max(worst, float(gap))
+    return worst + sum(oc.evaluate(j) != int(np.argmax(oc.q3_distribution(j)))
+                       for j in range(oc.M))
+
+
+def phase_oracle_vs_kickback(rng: np.random.Generator) -> float:
+    """``kickback_gap`` at r <= 3 on the dyadic family at b = 2 and on one
+    Haar instance at M = 2 and one at M = 4."""
+    oracles = [dyadic_oracle(2, y, A) for y, A in DYADIC_CASES]
+    oracles += [haar_oracle(rng, 1), haar_oracle(rng, 2)]
+    return max(kickback_gap(oc) for oc in oracles)
 
 
 def arithmetic_folding(bits=range(2, 9)) -> int:

@@ -150,9 +150,14 @@ class OracleCircuit:
     ``circuit`` is the model: U^dag . T . U, where T = X_Q2 . Toffoli(Q1,
     Q2, Q3) . X_Q2 flips the kickback qubit Q3, the layout's highest qubit.
     The simulator runs two circuits derived from it on ``search_layout``,
-    the layout without Q3: ``U`` itself, and the search oracle ``search`` =
-    U^dag . S . U with S = X_Q2 . CZ(Q1, Q2) . X_Q2, the sign
-    (-1)^(Q1 and not Q2) that T gives with Q3 held in |->.
+    the layout without Q3 and without the primed index register: ``U``
+    itself, and the search oracle ``search`` = U^dag . S . U with S = X_Q2 .
+    CZ(Q1, Q2) . X_Q2, the sign (-1)^(Q1 and not Q2) that T gives with Q3
+    held in |->. ``index_p`` only ever holds basis values (it starts at 0,
+    X gates load y and the D patterns into it, and every other gate reads
+    it as a control or is block-diagonal in it), so U is derived from the
+    model's U by ``Circuit.fix_classical``, which follows index_p as
+    classical bits and cuts it out; ``search`` is built from that U.
     """
 
     circuit: Circuit
@@ -165,7 +170,7 @@ class OracleCircuit:
 
     @property
     def search_layout(self) -> RegisterLayout:
-        return RegisterLayout(self.layout.registers[:-1])
+        return search_layout(self.layout)
 
     def apply(self, state: StateVector) -> StateVector:
         """One query of the search oracle."""
@@ -194,6 +199,12 @@ class OracleCircuit:
         """Most probable Q3 outcome on basis input |j>|0...0>, read from
         ``marked_probs`` (0 on a tie, as argmax of ``q3_distribution``)."""
         return int(self.marked_probs[j] > 0.5)
+
+
+def search_layout(layout: RegisterLayout) -> RegisterLayout:
+    """The registers the simulator runs: all but index_p and Q3."""
+    return RegisterLayout.from_sizes([(name, size) for name, _, size in layout.registers
+                                      if name not in ("index_p", "Q3")])
 
 
 def assemble_O_yA(V: Gate, W: Gate, layout: RegisterLayout,
@@ -225,8 +236,15 @@ def assemble_O_yA(V: Gate, W: Gate, layout: RegisterLayout,
     U = Circuit(f_main.gates + compare + d_gates)
     U_dag = d_gates + compare + f_inv.gates
     circ = Circuit(U.gates + [pauli_x(q2), toffoli(q1, q2, q3), pauli_x(q2)] + U_dag)
-    search = Circuit(U.gates + [pauli_x(q2), mcz((q1,), q2), pauli_x(q2)] + U_dag)
-    return OracleCircuit(circ, layout, y, A, M, U, search)
+
+    # the simulator's circuits, on the layout without index_p and Q3
+    reduced = search_layout(layout)
+    keep = layout.qubits_of(reduced.names)
+    U_r = U.fix_classical(dict.fromkeys(index_p, 0), keep)
+    (s1,), (s2,) = reduced.qubits("Q1"), reduced.qubits("Q2")
+    search = Circuit(U_r.gates + [pauli_x(s2), mcz((s1,), s2), pauli_x(s2)]
+                     + U_r.inverse().gates)
+    return OracleCircuit(circ, layout, y, A, M, U_r, search)
 
 
 def classical_action(circuit: Circuit, num_qubits: int, x: int) -> int:

@@ -20,23 +20,13 @@ import numpy as np
 from .kmax import CircuitBackend, KMaxResult, SearchConfig, TableBackend, k_maxima
 from .oracle import assemble_O_yA, oracle_layout
 from .qadc import PrecisionConfig, quantize_array
-from .statevec import SimulationError
+from .statevec import SimulationError, require_unit_states
 from .subroutines import make_V, make_W
 
 REAL_ATOL = 1e-12
 # Similarity bits for discrimination: high enough that the generator's pairwise
 # fidelity gap (1e-6) cannot collide with the saturated maximum after quantization.
 DISCRIMINATION_BITS = 20
-
-
-def require_unit_states(states: np.ndarray, what: str) -> None:
-    """Refuse a state (1-D) or rows of states (2-D) that hold a non-finite
-    amplitude or whose norm is off 1 by more than 1e-9."""
-    if not np.isfinite(states).all():
-        raise SimulationError(f"{what} {'contain' if states.ndim == 2 else 'contains'} "
-                              "non-finite amplitudes")
-    if np.any(np.abs(np.linalg.norm(states, axis=-1) - 1.0) > 1e-9):
-        raise SimulationError(f"{what} must be normalized")
 
 
 @dataclass(eq=False)
@@ -162,8 +152,8 @@ def qknn_classify(test_state: np.ndarray, train: TrainSet, k: int,
         if measure != "fidelity":
             raise SimulationError("circuit-exact path implements the fidelity oracle")
         m = train.require_power_of_two()
-        if train.M > 4 or train.n > 1 or cfg.b > 3:
-            raise SimulationError("circuit-exact mode is limited to M <= 4, n <= 1, b <= 3")
+        if train.M > 8 or train.n > 2 or cfg.b > 3:
+            raise SimulationError("circuit-exact mode is limited to M <= 8, n <= 2, b <= 3")
         layout = oracle_layout(m, train.n, cfg.b)
         V, W = make_V(test_state, layout), make_W(train.states, layout)
         assemble = functools.cache(lambda y, A: assemble_O_yA(V, W, layout, cfg, y, A))

@@ -53,6 +53,16 @@ def check_state_size(num_qubits: int) -> None:
             f"the simulator allows at most {MAX_QUBITS} qubits")
 
 
+def require_unit_states(states: np.ndarray, what: str) -> None:
+    """Refuse a state (1-D) or rows of states (2-D) that hold a non-finite
+    amplitude or whose norm is off 1 by more than 1e-9."""
+    if not np.isfinite(states).all():
+        raise SimulationError(f"{what} {'contain' if states.ndim == 2 else 'contains'} "
+                              "non-finite amplitudes")
+    if np.any(np.abs(np.linalg.norm(states, axis=-1) - 1.0) > 1e-9):
+        raise SimulationError(f"{what} must be normalized")
+
+
 def to_mib(nbytes: int) -> float:
     """nbytes in MiB for a refusal message; inf where a float cannot hold it."""
     return nbytes / 2 ** 20 if nbytes < 2 ** 1000 else math.inf
@@ -109,6 +119,10 @@ class RegisterLayout:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "RegisterLayout":
+        for name, entry in obj.items():
+            if not (isinstance(entry, list) and len(entry) == 2
+                    and all(type(v) is int for v in entry)):
+                raise SimulationError(f"register {name!r} must be [start, size], got {entry!r}")
         regs = sorted((start, size, name) for name, (start, size) in obj.items())
         layout = cls.from_sizes([(name, size) for _, size, name in regs])
         if layout.registers != tuple((name, start, size) for start, size, name in regs):
@@ -134,6 +148,15 @@ class Gate:
     prep_counts: tuple[tuple[str, int], ...] = ()
 
     def __post_init__(self):
+        self._check_structure()
+        if self.matrix is not None:
+            m = self.matrix
+            if not np.abs(m.conj().T @ m - np.eye(len(m))).max() <= UNITARY_ATOL:
+                raise SimulationError(f"{self.name}: matrix is not unitary within {UNITARY_ATOL}")
+
+    def _check_structure(self) -> None:
+        """Every check but unitarity: distinct qubits, one of matrix/perm,
+        its shape, and a permutation that is a bijection."""
         if len(set(self.targets)) != len(self.targets):
             raise SimulationError(f"{self.name}: repeated target qubits")
         if len(set(self.controls)) != len(self.controls):
@@ -143,25 +166,35 @@ class Gate:
         dim = 2 ** len(self.targets)
         if (self.matrix is None) == (self.perm is None):
             raise SimulationError(f"{self.name}: exactly one of matrix/perm required")
-        if self.matrix is not None:
-            m = self.matrix
-            if m.shape != (dim, dim):
-                raise SimulationError(f"{self.name}: matrix shape {m.shape} != ({dim},{dim})")
-            if not np.abs(m.conj().T @ m - np.eye(dim)).max() <= UNITARY_ATOL:
-                raise SimulationError(f"{self.name}: matrix is not unitary within {UNITARY_ATOL}")
+        if self.matrix is not None and self.matrix.shape != (dim, dim):
+            raise SimulationError(f"{self.name}: matrix shape {self.matrix.shape} != ({dim},{dim})")
         if self.perm is not None:
             p = self.perm
             if p.shape != (dim,) or not np.array_equal(np.sort(p), np.arange(dim)):
                 raise SimulationError(f"{self.name}: permutation is not a bijection on {dim} basis states")
 
+    @classmethod
+    def _derived(cls, name: str, targets: tuple[int, ...], controls: tuple[int, ...],
+                 matrix: np.ndarray | None, perm: np.ndarray | None,
+                 prep_counts: tuple[tuple[str, int], ...]) -> "Gate":
+        """A gate made from a checked gate: its matrix or permutation, their
+        inverse, or the block that ``Circuit.fix_classical`` cuts from them
+        (all of a column set's weight lands in one row set). Such a matrix is
+        unitary by construction, so only the structure is checked."""
+        gate = object.__new__(cls)
+        vars(gate).update(name=name, targets=targets, controls=controls, matrix=matrix,
+                          perm=perm, prep_counts=prep_counts)
+        gate._check_structure()
+        return gate
+
     def inverse(self) -> "Gate":
         if self.matrix is not None:
-            return Gate(self.name + "^-1", self.targets, self.controls,
-                        matrix=self.matrix.conj().T, prep_counts=self.prep_counts)
+            return Gate._derived(self.name + "^-1", self.targets, self.controls,
+                                 self.matrix.conj().T, None, self.prep_counts)
         inv = np.empty_like(self.perm)
         inv[self.perm] = np.arange(len(self.perm))
-        return Gate(self.name + "^-1", self.targets, self.controls,
-                    perm=inv, prep_counts=self.prep_counts)
+        return Gate._derived(self.name + "^-1", self.targets, self.controls,
+                             None, inv, self.prep_counts)
 
     def qubits(self) -> set[int]:
         return set(self.targets) | set(self.controls)
@@ -188,15 +221,74 @@ class Circuit:
     def remap(self, mapping: dict[int, int]) -> "Circuit":
         """The same gates on renamed qubits: q becomes mapping.get(q, q).
 
-        Matrices and permutations are shared, not copied; every gate is
-        rebuilt through ``Gate``, so a mapping that merges two qubits of one
-        gate raises SimulationError.
+        Matrices and permutations are shared, not copied; every gate's
+        structure is checked again, so a mapping that merges two qubits of
+        one gate raises SimulationError.
         """
         def move(qubits):
             return tuple(mapping.get(q, q) for q in qubits)
 
-        return Circuit([Gate(g.name, move(g.targets), move(g.controls), g.matrix, g.perm,
-                             g.prep_counts) for g in self.gates])
+        return Circuit([Gate._derived(g.name, move(g.targets), move(g.controls), g.matrix,
+                                      g.perm, g.prep_counts) for g in self.gates])
+
+    def fix_classical(self, values: dict[int, int], keep: tuple[int, ...]) -> "Circuit":
+        """The circuit on the ``keep`` qubits, renumbered keep[i] -> i, for
+        inputs in which each qubit q of ``values`` is in basis state values[q].
+
+        The tracked qubits are followed through the gate list as classical
+        bits. A gate with a tracked control that reads 0 is dropped, and
+        tracked controls that read 1 are removed. A gate with tracked targets
+        is cut to the block its tracked input selects; its output must be one
+        tracked value, which the gate may change only where no untracked
+        control remains (an uncontrolled X just updates the bit). A gate left
+        with no target adds nothing and is dropped. Blocks and renumbered
+        gates skip the unitarity re-check.
+
+        Raises SimulationError where a tracked qubit would leave its basis
+        state (any non-zero entry off the block), where a tracked target
+        changes under an untracked control, where a gate left with no target
+        would carry a phase, where a gate touches a qubit that is neither
+        tracked nor kept, and where a tracked qubit does not end at its start
+        value.
+        """
+        bits = dict(values)
+        renumber = {q: i for i, q in enumerate(keep)}
+        if not bits.keys().isdisjoint(renumber):
+            raise SimulationError("a qubit cannot be both tracked and kept")
+        out: list[Gate] = []
+        for gate in self.gates:
+            targets, controls = gate.targets, gate.controls
+            matrix, perm = gate.matrix, gate.perm
+            if not bits.keys().isdisjoint(targets + controls):
+                if any(bits.get(c) == 0 for c in controls):
+                    continue
+                controls = tuple(c for c in controls if c not in bits)
+                fixed = [i for i, q in enumerate(targets) if q in bits]
+                if fixed:
+                    free = [i for i, q in enumerate(targets) if q not in bits]
+                    k_in = sum(bits[targets[p]] << i for i, p in enumerate(fixed))
+                    k_out, matrix, perm = _cut_block(gate, fixed, free, k_in)
+                    if k_out != k_in and controls:
+                        raise SimulationError(f"{gate.name}: changes a tracked qubit under "
+                                              f"untracked controls {controls}")
+                    for i, p in enumerate(fixed):
+                        bits[targets[p]] = (k_out >> i) & 1
+                    if not free:
+                        if matrix is not None and matrix[0, 0] != 1:
+                            raise SimulationError(f"{gate.name}: leaves a phase on tracked qubits")
+                        continue
+                    targets = tuple(targets[p] for p in free)
+            try:
+                out.append(Gate._derived(gate.name, tuple(renumber[q] for q in targets),
+                                         tuple(renumber[q] for q in controls), matrix, perm,
+                                         gate.prep_counts))
+            except KeyError as exc:
+                raise SimulationError(f"{gate.name}: qubit {exc.args[0]} is neither "
+                                      "tracked nor kept") from None
+        moved = sorted(q for q in values if bits[q] != values[q])
+        if moved:
+            raise SimulationError(f"tracked qubits {moved} do not end at their start values")
+        return Circuit(out)
 
     def qubits(self) -> set[int]:
         out: set[int] = set()
@@ -219,6 +311,34 @@ class Circuit:
 
     def __len__(self):
         return len(self.gates)
+
+
+def _local_bits(local: np.ndarray, positions: list[int]) -> np.ndarray:
+    """The bits of each local index at ``positions``, packed little-endian."""
+    out = np.zeros_like(local)
+    for i, p in enumerate(positions):
+        out |= ((local >> p) & 1) << i
+    return out
+
+
+def _cut_block(gate: Gate, fixed: list[int], free: list[int], k_in: int):
+    """(k_out, matrix, perm): the tracked value the gate maps k_in to (the
+    tracked target positions ``fixed``, packed little-endian), and the gate's
+    block on the ``free`` target positions from input k_in to output k_out."""
+    local = np.arange(2 ** len(gate.targets))
+    key = _local_bits(local, fixed)
+    cols = np.flatnonzero(key == k_in)
+    if gate.perm is not None:
+        image = gate.perm[cols]
+    else:
+        image = np.flatnonzero(gate.matrix[:, cols].any(axis=1))
+    outs = key[image]
+    k_out = int(outs[0])
+    if (outs != k_out).any():
+        raise SimulationError(f"{gate.name}: puts a tracked qubit into superposition")
+    if gate.perm is not None:
+        return k_out, None, _local_bits(image, free)
+    return k_out, gate.matrix[key == k_out][:, cols], None
 
 
 # --- gate constructors -----------------------------------------------------
@@ -361,9 +481,11 @@ class StateVector:
     @classmethod
     def load_json(cls, text: str) -> "StateVector":
         obj = json.loads(text)
-        amps = np.array([complex(re, im) for re, im in obj["amplitudes"]])
-        if not np.isfinite(amps).all():
-            raise SimulationError("state holds non-finite amplitudes")
+        try:
+            amps = np.array([complex(re, im) for re, im in obj["amplitudes"]])
+        except (KeyError, TypeError, ValueError):
+            raise SimulationError("amplitudes must be a list of [re, im] pairs") from None
+        require_unit_states(amps, "state")
         layout = RegisterLayout.from_json_obj(obj["layout"]) if obj.get("layout") else None
         if layout is not None and layout.num_qubits != obj["num_qubits"]:
             raise SimulationError(f"layout covers {layout.num_qubits} qubits, "

@@ -228,13 +228,25 @@ def test_classify_rejects_precision_bits_out_of_range(tmp_path, capsys, mode, b)
     assert "precision bits must be in [2, 30]" in capsys.readouterr().err
 
 
-def test_classify_circuit_exact_is_out_of_reach_of_every_scheme(tmp_path, capsys):
-    """Every scheme has n >= 2 qubits while circuit-exact is capped at n <= 1:
-    even a 4-state train split (6 records, split 0.67) exits 1 naming the cap."""
+def test_classify_circuit_exact_runs_on_a_two_qubit_corpus(tmp_path):
+    """A 2q corpus with a 4-state train split (6 records, split 0.67) is
+    within the circuit-exact cap: the run exits 0 and writes the CSV."""
     corpus = _make_corpus(tmp_path, scheme="2q-sep-vs-ent", per_class=3)
+    out = tmp_path / "circuit.csv"
     assert run_cli(["classify", "--corpus", str(corpus), "--mode", "circuit-exact",
-                    "--k", "1", "--b", "2", "--split", "0.67"]) == 1
-    assert "M <= 4, n <= 1, b <= 3" in capsys.readouterr().err
+                    "--k", "1", "--b", "2", "--split", "0.67", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == CSV_HEADER and lines[-1].startswith("# accuracy=")
+    rows = lines[2:-1]
+    assert rows and all(row.split(",")[4] == "circuit-exact" for row in rows)
+
+
+def test_classify_circuit_exact_refuses_three_qubit_states(tmp_path, capsys):
+    """3q states are past the n <= 2 cap: exit 1 naming the cap."""
+    corpus = _make_corpus(tmp_path, scheme="3q-five-class", per_class=2)
+    assert run_cli(["classify", "--corpus", str(corpus), "--mode", "circuit-exact",
+                    "--k", "1", "--b", "2", "--split", "0.8"]) == 1
+    assert "M <= 8, n <= 2, b <= 3" in capsys.readouterr().err
 
 
 def test_config_file_unknown_key_exits_1(tmp_path, capsys):

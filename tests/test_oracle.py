@@ -411,3 +411,15 @@ def test_each_handle_runs_max_depth_search_queries_and_one_U(monkeypatch, kind, 
 
 def test_phase_oracle_vs_kickback_law():
     assert invariants.phase_oracle_vs_kickback(np.random.default_rng(0)) <= 1e-12
+
+
+def test_reduced_search_matches_kickback_model_at_two_qubit_states():
+    """At (m, n, b) = (2, 2, 2) the model has 18 qubits and the simulator 15,
+    without Q3 and the primed index register. Over r <= 2 the handle's index
+    marginals equal the full circuit's with Q3 in |-> to 1e-12, and every
+    verdict is the most probable Q3 outcome of the full circuit on |j>. The
+    instance marks index 0 (P = 0.58) and leaves index 3 near 0.35."""
+    oc = invariants.haar_oracle(np.random.default_rng(43), 2, n=2)
+    assert (oc.layout.num_qubits, oc.search_layout.num_qubits) == (18, 15)
+    assert [oc.evaluate(j) for j in range(oc.M)] == [1, 0, 0, 0]
+    assert invariants.kickback_gap(oc, depth=2) <= 1e-12

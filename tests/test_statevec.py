@@ -22,6 +22,7 @@ from qknn_sim.statevec import (
     cnot,
     cswap,
     hadamard,
+    mcx,
     mcz,
     pauli_x,
     register_unitary,
@@ -85,6 +86,20 @@ def test_state_size_cap_refuses_before_allocating(make):
 def test_gate_rejects_non_unitary_matrix():
     with pytest.raises(SimulationError):
         register_unitary((0,), np.array([[1, 1], [0, 1]], dtype=complex), "U1")
+
+
+@pytest.mark.parametrize("build", [
+    lambda matrix: Gate("bad", (0, 1), (2,), matrix=matrix),
+    lambda matrix: register_unitary((0, 1), matrix, "bad", controls=(2,)),
+], ids=["Gate", "register_unitary"])
+def test_public_constructors_refuse_a_non_unitary_matrix(build):
+    """Only gates derived from a checked gate skip the unitarity check; a
+    matrix handed in from outside is checked by both public constructors,
+    under controls too."""
+    matrix = np.eye(4, dtype=complex)
+    matrix[0, 1] = 1e-6
+    with pytest.raises(SimulationError, match="not unitary"):
+        build(matrix)
 
 
 @pytest.mark.parametrize("matrix", [np.diag([1 + 4e-6, 1]), np.diag([np.nan, 1])])
@@ -341,6 +356,9 @@ def test_json_round_trip():
     ([[1.0, 0.0]] + [[0.0, 0.0]] * 3, {"a": [0, 1]}),       # register short of the last qubit
     ([[1.0, 0.0]] + [[0.0, 0.0]] * 3, {"a": [0, 1], "b": [2, 1]}),  # gap at qubit 1
     ([[1.0, 0.0]] + [[0.0, 0.0]] * 3, {"a": [0, 2], "b": [1, 1]}),  # overlap at qubit 1
+    ([[2.0, 0.0], [0.0, 0.0]], {"a": [0, 1]}),               # norm 2
+    ([[1.0, 0.0], [0.0, 0.0]], {"a": [0]}),                  # register entry without a size
+    ([[1.0, 0.0, 0.0], [0.0, 0.0]], None),                   # amplitude that is not [re, im]
 ])
 def test_load_json_refuses_bad_state(amplitudes, layout):
     num_qubits = len(amplitudes).bit_length() - 1
@@ -353,3 +371,109 @@ def test_netlist_format():
     circ = Circuit([hadamard(0), cnot(0, 1), mcz((0, 1), 2)])
     lines = circ.netlist().splitlines()
     assert lines == ["H 0", "CNOT 1 [0]", "MCZ 2 [0 1]"]
+
+
+def _classical_circuit(rng):
+    """A random circuit on 2-7 qubits with some qubits tracked: gates on the
+    free qubits under tracked and free controls, X gates and bijections of
+    the tracked values, and dense gates block-diagonal in their tracked
+    targets. Every tracked qubit stays in a basis state, and closing X gates
+    return it to its start value. Returns (circuit, start values, free qubits)."""
+    def pick(pool, low, high):
+        size = int(rng.integers(low, min(len(pool), high) + 1))
+        return [int(q) for q in rng.choice(pool, size=size, replace=False)]
+
+    n = int(rng.integers(2, 8))
+    qubits = [int(q) for q in rng.permutation(n)]
+    cut = int(rng.integers(1, n))
+    tracked, free = qubits[:cut], qubits[cut:]
+    values = {q: int(rng.integers(0, 2)) for q in tracked}
+    bits = dict(values)
+    gates = []
+    for _ in range(int(rng.integers(1, 16))):
+        kind = int(rng.integers(0, 4))
+        tctl = tuple(pick(tracked, 0, 1))
+        live = all(bits[q] for q in tctl)
+        targets = [q for q in tracked if q not in tctl]
+        if kind == 0 or not targets:  # a free gate, under tracked controls as well
+            g = _random_gate(free, int(rng.integers(1, len(free) + 1)), rng)
+            gates.append(Gate(g.name, g.targets, g.controls + tctl, g.matrix, g.perm))
+        elif kind == 1:  # X on a tracked qubit, under tracked controls only
+            gates.append(mcx(tctl, targets[0]))
+            bits[targets[0]] ^= live
+        else:
+            # a dense gate needs a free target to carry its blocks' phases
+            t_tr, t_fr = pick(targets, 1, 2), pick(free, kind == 2, 2)
+            tgt = tuple(int(q) for q in rng.permutation(t_tr + t_fr))
+            local = np.arange(2 ** len(tgt))
+            key = sum(((local >> tgt.index(q)) & 1) << i for i, q in enumerate(t_tr))
+            if kind == 2:  # one unitary block per tracked value, free controls allowed
+                fctl = tuple(q for q in free if q not in t_fr)[: int(rng.integers(0, 2))]
+                matrix = np.zeros((len(local), len(local)), dtype=complex)
+                for k in range(2 ** len(t_tr)):
+                    rows = np.flatnonzero(key == k)
+                    z = rng.normal(size=(len(rows),) * 2) + 1j * rng.normal(size=(len(rows),) * 2)
+                    matrix[np.ix_(rows, rows)] = np.linalg.qr(z)[0]
+                gates.append(register_unitary(tgt, matrix, "B", tctl + fctl))
+            else:  # a bijection of the tracked values, any bijection within each block
+                sigma = rng.permutation(2 ** len(t_tr))
+                perm = np.empty(len(local), dtype=np.int64)
+                for k in range(2 ** len(t_tr)):
+                    dst = np.flatnonzero(key == sigma[k])
+                    perm[key == k] = dst[rng.permutation(len(dst))]
+                gates.append(basis_permutation(tgt, perm, "P", tctl))
+                if live:
+                    k_out = int(sigma[sum(bits[q] << i for i, q in enumerate(t_tr))])
+                    for i, q in enumerate(t_tr):
+                        bits[q] = (k_out >> i) & 1
+    gates += [pauli_x(q) for q in tracked if bits[q] != values[q]]
+    return Circuit(gates), values, free
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_fix_classical_equals_the_tracked_slice_of_the_full_unitary(seed):
+    """On inputs whose tracked qubits hold their start values, the reduced
+    circuit on the kept qubits (renumbered in a random order) is the full
+    circuit's unitary restricted to that slice, to 1e-12."""
+    rng = np.random.default_rng(seed)
+    circ, values, free = _classical_circuit(rng)
+    keep = tuple(int(q) for q in rng.permutation(free))
+    reduced = circ.fix_classical(values, keep)
+    n = len(values) + len(keep)
+    full = circuit_to_matrix(circ, tuple(range(n)))
+    base = sum(v << q for q, v in values.items())
+    local = np.arange(2 ** len(keep))
+    idx = base + sum(((local >> i) & 1) << q for i, q in enumerate(keep))
+    got = circuit_to_matrix(reduced, tuple(range(len(keep))))
+    np.testing.assert_allclose(got, full[np.ix_(idx, idx)], rtol=0, atol=1e-12)
+
+
+def _off_block_rotation(angle):
+    """A 2-qubit gate on (tracked 0, free 1), block-diagonal in qubit 0 but
+    for a rotation by ``angle`` between the two values of qubit 0 at qubit 1 = 0."""
+    c, s = np.cos(angle), np.sin(angle)
+    matrix = np.eye(4, dtype=complex)
+    matrix[np.ix_([0, 1], [0, 1])] = [[c, -s], [s, c]]
+    return register_unitary((0, 1), matrix, "R")
+
+
+@pytest.mark.parametrize("gates,message", [
+    ([hadamard(0)], "superposition"),                          # H on a tracked qubit
+    ([cnot(1, 0)], "untracked control"),                       # X on it under a free control
+    ([_off_block_rotation(1e-9)], "superposition"),            # off-block entry of 1e-9
+    ([register_unitary((0,), 1j * np.eye(2), "P")], "phase"),  # a phase no kept qubit carries
+    ([pauli_x(0)], "do not end at their start values"),       # left flipped
+    ([hadamard(2)], "neither tracked nor kept"),               # a qubit outside both
+])
+def test_fix_classical_refuses(gates, message):
+    with pytest.raises(SimulationError, match=message):
+        Circuit(gates).fix_classical({0: 0}, (1,))
+
+
+def test_fix_classical_drops_and_strips_tracked_controls():
+    """Controls reading 0 drop the gate, controls reading 1 are removed, an
+    uncontrolled X moves the tracked bit, and the kept qubits are renumbered."""
+    circ = Circuit([toffoli(0, 1, 3), pauli_x(0), toffoli(0, 1, 3), cnot(0, 2), pauli_x(0)])
+    reduced = circ.fix_classical({0: 0}, (3, 1, 2))
+    assert reduced.netlist().splitlines() == ["TOFFOLI 0 [1]", "CNOT 2"]
