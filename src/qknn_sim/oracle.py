@@ -157,7 +157,11 @@ class OracleCircuit:
     X gates load y and the D patterns into it, and every other gate reads
     it as a control or is block-diagonal in it), so U is derived from the
     model's U by ``Circuit.fix_classical``, which follows index_p as
-    classical bits and cuts it out; ``search`` is built from that U.
+    classical bits and cuts it out, and then by ``Circuit.fuse``, which
+    merges each run of gates on at most ``FUSE_QUBITS`` qubits into one
+    dense gate; ``search`` is built from that U. The gates the simulator
+    runs therefore differ from the model's, gate for gate, and agree with
+    it as unitaries to rounding.
     """
 
     circuit: Circuit
@@ -240,7 +244,7 @@ def assemble_O_yA(V: Gate, W: Gate, layout: RegisterLayout,
     # the simulator's circuits, on the layout without index_p and Q3
     reduced = search_layout(layout)
     keep = layout.qubits_of(reduced.names)
-    U_r = U.fix_classical(dict.fromkeys(index_p, 0), keep)
+    U_r = U.fix_classical(dict.fromkeys(index_p, 0), keep).fuse()
     (s1,), (s2,) = reduced.qubits("Q1"), reduced.qubits("Q2")
     search = Circuit(U_r.gates + [pauli_x(s2), mcz((s1,), s2), pauli_x(s2)]
                      + U_r.inverse().gates)

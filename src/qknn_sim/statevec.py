@@ -32,6 +32,10 @@ MAX_QUBITS = 24
 # Largest qubit subset circuit_to_matrix builds a dense unitary on (1024 x 1024);
 # it peaks at three 16 MiB arrays of 2**20 amplitudes (768 MiB at 12 qubits).
 MAX_DENSE_QUBITS = 10
+# Widest gate Circuit.fuse builds (32 x 32). On small states a gate costs its
+# per-call overhead more than its arithmetic; at 12 qubits width 5 gave the
+# lowest cost of fusing plus three runs of the oracle's U (BENCH_13.json).
+FUSE_QUBITS = 5
 # Probability a register may keep outside |0..0> after an exact uncompute:
 # floating-point rounding across a circuit, far below any real leak.
 ZERO_REGISTER_ATOL = 1e-12
@@ -119,6 +123,8 @@ class RegisterLayout:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "RegisterLayout":
+        if not isinstance(obj, dict):
+            raise SimulationError(f"layout must map register names to [start, size], got {obj!r}")
         for name, entry in obj.items():
             if not (isinstance(entry, list) and len(entry) == 2
                     and all(type(v) is int for v in entry)):
@@ -177,9 +183,10 @@ class Gate:
     def _derived(cls, name: str, targets: tuple[int, ...], controls: tuple[int, ...],
                  matrix: np.ndarray | None, perm: np.ndarray | None,
                  prep_counts: tuple[tuple[str, int], ...]) -> "Gate":
-        """A gate made from a checked gate: its matrix or permutation, their
-        inverse, or the block that ``Circuit.fix_classical`` cuts from them
-        (all of a column set's weight lands in one row set). Such a matrix is
+        """A gate made from checked gates: one gate's matrix or permutation,
+        their inverse, the block that ``Circuit.fix_classical`` cuts from them
+        (all of a column set's weight lands in one row set), or the product of
+        a run of checked gates that ``Circuit.fuse`` builds. Such a matrix is
         unitary by construction, so only the structure is checked."""
         gate = object.__new__(cls)
         vars(gate).update(name=name, targets=targets, controls=controls, matrix=matrix,
@@ -288,6 +295,31 @@ class Circuit:
         moved = sorted(q for q in values if bits[q] != values[q])
         if moved:
             raise SimulationError(f"tracked qubits {moved} do not end at their start values")
+        return Circuit(out)
+
+    def fuse(self, width: int = FUSE_QUBITS) -> "Circuit":
+        """The same unitary in fewer gates: each maximal run of consecutive
+        gates whose qubits (targets and controls) number at most ``width`` in
+        all becomes one dense gate on those qubits, sorted, with the run's
+        summed prep counts. A run of one gate, a gate wider than ``width``
+        among them, is kept as the same object."""
+        runs: list[tuple[list[Gate], set[int]]] = []
+        for gate in self.gates:
+            qubits = gate.qubits()
+            if runs and len(runs[-1][1] | qubits) <= width:
+                runs[-1][0].append(gate)
+                runs[-1][1].update(qubits)
+            else:
+                runs.append(([gate], qubits))
+        out: list[Gate] = []
+        for gates, span in runs:
+            if len(gates) == 1:
+                out.append(gates[0])
+                continue
+            run, targets = Circuit(gates), tuple(sorted(span))
+            out.append(Gate._derived(f"FUSED{len(gates)}", targets, (),
+                                     circuit_to_matrix(run, targets), None,
+                                     tuple(run.prep_counts().items())))
         return Circuit(out)
 
     def qubits(self) -> set[int]:
@@ -480,17 +512,26 @@ class StateVector:
 
     @classmethod
     def load_json(cls, text: str) -> "StateVector":
-        obj = json.loads(text)
+        try:
+            obj = json.loads(text)
+        except ValueError as exc:
+            raise SimulationError(f"state is not valid JSON: {exc}") from None
+        if not isinstance(obj, dict):
+            raise SimulationError(f"state must be a JSON object, got {type(obj).__name__}")
+        num_qubits = obj.get("num_qubits")
+        if type(num_qubits) is not int or num_qubits < 0:
+            raise SimulationError(f"num_qubits must be a non-negative integer, got {num_qubits!r}")
+        check_state_size(num_qubits)
         try:
             amps = np.array([complex(re, im) for re, im in obj["amplitudes"]])
         except (KeyError, TypeError, ValueError):
             raise SimulationError("amplitudes must be a list of [re, im] pairs") from None
         require_unit_states(amps, "state")
         layout = RegisterLayout.from_json_obj(obj["layout"]) if obj.get("layout") else None
-        if layout is not None and layout.num_qubits != obj["num_qubits"]:
+        if layout is not None and layout.num_qubits != num_qubits:
             raise SimulationError(f"layout covers {layout.num_qubits} qubits, "
-                                  f"the state has {obj['num_qubits']}")
-        return cls(obj["num_qubits"], amps, layout)
+                                  f"the state has {num_qubits}")
+        return cls(num_qubits, amps, layout)
 
 
 # --- application kernels ---------------------------------------------------

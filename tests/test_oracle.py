@@ -26,7 +26,7 @@ from qknn_sim.oracle import (
     u_neq_gates,
 )
 from qknn_sim.qadc import PrecisionConfig, quantize_array
-from qknn_sim.statevec import Circuit, StateVector, hadamard, pauli_x
+from qknn_sim.statevec import Circuit, StateVector, hadamard, mcz, pauli_x
 from qknn_sim.subroutines import make_V, make_W
 
 
@@ -99,6 +99,34 @@ def test_assembled_oracle_reversibility():
     state = StateVector(n, v, oc.layout)
     back = state.apply_circuit(oc.circuit).apply_circuit(oc.circuit.inverse())
     assert np.linalg.norm(back.amplitudes - v) < 1e-8
+
+
+@pytest.mark.parametrize("m,n,b", [(1, 1, 2), (2, 1, 3)])
+def test_fused_circuits_match_the_unfused_reduction(m, n, b):
+    """The simulator's fused U and search oracle act on a random state of
+    the search layout as the unfused ``fix_classical`` reduction of the
+    model's U does, to 1e-12, and U runs in fewer gates."""
+    rng = np.random.default_rng(m)
+    M = 2 ** m
+    layout = oracle_layout(m, n, b)
+    states = rng.normal(size=(M + 1, 2 ** n)) + 1j * rng.normal(size=(M + 1, 2 ** n))
+    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    oc = assemble_O_yA(make_V(states[M], layout, register="test"), make_W(states[:M], layout),
+                       layout, PrecisionConfig(b), 0, {0})
+    # the model is U . T . U^dag with T three gates long
+    model_U = Circuit(oc.circuit.gates[: (len(oc.circuit) - 3) // 2])
+    reduced = oc.search_layout
+    U = model_U.fix_classical(dict.fromkeys(layout.qubits("index_p"), 0),
+                              layout.qubits_of(reduced.names))
+    (s1,), (s2,) = reduced.qubits("Q1"), reduced.qubits("Q2")
+    search = Circuit(U.gates + [pauli_x(s2), mcz((s1,), s2), pauli_x(s2)] + U.inverse().gates)
+    size = reduced.num_qubits
+    v = rng.normal(size=2 ** size) + 1j * rng.normal(size=2 ** size)
+    state = StateVector(size, v / np.linalg.norm(v), reduced)
+    for fused, unfused in ((oc.U, U), (oc.search, search)):
+        np.testing.assert_allclose(state.apply_circuit(fused).amplitudes,
+                                   state.apply_circuit(unfused).amplitudes, rtol=0, atol=1e-12)
+    assert len(oc.U) < len(U)
 
 
 def test_oracle_prep_counts_match_formula():

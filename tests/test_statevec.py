@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from qknn_sim.oracle import classical_action, oracle_layout
 from qknn_sim.qadc import CIRCUIT_MAX_BITS, PrecisionConfig, fidelity_qadc_circuit
 from qknn_sim.statevec import (
+    FUSE_QUBITS,
     MAX_DENSE_QUBITS,
     Circuit,
     Gate,
@@ -330,6 +331,43 @@ def test_remap_is_the_same_circuit_on_renamed_qubits(seed):
         assert new.matrix is old.matrix and new.perm is old.perm
 
 
+@given(st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_fuse_is_the_same_unitary_in_gates_of_at_most_width_qubits(seed):
+    """Random 1-qubit, controlled, multi-target and permutation gates on up
+    to 8 qubits, with one gate wider than ``width`` at a random position:
+    the fused circuit has the same dense unitary to 1e-12 and the same prep
+    counts, no fused gate spans more than ``width`` qubits, and the wide
+    gate comes through as the same object."""
+    rng = np.random.default_rng(seed)
+    width = int(rng.integers(1, FUSE_QUBITS + 1))
+    n = int(rng.integers(width + 1, 9))
+    qubits = tuple(range(n))
+    gates = [_random_gate(qubits, int(rng.integers(1, width + 1)), rng)
+             for _ in range(int(rng.integers(0, 16)))]
+    gates[::3] = [Gate(g.name, g.targets, g.controls, g.matrix, g.perm, (("V", 1), ("W", 2)))
+                  for g in gates[::3]]
+    span = tuple(int(q) for q in rng.permutation(n)[: int(rng.integers(width + 1, n + 1))])
+    wide = basis_permutation(span[:1], np.array([1, 0]), "WIDE", span[1:])
+    gates.insert(int(rng.integers(0, len(gates) + 1)), wide)
+    circ = Circuit(gates)
+    fused = circ.fuse(width)
+    np.testing.assert_allclose(circuit_to_matrix(fused, qubits), circuit_to_matrix(circ, qubits),
+                               rtol=0, atol=1e-12)
+    assert fused.prep_counts() == circ.prep_counts()
+    assert all(len(g.qubits()) <= width for g in fused if g is not wide)
+    assert sum(g is wide for g in fused) == 1
+    assert len(fused) <= len(circ)
+
+
+def test_fuse_keeps_an_empty_circuit_empty_and_a_lone_gate_as_itself():
+    gate = cnot(0, 1)
+    assert len(Circuit().fuse()) == 0
+    assert Circuit([gate]).fuse().gates[0] is gate
+    fused = Circuit([hadamard(2), gate, pauli_x(2)]).fuse()
+    assert [(g.targets, g.controls) for g in fused] == [((0, 1, 2), ())]
+
+
 @pytest.mark.parametrize("gate,mapping", [
     (cnot(0, 1), {1: 0}),                                   # control onto target
     (cswap(0, 1, 2), {2: 1}),                               # two targets merged
@@ -364,6 +402,23 @@ def test_load_json_refuses_bad_state(amplitudes, layout):
     num_qubits = len(amplitudes).bit_length() - 1
     text = json.dumps({"num_qubits": num_qubits, "amplitudes": amplitudes, "layout": layout})
     with pytest.raises(SimulationError):
+        StateVector.load_json(text)
+
+
+@pytest.mark.parametrize("text,message", [
+    ('{"amplitudes": [[1, 0], [0, 0]]}', "num_qubits"),                    # key missing
+    ('{"num_qubits": "1", "amplitudes": [[1, 0], [0, 0]]}', "num_qubits"),  # a string
+    ('{"num_qubits": true, "amplitudes": [[1, 0], [0, 0]]}', "num_qubits"),  # a bool
+    ('{"num_qubits": -1, "amplitudes": [[1, 0]]}', "num_qubits"),           # negative
+    ('{"num_qubits": 99, "amplitudes": [[1, 0]]}', "at most"),              # past the cap
+    ('{"num_qubits": 2, "amplitudes": [[1, 0], [0, 0]]}', "length"),        # too few amplitudes
+    ('{"num_qubits": 1, "amplitudes": [[1, 0], [0, 0]], "layout": [1]}', "layout"),
+    ('[[1, 0], [0, 0]]', "JSON object"),                                     # not an object
+    ('{"num_qubits": 1, "amplitudes": [[1, 0], [0, 0]]', "not valid JSON"),  # truncated
+    (b'\xff\xfe\x00', "not valid JSON"),                                      # undecodable bytes
+])
+def test_load_json_names_the_problem(text, message):
+    with pytest.raises(SimulationError, match=message):
         StateVector.load_json(text)
 
 
