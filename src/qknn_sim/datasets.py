@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statevec import MAX_QUBITS, SimulationError, to_mib
+from .statevec import MAX_QUBITS, SimulationError, require_unit_states, to_mib
 
 SCHEMES = ("2q-sep-vs-ent", "2q-sep-vs-maxent", "3q-five-class")
 CLASSES = {
@@ -274,10 +274,7 @@ def read_corpus(path: str) -> LabeledStateCorpus:
             if len(state) != 2 ** QUBITS[scheme]:
                 raise SimulationError(f"{where}: {len(state)} amplitudes; a {scheme} record "
                                       f"has {2 ** QUBITS[scheme]}")
-            if not np.isfinite(state).all():
-                raise SimulationError(f"{where}: non-finite amplitude")
-            if abs(np.linalg.norm(state) - 1.0) > 1e-9:
-                raise SimulationError(f"{where}: norm {np.linalg.norm(state):.12g}, not 1")
+            require_unit_states(state, f"{where}: state")
             labels.append(label)
             paths.append(seed_path)
             states.append(state)

@@ -197,7 +197,7 @@ def oracle_equivalence(bits: tuple[int, ...]) -> float:
             for j in range(2):
                 expected = 1 if (F[j] > F[y] and j not in A) else 0
                 worst = max(worst, abs(joint[j + 2 * expected] - 0.5),
-                            float(handle.f(j) != bool(expected)))
+                            float(handle.evaluate(j) != bool(expected)))
             anc = out.measure_probs(["train", "test", "B", "phase", "fid",
                                      "index_p", "fid_p", "Q1", "Q2"])
             worst = max(worst, 1.0 - anc[0])

@@ -15,11 +15,13 @@ rounds at the current threshold: at that point nothing outside A beats
 min(A) with high probability.
 
 Query accounting: oracle_queries = simulated Grover iterations plus one per
-post-measurement verification. Threshold (argmin) selection reads values
-that arrive with the measured indices via the digitized similarity
-register, so it is not charged. data_prep_queries counts V/W circuit calls:
-the per-application cost of the circuit oracle plus two (V, W) pairs per
-Grover iteration for the diffusion step of circuit-exact accounting.
+post-measurement verification (Boyer, Brassard, Hoyer and Tapp 1998), and
+``k_maxima`` computes it from each search's result; the oracle handles only
+simulate. Threshold (argmin) selection reads values that arrive with the
+measured indices via the digitized similarity register, so it is not
+charged. data_prep_queries counts V/W circuit calls: the per-application
+cost of the circuit oracle plus two (V, W) pairs per Grover iteration for
+the diffusion step of circuit-exact accounting.
 """
 from __future__ import annotations
 
@@ -31,7 +33,6 @@ import numpy as np
 
 from .oracle import (
     CircuitOracleHandle,
-    OracleHandle,
     SimulationError,
     TableOracleHandle,
     prep_calls_per_oracle,
@@ -87,7 +88,7 @@ class KMaxResult:
         })
 
 
-def grover_search_unknown(oracle: OracleHandle, cfg: SearchConfig,
+def grover_search_unknown(oracle: TableOracleHandle | CircuitOracleHandle, cfg: SearchConfig,
                           rng: np.random.Generator | None = None) -> SearchResult:
     """Find one index with f(index) = 1, or fail after max_rounds rounds."""
     if rng is None:
@@ -169,9 +170,8 @@ def k_maxima(backend, k: int, M: int | None = None,
     queries_to_solution = 0 if backend.is_top_k(A) else None
     while True:
         y = min(A, key=lambda i: (backend.values[i], i))
-        handle = backend.oracle_for(y, frozenset(A))
-        res = grover_search_unknown(handle, cfg, rng)
-        oracle_queries += handle.query_count
+        res = grover_search_unknown(backend.oracle_for(y, frozenset(A)), cfg, rng)
+        oracle_queries += res.iterations + res.rounds
         iterations += res.iterations
         search_rounds += res.rounds
         if res.found is None:

@@ -283,70 +283,47 @@ def index_diffusion(index: tuple[int, ...]) -> Circuit:
     return Circuit(h_index + zero_reflection(index).gates + h_index)
 
 
-class OracleHandle:
-    """A (y, A) oracle with a query counter; queries only ever increase.
-
-    Subclasses implement ``run_round(r, rng)``, one search round (r Grover
-    iterations plus a measurement), and ``evaluate(j)``, the classical
-    verification of a measured candidate.
-    """
-
-    def __init__(self, y: int, A: frozenset[int], M: int):
-        self.y = y
-        self.A = frozenset(A)
-        self.M = M
-        self.query_count = 0
-
-
-class TableOracleHandle(OracleHandle):
+class TableOracleHandle:
     """Oracle-abstract backend: f evaluated on a quantized similarity table,
     Grover dynamics simulated exactly from the amplitude formulas."""
 
     def __init__(self, values: np.ndarray, y: int, A: frozenset[int]):
-        super().__init__(y, A, len(values))
-        self.values = values
-        marked = values > values[y]
-        marked[list(A)] = False
-        self._marked_idx = np.flatnonzero(marked)
-        self._unmarked_idx = np.flatnonzero(~marked)
-        self._theta = math.asin(math.sqrt(self.solution_count / self.M))
-
-    def f(self, j: int) -> bool:
-        return bool(self.values[j] > self.values[self.y] and j not in self.A)
-
-    @property
-    def solution_count(self) -> int:
-        return len(self._marked_idx)
+        self.M = len(values)
+        self._marked = values > values[y]
+        self._marked[list(A)] = False
+        self._marked_idx = np.flatnonzero(self._marked)
+        self._unmarked_idx = np.flatnonzero(~self._marked)
+        self._theta = math.asin(math.sqrt(len(self._marked_idx) / self.M))
 
     def run_round(self, r: int, rng: np.random.Generator) -> int:
         """Success probability after r Grover iterations is sin^2((2r+1)theta)
         with sin^2(theta) = t/M; measurement is uniform within each class.
         The uniform draw is an ``integers`` index into the class, the same
         value and stream position as ``rng.choice`` on it."""
-        self.query_count += r
         hit = rng.random() < math.sin((2 * r + 1) * self._theta) ** 2
         pool = self._marked_idx if hit else self._unmarked_idx
         return int(pool[rng.integers(0, len(pool))])
 
     def evaluate(self, j: int) -> bool:
-        self.query_count += 1
-        return self.f(j)
+        """f_{y,A}(j): the value of j beats the threshold's and j is not in A."""
+        return bool(self._marked[j])
 
 
-class CircuitOracleHandle(OracleHandle):
+class CircuitOracleHandle:
     """Circuit-exact backend: Grover iterations of the search oracle, the
     model's phase oracle without its Q3 kickback qubit, applied to the
     simulated register machine on the Q3-free layout.
 
     The state after r iterations depends only on (y, A, r), so the handle
     keeps the index marginal of every depth simulated so far and the deepest
-    state; a deeper round extends that state by the missing iterations. The
-    model's query count is charged in full for every round regardless.
+    state; a deeper round extends that state by the missing iterations.
+    Queries are charged by ``k_maxima``, r per round plus one per
+    verification, whatever this handle reuses.
     """
 
     def __init__(self, oracle: OracleCircuit):
-        super().__init__(oracle.y, oracle.A, oracle.M)
         self.oracle = oracle
+        self.M = oracle.M
         layout = oracle.search_layout
         index = layout.qubits("index")
         self._init = Circuit([hadamard(q) for q in index])
@@ -363,13 +340,11 @@ class CircuitOracleHandle(OracleHandle):
         return self._marginals[r]
 
     def run_round(self, r: int, rng: np.random.Generator) -> int:
-        self.query_count += r
         probs = self.marginal(r)
         # the same draw as StateVector.sample_measurement
         return int(rng.choice(len(probs), p=probs / probs.sum()))
 
     def evaluate(self, j: int) -> bool:
-        self.query_count += 1
         return bool(self.oracle.evaluate(j))
 
 

@@ -10,7 +10,6 @@ the tied classes.
 """
 from __future__ import annotations
 
-import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -156,8 +155,10 @@ def qknn_classify(test_state: np.ndarray, train: TrainSet, k: int,
             raise SimulationError("circuit-exact mode is limited to M <= 8, n <= 2, b <= 3")
         layout = oracle_layout(m, train.n, cfg.b)
         V, W = make_V(test_state, layout), make_W(train.states, layout)
-        assemble = functools.cache(lambda y, A: assemble_O_yA(V, W, layout, cfg, y, A))
-        backend = CircuitBackend(assemble, table.quantized, cfg.b)
+        # uncached: each accepted step swaps min(A) for a strictly larger value,
+        # so the sum over A grows and no (y, A) is asked for twice
+        backend = CircuitBackend(lambda y, A: assemble_O_yA(V, W, layout, cfg, y, A),
+                                 table.quantized, cfg.b)
     else:
         raise SimulationError(f"unknown mode {mode!r}")
     result = k_maxima(backend, k, train.M, search)

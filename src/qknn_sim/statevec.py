@@ -12,7 +12,7 @@ Conventions used throughout the package:
 - All operations are pure: they return new StateVector values and never
   mutate their inputs.
 - Measurement gives Born-rule marginals over named registers; sampling
-  draws one outcome from a seeded generator and collapses onto it.
+  draws one outcome from a seeded generator.
 - States above MAX_QUBITS qubits and dense circuit unitaries above
   MAX_DENSE_QUBITS qubits are refused before anything is allocated.
 """
@@ -479,22 +479,12 @@ class StateVector:
         out = keep.reshape(2 ** len(qubits), -1).sum(axis=1)
         return out
 
-    def sample_measurement(self, register: str | list[str], rng: np.random.Generator | int):
-        """Sample a register measurement; returns (outcome, collapsed state)."""
+    def sample_measurement(self, register: str | list[str], rng: np.random.Generator | int) -> int:
+        """Draw one outcome of a register measurement from the Born rule."""
         if not isinstance(rng, np.random.Generator):
             rng = np.random.default_rng(rng)
         probs = self.measure_probs(register)
-        outcome = int(rng.choice(len(probs), p=probs / probs.sum()))
-        return outcome, self.collapse(register, outcome)
-
-    def collapse(self, register: str | list[str], outcome: int) -> "StateVector":
-        qubits = self._register_qubits(register)
-        mask = _register_value_mask(self.num_qubits, qubits, outcome)
-        amps = np.where(mask, self.amplitudes, 0.0)
-        norm = np.linalg.norm(amps)
-        if norm < 1e-12:
-            raise SimulationError(f"zero-probability collapse requested (outcome {outcome})")
-        return StateVector(self.num_qubits, amps / norm, self.layout)
+        return int(rng.choice(len(probs), p=probs / probs.sum()))
 
     def register_is_zero(self, register: str) -> bool:
         probs = self.measure_probs(register)
@@ -560,15 +550,6 @@ def _apply_gate(amps: np.ndarray, n: int, gate: Gate, targets, controls) -> None
         out = np.empty_like(flat)
         out[:, gate.perm] = flat
     moved[(1,) * c] = out.reshape(block.shape)
-
-
-def _register_value_mask(n: int, qubits: tuple[int, ...], value: int) -> np.ndarray:
-    idx = np.arange(2 ** n)
-    mask = np.ones(2 ** n, dtype=bool)
-    for k, q in enumerate(qubits):
-        bit = (value >> k) & 1
-        mask &= ((idx >> q) & 1) == bit
-    return mask
 
 
 def circuit_to_matrix(circuit: Circuit, qubits: tuple[int, ...]) -> np.ndarray:

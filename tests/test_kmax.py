@@ -17,6 +17,38 @@ from qknn_sim.kmax import (
 from qknn_sim.oracle import SimulationError, TableOracleHandle
 
 
+class _CountingTableHandle(TableOracleHandle):
+    """The table handle, recording every round's depth and every verification."""
+
+    def __init__(self, values, y, A):
+        super().__init__(values, y, A)
+        self.depths, self.evaluations = [], 0
+
+    def run_round(self, r, rng):
+        self.depths.append(r)
+        return super().run_round(r, rng)
+
+    def evaluate(self, j):
+        self.evaluations += 1
+        return super().evaluate(j)
+
+
+class _CountingBackend(TableBackend):
+    """TableBackend yielding counting handles and recording each (y, A) asked for."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.requests, self.handles = [], []
+
+    def oracle_for(self, y, A):
+        self.requests.append((y, frozenset(A)))
+        self.handles.append(_CountingTableHandle(self.values, y, A))
+        return self.handles[-1]
+
+    def counted_queries(self):
+        return sum(sum(h.depths) + h.evaluations for h in self.handles)
+
+
 def test_search_config_validation():
     SearchConfig(1.2, 30, 0)
     with pytest.raises(SimulationError):
@@ -29,16 +61,16 @@ def test_all_marked_succeeds_immediately():
     """t = M makes the r = 0 draw succeed with probability one."""
     table = np.arange(1.0, 9.0)
     handle = TableOracleHandle(table, y=0, A=frozenset({0}))
-    assert handle.solution_count == 7
+    assert sum(handle.evaluate(j) for j in range(8)) == 7
     res = grover_search_unknown(handle, SearchConfig(seed=2))
     assert res.found is not None and res.rounds == 1 and res.iterations == 0
 
 
 def test_no_marked_items_fails_after_budget():
-    handle = TableOracleHandle(np.zeros(8), y=0, A=frozenset({0}))
+    handle = _CountingTableHandle(np.zeros(8), y=0, A=frozenset({0}))
     res = grover_search_unknown(handle, SearchConfig(seed=2))
     assert res.found is None and res.rounds == 30
-    assert handle.query_count == res.iterations + res.rounds
+    assert sum(handle.depths) == res.iterations and handle.evaluations == res.rounds
 
 
 def test_single_target_mean_iterations_bound():
@@ -161,11 +193,27 @@ def test_trace_replay_and_set_discipline():
 
 
 def test_query_accounting_identity():
-    """oracle_queries = Grover iterations + one verification per round."""
+    """oracle_queries = Grover iterations + one verification per round, and
+    equals the depths and verifications the handles were actually asked for."""
     for seed in range(20):
-        table = np.random.default_rng(seed).random(32)
-        res = k_maxima(TableBackend(table), 3, cfg=SearchConfig(seed=seed))
+        backend = _CountingBackend(np.random.default_rng(seed).random(32))
+        res = k_maxima(backend, 3, cfg=SearchConfig(seed=seed))
         assert res.oracle_queries == res.iterations + res.search_rounds
+        assert backend.counted_queries() == res.oracle_queries
+
+
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=32).flatmap(
+    lambda values: st.tuples(st.just(values), st.integers(1, len(values)),
+                             st.integers(0, 2 ** 31 - 1))))
+@settings(max_examples=100, deadline=None)
+def test_k_maxima_never_asks_for_the_same_oracle_twice(case):
+    """On tied tables, one k_maxima run requests each (y, A) at most once, so
+    an oracle cache would never hit; the handles see every charged query."""
+    values, k, seed = case
+    backend = _CountingBackend(np.array(values))
+    res = k_maxima(backend, k, cfg=SearchConfig(seed=seed))
+    assert len(set(backend.requests)) == len(backend.requests) == len(res.rounds)
+    assert backend.counted_queries() == res.oracle_queries
 
 
 def test_data_prep_accounting():

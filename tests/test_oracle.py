@@ -154,20 +154,21 @@ def test_oracle_netlist_mentions_core_pieces():
 def test_table_oracle_handle_examples():
     table = np.array([0.2, 0.8, 0.5, 0.7])
     h = TableOracleHandle(table, 3, {3})
-    assert [h.f(j) for j in range(4)] == [False, True, False, False]
+    assert [h.evaluate(j) for j in range(4)] == [False, True, False, False]
     h = TableOracleHandle(table, 1, {1})      # y is the argmax: nothing beats it
-    assert not any(h.f(j) for j in range(4))
+    assert not any(h.evaluate(j) for j in range(4))
     tied = TableOracleHandle(np.array([3, 3, 1], dtype=np.int64), 0, {0})
-    assert not tied.f(1)                    # strict comparison on quantized ties
+    assert not tied.evaluate(1)             # strict comparison on quantized ties
 
 
 def test_table_oracle_query_count_monotone():
+    """A handle keeps no query count (k_maxima charges the queries), and
+    rounds and verifications leave its draws and verdicts as they were."""
     h = TableOracleHandle(np.array([0.1, 0.9]), 0, {0})
-    rng = np.random.default_rng(0)
-    h.run_round(3, rng)
-    assert h.query_count == 3
-    h.evaluate(1)
-    assert h.query_count == 4
+    first = h.run_round(3, np.random.default_rng(0))
+    assert h.evaluate(1) and not h.evaluate(0)
+    assert h.run_round(3, np.random.default_rng(0)) == first
+    assert not hasattr(h, "query_count")
 
 
 @given(st.lists(st.integers(0, 4), min_size=2, max_size=40), st.data(),
@@ -199,9 +200,8 @@ def test_circuit_handle_runs_search_round():
     rng = np.random.default_rng(4)
     measured = handle.run_round(1, rng)   # one Grover iteration, t=1 of M=2
     assert measured in (0, 1)
-    assert handle.query_count == 1
-    assert handle.evaluate(0) is True
-    assert handle.query_count == 2
+    assert handle.evaluate(0) is True and handle.evaluate(1) is False
+    assert not hasattr(handle, "query_count")
 
 
 def test_qubit_accounting_report():
@@ -224,11 +224,12 @@ def test_oracle_rejects_m_wider_than_b():
 
 class _CountingHandle(CircuitOracleHandle):
     """The cached handle, recording the depths, candidates and generator it is
-    given and counting the simulator work its own oracle copy does."""
+    given, counting its verifications and the simulator work its own oracle
+    copy does."""
 
     def __init__(self, oracle):
         super().__init__(oracle)
-        self.depths, self.candidates, self.rng = [], set(), None
+        self.depths, self.candidates, self.evaluations, self.rng = [], set(), 0, None
         self.calls = Counter()
         for name in ("apply", "q3_distribution"):
             def counted(*args, _method=getattr(oracle, name), _name=name):
@@ -243,6 +244,7 @@ class _CountingHandle(CircuitOracleHandle):
 
     def evaluate(self, j):
         self.candidates.add(j)
+        self.evaluations += 1
         return super().evaluate(j)
 
 
@@ -256,17 +258,13 @@ class _RebuildingHandle(CircuitOracleHandle):
 
     def run_round(self, r, rng):
         self.rng = rng
-        state = StateVector.zero_state(self.oracle.layout).apply_circuit(self._init)
+        state = StateVector.zero_state(self.oracle.search_layout).apply_circuit(self._init)
         for _ in range(r):
-            state = self.oracle.apply(state)
-            self.query_count += 1
-            state = state.apply_circuit(self._diffusion)
+            state = self.oracle.apply(state).apply_circuit(self._diffusion)
         self.marginals[r] = state.measure_probs("index")
-        outcome, _ = state.sample_measurement("index", rng)
-        return outcome
+        return state.sample_measurement("index", rng)
 
     def evaluate(self, j):
-        self.query_count += 1
         return bool(np.argmax(self.oracle.q3_distribution(j)))
 
 
@@ -324,6 +322,7 @@ def test_cached_search_matches_brute_force(kind, M, k, seed):
     for name in ("top_k", "rounds", "oracle_queries", "data_prep_queries", "iterations",
                  "search_rounds"):
         assert getattr(got, name) == getattr(want, name), name
+    assert sum(sum(h.depths) + h.evaluations for h in cached) == got.oracle_queries
     assert cached[-1].rng.bit_generator.state == reference[-1].rng.bit_generator.state
     assert len(cached) == len(got.rounds)
     for handle in cached:
@@ -352,7 +351,6 @@ def test_cached_rounds_match_rebuilt_rounds_at_any_depth():
     for r in depths:
         assert cached.run_round(r, rng_cached) == reference.run_round(r, rng_reference)
     assert rng_cached.bit_generator.state == rng_reference.bit_generator.state
-    assert cached.query_count == reference.query_count == sum(depths)
     assert cached.calls["apply"] == max(depths)
     for r in depths:
         assert np.array_equal(cached._marginals[r], reference.marginals[r])
@@ -366,18 +364,15 @@ class _KickbackHandle(CircuitOracleHandle):
 
     def run_round(self, r, rng):
         self.rng = rng
-        self.query_count += r
         layout = self.oracle.layout
         (q3,) = layout.qubits("Q3")
         state = StateVector.zero_state(layout).apply_circuit(
             Circuit([pauli_x(q3), hadamard(q3)] + self._init.gates))
         for _ in range(r):
             state = state.apply_circuit(self.oracle.circuit).apply_circuit(self._diffusion)
-        outcome, _ = state.sample_measurement("index", rng)
-        return outcome
+        return state.sample_measurement("index", rng)
 
     def evaluate(self, j):
-        self.query_count += 1
         return bool(np.argmax(self.oracle.q3_distribution(j)))
 
 

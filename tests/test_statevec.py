@@ -148,7 +148,7 @@ def test_measure_probs_unknown_register():
 def test_sampling_is_seed_deterministic():
     layout = RegisterLayout.from_sizes([("q", 2)])
     state = StateVector.zero_state(layout).apply(hadamard(0)).apply(hadamard(1))
-    runs = [[state.sample_measurement("q", np.random.default_rng(9))[0] for _ in range(20)]
+    runs = [[state.sample_measurement("q", np.random.default_rng(9)) for _ in range(20)]
             for _ in range(2)]
     assert runs[0] == runs[1]
 
@@ -157,7 +157,7 @@ def test_sampling_matches_born_rule():
     layout = RegisterLayout.from_sizes([("q", 1)])
     plus = StateVector.zero_state(layout).apply(hadamard(0))
     rng = np.random.default_rng(3)
-    hits = sum(plus.sample_measurement("q", rng)[0] == 0 for _ in range(10_000))
+    hits = sum(plus.sample_measurement("q", rng) == 0 for _ in range(10_000))
     assert abs(hits / 10_000 - 0.5) < 0.02
 
 
@@ -165,13 +165,7 @@ def test_deterministic_state_always_measures_zero():
     layout = RegisterLayout.from_sizes([("q", 1)])
     state = StateVector.zero_state(layout)
     for seed in range(5):
-        assert state.sample_measurement("q", seed)[0] == 0
-
-
-def test_zero_probability_collapse_raises():
-    layout = RegisterLayout.from_sizes([("q", 1)])
-    with pytest.raises(SimulationError):
-        StateVector.zero_state(layout).collapse("q", 1)
+        assert state.sample_measurement("q", seed) == 0
 
 
 def _random_circuit(n, gates, rng):
