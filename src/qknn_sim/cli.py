@@ -210,8 +210,8 @@ _FLAG_OPTIONS = {
     "n": {"help": "qubits per state"}, "k": {"help": "number of neighbors"},
     "b": {"help": "similarity register bits, in [2, 30]"},
     "mode": {"choices": ("classical", "oracle-abstract", "circuit-exact"),
-             "help": "circuit-exact is limited to M <= 8, n <= 2, b <= 3 "
-                     "(2-qubit schemes, at most 8 train states)"},
+             "help": "circuit-exact is limited to M <= 8, n <= 2, b <= 3, with "
+                     "2 <= M <= 2**b train states (2-qubit schemes)"},
     "corpus": {"help": "corpus JSONL path"},
 }
 

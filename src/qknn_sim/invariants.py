@@ -228,13 +228,12 @@ def kickback_gap(oc: oracle.OracleCircuit, depth: int = 3) -> float:
     handle = oracle.CircuitOracleHandle(oc)
     index = oc.layout.qubits("index")
     (q3,) = oc.layout.qubits("Q3")
-    diffusion = oracle.index_diffusion(index)
     kickback = StateVector.zero_state(oc.layout).apply_circuit(
         Circuit([pauli_x(q3), hadamard(q3)] + [hadamard(q) for q in index]))
     worst = 0.0
     for r in range(depth + 1):
         if r:
-            kickback = kickback.apply_circuit(oc.circuit).apply_circuit(diffusion)
+            kickback = kickback.apply_circuit(oc.circuit).apply_circuit(oc.diffusion)
         gap = np.abs(handle.marginal(r) - kickback.measure_probs("index")).max()
         worst = max(worst, float(gap))
     return worst + sum(oc.evaluate(j) != int(np.argmax(oc.q3_distribution(j)))

@@ -45,23 +45,6 @@ from .statevec import (
 from .subroutines import zero_reflection
 
 
-@dataclass(frozen=True)
-class ThresholdState:
-    """Threshold index y plus the k currently-kept indices A."""
-
-    y: int
-    A: frozenset[int]
-    M: int
-
-    def __post_init__(self):
-        if not self.A or any(not 0 <= i < self.M for i in self.A):
-            raise SimulationError("A members must be distinct indices in [0, M)")
-        if not 0 <= self.y < self.M:
-            raise SimulationError("threshold index out of range")
-        if self.y not in self.A:
-            raise SimulationError("argmin variant requires y in A")
-
-
 # --- comparator primitives ---------------------------------------------------
 
 
@@ -161,20 +144,39 @@ class OracleCircuit:
     merges each run of gates on at most ``FUSE_QUBITS`` qubits into one
     dense gate; ``search`` is built from that U. The gates the simulator
     runs therefore differ from the model's, gate for gate, and agree with
-    it as unitaries to rounding.
+    it as unitaries to rounding. ``start()`` and ``diffusion`` complete the
+    register machine: the verdict run and every Grover round begin from the
+    one, and the circuit handle and the kickback law iterate the other.
     """
 
     circuit: Circuit
     layout: RegisterLayout
     y: int
     A: frozenset[int]
-    M: int
     U: Circuit
     search: Circuit
 
     @property
+    def M(self) -> int:
+        return 2 ** self.layout.size("index")
+
+    @property
     def search_layout(self) -> RegisterLayout:
         return search_layout(self.layout)
+
+    def start(self) -> StateVector:
+        """A fresh uniform index state on ``search_layout`` (none is kept alive)."""
+        layout = self.search_layout
+        return StateVector.zero_state(layout).apply_circuit(
+            Circuit([hadamard(q) for q in layout.qubits("index")]))
+
+    @cached_property
+    def diffusion(self) -> Circuit:
+        """H^m . (reflection about |0...0>) . H^m on the index register, whose
+        qubits are the same in ``layout`` and ``search_layout``."""
+        index = self.layout.qubits("index")
+        h_index = [hadamard(q) for q in index]
+        return Circuit(h_index + zero_reflection(index).gates + h_index)
 
     def apply(self, state: StateVector) -> StateVector:
         """One query of the search oracle."""
@@ -193,10 +195,7 @@ class OracleCircuit:
         """P(Q1 = 1, Q2 = 0 | j) after U for every j, which is the model's
         P(Q3 = 1 | j). U never changes the index register, so one run of U on
         the uniform index state gives all of them."""
-        layout = self.search_layout
-        uniform = Circuit([hadamard(q) for q in layout.qubits("index")])
-        state = StateVector.zero_state(layout).apply_circuit(uniform)
-        joint = state.apply_circuit(self.U).measure_probs(["index", "Q1", "Q2"])
+        joint = self.start().apply_circuit(self.U).measure_probs(["index", "Q1", "Q2"])
         return self.M * joint[self.M: 2 * self.M]
 
     def evaluate(self, j: int) -> int:
@@ -219,8 +218,9 @@ def assemble_O_yA(V: Gate, W: Gate, layout: RegisterLayout,
     cfg.require_circuit_scale()
     A = frozenset(A)
     m, b = layout.size("index"), cfg.b
-    M = 2 ** m
-    ThresholdState(y, A, M)
+    if y not in A or any(not 0 <= i < 2 ** m for i in A):  # also refuses an empty A
+        raise SimulationError(f"argmin variant needs y in A and A within [0, {2 ** m}), "
+                              f"got y = {y}, A = {sorted(A)}")
     if m > b:
         raise SimulationError("circuit-exact oracle hosts comparator chains in the "
                               "phase register and needs log2(M) <= b")
@@ -248,7 +248,7 @@ def assemble_O_yA(V: Gate, W: Gate, layout: RegisterLayout,
     (s1,), (s2,) = reduced.qubits("Q1"), reduced.qubits("Q2")
     search = Circuit(U_r.gates + [pauli_x(s2), mcz((s1,), s2), pauli_x(s2)]
                      + U_r.inverse().gates)
-    return OracleCircuit(circ, layout, y, A, M, U_r, search)
+    return OracleCircuit(circ, layout, y, A, U_r, search)
 
 
 def classical_action(circuit: Circuit, num_qubits: int, x: int) -> int:
@@ -274,13 +274,7 @@ def prep_calls_per_oracle(b: int) -> Counter:
     return Counter({"V": 6 * per_f, "W": 6 * per_f})
 
 
-# --- grover machinery shared by both backends ---------------------------------
-
-
-def index_diffusion(index: tuple[int, ...]) -> Circuit:
-    """The Grover diffusion H^m . (reflection about |0...0>) . H^m on ``index``."""
-    h_index = [hadamard(q) for q in index]
-    return Circuit(h_index + zero_reflection(index).gates + h_index)
+# --- search handles, one per backend ------------------------------------------
 
 
 class TableOracleHandle:
@@ -316,26 +310,23 @@ class CircuitOracleHandle:
 
     The state after r iterations depends only on (y, A, r), so the handle
     keeps the index marginal of every depth simulated so far and the deepest
-    state; a deeper round extends that state by the missing iterations.
-    Queries are charged by ``k_maxima``, r per round plus one per
-    verification, whatever this handle reuses.
+    state; a deeper round extends that state by the missing iterations. The
+    oracle supplies the start state (``start()``) and the diffusion that
+    follows each ``search``. Queries are charged by ``k_maxima``, r per
+    round plus one per verification, whatever this handle reuses.
     """
 
     def __init__(self, oracle: OracleCircuit):
         self.oracle = oracle
         self.M = oracle.M
-        layout = oracle.search_layout
-        index = layout.qubits("index")
-        self._init = Circuit([hadamard(q) for q in index])
-        self._diffusion = index_diffusion(index)
         # the deepest state simulated, and the index marginal after r iterations
-        self._state = StateVector.zero_state(layout).apply_circuit(self._init)
+        self._state = oracle.start()
         self._marginals = [self._state.measure_probs("index")]
 
     def marginal(self, r: int) -> np.ndarray:
         """Index marginal after r Grover iterations of the search oracle."""
         while len(self._marginals) <= r:
-            self._state = self.oracle.apply(self._state).apply_circuit(self._diffusion)
+            self._state = self.oracle.apply(self._state).apply_circuit(self.oracle.diffusion)
             self._marginals.append(self._state.measure_probs("index"))
         return self._marginals[r]
 

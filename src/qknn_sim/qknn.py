@@ -150,9 +150,10 @@ def qknn_classify(test_state: np.ndarray, train: TrainSet, k: int,
     elif mode == "circuit-exact":
         if measure != "fidelity":
             raise SimulationError("circuit-exact path implements the fidelity oracle")
+        if not (2 <= train.M <= 8 and train.n <= 2 and math.log2(train.M) <= cfg.b <= 3):
+            raise SimulationError("circuit-exact mode is limited to M <= 8, n <= 2, b <= 3, with "
+                                  f"2 <= M <= 2**b; got M = {train.M}, n = {train.n}, b = {cfg.b}")
         m = train.require_power_of_two()
-        if train.M > 8 or train.n > 2 or cfg.b > 3:
-            raise SimulationError("circuit-exact mode is limited to M <= 8, n <= 2, b <= 3")
         layout = oracle_layout(m, train.n, cfg.b)
         V, W = make_V(test_state, layout), make_W(train.states, layout)
         # uncached: each accepted step swaps min(A) for a strictly larger value,

@@ -32,15 +32,17 @@ from .statevec import (
     pauli_x,
     pauli_z,
     register_unitary,
+    require_unit_states,
 )
 
 
 def unitary_with_first_column(psi: np.ndarray) -> np.ndarray:
-    """Complete |psi> to a full unitary whose first column is exactly psi."""
+    """Complete a unit state |psi> (within 1e-9, as every train and test state)
+    to a full unitary whose first column is psi / |psi|."""
     psi = np.asarray(psi, dtype=complex)
+    require_unit_states(psi, "state-prep target")
+    psi = psi / np.linalg.norm(psi)
     d = len(psi)
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
-        raise SimulationError("state-prep target is not normalized")
     q, _ = np.linalg.qr(np.column_stack([psi, np.eye(d, dtype=complex)]))
     # QR gives psi's direction up to a phase and O(eps); V|0> must be psi exactly
     q[:, 0] = psi

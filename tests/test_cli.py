@@ -249,6 +249,17 @@ def test_classify_circuit_exact_refuses_three_qubit_states(tmp_path, capsys):
     assert "M <= 8, n <= 2, b <= 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("per_class,split,b", [(1, "0.5", "2"), (5, "0.8", "2")])
+def test_classify_circuit_exact_refuses_outside_its_rule(tmp_path, capsys, per_class,
+                                                         split, b):
+    """A 1-state train split, and an 8-state one at b = 2 (log2(M) > b), exit 1
+    with the rule circuit-exact accepts."""
+    corpus = _make_corpus(tmp_path, scheme="2q-sep-vs-ent", per_class=per_class)
+    assert run_cli(["classify", "--corpus", str(corpus), "--mode", "circuit-exact",
+                    "--k", "1", "--b", b, "--split", split]) == 1
+    assert "M <= 8, n <= 2, b <= 3, with 2 <= M <= 2**b" in capsys.readouterr().err
+
+
 def test_config_file_unknown_key_exits_1(tmp_path, capsys):
     cfg = tmp_path / "typo.cfg"
     cfg.write_text("lamda = 1.3\n")

@@ -10,12 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qknn_sim import invariants
+from qknn_sim import oracle as oracle_module
 from qknn_sim.kmax import CircuitBackend, SearchConfig, k_maxima
 from qknn_sim.oracle import (
     CircuitOracleHandle,
     SimulationError,
     TableOracleHandle,
-    ThresholdState,
     assemble_O_yA,
     build_J,
     classical_action,
@@ -30,14 +30,22 @@ from qknn_sim.statevec import Circuit, StateVector, hadamard, mcz, pauli_x
 from qknn_sim.subroutines import make_V, make_W
 
 
-def test_threshold_state_validation():
-    ThresholdState(1, frozenset({1, 2}), 4)
-    with pytest.raises(SimulationError):
-        ThresholdState(0, frozenset({1, 2}), 4)   # argmin variant needs y in A
-    with pytest.raises(SimulationError):
-        ThresholdState(0, frozenset({0, 9}), 4)
-    with pytest.raises(SimulationError):
-        ThresholdState(0, frozenset(), 4)
+def test_threshold_state_validation(monkeypatch):
+    """assemble_O_yA accepts y = 1, A = {1, 2} at M = 4 and refuses a y
+    outside A, a member of A outside [0, M) and an empty A before it builds
+    any circuit."""
+    layout = oracle_layout(2, 1, 2)
+    V = make_V(np.array([1, 0], dtype=complex), layout, register="test")
+    W = make_W(np.array([[1, 0], [0, 1], [0, 1], [1, 0]], dtype=complex), layout)
+    cfg = PrecisionConfig(2)
+    assert assemble_O_yA(V, W, layout, cfg, 1, {1, 2}).A == {1, 2}
+
+    def no_build(*args):
+        raise AssertionError("built a circuit for a refused (y, A)")
+    monkeypatch.setattr(oracle_module, "fidelity_qadc_circuit", no_build)
+    for y, A in ((0, {1, 2}), (0, {0, 9}), (0, set())):
+        with pytest.raises(SimulationError):
+            assemble_O_yA(V, W, layout, cfg, y, A)
 
 
 @pytest.mark.parametrize("a,b,carry,expect_flip", [
@@ -258,9 +266,11 @@ class _RebuildingHandle(CircuitOracleHandle):
 
     def run_round(self, r, rng):
         self.rng = rng
-        state = StateVector.zero_state(self.oracle.search_layout).apply_circuit(self._init)
+        layout = self.oracle.search_layout
+        state = StateVector.zero_state(layout).apply_circuit(
+            Circuit([hadamard(q) for q in layout.qubits("index")]))
         for _ in range(r):
-            state = self.oracle.apply(state).apply_circuit(self._diffusion)
+            state = self.oracle.apply(state).apply_circuit(self.oracle.diffusion)
         self.marginals[r] = state.measure_probs("index")
         return state.sample_measurement("index", rng)
 
@@ -367,9 +377,9 @@ class _KickbackHandle(CircuitOracleHandle):
         layout = self.oracle.layout
         (q3,) = layout.qubits("Q3")
         state = StateVector.zero_state(layout).apply_circuit(
-            Circuit([pauli_x(q3), hadamard(q3)] + self._init.gates))
+            Circuit([pauli_x(q3), hadamard(q3)] + [hadamard(q) for q in layout.qubits("index")]))
         for _ in range(r):
-            state = state.apply_circuit(self.oracle.circuit).apply_circuit(self._diffusion)
+            state = state.apply_circuit(self.oracle.circuit).apply_circuit(self.oracle.diffusion)
         return state.sample_measurement("index", rng)
 
     def evaluate(self, j):

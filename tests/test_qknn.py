@@ -177,6 +177,35 @@ def test_qknn_circuit_exact_rejects_large_instances():
                       mode="circuit-exact")
 
 
+@pytest.mark.parametrize("M,b", [(1, 2), (8, 2)])
+def test_qknn_circuit_exact_refuses_outside_its_rule(M, b):
+    """Circuit-exact needs one index qubit at least and log2(M) <= b: M = 1,
+    and M = 8 at b = 2, are refused with the rule."""
+    rng = np.random.default_rng(8)
+    with pytest.raises(SimulationError, match=r"M <= 8, n <= 2, b <= 3, with 2 <= M <= 2\*\*b"):
+        qknn_classify(haar_random_state(1, rng), random_train(M, 1, rng), 1,
+                      PrecisionConfig(b), mode="circuit-exact")
+
+
+@pytest.mark.parametrize("scale", [1 + 1e-12, 1 + 5e-10])
+def test_qknn_circuit_exact_takes_states_the_state_check_takes(scale):
+    """A test or train state whose norm is off 1 by 1e-12 or 5e-10 passes the
+    1e-9 state check, so V and W take it too, and it classifies as the unit
+    state does: same label, neighbours and query counts."""
+    rng = np.random.default_rng(21)
+    train, test = random_train(4, 1, rng), haar_random_state(1, rng)
+    cfg, search = PrecisionConfig(2), SearchConfig(seed=4, max_rounds=8)
+
+    def summary(state, train_set):
+        res = qknn_classify(state, train_set, 2, cfg, search, mode="circuit-exact")
+        return res.label, res.neighbors, res.oracle_queries, res.data_prep_queries
+
+    off_train = TrainSet(train.states * np.array([[scale], [1], [1], [1]]), train.labels)
+    want = summary(test, train)
+    assert summary(test * scale, train) == want
+    assert summary(test, off_train) == want
+
+
 def test_qknn_coarse_quantization_returns_admissible_completion():
     """At b=1 collisions are rampant: the returned set must still consist of
     indices whose quantized values form the top-k multiset."""
