@@ -65,6 +65,7 @@ class RunConfig:
 
 def parse_config_file(path: str) -> dict:
     values: dict = {}
+    first_line: dict = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -73,7 +74,11 @@ def parse_config_file(path: str) -> dict:
             if "=" not in line:
                 raise SimulationError(f"{path}:{lineno}: expected key = value")
             key, _, val = line.partition("=")
-            values[key.strip().replace("-", "_")] = val.strip()
+            key = key.strip().replace("-", "_")
+            if key in first_line:
+                raise SimulationError(f"{path}:{lineno}: key {key!r} is already set on "
+                                      f"line {first_line[key]}")
+            values[key], first_line[key] = val.strip(), lineno
     return values
 
 
@@ -94,7 +99,12 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         if getattr(args, key) is not None:
             merged[key] = getattr(args, key)
         elif key in file_values:
-            merged[key] = _TYPES[key](file_values[key])
+            value = file_values[key]
+            try:
+                merged[key] = _TYPES[key](value)
+            except ValueError:
+                raise SimulationError(f"{args.config}: key {key!r} has value {value!r}, "
+                                      f"expected {_TYPES[key].__name__}") from None
     return RunConfig(args.subcommand, **merged)
 
 
@@ -111,8 +121,6 @@ def _write_lines(path: str | None, lines: list[str], mode: str = "w") -> None:
 
 
 def cmd_gen_data(cfg: RunConfig) -> int:
-    if cfg.scheme not in datasets.SCHEMES:
-        raise SimulationError(f"unknown scheme {cfg.scheme!r}; choose from {datasets.SCHEMES}")
     corpus = datasets.gen_corpus(cfg.scheme, cfg.per_class, cfg.seed)
     out = cfg.out or f"corpus_{cfg.scheme}.jsonl"
     datasets.write_corpus(corpus, out)
@@ -242,7 +250,7 @@ def main(argv=None) -> int:
     except (SimulationError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:  # a bug in qknn-sim itself
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
 

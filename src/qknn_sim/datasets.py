@@ -191,8 +191,22 @@ def gen_class(scheme: str, class_id: str, count: int, seed) -> LabeledStateCorpu
     return LabeledStateCorpus(scheme, np.array(states), [class_id] * count, paths)
 
 
+def _require_fits(what: str, amplitudes: int) -> None:
+    """Refuse, before anything is allocated, more than 2**MAX_QUBITS amplitudes."""
+    if amplitudes > 2 ** MAX_QUBITS:
+        raise SimulationError(
+            f"{what} needs {to_mib(16 * amplitudes):,.0f} MiB; at most 2**{MAX_QUBITS} "
+            f"amplitudes ({to_mib(16 << MAX_QUBITS):,.0f} MiB) fit")
+
+
 def gen_corpus(scheme: str, per_class: int, seed: int) -> LabeledStateCorpus:
-    """All classes of a scheme, per_class states each, deterministic per seed."""
+    """All classes of a scheme, per_class states each, deterministic per seed.
+
+    Corpora above 2**MAX_QUBITS amplitudes are refused before any seed is spawned."""
+    if scheme not in SCHEMES:
+        raise SimulationError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
+    _require_fits(f"a {scheme} corpus of per-class={per_class} states",
+                  per_class * len(CLASSES[scheme]) * 2 ** QUBITS[scheme])
     root = np.random.SeedSequence(seed)
     class_seeds = root.spawn(len(CLASSES[scheme]))
     parts = [gen_class(scheme, cid, per_class, cs)
@@ -207,12 +221,7 @@ def gen_discrimination_instance(M: int, n: int, seed):
     """M pairwise-distinguishable Haar states plus a promised test index.
 
     M * 2**n amplitudes above 2**MAX_QUBITS are refused before allocation."""
-    amplitudes = M * 2 ** n
-    if amplitudes > 2 ** MAX_QUBITS:
-        raise SimulationError(
-            f"a discrimination instance of M={M} states on n={n} qubits needs "
-            f"{to_mib(16 * amplitudes):,.0f} MiB; at most 2**{MAX_QUBITS} amplitudes "
-            f"({to_mib(16 << MAX_QUBITS):,.0f} MiB) fit")
+    _require_fits(f"a discrimination instance of M={M} states on n={n} qubits", M * 2 ** n)
     root = np.random.default_rng(seed)
     states: list[np.ndarray] = []
     for _ in range(M):

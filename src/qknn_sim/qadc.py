@@ -24,23 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statevec import (
-    MAX_DENSE_QUBITS,
-    Circuit,
-    Gate,
-    RegisterLayout,
-    SimulationError,
-    StateVector,
-    basis_permutation,
-    hadamard,
-)
-from .subroutines import (
-    ReflectionOperator,
-    build_G,
-    make_V,
-    make_W,
-    qpe_circuit,
-)
+from .statevec import Circuit, Gate, RegisterLayout, SimulationError, basis_permutation
+from .subroutines import ReflectionOperator, build_G, qpe_circuit
 
 CIRCUIT_MAX_BITS = 8  # phase/fid register width cap at desk scale
 
@@ -102,8 +87,6 @@ def arithmetic_table(cfg: PrecisionConfig, mode: str = "fidelity") -> np.ndarray
             out[t] = quantize_fidelity(v, cfg.b)
         elif mode == "dot":
             out[t] = quantize_dot(v, cfg.b)
-        elif mode == "abs":
-            out[t] = quantize_fidelity(math.sqrt(max(v, 0.0)), cfg.b)
         else:
             raise SimulationError(f"unknown arithmetic mode {mode!r}")
     return out
@@ -132,28 +115,17 @@ def arithmetic_map(cfg: PrecisionConfig, layout: RegisterLayout, mode: str = "fi
 # --- the QADC composition -----------------------------------------------------
 
 
-def qadc_circuit(op: ReflectionOperator, layout: RegisterLayout, cfg: PrecisionConfig,
-                 mode: str | None = None) -> Circuit:
+def qadc_circuit(op: ReflectionOperator, layout: RegisterLayout, cfg: PrecisionConfig) -> Circuit:
     """E^dig E^amp as one gate list: amp -> QPE -> arithmetic -> QPE^-1 -> amp^-1.
 
     ``op`` is the reflection operator (G for fidelity, H for the dot product);
-    its ``amp_circuit`` is E^amp. ``mode`` picks the arithmetic table and
-    defaults to the operator's kind.
+    its ``amp_circuit`` is E^amp, and its ``kind`` picks the arithmetic table.
     """
     cfg.require_circuit_scale()
     qpe = qpe_circuit(op.gate, layout.qubits("phase"))
     return Circuit(op.amp_circuit.gates + qpe.gates
-                   + [arithmetic_map(cfg, layout, mode or op.kind)]
+                   + [arithmetic_map(cfg, layout, op.kind)]
                    + qpe.inverse().gates + op.amp_circuit.inverse().gates)
-
-
-def apply_qadc(state: StateVector, op: ReflectionOperator, layout: RegisterLayout,
-               cfg: PrecisionConfig, mode: str | None = None) -> StateVector:
-    """|j>|0> -> |j>|s_j> on a state whose work, phase and fid registers are fresh."""
-    for reg in op.work_registers + ("phase", "fid"):
-        if not state.register_is_zero(reg):
-            raise SimulationError(f"register {reg!r} is not fresh")
-    return state.apply_circuit(qadc_circuit(op, layout, cfg, mode=mode))
 
 
 def fidelity_qadc_circuit(V: Gate, W: Gate, layout: RegisterLayout,
@@ -161,59 +133,4 @@ def fidelity_qadc_circuit(V: Gate, W: Gate, layout: RegisterLayout,
     """The full F operator |j>|0> -> |j>|F_j> as a gate sequence on the
     index/fid pair; the oracle's second F is this circuit with its qubits
     renamed onto the primed pair (``Circuit.remap``)."""
-    return qadc_circuit(build_G(V, W, layout), layout, cfg, "fidelity")
-
-
-# --- standalone abs-QADC ------------------------------------------------------
-
-
-@dataclass(eq=False)
-class QadcResult:
-    state: StateVector
-    layout: RegisterLayout
-    branch_distributions: np.ndarray  # (d, 2**b) conditional fid distributions
-
-
-def abs_qadc(prep_unitary: np.ndarray, cfg: PrecisionConfig) -> QadcResult:
-    """Digitize |c_i| for the state prepared by ``prep_unitary``.
-
-    Output approximates (1/sqrt(d)) sum_i |i>|r_i> with r_i the b-bit
-    value nearest |c_i|; exact whenever the induced phases are dyadic.
-    The train-register role is played by a basis copy of the index.
-    """
-    cfg.require_circuit_scale()
-    prep_unitary = np.asarray(prep_unitary, dtype=complex)
-    d = prep_unitary.shape[0]
-    n = d.bit_length() - 1
-    if prep_unitary.shape != (d, d) or d < 2 or d != 2 ** n:
-        raise SimulationError(f"abs_qadc needs a square d x d preparation with d a power of "
-                              f"two >= 2, got shape {prep_unitary.shape}")
-    if 3 * n + 1 > MAX_DENSE_QUBITS:
-        raise SimulationError(f"abs_qadc at d = {d} needs a {3 * n + 1}-qubit reflection "
-                              f"operator; dense operators allow at most {MAX_DENSE_QUBITS} "
-                              f"qubits (d <= {2 ** ((MAX_DENSE_QUBITS - 1) // 3)})")
-    layout = RegisterLayout.from_sizes([
-        ("index", n), ("train", n), ("test", n), ("B", 1),
-        ("phase", cfg.b), ("fid", cfg.b),
-    ])
-    state = StateVector.zero_state(layout)  # size check before W's d**2 x d**2 matrix
-    psi = prep_unitary[:, 0]
-    V = make_V(psi, layout, register="test")
-    copies = np.eye(d, dtype=complex)  # |j>|0> -> |j>|j>
-    W = make_W(copies, layout)
-    for q in layout.qubits("index"):
-        state = state.apply(hadamard(q))
-    state = apply_qadc(state, build_G(V, W, layout), layout, cfg, mode="abs")
-    branch = np.array([fid_distribution(state, i) for i in range(d)])
-    return QadcResult(state, layout, branch)
-
-
-def fid_distribution(state: StateVector, index_value: int) -> np.ndarray:
-    """Conditional distribution over fid outcomes given an index outcome."""
-    probs = state.measure_probs(["index", "fid"])
-    m = state.layout.size("index")
-    arr = probs.reshape(-1, 2 ** m)[:, index_value]
-    total = arr.sum()
-    if total <= 0:
-        raise SimulationError(f"index value {index_value} has zero probability")
-    return arr / total
+    return qadc_circuit(build_G(V, W, layout), layout, cfg)

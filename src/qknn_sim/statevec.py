@@ -18,7 +18,6 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -117,23 +116,6 @@ class RegisterLayout:
         for name in names:
             out.extend(self.qubits(name))
         return tuple(out)
-
-    def to_json_obj(self) -> dict:
-        return {name: [start, size] for name, start, size in self.registers}
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "RegisterLayout":
-        if not isinstance(obj, dict):
-            raise SimulationError(f"layout must map register names to [start, size], got {obj!r}")
-        for name, entry in obj.items():
-            if not (isinstance(entry, list) and len(entry) == 2
-                    and all(type(v) is int for v in entry)):
-                raise SimulationError(f"register {name!r} must be [start, size], got {entry!r}")
-        regs = sorted((start, size, name) for name, (start, size) in obj.items())
-        layout = cls.from_sizes([(name, size) for _, size, name in regs])
-        if layout.registers != tuple((name, start, size) for start, size, name in regs):
-            raise SimulationError(f"registers {obj} do not tile the qubits from 0 without gaps")
-        return layout
 
 
 @dataclass(frozen=True, eq=False)
@@ -489,39 +471,6 @@ class StateVector:
     def register_is_zero(self, register: str) -> bool:
         probs = self.measure_probs(register)
         return bool(probs[1:].sum() <= ZERO_REGISTER_ATOL)
-
-    # -- persistence --
-
-    def dump_json(self) -> str:
-        obj = {
-            "num_qubits": self.num_qubits,
-            "amplitudes": [[float(a.real), float(a.imag)] for a in self.amplitudes],
-            "layout": self.layout.to_json_obj() if self.layout else None,
-        }
-        return json.dumps(obj)
-
-    @classmethod
-    def load_json(cls, text: str) -> "StateVector":
-        try:
-            obj = json.loads(text)
-        except ValueError as exc:
-            raise SimulationError(f"state is not valid JSON: {exc}") from None
-        if not isinstance(obj, dict):
-            raise SimulationError(f"state must be a JSON object, got {type(obj).__name__}")
-        num_qubits = obj.get("num_qubits")
-        if type(num_qubits) is not int or num_qubits < 0:
-            raise SimulationError(f"num_qubits must be a non-negative integer, got {num_qubits!r}")
-        check_state_size(num_qubits)
-        try:
-            amps = np.array([complex(re, im) for re, im in obj["amplitudes"]])
-        except (KeyError, TypeError, ValueError):
-            raise SimulationError("amplitudes must be a list of [re, im] pairs") from None
-        require_unit_states(amps, "state")
-        layout = RegisterLayout.from_json_obj(obj["layout"]) if obj.get("layout") else None
-        if layout is not None and layout.num_qubits != num_qubits:
-            raise SimulationError(f"layout covers {layout.num_qubits} qubits, "
-                                  f"the state has {num_qubits}")
-        return cls(num_qubits, amps, layout)
 
 
 # --- application kernels ---------------------------------------------------

@@ -134,7 +134,6 @@ class ReflectionOperator:
     kind: str                      # "fidelity" | "dot"
     gate: Gate                     # dense G or H on its support, with its prep counts
     amp_circuit: Circuit           # the prep circuit: E^amp, uncomputed at the end
-    work_registers: tuple[str, ...]
 
 
 def reflection_operator(kind: str, prep: Circuit, layout: RegisterLayout,
@@ -151,7 +150,7 @@ def reflection_operator(kind: str, prep: Circuit, layout: RegisterLayout,
     gate = register_unitary(qubits, circuit_to_matrix(circ, qubits),
                             "G" if kind == "fidelity" else "H",
                             prep_counts=tuple(circ.prep_counts().items()))
-    return ReflectionOperator(kind, gate, prep, work)
+    return ReflectionOperator(kind, gate, prep)
 
 
 def build_G(V: Gate, W: Gate, layout: RegisterLayout) -> ReflectionOperator:

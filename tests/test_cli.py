@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qknn_sim import invariants
+from qknn_sim import cli, invariants
 from qknn_sim.cli import CSV_HEADER, RunConfig, main, make_parser, parse_config_file
 from qknn_sim.oracle import build_J
 from qknn_sim.statevec import pauli_x
@@ -268,6 +268,38 @@ def test_config_file_unknown_key_exits_1(tmp_path, capsys):
     assert "lamda" in err and "valid keys:" in err and "lam" in err
 
 
+@pytest.mark.parametrize("line,key,value,expected", [
+    ("k = 1.5", "k", "1.5", "int"),
+    ("lam = abc", "lam", "abc", "float"),
+])
+def test_config_value_of_wrong_type_names_file_key_and_type(line, key, value, expected,
+                                                            tmp_path, capsys):
+    cfg = tmp_path / "typed.cfg"
+    cfg.write_text(line + "\n")
+    assert run_cli(["bench", "--M", "16", "--trials", "1", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert str(cfg) in err and repr(key) in err and repr(value) in err and expected in err
+
+
+def test_config_duplicate_key_exits_1_naming_both_lines(tmp_path, capsys):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("M = 4\n# comment\nM = 8\n")
+    out = tmp_path / "b.csv"
+    assert run_cli(["bench", "--trials", "1", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{cfg}:3" in err and "'M'" in err and "line 1" in err
+    assert not out.exists()
+
+
+def test_unexpected_exception_exits_2(monkeypatch, capsys):
+    """Exit 2 is for bugs in qknn-sim itself: any exception that is not bad input."""
+    def broken(cfg):
+        raise RuntimeError("boom")
+    monkeypatch.setitem(cli._COMMANDS, "verify", (broken, cli._COMMANDS["verify"][1]))
+    assert run_cli(["verify"]) == 2
+    assert capsys.readouterr().err.startswith("runtime error: boom")
+
+
 def test_output_path_that_is_a_directory_exits_1(tmp_path, capsys):
     assert run_cli(["bench", "--M", "16", "--trials", "1", "--out", str(tmp_path)]) == 1
     assert "error" in capsys.readouterr().err
@@ -384,6 +416,8 @@ def test_classify_split_outside_unit_interval_exits_1(split, tmp_path, capsys):
     (["discriminate", "--M", "2,4", "--n", "40", "--trials", "1"], "M=2 states on n=40 qubits"),
     (["discriminate", "--M", "2", "--n", "26", "--trials", "1"], "M=2 states on n=26 qubits"),
     (["bench", "--M", "20000000000", "--trials", "1"], "M=20000000000 entries"),
+    (["gen-data", "--scheme", "2q-sep-vs-ent", "--per-class", str(2 ** 22)],
+     f"per-class={2 ** 22} states"),
 ])
 def test_sizes_beyond_memory_exit_1_before_allocation(args, named, capsys):
     assert exit_code(args) == 1

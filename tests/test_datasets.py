@@ -120,6 +120,11 @@ def test_gen_corpus_counts_and_determinism():
     assert c1.labels.count("separable") == c1.labels.count("entangled") == 25
 
 
+def test_gen_corpus_refuses_an_unknown_scheme():
+    with pytest.raises(SimulationError, match="unknown scheme '4q-ghz'"):
+        gen_corpus("4q-ghz", 1, seed=0)
+
+
 def test_maxent_class_has_unit_entropy():
     corpus = gen_class("2q-sep-vs-maxent", "maxent", 50, seed=8)
     for state in corpus.states:

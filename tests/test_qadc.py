@@ -9,12 +9,10 @@ from hypothesis import strategies as st
 from qknn_sim import invariants
 from qknn_sim.qadc import (
     PrecisionConfig,
-    abs_qadc,
-    apply_qadc,
     arithmetic_map,
     arithmetic_table,
-    fid_distribution,
     fidelity_qadc_circuit,
+    qadc_circuit,
     quantize_array,
     quantize_dot,
     quantize_fidelity,
@@ -107,7 +105,13 @@ def _dyadic_instance(b):
 
 
 def _apply_F(state, layout, V, W, cfg):
-    return apply_qadc(state, build_G(V, W, layout), layout, cfg)
+    return state.apply_circuit(fidelity_qadc_circuit(V, W, layout, cfg))
+
+
+def fid_distribution(state, j):
+    """Distribution of the fid register in index branch j."""
+    probs = state.measure_probs(["index", "fid"]).reshape(-1, 2 ** state.layout.size("index"))
+    return probs[:, j] / probs[:, j].sum()
 
 
 def test_E_amp_matches_directly_constructed_state():
@@ -141,13 +145,6 @@ def test_E_amp_uniform_superposition_marginal():
     out = StateVector.zero_state(layout).apply(hadamard(0)).apply_circuit(
         build_G(V, W, layout).amp_circuit)
     assert abs(out.measure_probs("B")[0] - (2 + F[0] + F[1]) / 4) < 1e-10
-
-
-def test_E_amp_rejects_dirty_ancilla():
-    layout, V, W = _dyadic_instance(2)
-    dirty = StateVector.zero_state(layout).apply(pauli_x(layout.qubits("B")[0]))
-    with pytest.raises(SimulationError, match="'B' is not fresh"):
-        apply_qadc(dirty, build_G(V, W, layout), layout, PrecisionConfig(2))
 
 
 @pytest.mark.parametrize("j,expected_bits", [(0, None), (1, 0)])
@@ -213,7 +210,7 @@ def test_apply_E_dig_uses_reflection_operator():
     b = 2
     layout, V, W = _dyadic_instance(b)
     G = build_G(V, W, layout)
-    out = apply_qadc(StateVector.zero_state(layout), G, layout, PrecisionConfig(b))
+    out = StateVector.zero_state(layout).apply_circuit(qadc_circuit(G, layout, PrecisionConfig(b)))
     assert abs(fid_distribution(out, 0)[3] - 1.0) < 1e-9
 
 
@@ -253,7 +250,7 @@ def test_apply_X_dot_known_values(u, expected_over_8):
     V = make_V(v.astype(complex), layout, register="data")
     W = make_W(np.stack([u, u]).astype(complex), layout, train="data")
     H = build_H_dot(V, W, layout)
-    out = apply_qadc(StateVector.zero_state(layout), H, layout, PrecisionConfig(b))
+    out = StateVector.zero_state(layout).apply_circuit(qadc_circuit(H, layout, PrecisionConfig(b)))
     dist = fid_distribution(out, 0)
     assert abs(dist[expected_over_8] - 1.0) < 1e-9
 
@@ -267,59 +264,3 @@ def test_quantize_array_matches_scalar():
         np.testing.assert_array_equal(
             quantize_array(2 * xs - 1, b, "dot"),
             [quantize_dot(float(2 * x - 1), b) for x in xs])
-
-
-def test_abs_qadc_identity_preparation():
-    res = abs_qadc(np.eye(2), PrecisionConfig(3))
-    assert abs(res.branch_distributions[0][7] - 1.0) < 1e-9   # |c_0| = 1
-    assert abs(res.branch_distributions[1][0] - 1.0) < 1e-9   # |c_1| = 0
-    np.testing.assert_allclose(res.state.measure_probs("index"), [0.5, 0.5], atol=1e-9)
-
-
-def test_abs_qadc_uniform_amplitudes():
-    h = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-    b = 5
-    res = abs_qadc(h, PrecisionConfig(b))
-    for branch in res.branch_distributions:
-        best = int(np.argmax(branch))
-        assert abs(best / 2 ** b - 1 / math.sqrt(2)) <= 2 ** -4
-
-
-def test_abs_qadc_random_real_state_mass_near_truth():
-    """Per branch, mass >= 0.8 within 2**-4 of |c_i| for a random real state.
-
-    Holds for moderate amplitudes; near |c| = 0 the phase-to-amplitude map
-    has unbounded slope (theta -> 1/4 square-root singularity) and the b-bit
-    phase grid cannot resolve |c_i| this finely, so the instance is frozen
-    from a derivation run with both amplitudes away from the singular zone.
-    """
-    rng = np.random.default_rng(32)
-    c = rng.normal(size=2)
-    c /= np.linalg.norm(c)
-    from qknn_sim.subroutines import unitary_with_first_column
-    b = 5
-    res = abs_qadc(unitary_with_first_column(c.astype(complex)), PrecisionConfig(b))
-    for i, branch in enumerate(res.branch_distributions):
-        values = np.arange(2 ** b) / 2 ** b
-        mass = branch[np.abs(values - abs(c[i])) <= 2 ** -4].sum()
-        assert mass >= 0.8
-
-
-def test_abs_qadc_small_amplitude_resolution_limit():
-    """Branches with |c_i| near zero collapse onto the 0 bin: the square-root
-    arithmetic is singular at theta = 1/4, so tiny amplitudes digitize to 0."""
-    c = np.array([0.15, math.sqrt(1 - 0.15 ** 2)])
-    from qknn_sim.subroutines import unitary_with_first_column
-    res = abs_qadc(unitary_with_first_column(c.astype(complex)), PrecisionConfig(5))
-    assert res.branch_distributions[0][0] > 0.5
-
-
-@pytest.mark.parametrize("prep,match", [
-    (np.eye(16), "d = 16"),          # 13-qubit reflection operator, over the dense cap
-    (np.eye(4)[:, :2], r"shape \(4, 2\)"),
-    (np.eye(3), r"shape \(3, 3\)"),
-])
-def test_abs_qadc_rejects_unsupported_preparation(prep, match):
-    """abs_qadc refuses, before building anything, what its dense G cannot hold."""
-    with pytest.raises(SimulationError, match=match):
-        abs_qadc(prep, PrecisionConfig(2))

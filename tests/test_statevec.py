@@ -1,5 +1,4 @@
-"""Engine-level checks: gates, measurement, dense unitaries, persistence."""
-import json
+"""Engine-level checks: gates, measurement, dense unitaries."""
 import tracemalloc
 
 import numpy as np
@@ -371,49 +370,6 @@ def test_fuse_keeps_an_empty_circuit_empty_and_a_lone_gate_as_itself():
 def test_remap_refuses_to_merge_qubits_of_one_gate(gate, mapping):
     with pytest.raises(SimulationError):
         Circuit([hadamard(5), gate]).remap(mapping)
-
-
-def test_json_round_trip():
-    layout = RegisterLayout.from_sizes([("a", 1), ("b", 2)])
-    state = StateVector.zero_state(layout).apply(hadamard(0)).apply(cnot(0, 2))
-    loaded = StateVector.load_json(state.dump_json())
-    np.testing.assert_allclose(loaded.amplitudes, state.amplitudes, atol=1e-15)
-    assert loaded.layout.to_json_obj() == layout.to_json_obj()
-
-
-@pytest.mark.parametrize("amplitudes,layout", [
-    ([[float("nan"), 0.0], [0.0, 0.0]], {"a": [0, 1]}),    # NaN amplitude
-    ([[1.0, 0.0], [0.0, float("inf")]], None),               # infinite amplitude
-    ([[1.0, 0.0], [0.0, 0.0]], {"a": [0, 3]}),               # register past the last qubit
-    ([[1.0, 0.0]] + [[0.0, 0.0]] * 3, {"a": [0, 1]}),       # register short of the last qubit
-    ([[1.0, 0.0]] + [[0.0, 0.0]] * 3, {"a": [0, 1], "b": [2, 1]}),  # gap at qubit 1
-    ([[1.0, 0.0]] + [[0.0, 0.0]] * 3, {"a": [0, 2], "b": [1, 1]}),  # overlap at qubit 1
-    ([[2.0, 0.0], [0.0, 0.0]], {"a": [0, 1]}),               # norm 2
-    ([[1.0, 0.0], [0.0, 0.0]], {"a": [0]}),                  # register entry without a size
-    ([[1.0, 0.0, 0.0], [0.0, 0.0]], None),                   # amplitude that is not [re, im]
-])
-def test_load_json_refuses_bad_state(amplitudes, layout):
-    num_qubits = len(amplitudes).bit_length() - 1
-    text = json.dumps({"num_qubits": num_qubits, "amplitudes": amplitudes, "layout": layout})
-    with pytest.raises(SimulationError):
-        StateVector.load_json(text)
-
-
-@pytest.mark.parametrize("text,message", [
-    ('{"amplitudes": [[1, 0], [0, 0]]}', "num_qubits"),                    # key missing
-    ('{"num_qubits": "1", "amplitudes": [[1, 0], [0, 0]]}', "num_qubits"),  # a string
-    ('{"num_qubits": true, "amplitudes": [[1, 0], [0, 0]]}', "num_qubits"),  # a bool
-    ('{"num_qubits": -1, "amplitudes": [[1, 0]]}', "num_qubits"),           # negative
-    ('{"num_qubits": 99, "amplitudes": [[1, 0]]}', "at most"),              # past the cap
-    ('{"num_qubits": 2, "amplitudes": [[1, 0], [0, 0]]}', "length"),        # too few amplitudes
-    ('{"num_qubits": 1, "amplitudes": [[1, 0], [0, 0]], "layout": [1]}', "layout"),
-    ('[[1, 0], [0, 0]]', "JSON object"),                                     # not an object
-    ('{"num_qubits": 1, "amplitudes": [[1, 0], [0, 0]]', "not valid JSON"),  # truncated
-    (b'\xff\xfe\x00', "not valid JSON"),                                      # undecodable bytes
-])
-def test_load_json_names_the_problem(text, message):
-    with pytest.raises(SimulationError, match=message):
-        StateVector.load_json(text)
 
 
 def test_netlist_format():
