@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statevec import MAX_QUBITS, SimulationError, require_unit_states, to_mib
+from .statevec import SimulationError, require_fits, require_unit_states
 
 SCHEMES = ("2q-sep-vs-ent", "2q-sep-vs-maxent", "3q-five-class")
 CLASSES = {
@@ -191,22 +191,14 @@ def gen_class(scheme: str, class_id: str, count: int, seed) -> LabeledStateCorpu
     return LabeledStateCorpus(scheme, np.array(states), [class_id] * count, paths)
 
 
-def _require_fits(what: str, amplitudes: int) -> None:
-    """Refuse, before anything is allocated, more than 2**MAX_QUBITS amplitudes."""
-    if amplitudes > 2 ** MAX_QUBITS:
-        raise SimulationError(
-            f"{what} needs {to_mib(16 * amplitudes):,.0f} MiB; at most 2**{MAX_QUBITS} "
-            f"amplitudes ({to_mib(16 << MAX_QUBITS):,.0f} MiB) fit")
-
-
 def gen_corpus(scheme: str, per_class: int, seed: int) -> LabeledStateCorpus:
     """All classes of a scheme, per_class states each, deterministic per seed.
 
     Corpora above 2**MAX_QUBITS amplitudes are refused before any seed is spawned."""
     if scheme not in SCHEMES:
         raise SimulationError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
-    _require_fits(f"a {scheme} corpus of per-class={per_class} states",
-                  per_class * len(CLASSES[scheme]) * 2 ** QUBITS[scheme])
+    require_fits(f"a {scheme} corpus of per-class={per_class} states",
+                 per_class * len(CLASSES[scheme]) * 2 ** QUBITS[scheme])
     root = np.random.SeedSequence(seed)
     class_seeds = root.spawn(len(CLASSES[scheme]))
     parts = [gen_class(scheme, cid, per_class, cs)
@@ -221,7 +213,7 @@ def gen_discrimination_instance(M: int, n: int, seed):
     """M pairwise-distinguishable Haar states plus a promised test index.
 
     M * 2**n amplitudes above 2**MAX_QUBITS are refused before allocation."""
-    _require_fits(f"a discrimination instance of M={M} states on n={n} qubits", M * 2 ** n)
+    require_fits(f"a discrimination instance of M={M} states on n={n} qubits", M * 2 ** n)
     root = np.random.default_rng(seed)
     states: list[np.ndarray] = []
     for _ in range(M):

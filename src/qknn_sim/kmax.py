@@ -37,7 +37,7 @@ from .oracle import (
     TableOracleHandle,
     prep_calls_per_oracle,
 )
-from .statevec import MAX_QUBITS, to_mib
+from .statevec import require_fits
 
 DIFFUSION_PREP_CALLS = 4  # two (V, W) pairs per Grover iteration
 
@@ -154,9 +154,11 @@ class CircuitBackend(TableBackend):
 
 def k_maxima(backend, k: int, M: int | None = None,
              cfg: SearchConfig = SearchConfig()) -> KMaxResult:
-    """Argmin-threshold k-maxima: grow A until no outside index beats min(A)."""
-    if M is None:
-        M = backend.M
+    """Argmin-threshold k-maxima: grow A until no outside index beats min(A).
+    ``M``, when given, must be the backend's table size."""
+    if M is not None and M != backend.M:
+        raise SimulationError(f"M = {M} does not match the backend's {backend.M} entries")
+    M = backend.M
     if k < 1:
         raise SimulationError("k must be >= 1")
     if k > M:
@@ -210,10 +212,7 @@ def scaling_experiment(M_values, k: int, trials: int,
     above 2**MAX_QUBITS entries is refused before any is allocated.
     """
     largest = max(map(int, M_values), default=0)
-    if largest > 2 ** MAX_QUBITS:
-        raise SimulationError(
-            f"a table of M={largest} entries needs {to_mib(8 * largest):,.0f} MiB; "
-            f"at most 2**{MAX_QUBITS} entries ({to_mib(8 << MAX_QUBITS):,.0f} MiB) fit")
+    require_fits(f"a table of M={largest} entries", largest, 8)
     rows = []
     root = np.random.SeedSequence(cfg.seed)
     for M in M_values:

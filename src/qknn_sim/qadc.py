@@ -8,7 +8,9 @@ permutation, and uncomputes every work register. ``qadc_circuit`` is their
 one composition; it maps |j>|0> -> |j>|F_j> (or |j>|X_j> for the
 dot-product variant).
 
-Digital encodings:
+Digital encodings, both owned by ``quantize_array``, the one b-bit rounding
+rule: it digitizes the similarity table every mode ranks, and it computes
+the arithmetic permutation's table.
 - fidelity: unsigned fixed point in [0, 1 - 2**-b]; F = 1 saturates to the
   all-ones string (order is preserved, which is all the comparator needs).
 - dot product: offset binary round_b((X+1)/2), so one comparator works for
@@ -19,7 +21,6 @@ theta <-> 1-theta branch invariance exact by construction.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,7 @@ CIRCUIT_MAX_BITS = 8  # phase/fid register width cap at desk scale
 
 @dataclass(frozen=True)
 class PrecisionConfig:
-    """Bit width of the phase and similarity registers; epsilon = 2**-b."""
+    """Bit width of the phase and similarity registers."""
 
     b: int
 
@@ -40,66 +41,42 @@ class PrecisionConfig:
         if not 2 <= self.b <= 30:
             raise SimulationError("precision bits must be in [2, 30]")
 
-    @property
-    def epsilon(self) -> float:
-        return 2.0 ** (-self.b)
-
     def require_circuit_scale(self) -> None:
         if self.b > CIRCUIT_MAX_BITS:
             raise SimulationError(
                 f"circuit-level registers support b <= {CIRCUIT_MAX_BITS}, got {self.b}")
 
 
-def round_bits(x: float, b: int) -> int:
-    """Nearest b-bit fraction (ties to even), saturating into [0, 2**b - 1]."""
-    t = int(np.round(x * 2 ** b))
-    return min(max(t, 0), 2 ** b - 1)
-
-
-def quantize_fidelity(F: float, b: int) -> int:
-    return round_bits(min(max(F, 0.0), 1.0), b)
-
-
-def quantize_dot(X: float, b: int) -> int:
-    return round_bits((min(max(X, -1.0), 1.0) + 1.0) / 2.0, b)
-
-
 def quantize_array(values: np.ndarray, b: int, measure: str = "fidelity") -> np.ndarray:
-    """Vectorized digitization of a similarity table."""
+    """The one b-bit digitizer: fidelity clipped to [0, 1] or dot product as offset
+    binary (X+1)/2, rounded to nearest (ties to even), saturated at 2**b - 1."""
     x = np.asarray(values, dtype=float)
-    x = np.clip(x, 0.0, 1.0) if measure == "fidelity" else (np.clip(x, -1.0, 1.0) + 1.0) / 2.0
+    if measure == "fidelity":
+        x = np.clip(x, 0.0, 1.0)
+    elif measure == "dot":
+        x = (np.clip(x, -1.0, 1.0) + 1.0) / 2.0
+    else:
+        raise SimulationError(f"unknown measure {measure!r}")
     return np.clip(np.round(x * 2 ** b), 0, 2 ** b - 1).astype(np.int64)
 
 
-def _phase_to_similarity(t: int, b: int) -> float:
-    """2*sin^2(pi*theta) - 1 evaluated on the folded phase representative."""
-    folded = min(t, 2 ** b - t) if t else 0
-    theta = folded / 2 ** b
-    return 2.0 * math.sin(math.pi * theta) ** 2 - 1.0
+def arithmetic_table(cfg: PrecisionConfig, measure: str = "fidelity") -> np.ndarray:
+    """Digital output g(t) for each b-bit phase value t: 2*sin^2(pi*theta) - 1
+    on the folded phase theta = min(t, 2**b - t) / 2**b, digitized."""
+    t = np.arange(2 ** cfg.b)
+    theta = np.minimum(t, 2 ** cfg.b - t) / 2 ** cfg.b
+    return quantize_array(2.0 * np.sin(np.pi * theta) ** 2 - 1.0, cfg.b, measure)
 
 
-def arithmetic_table(cfg: PrecisionConfig, mode: str = "fidelity") -> np.ndarray:
-    """Digital output g(t) for each b-bit phase value t."""
-    out = np.empty(2 ** cfg.b, dtype=np.int64)
-    for t in range(2 ** cfg.b):
-        v = _phase_to_similarity(t, cfg.b)
-        if mode == "fidelity":
-            out[t] = quantize_fidelity(v, cfg.b)
-        elif mode == "dot":
-            out[t] = quantize_dot(v, cfg.b)
-        else:
-            raise SimulationError(f"unknown arithmetic mode {mode!r}")
-    return out
-
-
-def arithmetic_map(cfg: PrecisionConfig, layout: RegisterLayout, mode: str = "fidelity") -> Gate:
+def arithmetic_map(cfg: PrecisionConfig, layout: RegisterLayout,
+                   measure: str = "fidelity") -> Gate:
     """Reversible |t>|z> -> |t>|z XOR g(t)> permutation on (phase, fid).
 
     On a fresh fid register this writes the digitized similarity; the XOR
     completion extends the map to a bijection on every other input.
     """
     cfg.require_circuit_scale()
-    table = arithmetic_table(cfg, mode)
+    table = arithmetic_table(cfg, measure)
     b = cfg.b
     if layout.size("phase") != b or layout.size("fid") != b:
         raise SimulationError("phase/fid register width does not match precision")
@@ -109,7 +86,7 @@ def arithmetic_map(cfg: PrecisionConfig, layout: RegisterLayout, mode: str = "fi
     z = local >> b
     perm = t | ((z ^ table[t]) << b)
     targets = layout.qubits("phase") + layout.qubits("fid")
-    return basis_permutation(targets, perm, f"QA[{mode}]")
+    return basis_permutation(targets, perm, f"QA[{measure}]")
 
 
 # --- the QADC composition -----------------------------------------------------

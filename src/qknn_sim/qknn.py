@@ -127,6 +127,8 @@ def classical_knn(test_state: np.ndarray, train: TrainSet, k: int,
     """Exact top-k by the chosen similarity plus deterministic majority vote."""
     if train.M == 0:
         raise SimulationError("empty train set")
+    if k < 1:
+        raise SimulationError("k must be >= 1")
     if k > train.M:
         raise SimulationError("k cannot exceed the number of train states")
     table = FidelityTable.from_states(test_state, train, measure, b)

@@ -52,7 +52,7 @@ def check_state_size(num_qubits: int) -> None:
     """Refuse, before allocating, a state larger than MAX_QUBITS qubits."""
     if num_qubits > MAX_QUBITS:
         raise SimulationError(
-            f"a {num_qubits}-qubit state needs {16 * 2 ** num_qubits / 2 ** 20:,.0f} MiB; "
+            f"a {num_qubits}-qubit state needs {to_mib(16 << num_qubits):,.0f} MiB; "
             f"the simulator allows at most {MAX_QUBITS} qubits")
 
 
@@ -69,6 +69,15 @@ def require_unit_states(states: np.ndarray, what: str) -> None:
 def to_mib(nbytes: int) -> float:
     """nbytes in MiB for a refusal message; inf where a float cannot hold it."""
     return nbytes / 2 ** 20 if nbytes < 2 ** 1000 else math.inf
+
+
+def require_fits(what: str, count: int, itemsize: int = 16) -> None:
+    """Refuse, before anything is allocated, more than 2**MAX_QUBITS entries of
+    ``itemsize`` bytes (16: complex amplitudes, 8: float table entries)."""
+    if count > 2 ** MAX_QUBITS:
+        raise SimulationError(
+            f"{what} needs {to_mib(itemsize * count):,.0f} MiB; at most 2**{MAX_QUBITS} "
+            f"{itemsize}-byte values ({to_mib(itemsize << MAX_QUBITS):,.0f} MiB) fit")
 
 
 @dataclass(frozen=True)

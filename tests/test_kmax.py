@@ -130,6 +130,14 @@ def test_k_maxima_rejects_k_below_one():
         k_maxima(TableBackend(np.array([0.1, 0.2])), 0)
 
 
+@pytest.mark.parametrize("M", [4, 12])
+def test_k_maxima_refuses_M_other_than_the_backend_size(M):
+    backend = TableBackend(np.random.default_rng(0).random(8))
+    with pytest.raises(SimulationError, match="does not match"):
+        k_maxima(backend, 2, M)
+    assert k_maxima(backend, 2, 8).M == k_maxima(backend, 2).M == 8
+
+
 def test_k_maxima_exact_on_random_tables():
     """100 seeded 64-entry tables, k=3: exact top-k in at least 99 trials."""
     wins = 0

@@ -14,9 +14,6 @@ from qknn_sim.qadc import (
     fidelity_qadc_circuit,
     qadc_circuit,
     quantize_array,
-    quantize_dot,
-    quantize_fidelity,
-    round_bits,
 )
 from qknn_sim.statevec import (
     RegisterLayout,
@@ -41,7 +38,7 @@ def fidelity_layout(m, n, b):
 
 
 def test_precision_config_bounds():
-    assert PrecisionConfig(4).epsilon == 1 / 16
+    assert PrecisionConfig(4).b == 4
     with pytest.raises(SimulationError):
         PrecisionConfig(1)
     with pytest.raises(SimulationError):
@@ -52,21 +49,26 @@ def test_precision_config_bounds():
 @settings(max_examples=200, deadline=None)
 def test_quantized_value_round_trip(b, bits):
     bits %= 2 ** b
-    assert round_bits(bits / 2 ** b, b) == bits
+    assert quantize_array([bits / 2 ** b], b).tolist() == [bits]
 
 
-def test_round_bits_ties_to_even():
-    assert round_bits(0.5 / 4, 2) == 0   # 0.125 * 4 = 0.5 -> even 0
-    assert round_bits(1.5 / 4, 2) == 2   # 1.5 -> even 2
-    assert round_bits(1.1, 3) == 7       # saturates
+def test_quantize_array_ties_to_even_and_saturates():
+    # 0.125 * 4 = 0.5 -> even 0; 1.5 -> even 2; 1.1 saturates
+    assert quantize_array([0.5 / 4, 1.5 / 4], 2).tolist() == [0, 2]
+    assert quantize_array([1.1], 3).tolist() == [7]
 
 
 def test_fidelity_saturation_and_dot_offset():
-    assert quantize_fidelity(1.0, 3) == 7
-    assert quantize_fidelity(0.0, 3) == 0
-    assert quantize_dot(1.0, 3) == 7
-    assert quantize_dot(-1.0, 3) == 0
-    assert quantize_dot(0.0, 3) == 4
+    assert quantize_array([1.0, 0.0], 3).tolist() == [7, 0]
+    assert quantize_array([1.0, -1.0, 0.0], 3, "dot").tolist() == [7, 0, 4]
+
+
+@pytest.mark.parametrize("measure", ["fidleity", "abs", ""])
+def test_quantize_array_refuses_unknown_measure(measure):
+    with pytest.raises(SimulationError, match="unknown measure"):
+        quantize_array([0.2, 0.9], 3, measure)
+    with pytest.raises(SimulationError, match="unknown measure"):
+        arithmetic_table(PrecisionConfig(3), measure)
 
 
 def test_arithmetic_table_values():
@@ -78,6 +80,20 @@ def test_arithmetic_table_values():
     t_near_third = round(2 ** 8 / 3)
     value = arithmetic_table(cfg8)[t_near_third] / 2 ** 8
     assert abs(value - 0.5) < 0.02  # sin^2(pi/3) = 3/4 -> F = 1/2
+
+
+def _reference_phase_value(t, b, measure):
+    """g(t) per phase value with math.sin and Python's round (ties to even)."""
+    v = 2.0 * math.sin(math.pi * min(t, 2 ** b - t) / 2 ** b) ** 2 - 1.0
+    x = min(max(v, 0.0), 1.0) if measure == "fidelity" else (min(max(v, -1.0), 1.0) + 1.0) / 2
+    return min(max(round(x * 2 ** b), 0), 2 ** b - 1)
+
+
+@pytest.mark.parametrize("measure", ["fidelity", "dot"])
+def test_arithmetic_table_matches_per_phase_reference(measure):
+    for b in range(2, 9):
+        assert arithmetic_table(PrecisionConfig(b), measure).tolist() == [
+            _reference_phase_value(t, b, measure) for t in range(2 ** b)]
 
 
 def test_arithmetic_folding_exhaustive():
@@ -255,12 +271,17 @@ def test_apply_X_dot_known_values(u, expected_over_8):
     assert abs(dist[expected_over_8] - 1.0) < 1e-9
 
 
+def _reference_code(x, b):
+    """Nearest b-bit code of x in [0, 1] by Python's round (ties to even), saturated."""
+    return min(max(round(x * 2 ** b), 0), 2 ** b - 1)
+
+
 def test_quantize_array_matches_scalar():
     rng = np.random.default_rng(3)
-    xs = np.concatenate([rng.random(100), [0.0, 1.0, 0.5]])
+    xs = np.concatenate([rng.random(100), [0.0, 1.0, 0.5, -0.25, 1.25]])
     for b in (2, 5, 12):
         np.testing.assert_array_equal(
-            quantize_array(xs, b), [quantize_fidelity(float(x), b) for x in xs])
+            quantize_array(xs, b), [_reference_code(min(max(x, 0.0), 1.0), b) for x in xs])
         np.testing.assert_array_equal(
             quantize_array(2 * xs - 1, b, "dot"),
-            [quantize_dot(float(2 * x - 1), b) for x in xs])
+            [_reference_code((min(max(2 * x - 1, -1.0), 1.0) + 1.0) / 2, b) for x in xs])

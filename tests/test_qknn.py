@@ -87,6 +87,9 @@ def test_classical_knn_validation():
     train = random_train(4, 1)
     with pytest.raises(SimulationError):
         classical_knn(np.array([1, 0], dtype=complex), train, 5)
+    for k in (0, -1):
+        with pytest.raises(SimulationError, match="k must be >= 1"):
+            classical_knn(np.array([1, 0], dtype=complex), train, k, b=4)
     with pytest.raises(SimulationError):
         TrainSet(np.zeros((0, 2), dtype=complex), [])
         classical_knn(np.array([1, 0], dtype=complex),

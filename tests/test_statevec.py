@@ -83,6 +83,11 @@ def test_state_size_cap_refuses_before_allocating(make):
         make()
 
 
+def test_state_size_cap_names_the_size_of_a_state_no_float_can_hold():
+    with pytest.raises(SimulationError, match="1100-qubit state needs inf MiB"):
+        StateVector.zero_state(1100)
+
+
 def test_gate_rejects_non_unitary_matrix():
     with pytest.raises(SimulationError):
         register_unitary((0,), np.array([[1, 1], [0, 1]], dtype=complex), "U1")
