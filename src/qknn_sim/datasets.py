@@ -10,6 +10,11 @@ coefficient (rank-1 within 1e-9); the maximally-entangled test and the
 marginal. The floor (entropy >= 0.05) is a corpus parameter: exactly-zero
 entropy is a measure-zero event, so the entangled class needs a numerical
 margin to be reproducibly labelable.
+
+The labeler takes one state or an (N, 2**n) stack, with one batched SVD per
+cut; ``gen_class`` draws a class state by state, then re-labels it in one
+pass. Discrimination instances have pairwise fidelity F < 1 - 1e-6: each
+candidate is checked against all accepted states in one product.
 """
 from __future__ import annotations
 
@@ -47,62 +52,59 @@ def haar_random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
-def schmidt_coefficients(state: np.ndarray, n: int, part: tuple[int, ...]) -> np.ndarray:
-    """Singular values of the amplitude matrix across (part | rest)."""
-    tensor = state.reshape((2,) * n)
-    axes = [n - 1 - q for q in part]
-    k = len(part)
-    moved = np.moveaxis(tensor, axes, range(k))
-    return np.linalg.svd(moved.reshape(2 ** k, -1), compute_uv=False)
+def schmidt_coefficients(states: np.ndarray, n: int, part: tuple[int, ...]) -> np.ndarray:
+    """Singular values of the amplitude matrix across (part | rest), for one
+    state or each state of a stack (..., 2**n): one batched SVD per call."""
+    axes, k = [n - 1 - q for q in part], len(part)
+    order = axes + [a for a in range(n) if a not in axes]
+    cut = states.reshape(-1, *(2,) * n).transpose(0, *(1 + a for a in order))
+    return np.linalg.svd(cut.reshape(*states.shape[:-1], 2 ** k, 2 ** (n - k)), compute_uv=False)
 
 
-def _separable(schmidt: np.ndarray) -> bool:
-    return bool(schmidt[0] >= 1.0 - SCHMIDT_SEP_TOL)
+def _separable(schmidt: np.ndarray) -> np.ndarray:
+    return schmidt[..., 0] >= 1.0 - SCHMIDT_SEP_TOL
 
 
-def _entropy_bits(schmidt: np.ndarray) -> float:
+def _entropy_bits(schmidt: np.ndarray) -> np.ndarray:
     lam2 = schmidt ** 2
-    lam2 = lam2[lam2 > 1e-15]
-    return float(-(lam2 * np.log2(lam2)).sum())
-
-
-def is_separable_bipartition(state: np.ndarray, n: int, part: tuple[int, ...]) -> bool:
-    return _separable(schmidt_coefficients(state, n, part))
+    lam2 = np.where(lam2 > 1e-15, lam2, 1.0)  # a masked term adds 1 * log2(1) = 0
+    return -(lam2 * np.log2(lam2)).sum(axis=-1)
 
 
 def entanglement_entropy_bits(state: np.ndarray, n: int, part: tuple[int, ...]) -> float:
-    return _entropy_bits(schmidt_coefficients(state, n, part))
+    return float(_entropy_bits(schmidt_coefficients(state, n, part)))
 
 
-def label_entanglement(state: np.ndarray, scheme: str) -> str:
-    """Class id of a state under the given scheme; raises if it fits none."""
+# Class of each pattern code, None for no class. 2 qubits: 1 if the cut is separable
+# plus 2 if maximally entangled. 3 qubits: bit q set if qubit q splits off
+# separably (exactly two separable cuts cannot happen for a pure state).
+_CLASS_OF_PATTERN = {
+    "2q-sep-vs-ent": ("entangled", "separable", "entangled", "separable"),
+    "2q-sep-vs-maxent": (None, "separable", "maxent", "separable"),
+    "3q-five-class": ("ABC", "A-BC", "AC-B", None, "AB-C", None, None, "A-B-C"),
+}
+
+
+def label_entanglement(states: np.ndarray, scheme: str) -> str | list[str]:
+    """Class id of one state (a str) or of each row of an (N, 2**n) stack (a
+    list), from one SVD per cut; raises, naming the row, if a state fits none."""
     if scheme not in QUBITS:
         raise SimulationError(f"unknown scheme {scheme!r}")
-    state = np.asarray(state, dtype=complex)
+    states = np.asarray(states, dtype=complex)
     n = QUBITS[scheme]
-    if len(state) != 2 ** n:
-        raise SimulationError(f"{scheme} needs a {n}-qubit state")
+    if states.ndim not in (1, 2) or states.shape[-1] != 2 ** n:
+        raise SimulationError(f"{scheme} needs a {n}-qubit state or a stack of them")
     if n == 2:
-        schmidt = schmidt_coefficients(state, 2, (0,))  # one decomposition per cut
-        if _separable(schmidt):
-            return "separable"
-        if scheme == "2q-sep-vs-ent":
-            return "entangled"
-        if _entropy_bits(schmidt) >= MAXENT_ENTROPY_MIN:
-            return "maxent"
-        raise SimulationError("state is neither separable nor maximally entangled")
-    sep = tuple(is_separable_bipartition(state, 3, (q,)) for q in range(3))
-    mapping = {
-        (True, True, True): "A-B-C",
-        (False, False, True): "AB-C",
-        (True, False, False): "A-BC",
-        (False, True, False): "AC-B",
-        (False, False, False): "ABC",
-    }
-    if sep not in mapping:
-        # exactly two separable cuts cannot happen for a pure state
-        raise SimulationError(f"inconsistent separability pattern {sep}")
-    return mapping[sep]
+        schmidt = schmidt_coefficients(states, 2, (0,))  # one decomposition per cut
+        pattern = _separable(schmidt) + 2 * (_entropy_bits(schmidt) >= MAXENT_ENTROPY_MIN)
+    else:
+        pattern = sum(_separable(schmidt_coefficients(states, 3, (q,))) << q for q in range(3))
+    labels = [_CLASS_OF_PATTERN[scheme][p] for p in np.atleast_1d(pattern).tolist()]
+    if None in labels:
+        where = f"row {labels.index(None)}: " if states.ndim == 2 else ""
+        raise SimulationError(f"{where}state fits none of the {scheme} classes "
+                              f"{', '.join(CLASSES[scheme])}")
+    return labels if states.ndim == 2 else labels[0]
 
 
 # --- generators ----------------------------------------------------------------
@@ -126,11 +128,11 @@ def _maxent_2q(rng: np.random.Generator) -> np.ndarray:
 def _product3(rng: np.random.Generator, arrangement: str) -> np.ndarray:
     if arrangement == "A-B-C":
         a, b, c = (haar_random_state(1, rng) for _ in range(3))
-        return np.kron(c, np.kron(b, a))
+        return np.outer(c, np.outer(b, a)).reshape(-1)
     if arrangement == "AB-C":
-        return np.kron(haar_random_state(1, rng), _entangled_2q(rng))
+        return np.outer(haar_random_state(1, rng), _entangled_2q(rng)).reshape(-1)
     if arrangement == "A-BC":
-        return np.kron(_entangled_2q(rng), haar_random_state(1, rng))
+        return np.outer(_entangled_2q(rng), haar_random_state(1, rng)).reshape(-1)
     if arrangement == "AC-B":
         ent = _entangled_2q(rng).reshape(2, 2)       # [c, a]
         mid = haar_random_state(1, rng)
@@ -149,7 +151,7 @@ def _abc_3q(rng: np.random.Generator) -> np.ndarray:
 def generate_state(scheme: str, class_id: str, rng: np.random.Generator) -> np.ndarray:
     if scheme in ("2q-sep-vs-ent", "2q-sep-vs-maxent"):
         if class_id == "separable":
-            return np.kron(haar_random_state(1, rng), haar_random_state(1, rng))
+            return np.outer(haar_random_state(1, rng), haar_random_state(1, rng)).reshape(-1)
         if class_id == "entangled" and scheme == "2q-sep-vs-ent":
             return _entangled_2q(rng)
         if class_id == "maxent" and scheme == "2q-sep-vs-maxent":
@@ -174,21 +176,21 @@ class LabeledStateCorpus:
 
 
 def gen_class(scheme: str, class_id: str, count: int, seed) -> LabeledStateCorpus:
-    """Generate one class; every state re-passes the labeler with its label."""
+    """Generate one class, one child seed per state; one labeler call re-checks it."""
     if scheme not in SCHEMES:
         raise SimulationError(f"unknown scheme {scheme!r}")
+    if count < 1:
+        raise SimulationError(f"count must be >= 1, got {count}")
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     children = root.spawn(count)
-    states, paths = [], []
-    for child in children:
-        rng = np.random.default_rng(child)
-        state = generate_state(scheme, class_id, rng)
-        got = label_entanglement(state, scheme)
+    states = np.array([generate_state(scheme, class_id, np.random.default_rng(child))
+                       for child in children])
+    labels = label_entanglement(states, scheme)
+    for row, got in enumerate(labels):
         if got != class_id:
-            raise SimulationError(f"generated state labeled {got!r}, wanted {class_id!r}")
-        states.append(state)
-        paths.append("/".join(str(x) for x in child.spawn_key))
-    return LabeledStateCorpus(scheme, np.array(states), [class_id] * count, paths)
+            raise SimulationError(f"generated state {row} labeled {got!r}, wanted {class_id!r}")
+    paths = ["/".join(str(x) for x in child.spawn_key) for child in children]
+    return LabeledStateCorpus(scheme, states, labels, paths)
 
 
 def gen_corpus(scheme: str, per_class: int, seed: int) -> LabeledStateCorpus:
@@ -197,6 +199,8 @@ def gen_corpus(scheme: str, per_class: int, seed: int) -> LabeledStateCorpus:
     Corpora above 2**MAX_QUBITS amplitudes are refused before any seed is spawned."""
     if scheme not in SCHEMES:
         raise SimulationError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
+    if per_class < 1:
+        raise SimulationError(f"per_class must be >= 1, got {per_class}")
     require_fits(f"a {scheme} corpus of per-class={per_class} states",
                  per_class * len(CLASSES[scheme]) * 2 ** QUBITS[scheme])
     root = np.random.SeedSequence(seed)
@@ -210,22 +214,24 @@ def gen_corpus(scheme: str, per_class: int, seed: int) -> LabeledStateCorpus:
 
 
 def gen_discrimination_instance(M: int, n: int, seed):
-    """M pairwise-distinguishable Haar states plus a promised test index.
+    """M Haar states of pairwise fidelity < 1 - 1e-6 plus a promised test index.
 
     M * 2**n amplitudes above 2**MAX_QUBITS are refused before allocation."""
+    if M < 1 or n < 1:
+        raise SimulationError(f"M and n must be >= 1, got M={M}, n={n}")
     require_fits(f"a discrimination instance of M={M} states on n={n} qubits", M * 2 ** n)
     root = np.random.default_rng(seed)
-    states: list[np.ndarray] = []
-    for _ in range(M):
+    states = np.empty((M, 2 ** n), dtype=complex)
+    for i in range(M):
         for _attempt in range(REJECTION_BUDGET):
             cand = haar_random_state(n, root)
-            if all(abs(np.vdot(s, cand)) ** 2 < 1.0 - 1e-6 for s in states):
-                states.append(cand)
+            if np.all(np.abs(states[:i].conj() @ cand) ** 2 < 1.0 - 1e-6):
+                states[i] = cand
                 break
         else:
             raise SimulationError("rejection-sampling budget exceeded for discrimination set")
     chosen = int(root.integers(0, M))
-    return np.array(states), chosen
+    return states, chosen
 
 
 # --- corpus files ----------------------------------------------------------------

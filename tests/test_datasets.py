@@ -1,4 +1,5 @@
 """Corpus generation, entanglement labeling, and instance sampling."""
+import hashlib
 import itertools
 import json
 import math
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from qknn_sim import datasets
 from qknn_sim.datasets import (
     CLASSES,
     QUBITS,
@@ -19,15 +21,23 @@ from qknn_sim.datasets import (
     gen_corpus,
     gen_discrimination_instance,
     haar_random_state,
-    is_separable_bipartition,
     label_entanglement,
     read_corpus,
+    schmidt_coefficients,
     write_corpus,
 )
 
 BELL = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
 GHZ = np.zeros(8, dtype=complex)
 GHZ[0] = GHZ[7] = 1 / math.sqrt(2)
+W = np.zeros(8, dtype=complex)
+W[[1, 2, 4]] = 1 / math.sqrt(3)
+PLUS = np.array([1, 1], dtype=complex) / math.sqrt(2)
+# states every scheme on that many qubits can label
+NAMED = {
+    2: np.stack([BELL, np.kron(PLUS, [1, 0]), np.kron([0, 1], PLUS), np.eye(4)[3]]),
+    3: np.stack([GHZ, W, np.eye(8)[0], np.kron([0, 1], BELL), np.kron(BELL, PLUS)]),
+}
 
 
 def test_bell_state_labels():
@@ -45,9 +55,7 @@ def test_product_state_labels():
 
 def test_three_qubit_class_examples():
     assert label_entanglement(GHZ, "3q-five-class") == "ABC"
-    w = np.zeros(8, dtype=complex)
-    w[[1, 2, 4]] = 1 / math.sqrt(3)
-    assert label_entanglement(w, "3q-five-class") == "ABC"  # W merged into ABC
+    assert label_entanglement(W, "3q-five-class") == "ABC"  # W merged into ABC
     zzz = np.zeros(8, dtype=complex)
     zzz[0] = 1
     assert label_entanglement(zzz, "3q-five-class") == "A-B-C"
@@ -69,6 +77,22 @@ def test_partially_entangled_state_fits_no_maxent_class():
     state = np.array([math.cos(theta), 0, 0, math.sin(theta)], dtype=complex)
     with pytest.raises(SimulationError):
         label_entanglement(state, "2q-sep-vs-maxent")
+    with pytest.raises(SimulationError, match="^row 2: "):
+        label_entanglement(np.stack([BELL, NAMED[2][1], state, BELL]), "2q-sep-vs-maxent")
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_stacked_labeler_matches_the_single_state_labeler(data):
+    """One labeler call on a stack gives the per-state labels, on generated
+    classes mixed with Bell, GHZ, W and product states."""
+    scheme = data.draw(st.sampled_from(SCHEMES))
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    pool = np.concatenate([gen_class(scheme, cid, 3, seed).states for cid in CLASSES[scheme]]
+                          + [NAMED[QUBITS[scheme]]])
+    rows = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=24))
+    stack = pool[rows]
+    assert label_entanglement(stack, scheme) == [label_entanglement(s, scheme) for s in stack]
 
 
 def test_label_closure_per_class():
@@ -133,10 +157,9 @@ def test_maxent_class_has_unit_entropy():
 
 def test_ac_b_arrangement_structure():
     corpus = gen_class("3q-five-class", "AC-B", 20, seed=2)
-    for s in corpus.states:
-        assert not is_separable_bipartition(s, 3, (0,))
-        assert is_separable_bipartition(s, 3, (1,))
-        assert not is_separable_bipartition(s, 3, (2,))
+    largest = [schmidt_coefficients(corpus.states, 3, (q,))[:, 0] for q in range(3)]
+    assert np.all(largest[0] < 1 - 1e-9) and np.all(largest[2] < 1 - 1e-9)
+    assert np.all(largest[1] >= 1 - 1e-9)  # only qubit B splits off
 
 
 def test_discrimination_instance_properties():
@@ -146,6 +169,62 @@ def test_discrimination_instance_properties():
         assert abs(np.vdot(states[i], states[j])) ** 2 < 1 - 1e-6
     again, chosen2 = gen_discrimination_instance(8, 2, seed=5)
     assert np.allclose(states, again) and chosen2 == chosen
+
+
+GOLDEN_CORPORA = {
+    "2q-sep-vs-ent": "0c21868f65e675ce996fbef23ede944a583990414c9255f6c202c57f7935c9bf",
+    "2q-sep-vs-maxent": "648189ef5ac7e78ddc0f635dd48a012b2d6344ff3a1734df1d321e106d3054cb",
+    "3q-five-class": "7b29ca8fb958ba398f9b817ba43d7b2ea2e884c09161f26c091246988468a12b",
+}
+GOLDEN_DISCRIMINATION = "bb0bd3c0e023f9a4918d4d940eaef0cbec6da0ea57151d595b0aa8d1fab13e9f"
+
+
+def test_generators_are_byte_stable():
+    """Every generated state, label, seed path and promised index is pinned:
+    a faster generator must reproduce today's random draws exactly."""
+    for scheme, want in GOLDEN_CORPORA.items():
+        corpus = gen_corpus(scheme, 50, seed=1000)
+        digest = hashlib.sha256(corpus.states.tobytes())
+        digest.update("\n".join(corpus.labels).encode())
+        digest.update("\n".join(corpus.seed_paths).encode())
+        assert digest.hexdigest() == want, scheme
+    states, chosen = gen_discrimination_instance(64, 4, seed=7)
+    digest = hashlib.sha256(states.tobytes())
+    digest.update(str(chosen).encode())
+    assert (states.shape, states.dtype) == ((64, 16), np.complex128)
+    assert digest.hexdigest() == GOLDEN_DISCRIMINATION
+
+
+def test_discrimination_check_skips_a_repeat_and_gives_up_on_endless_ones(monkeypatch):
+    haar = datasets.haar_random_state
+    first = haar(2, 1)
+    draws = [first, 1j * first]  # an accepted state, then the same state up to phase
+    calls = []
+
+    def sampler(n, rng):
+        calls.append(n)
+        return draws.pop(0) if draws else haar(n, rng)
+
+    monkeypatch.setattr(datasets, "haar_random_state", sampler)
+    states, _ = gen_discrimination_instance(3, 2, seed=0)
+    assert len(calls) == 4 and np.array_equal(states[0], first)
+    for i, j in itertools.combinations(range(3), 2):
+        assert abs(np.vdot(states[i], states[j])) ** 2 < 1 - 1e-6
+    monkeypatch.setattr(datasets, "haar_random_state", lambda n, rng: first)
+    with pytest.raises(SimulationError, match="rejection-sampling budget exceeded"):
+        gen_discrimination_instance(2, 2, seed=0)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda size: gen_corpus("2q-sep-vs-ent", size, seed=0), "per_class"),
+    (lambda size: gen_class("3q-five-class", "ABC", size, seed=0), "count"),
+    (lambda size: gen_discrimination_instance(size, 2, seed=0), "M"),
+    (lambda size: gen_discrimination_instance(4, size, seed=0), "n"),
+])
+@pytest.mark.parametrize("size", [0, -1, -3])
+def test_generators_refuse_sizes_below_one_naming_the_argument(call, name, size):
+    with pytest.raises(SimulationError, match=rf"\b{name}\b.*>= 1"):
+        call(size)
 
 
 def test_corpus_file_round_trip(tmp_path):
