@@ -218,8 +218,8 @@ _FLAG_OPTIONS = {
     "n": {"help": "qubits per state"}, "k": {"help": "number of neighbors"},
     "b": {"help": "similarity register bits, in [2, 30]"},
     "mode": {"choices": ("classical", "oracle-abstract", "circuit-exact"),
-             "help": "circuit-exact is limited to M <= 8, n <= 2, b <= 3, with "
-                     "2 <= M <= 2**b train states (2-qubit schemes)"},
+             "help": "circuit-exact is limited to M in {2, 4, 8} train states, n <= 2, "
+                     "log2(M) <= b <= 3 (2-qubit schemes)"},
     "corpus": {"help": "corpus JSONL path"},
 }
 

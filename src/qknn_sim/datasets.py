@@ -12,9 +12,12 @@ entropy is a measure-zero event, so the entangled class needs a numerical
 margin to be reproducibly labelable.
 
 The labeler takes one state or an (N, 2**n) stack, with one batched SVD per
-cut; ``gen_class`` draws a class state by state, then re-labels it in one
-pass. Discrimination instances have pairwise fidelity F < 1 - 1e-6: each
-candidate is checked against all accepted states in one product.
+cut; ``gen_class`` draws a class state by state, then labels it in one
+pass. An ABC state is a plain Haar draw, separable with probability zero, so
+that pass is its only check: a separable draw raises from ``gen_class``
+instead of being redrawn. Discrimination instances have pairwise fidelity
+F < 1 - 1e-6: each candidate is checked against all accepted states in one
+product.
 """
 from __future__ import annotations
 
@@ -140,14 +143,6 @@ def _product3(rng: np.random.Generator, arrangement: str) -> np.ndarray:
     raise SimulationError(f"unknown arrangement {arrangement!r}")
 
 
-def _abc_3q(rng: np.random.Generator) -> np.ndarray:
-    for _ in range(REJECTION_BUDGET):
-        state = haar_random_state(3, rng)
-        if label_entanglement(state, "3q-five-class") == "ABC":
-            return state
-    raise SimulationError("rejection-sampling budget exceeded for ABC states")
-
-
 def generate_state(scheme: str, class_id: str, rng: np.random.Generator) -> np.ndarray:
     if scheme in ("2q-sep-vs-ent", "2q-sep-vs-maxent"):
         if class_id == "separable":
@@ -158,7 +153,7 @@ def generate_state(scheme: str, class_id: str, rng: np.random.Generator) -> np.n
             return _maxent_2q(rng)
     elif scheme == "3q-five-class":
         if class_id == "ABC":
-            return _abc_3q(rng)
+            return haar_random_state(3, rng)
         if class_id in ("A-B-C", "AB-C", "A-BC", "AC-B"):
             return _product3(rng, class_id)
     raise SimulationError(f"unknown class {class_id!r} for scheme {scheme!r}")
@@ -176,7 +171,7 @@ class LabeledStateCorpus:
 
 
 def gen_class(scheme: str, class_id: str, count: int, seed) -> LabeledStateCorpus:
-    """Generate one class, one child seed per state; one labeler call re-checks it."""
+    """Generate one class, one child seed per state; one labeler call checks it."""
     if scheme not in SCHEMES:
         raise SimulationError(f"unknown scheme {scheme!r}")
     if count < 1:

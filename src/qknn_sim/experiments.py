@@ -43,6 +43,9 @@ def entanglement_experiment(scheme: str, per_class: int, k: int, b: int,
     """Per seed s: a corpus with seed 1000 + s, a 90/10 split with seed s, and
     every test state classified by ``classical_knn`` and by oracle-abstract
     ``qknn_classify`` on the b-bit table."""
+    seeds = list(seeds)
+    if not seeds:
+        raise SimulationError("seeds must hold at least one corpus seed")
     cfg = qadc.PrecisionConfig(b)
     acc_c, acc_q, agree, points = [], [], 0, 0
     for seed in seeds:
@@ -78,6 +81,8 @@ def discrimination_sweep(m_values, n: int, trials: int,
     n qubits, per M. Trial t draws its instance seed, then its search seed,
     from the t-th child of SeedSequence((search.seed, M)). Queries count up
     to the first moment the match is held (all queries if it never is)."""
+    if trials < 1:
+        raise SimulationError(f"trials must be >= 1, got {trials}")
     rows = []
     for M in m_values:
         hits, queries = 0, []

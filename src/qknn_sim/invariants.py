@@ -44,7 +44,7 @@ def swap_test_law(rng: np.random.Generator, pairs: int, sizes: tuple[int, ...]) 
         state = StateVector.zero_state(layout)
         state = state.apply(sub.make_V(phi, layout, register="train"))
         state = state.apply(sub.make_V(psi, layout, register="test"))
-        out = sub.swap_test_apply(state, layout)
+        out = state.apply_circuit(sub.swap_test_circuit(layout))
         F = abs(np.vdot(psi, phi)) ** 2
         worst = max(worst, abs(out.measure_probs("B")[0] - (1 + F) / 2))
     return worst
@@ -63,7 +63,7 @@ def hadamard_test_law(rng: np.random.Generator, pairs: int) -> float:
             state = StateVector.zero_state(layout)
             if j:
                 state = state.apply(pauli_x(0))
-            out = sub.hadamard_test_apply(state, layout, V, W)
+            out = state.apply_circuit(sub.hadamard_test_circuit(V, W, layout))
             worst = max(worst, abs(out.measure_probs("B")[0] - (1 + float(v @ us[j])) / 2))
     return worst
 

@@ -211,6 +211,8 @@ def scaling_experiment(M_values, k: int, trials: int,
     ``trace_sink``, when given, receives one JSON line per trial. A table
     above 2**MAX_QUBITS entries is refused before any is allocated.
     """
+    if trials < 1:
+        raise SimulationError(f"trials must be >= 1, got {trials}")
     largest = max(map(int, M_values), default=0)
     require_fits(f"a table of M={largest} entries", largest, 8)
     rows = []

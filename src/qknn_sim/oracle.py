@@ -34,12 +34,12 @@ from .statevec import (
     RegisterLayout,
     SimulationError,
     StateVector,
-    check_state_size,
     cnot,
     hadamard,
     mcx,
     mcz,
     pauli_x,
+    require_fits,
     toffoli,
 )
 from .subroutines import zero_reflection
@@ -54,10 +54,8 @@ def u_gt_gates(a: int, b: int, carry: int | None, flag: int) -> list[Gate]:
     return [pauli_x(b), mcx(controls, flag), pauli_x(b)]
 
 
-def u_neq_gates(a: int, b: int, carry: int | None, flag: int) -> list[Gate]:
+def u_neq_gates(a: int, b: int, carry: int, flag: int) -> list[Gate]:
     """flag ^= [a != b] gated on carry."""
-    if carry is None:
-        return [cnot(a, flag), cnot(b, flag)]
     return [pauli_x(b), mcx((carry, a, b), flag), pauli_x(b),
             pauli_x(a), mcx((carry, a, b), flag), pauli_x(a)]
 
@@ -253,7 +251,7 @@ def assemble_O_yA(V: Gate, W: Gate, layout: RegisterLayout,
 
 def classical_action(circuit: Circuit, num_qubits: int, x: int) -> int:
     """Output basis state of a reversible (classical) circuit on basis input x."""
-    check_state_size(num_qubits)
+    require_fits(f"a {num_qubits}-qubit state", 2 ** num_qubits)
     amps = np.zeros(2 ** num_qubits, dtype=complex)
     amps[x] = 1.0
     out = StateVector(num_qubits, amps).apply_circuit(circuit)

@@ -49,8 +49,12 @@ class PrecisionConfig:
 
 def quantize_array(values: np.ndarray, b: int, measure: str = "fidelity") -> np.ndarray:
     """The one b-bit digitizer: fidelity clipped to [0, 1] or dot product as offset
-    binary (X+1)/2, rounded to nearest (ties to even), saturated at 2**b - 1."""
+    binary (X+1)/2, rounded to nearest (ties to even), saturated at 2**b - 1.
+    A NaN or infinite value is refused."""
     x = np.asarray(values, dtype=float)
+    if not np.isfinite(x).all():
+        raise SimulationError(f"cannot digitize non-finite {measure} values, "
+                              f"got {x[~np.isfinite(x)][0]}")
     if measure == "fidelity":
         x = np.clip(x, 0.0, 1.0)
     elif measure == "dot":

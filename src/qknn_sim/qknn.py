@@ -30,8 +30,7 @@ DISCRIMINATION_BITS = 20
 
 @dataclass(eq=False)
 class TrainSet:
-    """M labeled pure states. M must be a power of two only for the circuit
-    path (the multiplexed preparation oracle needs a full index register)."""
+    """M labeled pure states."""
 
     states: np.ndarray  # (M, 2**n) complex
     labels: list
@@ -49,12 +48,6 @@ class TrainSet:
     @property
     def n(self) -> int:
         return int(round(math.log2(self.states.shape[1])))
-
-    def require_power_of_two(self) -> int:
-        m = int(round(math.log2(self.M)))
-        if 2 ** m != self.M:
-            raise SimulationError("circuit path requires M = 2**m train states")
-        return m
 
     def require_real(self) -> None:
         if np.abs(self.states.imag).max() > REAL_ATOL:
@@ -152,10 +145,11 @@ def qknn_classify(test_state: np.ndarray, train: TrainSet, k: int,
     elif mode == "circuit-exact":
         if measure != "fidelity":
             raise SimulationError("circuit-exact path implements the fidelity oracle")
-        if not (2 <= train.M <= 8 and train.n <= 2 and math.log2(train.M) <= cfg.b <= 3):
-            raise SimulationError("circuit-exact mode is limited to M <= 8, n <= 2, b <= 3, with "
-                                  f"2 <= M <= 2**b; got M = {train.M}, n = {train.n}, b = {cfg.b}")
-        m = train.require_power_of_two()
+        m = train.M.bit_length() - 1
+        if not (train.M in {2, 4, 8} and train.n <= 2 and m <= cfg.b <= 3):
+            raise SimulationError("circuit-exact mode is limited to M in {2, 4, 8}, n <= 2, "
+                                  f"log2(M) <= b <= 3; got M = {train.M}, n = {train.n}, "
+                                  f"b = {cfg.b}")
         layout = oracle_layout(m, train.n, cfg.b)
         V, W = make_V(test_state, layout), make_W(train.states, layout)
         # uncached: each accepted step swaps min(A) for a strictly larger value,

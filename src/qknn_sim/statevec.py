@@ -35,9 +35,6 @@ MAX_DENSE_QUBITS = 10
 # per-call overhead more than its arithmetic; at 12 qubits width 5 gave the
 # lowest cost of fusing plus three runs of the oracle's U (BENCH_13.json).
 FUSE_QUBITS = 5
-# Probability a register may keep outside |0..0> after an exact uncompute:
-# floating-point rounding across a circuit, far below any real leak.
-ZERO_REGISTER_ATOL = 1e-12
 
 _H_MATRIX = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 _X_MATRIX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -46,14 +43,6 @@ _Z_MATRIX = np.array([[1, 0], [0, -1]], dtype=complex)
 
 class SimulationError(Exception):
     """Raised for violated preconditions (bad registers, non-unitary gates...)."""
-
-
-def check_state_size(num_qubits: int) -> None:
-    """Refuse, before allocating, a state larger than MAX_QUBITS qubits."""
-    if num_qubits > MAX_QUBITS:
-        raise SimulationError(
-            f"a {num_qubits}-qubit state needs {to_mib(16 << num_qubits):,.0f} MiB; "
-            f"the simulator allows at most {MAX_QUBITS} qubits")
 
 
 def require_unit_states(states: np.ndarray, what: str) -> None:
@@ -431,13 +420,10 @@ class StateVector:
             n, layout = layout_or_n.num_qubits, layout_or_n
         else:
             n, layout = layout_or_n, None
-        check_state_size(n)
+        require_fits(f"a {n}-qubit state", 2 ** n)
         amps = np.zeros(2 ** n, dtype=complex)
         amps[0] = 1.0
         return cls(n, amps, layout)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
     def apply(self, gate: Gate) -> "StateVector":
         amps = self.amplitudes.copy()
@@ -476,10 +462,6 @@ class StateVector:
             rng = np.random.default_rng(rng)
         probs = self.measure_probs(register)
         return int(rng.choice(len(probs), p=probs / probs.sum()))
-
-    def register_is_zero(self, register: str) -> bool:
-        probs = self.measure_probs(register)
-        return bool(probs[1:].sum() <= ZERO_REGISTER_ATOL)
 
 
 # --- application kernels ---------------------------------------------------

@@ -24,7 +24,6 @@ from .statevec import (
     Gate,
     RegisterLayout,
     SimulationError,
-    StateVector,
     circuit_to_matrix,
     cswap,
     hadamard,
@@ -83,13 +82,6 @@ def swap_test_circuit(layout: RegisterLayout) -> Circuit:
                    + [hadamard(bq)])
 
 
-def swap_test_apply(state: StateVector, layout: RegisterLayout) -> StateVector:
-    """Apply the swap-test network (sans measurement) with B as control."""
-    if not state.register_is_zero("B"):
-        raise SimulationError("swap test control register B is not fresh")
-    return state.apply_circuit(swap_test_circuit(layout))
-
-
 def build_U(V: Gate, layout: RegisterLayout) -> Circuit:
     """Test-state preparation followed by the swap-test network."""
     return Circuit([V] + swap_test_circuit(layout).gates)
@@ -106,15 +98,6 @@ def hadamard_test_circuit(V: Gate, W: Gate, layout: RegisterLayout) -> Circuit:
         raise SimulationError("test-state oracle does not act on the data register")
     return Circuit([V, hadamard(bq), replace(V.inverse(), controls=(bq,)),
                     replace(W, controls=(bq,)), hadamard(bq)])
-
-
-def hadamard_test_apply(state: StateVector, layout: RegisterLayout, V: Gate,
-                        W: Gate) -> StateVector:
-    if not state.register_is_zero("B"):
-        raise SimulationError("Hadamard test control register B is not fresh")
-    if not state.register_is_zero("data"):
-        raise SimulationError("Hadamard test data register is not fresh")
-    return state.apply_circuit(hadamard_test_circuit(V, W, layout))
 
 
 # --- reflection operators ----------------------------------------------------

@@ -246,7 +246,7 @@ def test_classify_circuit_exact_refuses_three_qubit_states(tmp_path, capsys):
     corpus = _make_corpus(tmp_path, scheme="3q-five-class", per_class=2)
     assert run_cli(["classify", "--corpus", str(corpus), "--mode", "circuit-exact",
                     "--k", "1", "--b", "2", "--split", "0.8"]) == 1
-    assert "M <= 8, n <= 2, b <= 3" in capsys.readouterr().err
+    assert "M in {2, 4, 8}, n <= 2, log2(M) <= b <= 3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("per_class,split,b", [(1, "0.5", "2"), (5, "0.8", "2")])
@@ -257,7 +257,7 @@ def test_classify_circuit_exact_refuses_outside_its_rule(tmp_path, capsys, per_c
     corpus = _make_corpus(tmp_path, scheme="2q-sep-vs-ent", per_class=per_class)
     assert run_cli(["classify", "--corpus", str(corpus), "--mode", "circuit-exact",
                     "--k", "1", "--b", b, "--split", split]) == 1
-    assert "M <= 8, n <= 2, b <= 3, with 2 <= M <= 2**b" in capsys.readouterr().err
+    assert "M in {2, 4, 8}, n <= 2, log2(M) <= b <= 3" in capsys.readouterr().err
 
 
 def test_config_file_unknown_key_exits_1(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qknn_sim import experiments
 from qknn_sim.kmax import (
     SearchConfig,
     TableBackend,
@@ -242,6 +243,19 @@ def test_scaling_experiment_deterministic_and_in_band():
                              [r.mean_queries_to_solution for r in rows1])
     assert 0.2 < slope < 0.9
     assert all(r.success_rate == 1.0 for r in rows1)
+
+
+@pytest.mark.parametrize("run,named", [
+    (lambda: scaling_experiment([16], 1, 0), "trials must be >= 1, got 0"),
+    (lambda: experiments.discrimination_sweep([4], 1, 0, SearchConfig()),
+     "trials must be >= 1, got 0"),
+    (lambda: experiments.entanglement_experiment("2q-sep-vs-ent", 5, 1, 3, range(0)),
+     "seeds must hold at least one corpus seed"),
+])
+def test_experiment_loops_refuse_empty_work(run, named):
+    """No trials or no seeds is bad input, not a mean over nothing."""
+    with pytest.raises(SimulationError, match=named):
+        run()
 
 
 def test_trace_json_schema():

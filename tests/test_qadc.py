@@ -71,6 +71,15 @@ def test_quantize_array_refuses_unknown_measure(measure):
         arithmetic_table(PrecisionConfig(3), measure)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("measure", ["fidelity", "dot"])
+def test_quantize_array_refuses_non_finite_values(bad, measure):
+    """A NaN would cast to the int64 minimum and an infinity would saturate;
+    both are refused, naming the value."""
+    with pytest.raises(SimulationError, match=f"non-finite {measure} values, got {bad}"):
+        quantize_array([0.5, bad], 3, measure)
+
+
 def test_arithmetic_table_values():
     cfg = PrecisionConfig(3)
     table = arithmetic_table(cfg)

@@ -180,12 +180,12 @@ def test_qknn_circuit_exact_rejects_large_instances():
                       mode="circuit-exact")
 
 
-@pytest.mark.parametrize("M,b", [(1, 2), (8, 2)])
+@pytest.mark.parametrize("M,b", [(1, 2), (3, 2), (8, 2)])
 def test_qknn_circuit_exact_refuses_outside_its_rule(M, b):
-    """Circuit-exact needs one index qubit at least and log2(M) <= b: M = 1,
-    and M = 8 at b = 2, are refused with the rule."""
+    """Circuit-exact needs a full index register of one qubit at least and
+    log2(M) <= b: M = 1, M = 3, and M = 8 at b = 2, are refused with the rule."""
     rng = np.random.default_rng(8)
-    with pytest.raises(SimulationError, match=r"M <= 8, n <= 2, b <= 3, with 2 <= M <= 2\*\*b"):
+    with pytest.raises(SimulationError, match=r"M in \{2, 4, 8\}, n <= 2, log2\(M\) <= b <= 3"):
         qknn_classify(haar_random_state(1, rng), random_train(M, 1, rng), 1,
                       PrecisionConfig(b), mode="circuit-exact")
 
@@ -269,9 +269,6 @@ def test_trainset_validation():
         TrainSet(np.eye(2, dtype=complex), ["A"])            # label count mismatch
     with pytest.raises(SimulationError, match="non-finite"):
         TrainSet(np.array([[np.nan, 0]], dtype=complex), ["A"])
-    three = TrainSet(np.eye(4, dtype=complex)[:3], ["A", "B", "C"])
-    with pytest.raises(SimulationError):
-        three.require_power_of_two()
 
 
 BAD_TEST_STATES = {

@@ -17,3 +17,14 @@ def test_script_runs(script, args, expect, tmp_path):
     out = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args], cwd=tmp_path,
                          capture_output=True, text=True, timeout=120, check=True).stdout
     assert expect in out
+
+
+@pytest.mark.parametrize("script,args,named", [
+    ("run_scaling.py", ["--trials", "0"], "trials must be >= 1"),
+    ("run_entanglement.py", ["--seeds", "0"], "seeds must hold at least one corpus seed"),
+])
+def test_script_refuses_empty_work(script, args, named, tmp_path):
+    """No trials or no seeds fails with a message that names the argument."""
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1 and named in proc.stderr

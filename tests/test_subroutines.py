@@ -13,12 +13,11 @@ from qknn_sim.subroutines import (
     eigen_law_error,
     eigenphase,
     g_block_matrix,
-    hadamard_test_apply,
     hadamard_test_circuit,
     make_V,
     make_W,
     qpe_circuit,
-    swap_test_apply,
+    swap_test_circuit,
     unitary_with_first_column,
     zero_reflection,
 )
@@ -66,7 +65,8 @@ def test_unitary_with_first_column_edge_cases():
 ])
 def test_swap_test_known_probabilities(psi, phi, pr0):
     layout = _swap_layout(1)
-    out = swap_test_apply(_loaded_pair(psi.astype(complex), phi.astype(complex), layout), layout)
+    out = _loaded_pair(psi.astype(complex), phi.astype(complex), layout).apply_circuit(
+        swap_test_circuit(layout))
     assert abs(out.measure_probs("B")[0] - pr0) < 1e-12
 
 
@@ -75,17 +75,10 @@ def test_swap_test_law_random_pairs():
     assert invariants.swap_test_law(RNG, 60, sizes=(1, 2, 3)) < 1e-10
 
 
-def test_swap_test_rejects_dirty_control():
-    layout = _swap_layout(1)
-    state = StateVector.zero_state(layout).apply(pauli_x(layout.qubits("B")[0]))
-    with pytest.raises(SimulationError):
-        swap_test_apply(state, layout)
-
-
 def test_swap_test_rejects_register_size_mismatch():
     layout = RegisterLayout.from_sizes([("train", 2), ("test", 1), ("B", 1)])
     with pytest.raises(SimulationError):
-        swap_test_apply(StateVector.zero_state(layout), layout)
+        swap_test_circuit(layout)
 
 
 def _dot_setup(v, us):
@@ -107,7 +100,7 @@ def test_hadamard_test_known_probabilities(case):
     else:
         u, pr0 = np.array([1.0, 1.0]) / math.sqrt(2), (1 + 1 / math.sqrt(2)) / 2
     layout, V, W = _dot_setup(v, np.stack([u, u]))
-    out = hadamard_test_apply(StateVector.zero_state(layout), layout, V, W)
+    out = StateVector.zero_state(layout).apply_circuit(hadamard_test_circuit(V, W, layout))
     assert abs(out.measure_probs("B")[0] - pr0) < 1e-10
 
 
