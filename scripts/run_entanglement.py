@@ -12,6 +12,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from qknn_sim import datasets, experiments  # noqa: E402
+from qknn_sim.statevec import SimulationError  # noqa: E402
 
 
 def main():
@@ -24,8 +25,11 @@ def main():
 
     print(f"{'scheme':20s} {'classical':>10s} {'quantum':>10s} {'agreement':>10s}")
     for scheme in datasets.SCHEMES:
-        row = experiments.entanglement_experiment(scheme, args.per_class, args.k, args.b,
-                                                  range(args.seeds))
+        try:
+            row = experiments.entanglement_experiment(scheme, args.per_class, args.k, args.b,
+                                                      range(args.seeds))
+        except SimulationError as exc:
+            sys.exit(f"error: {exc}")
         print(f"{scheme:20s} {row.classical:10.4f} {row.quantum:>10.4f} {row.agreement:>10.4f}")
 
 

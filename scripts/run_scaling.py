@@ -12,6 +12,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from qknn_sim import experiments  # noqa: E402
+from qknn_sim.statevec import SimulationError  # noqa: E402
 
 
 def main():
@@ -22,8 +23,11 @@ def main():
     ap.add_argument("--seed", type=int, default=606)
     args = ap.parse_args()
 
-    study = experiments.scaling_study([int(v) for v in args.M.split(",")], args.k,
-                                      args.trials, args.seed)
+    try:
+        study = experiments.scaling_study([int(v) for v in args.M.split(",")], args.k,
+                                          args.trials, args.seed)
+    except SimulationError as exc:
+        sys.exit(f"error: {exc}")
     print(f"{'M':>6s} {'total':>10s} {'to-solution':>12s} {'exact':>6s}")
     for r in study.rows:
         print(f"{r.M:6d} {r.mean_queries:10.1f} {r.mean_queries_to_solution:12.1f} "

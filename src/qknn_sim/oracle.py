@@ -144,7 +144,9 @@ class OracleCircuit:
     runs therefore differ from the model's, gate for gate, and agree with
     it as unitaries to rounding. ``start()`` and ``diffusion`` complete the
     register machine: the verdict run and every Grover round begin from the
-    one, and the circuit handle and the kickback law iterate the other.
+    one, and the circuit handle and the kickback law iterate the other. U
+    runs once on ``start()``; the verdicts read that run, and the first
+    query from ``start()`` (``apply()``) continues from it with S . U^dag.
     """
 
     circuit: Circuit
@@ -163,7 +165,9 @@ class OracleCircuit:
         return search_layout(self.layout)
 
     def start(self) -> StateVector:
-        """A fresh uniform index state on ``search_layout`` (none is kept alive)."""
+        """A fresh uniform index state on ``search_layout``. The oracle keeps
+        no start state; the one state it keeps alive, for its own lifetime,
+        is the run of U on a start state (``_u_run``)."""
         layout = self.search_layout
         return StateVector.zero_state(layout).apply_circuit(
             Circuit([hadamard(q) for q in layout.qubits("index")]))
@@ -176,8 +180,18 @@ class OracleCircuit:
         h_index = [hadamard(q) for q in index]
         return Circuit(h_index + zero_reflection(index).gates + h_index)
 
-    def apply(self, state: StateVector) -> StateVector:
-        """One query of the search oracle."""
+    @cached_property
+    def _u_run(self) -> StateVector:
+        """U on ``start()``: the state the verdicts read and the first query
+        continues from."""
+        return self.start().apply_circuit(self.U)
+
+    def apply(self, state: StateVector | None = None) -> StateVector:
+        """One query of the search oracle on ``state``, or on ``start()`` when
+        none is given. From ``start()`` the query continues from ``_u_run``
+        with the rest of ``search``, S . U^dag: the same arithmetic."""
+        if state is None:
+            return self._u_run.apply_circuit(Circuit(self.search.gates[len(self.U):]))
         return state.apply_circuit(self.search)
 
     def q3_distribution(self, j: int) -> np.ndarray:
@@ -193,7 +207,7 @@ class OracleCircuit:
         """P(Q1 = 1, Q2 = 0 | j) after U for every j, which is the model's
         P(Q3 = 1 | j). U never changes the index register, so one run of U on
         the uniform index state gives all of them."""
-        joint = self.start().apply_circuit(self.U).measure_probs(["index", "Q1", "Q2"])
+        joint = self._u_run.measure_probs(["index", "Q1", "Q2"])
         return self.M * joint[self.M: 2 * self.M]
 
     def evaluate(self, j: int) -> int:
@@ -310,16 +324,20 @@ class CircuitOracleHandle:
     keeps the index marginal of every depth simulated so far and the deepest
     state; a deeper round extends that state by the missing iterations. The
     oracle supplies the start state (``start()``) and the diffusion that
-    follows each ``search``. Queries are charged by ``k_maxima``, r per
-    round plus one per verification, whatever this handle reuses.
+    follows each ``search``. The first iteration is ``apply()`` from the
+    start state, which continues from the oracle's run of U, the run its
+    verdicts read, so U runs once per handle. Queries are charged by
+    ``k_maxima``, r per round plus one per verification, whatever this
+    handle reuses. Construction runs no query.
     """
 
     def __init__(self, oracle: OracleCircuit):
         self.oracle = oracle
         self.M = oracle.M
-        # the deepest state simulated, and the index marginal after r iterations
-        self._state = oracle.start()
-        self._marginals = [self._state.measure_probs("index")]
+        # the deepest state simulated (None: the start state, which is not
+        # kept), and the index marginal after r iterations
+        self._state = None
+        self._marginals = [oracle.start().measure_probs("index")]
 
     def marginal(self, r: int) -> np.ndarray:
         """Index marginal after r Grover iterations of the search oracle."""

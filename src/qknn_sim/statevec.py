@@ -15,9 +15,13 @@ Conventions used throughout the package:
   draws one outcome from a seeded generator.
 - States above MAX_QUBITS qubits and dense circuit unitaries above
   MAX_DENSE_QUBITS qubits are refused before anything is allocated.
+- Each gate kernel reads its view of the state (axis order, controls=1
+  slice) from a plan made once per gate shape; the VIEW_PLANS most recently
+  used shapes are kept.
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -35,6 +39,10 @@ MAX_DENSE_QUBITS = 10
 # per-call overhead more than its arithmetic; at 12 qubits width 5 gave the
 # lowest cost of fusing plus three runs of the oracle's U (BENCH_13.json).
 FUSE_QUBITS = 5
+# Gate shapes (n, targets, controls) whose view plan _apply_gate keeps. One
+# circuit-exact oracle, with its fusing, uses 40 to 71 shapes at every allowed
+# size, and every (y, A) of a classification the same ones.
+VIEW_PLANS = 1024
 
 _H_MATRIX = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 _X_MATRIX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -466,6 +474,24 @@ class StateVector:
 
 # --- application kernels ---------------------------------------------------
 
+@functools.lru_cache(maxsize=VIEW_PLANS)
+def _view_plan(n: int, targets: tuple[int, ...], controls: tuple[int, ...]):
+    """(shape, perm, sel, dim) of a gate shape: the tensor shape (2,)*n, the
+    axis order ``np.moveaxis`` builds to bring the controls to the front and
+    the targets to the back, the controls=1 index and 2**len(targets). A
+    qubit out of range raises; lru_cache keeps no error, so every call does."""
+    for q in targets + controls:
+        if not 0 <= q < n:
+            raise SimulationError(f"qubit index {q} out of range for {n} qubits")
+    c, t = len(controls), len(targets)
+    src = [n - 1 - q for q in controls] + [n - 1 - q for q in targets]
+    dst = list(range(c)) + [n - 1 - i for i in range(t)]
+    perm = [a for a in range(n) if a not in src]
+    for d, s in sorted(zip(dst, src)):
+        perm.insert(d, s)
+    return (2,) * n, tuple(perm), (1,) * c, 2 ** t
+
+
 def _apply_gate(amps: np.ndarray, n: int, gate: Gate, targets, controls) -> None:
     """Apply ``gate`` in place on ``targets`` under ``controls`` (its own qubits,
     or their positions in a sub-register).
@@ -475,21 +501,16 @@ def _apply_gate(amps: np.ndarray, n: int, gate: Gate, targets, controls) -> None
     little-endian local index of ``targets``; only the controls=1 slice is
     rewritten, by the matrix or by the basis permutation.
     """
-    for q in targets + controls:
-        if not 0 <= q < n:
-            raise SimulationError(f"qubit index {q} out of range for {n} qubits")
-    c, t = len(controls), len(targets)
-    src = [n - 1 - q for q in controls] + [n - 1 - q for q in targets]
-    dst = list(range(c)) + [n - 1 - i for i in range(t)]
-    moved = np.moveaxis(amps.reshape((2,) * n), src, dst)
-    block = moved[(1,) * c]
-    flat = np.ascontiguousarray(block).reshape(-1, 2 ** t)
+    shape, perm, sel, dim = _view_plan(n, targets, controls)
+    moved = amps.reshape(shape).transpose(perm)
+    block = moved[sel]
+    flat = np.ascontiguousarray(block).reshape(-1, dim)
     if gate.matrix is not None:
         out = flat @ gate.matrix.T
     else:
         out = np.empty_like(flat)
         out[:, gate.perm] = flat
-    moved[(1,) * c] = out.reshape(block.shape)
+    moved[sel] = out.reshape(block.shape)
 
 
 def circuit_to_matrix(circuit: Circuit, qubits: tuple[int, ...]) -> np.ndarray:

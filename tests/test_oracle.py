@@ -442,6 +442,31 @@ def test_each_handle_runs_max_depth_search_queries_and_one_U(monkeypatch, kind, 
         assert runs["circuit"] == handle.calls["q3_distribution"] == 0
 
 
+def test_first_query_continues_from_the_verdict_run_of_U(monkeypatch):
+    """A depth-1 round and then every verdict run U once and the full search
+    oracle never: the first query from the start state goes on from the U
+    run the verdicts read. The marginal equals the rebuilt one bit for bit."""
+    applied = []
+    apply_circuit = StateVector.apply_circuit
+
+    def counted(state, circuit):
+        applied.append(circuit)
+        return apply_circuit(state, circuit)
+
+    assembled, _ = _search_instance("haar", 4, 0)
+    oc = assembled(1, frozenset({1}))
+    reference = _RebuildingHandle(dataclasses.replace(oc))
+    reference.run_round(1, np.random.default_rng(0))
+    monkeypatch.setattr(StateVector, "apply_circuit", counted)
+    handle = CircuitOracleHandle(oc)
+    handle.run_round(1, np.random.default_rng(0))
+    verdicts = [handle.evaluate(j) for j in range(oc.M)]
+    assert sum(c is oc.U for c in applied) == 1
+    assert sum(c is oc.search for c in applied) == 0
+    assert np.array_equal(handle.marginal(1), reference.marginals[1])
+    assert verdicts == [bool(np.argmax(oc.q3_distribution(j))) for j in range(oc.M)]
+
+
 def test_phase_oracle_vs_kickback_law():
     assert invariants.phase_oracle_vs_kickback(np.random.default_rng(0)) <= 1e-12
 

@@ -24,7 +24,9 @@ def test_script_runs(script, args, expect, tmp_path):
     ("run_entanglement.py", ["--seeds", "0"], "seeds must hold at least one corpus seed"),
 ])
 def test_script_refuses_empty_work(script, args, named, tmp_path):
-    """No trials or no seeds fails with a message that names the argument."""
+    """No trials or no seeds fails with a one-line message that names the
+    argument, not a traceback."""
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args], cwd=tmp_path,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1 and named in proc.stderr
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr

@@ -69,8 +69,12 @@ def _prep(psi):
 
 
 def test_gate_rejects_out_of_range_index():
-    with pytest.raises(SimulationError):
-        StateVector.zero_state(2).apply(pauli_x(5))
+    """The range check lives in the cached view plan, which keeps no error:
+    the same out-of-range shape raises each time it is applied."""
+    state = StateVector.zero_state(2)
+    for gate in (pauli_x(5), cnot(0, 5), cnot(0, 5)):
+        with pytest.raises(SimulationError, match="qubit index 5 out of range for 2 qubits"):
+            state.apply(gate)
 
 
 @pytest.mark.parametrize("make", [
@@ -274,6 +278,41 @@ def _random_gate(labels, span, rng):
         return basis_permutation(targets, rng.permutation(2 ** t), "P", controls)
     z = rng.normal(size=(2 ** t, 2 ** t)) + 1j * rng.normal(size=(2 ** t, 2 ** t))
     return register_unitary(targets, np.linalg.qr(z)[0], f"U{t}", controls)
+
+
+def _moveaxis_apply_gate(amps, n, gate, targets, controls):
+    """_apply_gate's reference: the kernel that builds its view with
+    np.moveaxis on every call."""
+    c, t = len(controls), len(targets)
+    src = [n - 1 - q for q in controls] + [n - 1 - q for q in targets]
+    dst = list(range(c)) + [n - 1 - i for i in range(t)]
+    moved = np.moveaxis(amps.reshape((2,) * n), src, dst)
+    block = moved[(1,) * c]
+    flat = np.ascontiguousarray(block).reshape(-1, 2 ** t)
+    if gate.matrix is not None:
+        out = flat @ gate.matrix.T
+    else:
+        out = np.empty_like(flat)
+        out[:, gate.perm] = flat
+    moved[(1,) * c] = out.reshape(block.shape)
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_apply_gate_equals_the_moveaxis_kernel(seed):
+    """The cached view plan gives the moveaxis kernel's amplitudes bit for
+    bit on 1-8 qubits, for matrix and permutation gates on random distinct
+    targets and controls, applied twice so the second call reads the plan."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 9))
+    gate = _random_gate(list(range(n)), n, rng)
+    state = random_state(n, rng)
+    want = state.copy()
+    got = state.copy()
+    for _ in range(2):
+        _moveaxis_apply_gate(want, n, gate, gate.targets, gate.controls)
+        _apply_gate(got, n, gate, gate.targets, gate.controls)
+        assert np.array_equal(got, want)
 
 
 def _per_column_matrix(circuit, qubits):
