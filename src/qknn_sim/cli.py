@@ -1,12 +1,13 @@
 """Command-line entry point and experiment orchestration.
 
-Subcommands: gen-data, classify, verify, bench, discriminate; each offers
-only the settings it reads. Precedence is flags > config file > defaults;
-the config file is ``key = value`` lines (any ``RunConfig`` field, hyphens
-or underscores), with ``#`` comments. All outputs are machine readable: JSON
-lines for corpora and reports, CSV with a ``# qknn-sim v1`` header comment
-for result tables. Exit codes: 0 ok, 1 validation error, 2 runtime error,
-3 verification failure.
+Subcommands: gen-data, classify, verify, bench, discriminate, entanglement;
+each offers only the settings it reads. ``bench`` and ``entanglement`` are
+the query-scaling and entanglement-classification experiments. Precedence
+is flags > config file > defaults; the config file is ``key = value`` lines
+(any ``RunConfig`` field, hyphens or underscores), with ``#`` comments. All
+outputs are machine readable: JSON lines for corpora and reports, CSV with a
+``# qknn-sim v1`` header comment for result tables. Exit codes: 0 ok, 1
+validation error, 2 runtime error, 3 verification failure.
 """
 from __future__ import annotations
 
@@ -34,6 +35,7 @@ class RunConfig:
     b: int = 12
     mode: str = "classical"
     seed: int = 0
+    seeds: int = 1  # corpus seeds 0 .. seeds-1
     trials: int = 100
     budget_rounds: int = 30
     lam: float = 1.2
@@ -43,9 +45,11 @@ class RunConfig:
     split: float = 0.9
 
     def __post_init__(self):
-        for name in ("n", "k", "trials", "per_class"):
+        for name in ("n", "k", "trials", "per_class", "seeds"):
             if getattr(self, name) < 1:
                 raise SimulationError(f"--{name.replace('_', '-')} must be >= 1")
+        if self.seed < 0:
+            raise SimulationError("--seed must be >= 0")
         sizes = self.m_values()
         if not sizes or min(sizes) < 1:
             raise SimulationError(f"--M needs table sizes >= 1, got {self.M!r}")
@@ -156,8 +160,9 @@ def cmd_classify(cfg: RunConfig) -> int:
 
 def cmd_bench(cfg: RunConfig) -> int:
     traces: list = []
-    rows = kmax.scaling_experiment(cfg.m_values(), cfg.k, cfg.trials, cfg.search_config(),
-                                   trace_sink=traces)
+    study = experiments.scaling_study(cfg.m_values(), cfg.k, cfg.trials, cfg.search_config(),
+                                      trace_sink=traces)
+    rows = study.rows
     lines = [CSV_HEADER, "M,k,trials,mean_queries,std_queries,mean_queries_to_solution,success_rate"]
     for r in rows:
         lines.append(f"{r.M},{r.k},{r.trials},{r.mean_queries:.4f},{r.std_queries:.4f},"
@@ -170,6 +175,11 @@ def cmd_bench(cfg: RunConfig) -> int:
         _write_lines(cfg.out, [f"# fitted_slope_total={slope_total:.4f}",
                                f"# fitted_slope_to_solution={slope_sol:.4f}"], "a")
         print(f"fitted slope (queries to solution): {slope_sol:.4f}")
+    sqrt_k = [f"# sqrt_k M={experiments.SQRT_K_M} k={k} mean_queries_to_solution={mean:.4f}"
+              for k, mean in zip(experiments.SQRT_K_VALUES, study.k_means)]
+    _write_lines(cfg.out, sqrt_k + [f"# sqrt_k_max_rel_dev={study.k_max_rel_dev:.4f}"], "a")
+    print(f"sqrt(k) max relative deviation at M={experiments.SQRT_K_M}: "
+          f"{study.k_max_rel_dev:.4f}")
     return 0
 
 
@@ -186,6 +196,18 @@ def cmd_discriminate(cfg: RunConfig) -> int:
         slope = kmax.fit_loglog_slope([r.M for r in rows], [r.mean_queries for r in rows])
         _write_lines(cfg.out, [f"# fitted_slope={slope:.4f}"], "a")
         print(f"fitted slope: {slope:.4f}")
+    return 0
+
+
+def cmd_entanglement(cfg: RunConfig) -> int:
+    lines = [CSV_HEADER, "scheme,classical,quantum,agreement"]
+    for scheme in datasets.SCHEMES:
+        r = experiments.entanglement_experiment(scheme, cfg.per_class, cfg.k, cfg.b,
+                                                range(cfg.seeds))
+        lines.append(f"{scheme},{r.classical:.4f},{r.quantum:.4f},{r.agreement:.4f}")
+        print(f"{scheme}: classical {r.classical:.4f}, quantum {r.quantum:.4f}, "
+              f"agreement {r.agreement:.4f}")
+    _write_lines(cfg.out, lines)
     return 0
 
 
@@ -209,6 +231,7 @@ _COMMANDS = {
     "verify": (cmd_verify, "seed out".split()),
     "bench": (cmd_bench, "M k trials seed budget_rounds lam out".split()),
     "discriminate": (cmd_discriminate, "M n trials seed budget_rounds lam out".split()),
+    "entanglement": (cmd_entanglement, "per_class k b seeds out".split()),
 }
 
 # argparse options beyond the flag name and type
@@ -221,6 +244,7 @@ _FLAG_OPTIONS = {
              "help": "circuit-exact is limited to M in {2, 4, 8} train states, n <= 2, "
                      "log2(M) <= b <= 3 (2-qubit schemes)"},
     "corpus": {"help": "corpus JSONL path"},
+    "seeds": {"help": "corpus seeds 0 .. seeds-1, one corpus each"},
 }
 
 

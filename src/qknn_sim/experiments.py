@@ -1,6 +1,7 @@
-"""The experiment loops, each written once and shared by the CLI, the scripts
-in ``scripts/`` and the acceptance tests (criteria 6, 7 and 8), so that the
-seeds, splits and statistics of an experiment are defined in one place."""
+"""The experiment loops, each written once and shared by the ``qknn-sim``
+subcommands (``bench``, ``discriminate``, ``entanglement``) and the acceptance
+tests (criteria 6, 7 and 8), so that the seeds, splits and statistics of an
+experiment are defined in one place."""
 from __future__ import annotations
 
 import math
@@ -111,19 +112,20 @@ def query_slopes(rows: list[kmax.ScalingRow]) -> tuple[float, float]:
 @dataclass(eq=False)
 class ScalingStudy:
     rows: list             # kmax.ScalingRow per M, at fixed k
-    slopes: tuple | None   # query_slopes(rows); None below two sizes
     k_means: list          # mean queries to solution per SQRT_K_VALUES at M = SQRT_K_M
     k_max_rel_dev: float   # worst relative deviation of k_means from a fitted c*sqrt(k)
 
 
-def scaling_study(m_values, k: int, trials: int, seed: int) -> ScalingStudy:
+def scaling_study(m_values, k: int, trials: int, search: kmax.SearchConfig,
+                  trace_sink: list | None = None) -> ScalingStudy:
     """k-maxima over random tables, ``trials`` per point: the M sweep at fixed
-    k with ``seed``, then k = 1, 2, 4, 8 at M = 256 with ``seed + 101``."""
-    rows = kmax.scaling_experiment(m_values, k, trials, kmax.SearchConfig(seed=seed))
-    k_search = kmax.SearchConfig(seed=seed + 101)
+    k with ``search`` (traced into ``trace_sink``), then k = 1, 2, 4, 8 at
+    M = 256 with its seed + 101. The caller fits the slopes (``query_slopes``)."""
+    rows = kmax.scaling_experiment(m_values, k, trials, search, trace_sink)
+    k_search = kmax.SearchConfig(search.lam, search.max_rounds, search.seed + 101)
     k_means = [kmax.scaling_experiment([SQRT_K_M], kk, trials, k_search)[0].mean_queries_to_solution
                for kk in SQRT_K_VALUES]
     coeff = sum(q * math.sqrt(kk) for q, kk in zip(k_means, SQRT_K_VALUES)) / sum(SQRT_K_VALUES)
     rel = max(abs(q - coeff * math.sqrt(kk)) / (coeff * math.sqrt(kk))
               for q, kk in zip(k_means, SQRT_K_VALUES))
-    return ScalingStudy(rows, query_slopes(rows) if len(rows) >= 2 else None, k_means, rel)
+    return ScalingStudy(rows, k_means, rel)

@@ -92,8 +92,9 @@ def test_criterion_6_query_scaling():
     stopping rule is reported separately (see mean_queries in the rows).
     """
     _start()
-    study = experiments.scaling_study([16, 32, 64, 128, 256, 512, 1024], 1, 200, 606)
-    slope_total, slope = study.slopes
+    study = experiments.scaling_study([16, 32, 64, 128, 256, 512, 1024], 1, 200,
+                                      kmax.SearchConfig(seed=606))
+    slope_total, slope = experiments.query_slopes(study.rows)
     rel = study.k_max_rel_dev
     ok = 0.35 <= slope <= 0.65 and rel <= 0.25
     _report(6, "query scaling O(sqrt(kM))", ok,

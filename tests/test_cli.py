@@ -135,6 +135,29 @@ def test_bench_csv_and_determinism(tmp_path):
     assert any(l.startswith("# fitted_slope_to_solution=") for l in lines)
 
 
+def test_bench_appends_the_sqrt_k_trend(tmp_path, capsys):
+    """After its rows and slopes, bench writes the mean queries to solution
+    at M = 256 for k = 1, 2, 4, 8 and their worst deviation from c*sqrt(k)."""
+    out = tmp_path / "b.csv"
+    assert run_cli(["bench", "--M", "16,32", "--trials", "3", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[5].startswith("# fitted_slope_to_solution=")
+    assert [line.split(" mean")[0] for line in lines[6:10]] == [
+        f"# sqrt_k M=256 k={k}" for k in (1, 2, 4, 8)]
+    assert lines[10].startswith("# sqrt_k_max_rel_dev=") and len(lines) == 11
+    assert "sqrt(k) max relative deviation at M=256: " in capsys.readouterr().out
+
+
+def test_entanglement_csv(tmp_path, capsys):
+    out = tmp_path / "e.csv"
+    assert run_cli(["entanglement", "--per-class", "5", "--seeds", "1", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[:2] == [CSV_HEADER, "scheme,classical,quantum,agreement"]
+    assert [line.split(",")[0] for line in lines[2:]] == [
+        "2q-sep-vs-ent", "2q-sep-vs-maxent", "3q-five-class"]
+    assert "3q-five-class: classical " in capsys.readouterr().out
+
+
 def test_discriminate_csv(tmp_path, capsys):
     out = tmp_path / "d.csv"
     assert run_cli(["discriminate", "--M", "8", "--n", "2", "--trials", "10",
@@ -312,6 +335,13 @@ def exit_code(args):
         return exc.code
 
 
+SLOPE_FIT_FAILURES = [
+    ["discriminate", "--M", "1,2", "--n", "1", "--trials", "2"],   # zero mean queries at M=1
+    ["bench", "--M", "1,2", "--k", "1", "--trials", "2"],
+    ["discriminate", "--M", "1,1", "--n", "1", "--trials", "1"],   # one distinct M
+]
+
+
 @pytest.mark.parametrize("args", [
     ["bench", "--trials", "0"],
     ["discriminate", "--trials", "0"],
@@ -321,13 +351,35 @@ def exit_code(args):
     ["gen-data", "--per-class", "-1"],
     ["bench", "--M", "-2,3"],      # argparse reads -2,3 as a flag
     ["bench", "--trials", "x"],
-    ["discriminate", "--M", "1,2", "--n", "1", "--trials", "2"],   # zero mean queries at M=1
-    ["bench", "--M", "1,2", "--k", "1", "--trials", "2"],
-    ["discriminate", "--M", "1,1", "--n", "1", "--trials", "1"],   # one distinct M
+    *SLOPE_FIT_FAILURES,
+    ["bench", "--M", "x"],
+    *[[cmd, "--seed", "-1"] for cmd in ("bench", "discriminate", "gen-data", "verify")],
+    ["entanglement", "--seeds", "0"],
+    ["entanglement", "--per-class", "0"],
+    ["entanglement", "--k", "0"],
+    ["entanglement", "--b", "1"],
+    ["entanglement", "--per-class", "1"],   # 2 states: the split leaves no test state
 ])
 def test_bad_counts_exit_1(args, capsys):
+    """Bad input prints nothing on stdout and one error line on stderr (after
+    argparse's usage line). A sweep whose slope cannot be fitted has printed
+    its rows by then; test_failed_slope_fit_keeps_the_rows covers it."""
     assert exit_code(args) == 1
-    assert "error" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert "error" in err
+    if args not in SLOPE_FIT_FAILURES:
+        assert out == "" and len([line for line in err.splitlines() if "error:" in line]) == 1
+    if "--seed" in args:
+        assert "--seed must be >= 0" in err
+
+
+@pytest.mark.parametrize("args,named", [
+    (["bench", "--trials", "0"], "--trials must be >= 1"),
+    (["entanglement", "--seeds", "0"], "--seeds must be >= 1"),
+], ids=["bench-trials", "entanglement-seeds"])
+def test_empty_work_exits_1_naming_the_setting(args, named, capsys):
+    assert exit_code(args) == 1
+    assert capsys.readouterr().err == f"error: {named}\n"
 
 
 @pytest.mark.parametrize("cmd,extra", [("discriminate", ["--n", "1"]), ("bench", ["--k", "1"])])
@@ -344,13 +396,16 @@ def test_failed_slope_fit_keeps_the_rows(cmd, extra, tmp_path, capsys):
         assert len((tmp_path / "d.csv.traces.jsonl").read_text().splitlines()) == 4
 
 
-@given(cmd=st.sampled_from(["bench", "discriminate"]), trials=st.integers(-2, 3),
+@given(cmd=st.sampled_from(["bench", "discriminate", "entanglement"]), trials=st.integers(-2, 3),
        k=st.integers(-2, 3), n=st.integers(-2, 3),
-       M=st.lists(st.integers(-2, 8), min_size=1, max_size=3))
+       M=st.lists(st.integers(-2, 8), min_size=1, max_size=3),
+       per_class=st.integers(-1, 4), seeds=st.integers(-1, 2), b=st.integers(0, 4))
 @settings(max_examples=40, deadline=None)
-def test_small_integer_arguments_never_exit_2(cmd, trials, k, n, M):
-    size = f"--k={k}" if cmd == "bench" else f"--n={n}"
-    args = [cmd, f"--trials={trials}", size, "--M=" + ",".join(map(str, M)), "--seed=0"]
+def test_small_integer_arguments_never_exit_2(cmd, trials, k, n, M, per_class, seeds, b):
+    sweep = [f"--trials={trials}", "--M=" + ",".join(map(str, M)), "--seed=0"]
+    args = [cmd, *{"bench": [f"--k={k}", *sweep], "discriminate": [f"--n={n}", *sweep],
+                   "entanglement": [f"--per-class={per_class}", f"--k={k}",
+                                    f"--seeds={seeds}", f"--b={b}"]}[cmd]]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()), \
             warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -364,8 +419,13 @@ READS = {
     "verify": {"seed", "out"},
     "bench": {"M", "k", "trials", "seed", "budget_rounds", "lam", "out"},
     "discriminate": {"M", "n", "trials", "seed", "budget_rounds", "lam", "out"},
+    "entanglement": {"per_class", "k", "b", "seeds", "out"},
 }
 SETTINGS = [f.name for f in fields(RunConfig) if f.name != "subcommand"]
+
+
+def unread(cmds, settings):
+    return [(cmd, [flag(s), "1"]) for cmd in cmds for s in settings if s not in READS[cmd]]
 
 
 def flag(setting):
@@ -381,12 +441,18 @@ def test_help_lists_only_the_settings_read(capsys):
         assert offered == {flag(s) for s in reads} | {"--help", "--config"}, cmd
 
 
+# cases are appended, never inserted, so that each keeps its id
+FIRST_COMMANDS = [cmd for cmd in READS if cmd != "entanglement"]
+
+
 @pytest.mark.parametrize("cmd,args", [
-    *[(cmd, [flag(s), "1"]) for cmd in READS for s in SETTINGS if s not in READS[cmd]],
+    *unread(FIRST_COMMANDS, [s for s in SETTINGS if s != "seeds"]),
     ("bench", ["--budget", "3"]),       # abbreviates --budget-rounds
     ("bench", ["--b", "9"]),            # would abbreviate --budget-rounds
     ("bench", ["--lam", "1.3"]),        # abbreviates --lambda
     ("gen-data", ["--per", "3"]),       # abbreviates --per-class
+    *unread(FIRST_COMMANDS, ["seeds"]),
+    *unread(["entanglement"], SETTINGS),
 ])
 def test_unread_settings_and_abbreviations_exit_1(cmd, args, capsys):
     assert exit_code([cmd, *args]) == 1

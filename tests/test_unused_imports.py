@@ -1,12 +1,11 @@
-"""Every name the package modules and the scripts import is used."""
+"""Every name the package modules import is used."""
 import ast
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-SOURCES = sorted(ROOT.glob("scripts/*.py")) + sorted(
-    p for p in ROOT.glob("src/qknn_sim/*.py") if p.name != "__init__.py")
+SOURCES = sorted(p for p in ROOT.glob("src/qknn_sim/*.py") if p.name != "__init__.py")
 
 
 def unused_imports(source: str) -> list[str]:
