@@ -130,31 +130,40 @@ class OracleCircuit:
 
     ``circuit`` is the model: U^dag . T . U, where T = X_Q2 . Toffoli(Q1,
     Q2, Q3) . X_Q2 flips the kickback qubit Q3, the layout's highest qubit.
-    The simulator runs two circuits derived from it on ``search_layout``,
-    the layout without Q3 and without the primed index register: ``U``
-    itself, and the search oracle ``search`` = U^dag . S . U with S = X_Q2 .
-    CZ(Q1, Q2) . X_Q2, the sign (-1)^(Q1 and not Q2) that T gives with Q3
-    held in |->. ``index_p`` only ever holds basis values (it starts at 0,
-    X gates load y and the D patterns into it, and every other gate reads
-    it as a control or is block-diagonal in it), so U is derived from the
-    model's U by ``Circuit.fix_classical``, which follows index_p as
-    classical bits and cuts it out, and then by ``Circuit.fuse``, which
-    merges each run of gates on at most ``FUSE_QUBITS`` qubits into one
-    dense gate; ``search`` is built from that U. The gates the simulator
-    runs therefore differ from the model's, gate for gate, and agree with
-    it as unitaries to rounding. ``start()`` and ``diffusion`` complete the
-    register machine: the verdict run and every Grover round begin from the
-    one, and the circuit handle and the kickback law iterate the other. U
-    runs once on ``start()``; the verdicts read that run, and the first
-    query from ``start()`` (``apply()``) continues from it with S . U^dag.
+    It is built from the unfused QADC operator ``F`` on first read; a
+    classification never reads it. The simulator runs two circuits on
+    ``search_layout``, the layout without Q3 and without the primed index
+    register: ``U`` and the search oracle ``search`` = U^dag . S . U, with
+    S = X_Q2 . CZ(Q1, Q2) . X_Q2, the sign (-1)^(Q1 and not Q2) that T gives
+    with Q3 held in |->. ``index_p`` only ever holds basis values (it starts
+    at 0, X gates load y and the D patterns into it, and every other gate
+    reads it as a control or is block-diagonal in it). So the simulator's U
+    is F fused once (``Circuit.fuse``), then the rest of the model's U built
+    on that fused F, with index_p followed as classical bits and cut out
+    (``Circuit.fix_classical``), fused. Its gates differ from the model's
+    and agree with it as unitaries to rounding. ``start()`` and
+    ``diffusion`` complete the register machine: the verdict run and every
+    Grover round begin from the one, and the circuit handle and the kickback
+    law iterate the other. U runs once on ``start()``; the verdicts read
+    that run, and the first query from ``start()`` (``apply()``) continues
+    from it with S . U^dag.
     """
 
-    circuit: Circuit
     layout: RegisterLayout
     y: int
     A: frozenset[int]
+    F: Circuit
     U: Circuit
     search: Circuit
+
+    @cached_property
+    def circuit(self) -> Circuit:
+        """The model U^dag . T . U on ``layout``, built from the unfused F."""
+        compare, d_gates = _threshold_gates(self.F, self.layout, self.y, self.A)
+        (q1,), (q2,), (q3,) = (self.layout.qubits(name) for name in ("Q1", "Q2", "Q3"))
+        return Circuit(self.F.gates + compare + d_gates
+                       + [pauli_x(q2), toffoli(q1, q2, q3), pauli_x(q2)]
+                       + d_gates + compare + self.F.inverse().gates)
 
     @property
     def M(self) -> int:
@@ -222,45 +231,53 @@ def search_layout(layout: RegisterLayout) -> RegisterLayout:
                                       if name not in ("index_p", "Q3")])
 
 
+def _threshold_gates(F: Circuit, layout: RegisterLayout, y: int,
+                     A: frozenset[int]) -> tuple[list[Gate], list[Gate]]:
+    """The part of U after F: (compare, D cascade). compare loads y into
+    index_p, runs F renamed onto (index_p, fid_p), J, that renamed F
+    inverted (the mid-circuit uncompute) and unloads y; the D cascade marks
+    the members of A on Q2."""
+    m, b = layout.size("index"), layout.size("fid")
+    index, index_p = layout.qubits("index"), layout.qubits("index_p")
+    fid, fid_p = layout.qubits("fid"), layout.qubits("fid_p")
+    phase, (q1,), (q2,) = layout.qubits("phase"), layout.qubits("Q1"), layout.qubits("Q2")
+    f_primed = F.remap(dict(zip(index + fid, index_p + fid_p)))
+    load_y = [pauli_x(index_p[l]) for l in range(m) if (y >> l) & 1]
+    compare = (load_y + f_primed.gates + build_J(fid, fid_p, q1, phase[: b - 1]).gates
+               + f_primed.inverse().gates + load_y)
+    d_gates = [g for i in sorted(A) for g in build_D(i, index, index_p, phase[:m], q2)]
+    return compare, d_gates
+
+
 def assemble_O_yA(V: Gate, W: Gate, layout: RegisterLayout,
                   cfg: PrecisionConfig, y: int, A) -> OracleCircuit:
     """Steps: F on (index,fid); F renamed onto (index',fid') loaded with y; J;
     mid-circuit uncompute of the primed registers; D cascade; X+Toffoli;
-    mirror uncompute."""
+    mirror uncompute. Builds the simulator's U and search oracle; the model
+    circuit waits for its first read."""
     cfg.require_circuit_scale()
     A = frozenset(A)
-    m, b = layout.size("index"), cfg.b
+    m = layout.size("index")
     if y not in A or any(not 0 <= i < 2 ** m for i in A):  # also refuses an empty A
         raise SimulationError(f"argmin variant needs y in A and A within [0, {2 ** m}), "
                               f"got y = {y}, A = {sorted(A)}")
-    if m > b:
+    if m > cfg.b:
         raise SimulationError("circuit-exact oracle hosts comparator chains in the "
                               "phase register and needs log2(M) <= b")
-    index, index_p = layout.qubits("index"), layout.qubits("index_p")
-    fid, fid_p = layout.qubits("fid"), layout.qubits("fid_p")
     f_main = fidelity_qadc_circuit(V, W, layout, cfg)
-    f_inv = f_main.inverse()
-    # F' is F with the primed pair standing in for (index, fid)
-    primed = dict(zip(index + fid, index_p + fid_p))
-    phase = layout.qubits("phase")
-    (q1,), (q2,), (q3,) = layout.qubits("Q1"), layout.qubits("Q2"), layout.qubits("Q3")
-    load_y = [pauli_x(index_p[l]) for l in range(m) if (y >> l) & 1]
-    compare = (load_y + f_main.remap(primed).gates + build_J(fid, fid_p, q1, phase[: b - 1]).gates
-               + f_inv.remap(primed).gates + load_y)
-    d_gates = [g for i in sorted(A) for g in build_D(i, index, index_p, phase[:m], q2)]
-
-    U = Circuit(f_main.gates + compare + d_gates)
-    U_dag = d_gates + compare + f_inv.gates
-    circ = Circuit(U.gates + [pauli_x(q2), toffoli(q1, q2, q3), pauli_x(q2)] + U_dag)
-
-    # the simulator's circuits, on the layout without index_p and Q3
+    # the simulator's U, without index_p and Q3: F fused once, then the rest of U
+    # built on it, index_p cut out and fused. F is block-diagonal in index, so
+    # fix_classical cuts each renamed F gate to its block at index_p = y.
+    fused = f_main.fuse()
     reduced = search_layout(layout)
     keep = layout.qubits_of(reduced.names)
-    U_r = U.fix_classical(dict.fromkeys(index_p, 0), keep).fuse()
+    compare, d_gates = _threshold_gates(fused, layout, y, A)
+    tail = Circuit(compare + d_gates).fix_classical(
+        dict.fromkeys(layout.qubits("index_p"), 0), keep).fuse()
+    U = Circuit(fused.remap(dict(zip(keep, range(len(keep))))).gates + tail.gates)
     (s1,), (s2,) = reduced.qubits("Q1"), reduced.qubits("Q2")
-    search = Circuit(U_r.gates + [pauli_x(s2), mcz((s1,), s2), pauli_x(s2)]
-                     + U_r.inverse().gates)
-    return OracleCircuit(circ, layout, y, A, U_r, search)
+    search = Circuit(U.gates + [pauli_x(s2), mcz((s1,), s2), pauli_x(s2)] + U.inverse().gates)
+    return OracleCircuit(layout, y, A, f_main, U, search)
 
 
 def classical_action(circuit: Circuit, num_qubits: int, x: int) -> int:
@@ -287,6 +304,22 @@ def prep_calls_per_oracle(b: int) -> Counter:
 
 
 # --- search handles, one per backend ------------------------------------------
+
+
+def choice_cdf(probs: np.ndarray) -> np.ndarray:
+    """The CDF ``rng.choice(len(probs), p=probs / probs.sum())`` draws from,
+    refusing what it refuses: a p with a NaN, a negative entry, or a sum
+    more than sqrt(eps) away from 1."""
+    p = probs / probs.sum()
+    if np.isnan(p).any():
+        raise SimulationError("search marginal contains NaN")
+    if (p < 0).any():
+        raise SimulationError("search marginal has a negative probability")
+    if abs(p.sum() - 1.0) > math.sqrt(np.finfo(float).eps):
+        raise SimulationError(f"search marginal sums to {p.sum()!r}, not 1")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
 
 
 class TableOracleHandle:
@@ -338,6 +371,7 @@ class CircuitOracleHandle:
         # kept), and the index marginal after r iterations
         self._state = None
         self._marginals = [oracle.start().measure_probs("index")]
+        self._cdfs: dict[int, np.ndarray] = {}
 
     def marginal(self, r: int) -> np.ndarray:
         """Index marginal after r Grover iterations of the search oracle."""
@@ -347,9 +381,12 @@ class CircuitOracleHandle:
         return self._marginals[r]
 
     def run_round(self, r: int, rng: np.random.Generator) -> int:
-        probs = self.marginal(r)
-        # the same draw as StateVector.sample_measurement
-        return int(rng.choice(len(probs), p=probs / probs.sum()))
+        """``rng.choice(len(p), p=p / p.sum())`` on the depth-r marginal p, the
+        same index and stream position, from a CDF built once per depth."""
+        cdf = self._cdfs.get(r)
+        if cdf is None:
+            cdf = self._cdfs[r] = choice_cdf(self.marginal(r))
+        return int(cdf.searchsorted(rng.random(), side="right"))
 
     def evaluate(self, j: int) -> bool:
         return bool(self.oracle.evaluate(j))

@@ -18,6 +18,10 @@ Conventions used throughout the package:
 - Each gate kernel reads its view of the state (axis order, controls=1
   slice) from a plan made once per gate shape; the VIEW_PLANS most recently
   used shapes are kept.
+- A matrix handed to ``Gate`` is checked for unitarity. The fixed gates (H,
+  X, Z, CNOT, TOFFOLI, MCX, MCZ, CSWAP) share read-only module matrices
+  that are checked once, at import, and skip the check per gate, as gates
+  derived from checked gates do.
 """
 from __future__ import annotations
 
@@ -44,13 +48,28 @@ FUSE_QUBITS = 5
 # size, and every (y, A) of a classification the same ones.
 VIEW_PLANS = 1024
 
-_H_MATRIX = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
-_X_MATRIX = np.array([[0, 1], [1, 0]], dtype=complex)
-_Z_MATRIX = np.array([[1, 0], [0, -1]], dtype=complex)
-
 
 class SimulationError(Exception):
     """Raised for violated preconditions (bad registers, non-unitary gates...)."""
+
+
+def _require_unitary(name: str, m: np.ndarray) -> None:
+    if not np.abs(m.conj().T @ m - np.eye(len(m))).max() <= UNITARY_ATOL:
+        raise SimulationError(f"{name}: matrix is not unitary within {UNITARY_ATOL}")
+
+
+def _fixed_matrix(name: str, m: np.ndarray) -> np.ndarray:
+    """A matrix every gate of one kind shares: checked here, once, and made
+    read-only, so no write through one gate can change the others."""
+    _require_unitary(name, m)
+    m.setflags(write=False)
+    return m
+
+
+_H_MATRIX = _fixed_matrix("H", np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0))
+_X_MATRIX = _fixed_matrix("X", np.array([[0, 1], [1, 0]], dtype=complex))
+_Z_MATRIX = _fixed_matrix("Z", np.array([[1, 0], [0, -1]], dtype=complex))
+_SWAP_MATRIX = _fixed_matrix("SWAP", np.eye(4, dtype=complex)[[0, 2, 1, 3]])
 
 
 def require_unit_states(states: np.ndarray, what: str) -> None:
@@ -144,9 +163,7 @@ class Gate:
     def __post_init__(self):
         self._check_structure()
         if self.matrix is not None:
-            m = self.matrix
-            if not np.abs(m.conj().T @ m - np.eye(len(m))).max() <= UNITARY_ATOL:
-                raise SimulationError(f"{self.name}: matrix is not unitary within {UNITARY_ATOL}")
+            _require_unitary(self.name, self.matrix)
 
     def _check_structure(self) -> None:
         """Every check but unitarity: distinct qubits, one of matrix/perm,
@@ -169,13 +186,14 @@ class Gate:
 
     @classmethod
     def _derived(cls, name: str, targets: tuple[int, ...], controls: tuple[int, ...],
-                 matrix: np.ndarray | None, perm: np.ndarray | None,
-                 prep_counts: tuple[tuple[str, int], ...]) -> "Gate":
+                 matrix: np.ndarray | None, perm: np.ndarray | None = None,
+                 prep_counts: tuple[tuple[str, int], ...] = ()) -> "Gate":
         """A gate made from checked gates: one gate's matrix or permutation,
         their inverse, the block that ``Circuit.fix_classical`` cuts from them
-        (all of a column set's weight lands in one row set), or the product of
-        a run of checked gates that ``Circuit.fuse`` builds. Such a matrix is
-        unitary by construction, so only the structure is checked."""
+        (all of a column set's weight lands in one row set), the product of
+        a run of checked gates that ``Circuit.fuse`` builds, or a fixed gate
+        on a module matrix checked at import. Such a matrix is unitary by
+        construction, so only the structure is checked."""
         gate = object.__new__(cls)
         vars(gate).update(name=name, targets=targets, controls=controls, matrix=matrix,
                           perm=perm, prep_counts=prep_counts)
@@ -364,36 +382,35 @@ def _cut_block(gate: Gate, fixed: list[int], free: list[int], k_in: int):
 # --- gate constructors -----------------------------------------------------
 
 def hadamard(q: int) -> Gate:
-    return Gate("H", (q,), matrix=_H_MATRIX)
+    return Gate._derived("H", (q,), (), _H_MATRIX)
 
 
 def pauli_x(q: int) -> Gate:
-    return Gate("X", (q,), matrix=_X_MATRIX)
+    return Gate._derived("X", (q,), (), _X_MATRIX)
 
 
 def pauli_z(q: int) -> Gate:
-    return Gate("Z", (q,), matrix=_Z_MATRIX)
+    return Gate._derived("Z", (q,), (), _Z_MATRIX)
 
 
 def cnot(control: int, target: int) -> Gate:
-    return Gate("CNOT", (target,), (control,), matrix=_X_MATRIX)
+    return Gate._derived("CNOT", (target,), (control,), _X_MATRIX)
 
 
 def toffoli(c1: int, c2: int, target: int) -> Gate:
-    return Gate("TOFFOLI", (target,), (c1, c2), matrix=_X_MATRIX)
+    return Gate._derived("TOFFOLI", (target,), (c1, c2), _X_MATRIX)
 
 
 def mcx(controls: tuple[int, ...], target: int) -> Gate:
-    return Gate("MCX", (target,), tuple(controls), matrix=_X_MATRIX)
+    return Gate._derived("MCX", (target,), tuple(controls), _X_MATRIX)
 
 
 def mcz(controls: tuple[int, ...], target: int) -> Gate:
-    return Gate("MCZ", (target,), tuple(controls), matrix=_Z_MATRIX)
+    return Gate._derived("MCZ", (target,), tuple(controls), _Z_MATRIX)
 
 
 def cswap(control: int, t1: int, t2: int) -> Gate:
-    swap = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
-    return Gate("CSWAP", (t1, t2), (control,), matrix=swap)
+    return Gate._derived("CSWAP", (t1, t2), (control,), _SWAP_MATRIX)
 
 
 def register_unitary(targets: tuple[int, ...], matrix: np.ndarray, name: str,

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from qknn_sim import cli, invariants
 from qknn_sim.cli import CSV_HEADER, RunConfig, main, make_parser, parse_config_file
-from qknn_sim.oracle import build_J
+from qknn_sim.oracle import CircuitOracleHandle, build_J
 from qknn_sim.statevec import pauli_x
 
 
@@ -51,6 +51,17 @@ def _make_corpus(tmp_path, scheme="2q-sep-vs-maxent", per_class=40, seed=3):
     assert run_cli(["gen-data", "--scheme", scheme, "--per-class", str(per_class),
                     "--seed", str(seed), "--out", str(path)]) == 0
     return path
+
+
+def test_classify_exits_1_on_a_search_marginal_the_draw_refuses(monkeypatch, tmp_path, capsys):
+    """A NaN search marginal in circuit-exact classify is refused before the
+    draw, as rng.choice refuses it: the CLI exits 1 with an error line."""
+    corpus = _make_corpus(tmp_path, "2q-sep-vs-ent", per_class=3)
+    monkeypatch.setattr(CircuitOracleHandle, "marginal",
+                        lambda self, r: np.array([np.nan, 0.5, 0.25, 0.25]))
+    assert run_cli(["classify", "--corpus", str(corpus), "--mode", "circuit-exact",
+                    "--k", "1", "--b", "2", "--split", "0.67"]) == 1
+    assert "error: search marginal contains NaN" in capsys.readouterr().err
 
 
 def test_classify_classical_output_format(tmp_path, capsys):

@@ -202,6 +202,52 @@ def test_table_run_round_draw_matches_generator_choice(values, data, r, seed):
     assert mine.random() == reference.random()
 
 
+class _FixedMarginalHandle(CircuitOracleHandle):
+    """The circuit handle's draw over a given marginal at every depth."""
+
+    def __init__(self, probs):
+        self._cdfs, self.probs = {}, probs
+
+    def marginal(self, r):
+        return self.probs
+
+
+@given(st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=1, max_size=16),
+       st.sampled_from([1.0, 1 + 1e-13, 1 - 1e-13]), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=200)
+def test_circuit_run_round_draw_matches_generator_choice(weights, total, seed):
+    """Twin generators: run_round's draws from its cached CDF equal
+    rng.choice's on the same marginal, draw for draw, and leave the stream
+    at the same place, for marginals that sum to 1 or to 1 +- 1e-13."""
+    probs = np.array(weights)
+    if not probs.any():
+        probs[0] = 1.0
+    probs = probs / probs.sum() * total
+    handle = _FixedMarginalHandle(probs)
+    mine, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    for r in (0, 1, 0, 2, 1):
+        assert handle.run_round(r, mine) == int(reference.choice(len(probs),
+                                                                  p=probs / probs.sum()))
+    assert mine.bit_generator.state == reference.bit_generator.state
+
+
+@pytest.mark.parametrize("probs,message", [
+    ([0.5, np.nan], "NaN"), ([1.5, -0.5], "negative"), ([1e308, 1e308], "sums to"),
+], ids=["nan", "negative", "sum"])
+def test_circuit_run_round_refuses_what_generator_choice_refuses(probs, message):
+    """A marginal rng.choice refuses is refused before any draw, and the
+    generator does not move. A sum off 1 needs an overflow of p's sum: p
+    is normalized first."""
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).choice(2, p=np.array(probs) / np.sum(probs))
+        with pytest.raises(SimulationError, match=message):
+            _FixedMarginalHandle(np.array(probs)).run_round(0, rng)
+    assert rng.bit_generator.state == before
+
+
 def test_circuit_handle_runs_search_round():
     oc = invariants.dyadic_oracle(2, 1, {1})
     handle = CircuitOracleHandle(oc)
@@ -406,12 +452,12 @@ def test_phase_oracle_search_matches_kickback_model(kind, M, k, seed):
 
 class _OwnCircuitsBackend(_HandleBackend):
     """Each handle's oracle holds Circuit objects of its own, so the runs of
-    each can be told apart by identity."""
+    each can be told apart by identity; a replaced oracle builds its own
+    model circuit."""
 
     def oracle_for(self, y, A):
         oc = self._assemble(y, frozenset(A))
-        fresh = dataclasses.replace(oc, circuit=Circuit(list(oc.circuit)),
-                                    U=Circuit(list(oc.U)), search=Circuit(list(oc.search)))
+        fresh = dataclasses.replace(oc, U=Circuit(list(oc.U)), search=Circuit(list(oc.search)))
         handle = self.handle_cls(fresh)
         self.handles.append(handle)
         return handle
@@ -420,7 +466,8 @@ class _OwnCircuitsBackend(_HandleBackend):
 @pytest.mark.parametrize("kind,M,k,seed", FIVE_CASES)
 def test_each_handle_runs_max_depth_search_queries_and_one_U(monkeypatch, kind, M, k, seed):
     """Per handle: at most max(r) applications of the search oracle, at most
-    one run of U for all verdicts, and no run of the model circuit."""
+    one run of U for all verdicts, and no run of the model circuit, which
+    is not even built."""
     applied = []  # every circuit run, kept alive so identities stay distinct
     apply_circuit = StateVector.apply_circuit
 
@@ -435,6 +482,7 @@ def test_each_handle_runs_max_depth_search_queries_and_one_U(monkeypatch, kind, 
     assert backend.handles
     for handle in backend.handles:
         oc = handle.oracle
+        assert "circuit" not in vars(oc)
         runs = Counter(name for c in applied for name in ("search", "U", "circuit")
                        if c is getattr(oc, name))
         assert runs["search"] <= max(handle.depths)

@@ -173,6 +173,39 @@ def test_qknn_circuit_exact_dyadic_instance():
     assert res.mode == "circuit-exact" and res.oracle_queries > 0
 
 
+# (label, neighbors, oracle_queries, data_prep_queries) of three seeded Haar
+# test states per (M, n, b, k), search seed = test state number
+GOLDEN_CIRCUIT_EXACT = {
+    (2, 1, 2, 1): [("b", (1,), 47, 7964), ("a", (0,), 42, 7104), ("b", (1,), 44, 7448)],
+    (4, 1, 2, 2): [("b", (3, 2), 47, 7964), ("a", (2, 1), 43, 7276), ("a", (2, 3), 44, 7444)],
+    (4, 1, 3, 2): [("b", (1, 3), 51, 18428), ("b", (1, 2), 43, 15532),
+                   ("b", (1, 3), 44, 15892)],
+    (4, 2, 3, 2): [("a", (2, 3), 47, 16988), ("a", (2, 1), 43, 15532),
+                   ("b", (1, 2), 48, 17352)],
+    (8, 1, 3, 2): [("a", (4, 5), 64, 23160), ("b", (1, 3), 63, 22808),
+                   ("a", (4, 2), 72, 26056)],
+}
+
+
+def test_qknn_circuit_exact_outputs_are_pinned():
+    """Every circuit-exact prediction, neighbour list and query count is
+    pinned: a faster assembly or simulation must reproduce them exactly."""
+    for (M, n, b, k), want in GOLDEN_CIRCUIT_EXACT.items():
+        rng = np.random.default_rng([M, n, b, k])
+
+        def haar(count):
+            v = rng.normal(size=(count, 2 ** n)) + 1j * rng.normal(size=(count, 2 ** n))
+            return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+        train = TrainSet(haar(M), ["a", "b"] * (M // 2))
+        got = []
+        for seed, psi in enumerate(haar(3)):
+            c = qknn_classify(psi, train, k, PrecisionConfig(b), SearchConfig(seed=seed),
+                              mode="circuit-exact")
+            got.append((c.label, c.neighbors, c.oracle_queries, c.data_prep_queries))
+        assert got == want, (M, n, b, k)
+
+
 def test_qknn_circuit_exact_rejects_large_instances():
     train = random_train(16, 2)
     with pytest.raises(SimulationError):

@@ -111,6 +111,21 @@ def test_public_constructors_refuse_a_non_unitary_matrix(build):
         build(matrix)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: hadamard(0), lambda: pauli_x(0), lambda: mcz((1,), 0), lambda: cswap(2, 0, 1),
+    lambda: Circuit([pauli_x(0)]).remap({0: 3}).gates[0],
+    lambda: Circuit([cnot(1, 0)]).fix_classical({1: 1}, (0,)).gates[0],
+], ids=["H", "X", "MCZ", "CSWAP", "remap", "fix_classical"])
+def test_fixed_gate_matrices_are_read_only(build):
+    """Every fixed gate shares one module matrix, and so do the gates remap
+    and fix_classical make from it: a write through any of them raises
+    instead of changing every gate of that kind."""
+    gate = build()
+    with pytest.raises(ValueError):
+        gate.matrix[0, 0] = 5
+    assert np.array_equal(build().matrix, gate.matrix)
+
+
 @pytest.mark.parametrize("matrix", [np.diag([1 + 4e-6, 1]), np.diag([np.nan, 1])])
 def test_gate_rejects_matrix_off_unitary_by_more_than_the_tolerance(matrix):
     """The unitarity tolerance is absolute on every entry of M^dag M - I,
