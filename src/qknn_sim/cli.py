@@ -70,19 +70,18 @@ class RunConfig:
 def parse_config_file(path: str) -> dict:
     values: dict = {}
     first_line: dict = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise SimulationError(f"{path}:{lineno}: expected key = value")
-            key, _, val = line.partition("=")
-            key = key.strip().replace("-", "_")
-            if key in first_line:
-                raise SimulationError(f"{path}:{lineno}: key {key!r} is already set on "
-                                      f"line {first_line[key]}")
-            values[key], first_line[key] = val.strip(), lineno
+    for lineno, raw in enumerate(datasets.text_lines(path), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line or "\0" in line:  # open() refuses a path with a NUL
+            raise SimulationError(f"{path}:{lineno}: expected key = value, no NUL byte")
+        key, _, val = line.partition("=")
+        key = key.strip().replace("-", "_")
+        if key in first_line:
+            raise SimulationError(f"{path}:{lineno}: key {key!r} is already set on "
+                                  f"line {first_line[key]}")
+        values[key], first_line[key] = val.strip(), lineno
     return values
 
 
@@ -241,8 +240,8 @@ _FLAG_OPTIONS = {
     "n": {"help": "qubits per state"}, "k": {"help": "number of neighbors"},
     "b": {"help": "similarity register bits, in [2, 30]"},
     "mode": {"choices": ("classical", "oracle-abstract", "circuit-exact"),
-             "help": "circuit-exact is limited to M in {2, 4, 8} train states, n <= 2, "
-                     "log2(M) <= b <= 3 (2-qubit schemes)"},
+             "help": f"circuit-exact is limited to {qknn.CIRCUIT_EXACT_RULE} "
+                     "(M train states; the 2-qubit schemes)"},
     "corpus": {"help": "corpus JSONL path"},
     "seeds": {"help": "corpus seeds 0 .. seeds-1, one corpus each"},
 }
@@ -271,7 +270,7 @@ def main(argv=None) -> int:
     try:
         cfg = build_run_config(args)
         return _COMMANDS[args.subcommand][0](cfg)
-    except (SimulationError, OSError, ValueError) as exc:
+    except (SimulationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # a bug in qknn-sim itself

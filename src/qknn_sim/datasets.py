@@ -244,42 +244,50 @@ def write_corpus(corpus: LabeledStateCorpus, path: str) -> None:
             fh.write(json.dumps(rec) + "\n")
 
 
+def text_lines(path: str):
+    """The lines of a text file; one that does not decode raises SimulationError."""
+    try:
+        with open(path) as fh:
+            yield from fh
+    except UnicodeDecodeError as exc:
+        raise SimulationError(f"{path}: not a text file ({exc})") from None
+
+
 def read_corpus(path: str) -> LabeledStateCorpus:
     """Load a JSONL corpus: one known scheme, labels of that scheme, and on
     every record 2**n finite amplitudes (n the scheme's qubit count) whose
     norm is 1 within 1e-9, the train-set tolerance. Any other record raises
     SimulationError naming its file and line."""
     states, labels, paths, scheme = [], [], [], None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                rec = json.loads(line)
-                pairs = rec["amplitudes"]
-                if any(type(x) not in (int, float) for pair in pairs for x in pair):
-                    raise TypeError("amplitudes must be [re, im] pairs of numbers")
-                state = np.array([complex(re, im) for re, im in pairs])
-                rec_scheme, label = rec["scheme"], rec["label"]
-                seed_path = rec.get("seed_path", "")
-                if not isinstance(seed_path, str):
-                    raise TypeError("seed_path must be a string")
-            except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
-                raise SimulationError(f"{where}: malformed record ({exc!r})") from exc
-            scheme = scheme or rec_scheme
-            if rec_scheme != scheme or scheme not in SCHEMES:
-                raise SimulationError(f"{where}: scheme {rec_scheme!r}; a corpus holds one "
-                                      f"scheme of {', '.join(SCHEMES)}")
-            if label not in CLASSES[scheme]:
-                raise SimulationError(f"{where}: label {label!r} is not a class of {scheme}")
-            if len(state) != 2 ** QUBITS[scheme]:
-                raise SimulationError(f"{where}: {len(state)} amplitudes; a {scheme} record "
-                                      f"has {2 ** QUBITS[scheme]}")
-            require_unit_states(state, f"{where}: state")
-            labels.append(label)
-            paths.append(seed_path)
-            states.append(state)
+    for lineno, line in enumerate(text_lines(path), 1):
+        if not line.strip():
+            continue
+        where = f"{path}:{lineno}"
+        try:
+            rec = json.loads(line)
+            pairs = rec["amplitudes"]
+            if any(type(x) not in (int, float) for pair in pairs for x in pair):
+                raise TypeError("amplitudes must be [re, im] pairs of numbers")
+            state = np.array([complex(re, im) for re, im in pairs])
+            rec_scheme, label = rec["scheme"], rec["label"]
+            seed_path = rec.get("seed_path", "")
+            if not isinstance(seed_path, str):
+                raise TypeError("seed_path must be a string")
+        except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
+            raise SimulationError(f"{where}: malformed record ({exc!r})") from exc
+        scheme = scheme or rec_scheme
+        if rec_scheme != scheme or scheme not in SCHEMES:
+            raise SimulationError(f"{where}: scheme {rec_scheme!r}; a corpus holds one "
+                                  f"scheme of {', '.join(SCHEMES)}")
+        if label not in CLASSES[scheme]:
+            raise SimulationError(f"{where}: label {label!r} is not a class of {scheme}")
+        if len(state) != 2 ** QUBITS[scheme]:
+            raise SimulationError(f"{where}: {len(state)} amplitudes; a {scheme} record "
+                                  f"has {2 ** QUBITS[scheme]}")
+        require_unit_states(state, f"{where}: state")
+        labels.append(label)
+        paths.append(seed_path)
+        states.append(state)
     if scheme is None:
         raise SimulationError(f"empty corpus file {path!r}")
     return LabeledStateCorpus(scheme, np.array(states), labels, paths)

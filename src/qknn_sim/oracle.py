@@ -255,7 +255,6 @@ def assemble_O_yA(V: Gate, W: Gate, layout: RegisterLayout,
     mid-circuit uncompute of the primed registers; D cascade; X+Toffoli;
     mirror uncompute. Builds the simulator's U and search oracle; the model
     circuit waits for its first read."""
-    cfg.require_circuit_scale()
     A = frozenset(A)
     m = layout.size("index")
     if y not in A or any(not 0 <= i < 2 ** m for i in A):  # also refuses an empty A

@@ -25,10 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statevec import Circuit, Gate, RegisterLayout, SimulationError, basis_permutation
+from .statevec import (Circuit, Gate, RegisterLayout, SimulationError, basis_permutation,
+                       require_fits)
 from .subroutines import ReflectionOperator, build_G, qpe_circuit
-
-CIRCUIT_MAX_BITS = 8  # phase/fid register width cap at desk scale
 
 
 @dataclass(frozen=True)
@@ -40,11 +39,6 @@ class PrecisionConfig:
     def __post_init__(self):
         if not 2 <= self.b <= 30:
             raise SimulationError("precision bits must be in [2, 30]")
-
-    def require_circuit_scale(self) -> None:
-        if self.b > CIRCUIT_MAX_BITS:
-            raise SimulationError(
-                f"circuit-level registers support b <= {CIRCUIT_MAX_BITS}, got {self.b}")
 
 
 def quantize_array(values: np.ndarray, b: int, measure: str = "fidelity") -> np.ndarray:
@@ -79,12 +73,12 @@ def arithmetic_map(cfg: PrecisionConfig, layout: RegisterLayout,
     On a fresh fid register this writes the digitized similarity; the XOR
     completion extends the map to a bijection on every other input.
     """
-    cfg.require_circuit_scale()
-    table = arithmetic_table(cfg, measure)
     b = cfg.b
     if layout.size("phase") != b or layout.size("fid") != b:
         raise SimulationError("phase/fid register width does not match precision")
     size = 2 ** (2 * b)
+    require_fits(f"a {2 * b}-qubit arithmetic permutation", size, 8)
+    table = arithmetic_table(cfg, measure)
     local = np.arange(size)
     t = local & (2 ** b - 1)
     z = local >> b
@@ -102,7 +96,6 @@ def qadc_circuit(op: ReflectionOperator, layout: RegisterLayout, cfg: PrecisionC
     ``op`` is the reflection operator (G for fidelity, H for the dot product);
     its ``amp_circuit`` is E^amp, and its ``kind`` picks the arithmetic table.
     """
-    cfg.require_circuit_scale()
     qpe = qpe_circuit(op.gate, layout.qubits("phase"))
     return Circuit(op.amp_circuit.gates + qpe.gates
                    + [arithmetic_map(cfg, layout, op.kind)]

@@ -23,9 +23,10 @@ from .statevec import SimulationError, require_unit_states
 from .subroutines import make_V, make_W
 
 REAL_ATOL = 1e-12
-# Similarity bits for discrimination: high enough that the generator's pairwise
-# fidelity gap (1e-6) cannot collide with the saturated maximum after quantization.
-DISCRIMINATION_BITS = 20
+# Similarity bits for discrimination: the smallest b with 1e-6 * 2**b > 1.5, so a fidelity
+# under the promised 1 - 1e-6 rounds below 2**b - 1, the match's saturated value.
+DISCRIMINATION_BITS = 21
+CIRCUIT_EXACT_RULE = "M in {2, 4, 8}, n <= 2, log2(M) <= b <= 3"
 
 
 @dataclass(eq=False)
@@ -147,9 +148,8 @@ def qknn_classify(test_state: np.ndarray, train: TrainSet, k: int,
             raise SimulationError("circuit-exact path implements the fidelity oracle")
         m = train.M.bit_length() - 1
         if not (train.M in {2, 4, 8} and train.n <= 2 and m <= cfg.b <= 3):
-            raise SimulationError("circuit-exact mode is limited to M in {2, 4, 8}, n <= 2, "
-                                  f"log2(M) <= b <= 3; got M = {train.M}, n = {train.n}, "
-                                  f"b = {cfg.b}")
+            raise SimulationError(f"circuit-exact mode is limited to {CIRCUIT_EXACT_RULE}; "
+                                  f"got M = {train.M}, n = {train.n}, b = {cfg.b}")
         layout = oracle_layout(m, train.n, cfg.b)
         V, W = make_V(test_state, layout), make_W(train.states, layout)
         # uncached: each accepted step swaps min(A) for a strictly larger value,

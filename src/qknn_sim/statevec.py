@@ -21,7 +21,8 @@ Conventions used throughout the package:
 - A matrix handed to ``Gate`` is checked for unitarity. The fixed gates (H,
   X, Z, CNOT, TOFFOLI, MCX, MCZ, CSWAP) share read-only module matrices
   that are checked once, at import, and skip the check per gate, as gates
-  derived from checked gates do.
+  derived from checked gates do (``Gate.derived``), dense circuit products
+  such as the reflection operators and their powers among them.
 """
 from __future__ import annotations
 
@@ -185,15 +186,16 @@ class Gate:
                 raise SimulationError(f"{self.name}: permutation is not a bijection on {dim} basis states")
 
     @classmethod
-    def _derived(cls, name: str, targets: tuple[int, ...], controls: tuple[int, ...],
-                 matrix: np.ndarray | None, perm: np.ndarray | None = None,
-                 prep_counts: tuple[tuple[str, int], ...] = ()) -> "Gate":
-        """A gate made from checked gates: one gate's matrix or permutation,
-        their inverse, the block that ``Circuit.fix_classical`` cuts from them
-        (all of a column set's weight lands in one row set), the product of
-        a run of checked gates that ``Circuit.fuse`` builds, or a fixed gate
-        on a module matrix checked at import. Such a matrix is unitary by
-        construction, so only the structure is checked."""
+    def derived(cls, name: str, targets: tuple[int, ...], controls: tuple[int, ...],
+                matrix: np.ndarray | None, perm: np.ndarray | None = None,
+                prep_counts: tuple[tuple[str, int], ...] = ()) -> "Gate":
+        """A gate made from checked gates: one gate's matrix or permutation
+        (on other qubits or controls), their inverse, the block that
+        ``Circuit.fix_classical`` cuts from them (all of a column set's weight
+        lands in one row set), the dense product of checked gates (a run that
+        ``Circuit.fuse`` builds, a reflection operator G or H, and its powers
+        G^k), or a fixed gate on a module matrix checked at import. Such a
+        matrix is unitary by construction, so only the structure is checked."""
         gate = object.__new__(cls)
         vars(gate).update(name=name, targets=targets, controls=controls, matrix=matrix,
                           perm=perm, prep_counts=prep_counts)
@@ -202,12 +204,12 @@ class Gate:
 
     def inverse(self) -> "Gate":
         if self.matrix is not None:
-            return Gate._derived(self.name + "^-1", self.targets, self.controls,
-                                 self.matrix.conj().T, None, self.prep_counts)
+            return Gate.derived(self.name + "^-1", self.targets, self.controls,
+                                self.matrix.conj().T, None, self.prep_counts)
         inv = np.empty_like(self.perm)
         inv[self.perm] = np.arange(len(self.perm))
-        return Gate._derived(self.name + "^-1", self.targets, self.controls,
-                             None, inv, self.prep_counts)
+        return Gate.derived(self.name + "^-1", self.targets, self.controls,
+                            None, inv, self.prep_counts)
 
     def qubits(self) -> set[int]:
         return set(self.targets) | set(self.controls)
@@ -241,8 +243,8 @@ class Circuit:
         def move(qubits):
             return tuple(mapping.get(q, q) for q in qubits)
 
-        return Circuit([Gate._derived(g.name, move(g.targets), move(g.controls), g.matrix,
-                                      g.perm, g.prep_counts) for g in self.gates])
+        return Circuit([Gate.derived(g.name, move(g.targets), move(g.controls), g.matrix,
+                                     g.perm, g.prep_counts) for g in self.gates])
 
     def fix_classical(self, values: dict[int, int], keep: tuple[int, ...]) -> "Circuit":
         """The circuit on the ``keep`` qubits, renumbered keep[i] -> i, for
@@ -292,9 +294,9 @@ class Circuit:
                         continue
                     targets = tuple(targets[p] for p in free)
             try:
-                out.append(Gate._derived(gate.name, tuple(renumber[q] for q in targets),
-                                         tuple(renumber[q] for q in controls), matrix, perm,
-                                         gate.prep_counts))
+                out.append(Gate.derived(gate.name, tuple(renumber[q] for q in targets),
+                                        tuple(renumber[q] for q in controls), matrix, perm,
+                                        gate.prep_counts))
             except KeyError as exc:
                 raise SimulationError(f"{gate.name}: qubit {exc.args[0]} is neither "
                                       "tracked nor kept") from None
@@ -323,9 +325,9 @@ class Circuit:
                 out.append(gates[0])
                 continue
             run, targets = Circuit(gates), tuple(sorted(span))
-            out.append(Gate._derived(f"FUSED{len(gates)}", targets, (),
-                                     circuit_to_matrix(run, targets), None,
-                                     tuple(run.prep_counts().items())))
+            out.append(Gate.derived(f"FUSED{len(gates)}", targets, (),
+                                    circuit_to_matrix(run, targets), None,
+                                    tuple(run.prep_counts().items())))
         return Circuit(out)
 
     def qubits(self) -> set[int]:
@@ -382,40 +384,41 @@ def _cut_block(gate: Gate, fixed: list[int], free: list[int], k_in: int):
 # --- gate constructors -----------------------------------------------------
 
 def hadamard(q: int) -> Gate:
-    return Gate._derived("H", (q,), (), _H_MATRIX)
+    return Gate.derived("H", (q,), (), _H_MATRIX)
 
 
 def pauli_x(q: int) -> Gate:
-    return Gate._derived("X", (q,), (), _X_MATRIX)
+    return Gate.derived("X", (q,), (), _X_MATRIX)
 
 
 def pauli_z(q: int) -> Gate:
-    return Gate._derived("Z", (q,), (), _Z_MATRIX)
+    return Gate.derived("Z", (q,), (), _Z_MATRIX)
 
 
 def cnot(control: int, target: int) -> Gate:
-    return Gate._derived("CNOT", (target,), (control,), _X_MATRIX)
+    return Gate.derived("CNOT", (target,), (control,), _X_MATRIX)
 
 
 def toffoli(c1: int, c2: int, target: int) -> Gate:
-    return Gate._derived("TOFFOLI", (target,), (c1, c2), _X_MATRIX)
+    return Gate.derived("TOFFOLI", (target,), (c1, c2), _X_MATRIX)
 
 
 def mcx(controls: tuple[int, ...], target: int) -> Gate:
-    return Gate._derived("MCX", (target,), tuple(controls), _X_MATRIX)
+    return Gate.derived("MCX", (target,), tuple(controls), _X_MATRIX)
 
 
 def mcz(controls: tuple[int, ...], target: int) -> Gate:
-    return Gate._derived("MCZ", (target,), tuple(controls), _Z_MATRIX)
+    return Gate.derived("MCZ", (target,), tuple(controls), _Z_MATRIX)
 
 
 def cswap(control: int, t1: int, t2: int) -> Gate:
-    return Gate._derived("CSWAP", (t1, t2), (control,), _SWAP_MATRIX)
+    return Gate.derived("CSWAP", (t1, t2), (control,), _SWAP_MATRIX)
 
 
 def register_unitary(targets: tuple[int, ...], matrix: np.ndarray, name: str,
                      controls: tuple[int, ...] = (),
                      prep_counts: tuple[tuple[str, int], ...] = ()) -> Gate:
+    """A gate on a matrix from outside the gate algebra (V, W, the IQFT): checked."""
     return Gate(name, tuple(targets), tuple(controls),
                 matrix=np.asarray(matrix, dtype=complex), prep_counts=prep_counts)
 

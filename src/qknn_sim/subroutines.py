@@ -15,7 +15,7 @@ test and sin(pi*theta_j) = sqrt((1+X_j)/2) with X_j the real inner product.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .statevec import (
     pauli_x,
     pauli_z,
     register_unitary,
+    require_fits,
     require_unit_states,
 )
 
@@ -96,8 +97,9 @@ def hadamard_test_circuit(V: Gate, W: Gate, layout: RegisterLayout) -> Circuit:
     (bq,) = layout.qubits("B")
     if V.targets != layout.qubits("data"):
         raise SimulationError("test-state oracle does not act on the data register")
-    return Circuit([V, hadamard(bq), replace(V.inverse(), controls=(bq,)),
-                    replace(W, controls=(bq,)), hadamard(bq)])
+    v_inv, w = (Gate.derived(g.name, g.targets, (bq,), g.matrix, None, g.prep_counts)
+                for g in (V.inverse(), W))  # controlled on B
+    return Circuit([V, hadamard(bq), v_inv, w, hadamard(bq)])
 
 
 # --- reflection operators ----------------------------------------------------
@@ -130,9 +132,8 @@ def reflection_operator(kind: str, prep: Circuit, layout: RegisterLayout,
     circ = Circuit([pauli_z(bq)] + prep.inverse().gates
                    + zero_reflection(layout.qubits_of(work)).gates + prep.gates)
     qubits = layout.qubits_of(support)
-    gate = register_unitary(qubits, circuit_to_matrix(circ, qubits),
-                            "G" if kind == "fidelity" else "H",
-                            prep_counts=tuple(circ.prep_counts().items()))
+    gate = Gate.derived("G" if kind == "fidelity" else "H", qubits, (),
+                        circuit_to_matrix(circ, qubits), None, tuple(circ.prep_counts().items()))
     return ReflectionOperator(kind, gate, prep)
 
 
@@ -152,19 +153,14 @@ def build_H_dot(V: Gate, W: Gate, layout: RegisterLayout) -> ReflectionOperator:
 # --- quantum phase estimation ------------------------------------------------
 
 
-def qft_inverse_matrix(b: int) -> np.ndarray:
-    d = 2 ** b
-    x, t = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
-    return np.exp(-2j * np.pi * x * t / d) / math.sqrt(d)
-
-
 def qpe_circuit(op: Gate, phase_qubits: tuple[int, ...]) -> Circuit:
     """Standard phase estimation of an uncontrolled unitary gate: controlled
     powers by repeated composition, then the inverse quantum Fourier
     transform on the phase register."""
     if op.matrix is None or op.controls:
         raise SimulationError(f"{op.name}: phase estimation needs an uncontrolled matrix gate")
-    b = len(phase_qubits)
+    b, d = len(phase_qubits), 2 ** len(phase_qubits)
+    require_fits(f"a {b}-qubit inverse QFT", d * d)
     circ = Circuit([hadamard(q) for q in phase_qubits])
     power = op.matrix
     reps = 1
@@ -173,9 +169,10 @@ def qpe_circuit(op: Gate, phase_qubits: tuple[int, ...]) -> Circuit:
             power = power @ power  # compose, never diagonalize
             reps *= 2
         counts = tuple((tag, cnt * reps) for tag, cnt in op.prep_counts)
-        circ.append(register_unitary(op.targets, power, f"{op.name}^{reps}",
-                                     controls=(ctl,), prep_counts=counts))
-    circ.append(register_unitary(phase_qubits, qft_inverse_matrix(b), "IQFT"))
+        circ.append(Gate.derived(f"{op.name}^{reps}", op.targets, (ctl,), power, None, counts))
+    x, t = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
+    iqft = np.exp(-2j * np.pi * x * t / d) / math.sqrt(d)
+    circ.append(register_unitary(phase_qubits, iqft, "IQFT"))
     return circ
 
 

@@ -193,11 +193,14 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
 
 
 def test_config_file_parser_rejects_garbage(tmp_path):
+    """A line without '=', and a value with a NUL byte (which no path may
+    hold), exit 1."""
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("this is not a key value line\n")
     assert parse_config_file.__name__ == "parse_config_file"
-    code = run_cli(["gen-data", "--scheme", "2q-sep-vs-ent", "--config", str(cfg)])
-    assert code == 1
+    for text in ("this is not a key value line\n", "out = a\0b\n"):
+        cfg.write_text(text)
+        code = run_cli(["gen-data", "--scheme", "2q-sep-vs-ent", "--config", str(cfg)])
+        assert code == 1
 
 
 def test_bench_emits_per_trial_traces(tmp_path):
@@ -326,12 +329,25 @@ def test_config_duplicate_key_exits_1_naming_both_lines(tmp_path, capsys):
 
 
 def test_unexpected_exception_exits_2(monkeypatch, capsys):
-    """Exit 2 is for bugs in qknn-sim itself: any exception that is not bad input."""
-    def broken(cfg):
-        raise RuntimeError("boom")
-    monkeypatch.setitem(cli._COMMANDS, "verify", (broken, cli._COMMANDS["verify"][1]))
-    assert run_cli(["verify"]) == 2
-    assert capsys.readouterr().err.startswith("runtime error: boom")
+    """Exit 2 is for bugs in qknn-sim itself: any exception that is not bad
+    input, a ValueError among them."""
+    for error in (RuntimeError, ValueError):
+        def broken(cfg):
+            raise error("boom")
+        monkeypatch.setitem(cli._COMMANDS, "verify", (broken, cli._COMMANDS["verify"][1]))
+        assert run_cli(["verify"]) == 2
+        assert capsys.readouterr().err.startswith("runtime error: boom")
+
+
+@pytest.mark.parametrize("flag", ["--corpus", "--config"])
+def test_undecodable_file_exits_1_naming_it(tmp_path, capsys, flag):
+    """A corpus or config file that is not text is bad input: exit 1 with
+    one error line that names the file."""
+    path = tmp_path / "binary.dat"
+    path.write_bytes(b"\xff\xfe\x00 = 1\n")
+    assert run_cli(["classify", flag, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not a text file") and err.count("\n") == 1
 
 
 def test_output_path_that_is_a_directory_exits_1(tmp_path, capsys):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from qknn_sim import invariants
 from qknn_sim import oracle as oracle_module
+from qknn_sim import statevec as statevec_module
 from qknn_sim.kmax import CircuitBackend, SearchConfig, k_maxima
 from qknn_sim.oracle import (
     CircuitOracleHandle,
@@ -46,6 +47,27 @@ def test_threshold_state_validation(monkeypatch):
     for y, A in ((0, {1, 2}), (0, {0, 9}), (0, set())):
         with pytest.raises(SimulationError):
             assemble_O_yA(V, W, layout, cfg, y, A)
+
+
+def test_assembly_checks_unitarity_only_of_matrices_from_outside(monkeypatch):
+    """A (2, 2, 3) assembly, V and W included, runs the unitarity check on
+    V, W and the inverse QFT alone: G, its powers, the controlled copies,
+    inverses, blocks and fused runs are derived from checked gates."""
+    checked = []
+    real_check = statevec_module._require_unitary
+
+    def record(name, m):
+        checked.append(name)
+        real_check(name, m)
+    monkeypatch.setattr(statevec_module, "_require_unitary", record)
+    rng = np.random.default_rng(23)
+    states = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
+    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    layout = oracle_layout(2, 2, 3)
+    V, W = make_V(states[4], layout, register="test"), make_W(states[:4], layout)
+    oc = assemble_O_yA(V, W, layout, PrecisionConfig(3), 1, {1, 2})
+    assert len(oc.search) > len(oc.U) > 0
+    assert sorted(checked) == ["IQFT", "V", "W"]
 
 
 @pytest.mark.parametrize("a,b,carry,expect_flip", [

@@ -1,5 +1,6 @@
 """Digitization chain: quantization, arithmetic permutation, the QADC composition."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from qknn_sim.statevec import (
     hadamard,
     pauli_x,
 )
-from qknn_sim.subroutines import build_G, build_H_dot, make_V, make_W
+from qknn_sim.subroutines import build_G, build_H_dot, make_V, make_W, qpe_circuit
 
 RNG = np.random.default_rng(1234)
 
@@ -41,8 +42,28 @@ def test_precision_config_bounds():
     assert PrecisionConfig(4).b == 4
     with pytest.raises(SimulationError):
         PrecisionConfig(1)
-    with pytest.raises(SimulationError):
-        PrecisionConfig(12).require_circuit_scale()
+
+
+@pytest.mark.parametrize("build", [
+    lambda V, W, layout, cfg: fidelity_qadc_circuit(V, W, layout, cfg),
+    lambda V, W, layout, cfg: arithmetic_map(cfg, layout),
+    lambda V, W, layout, cfg: qpe_circuit(build_G(V, W, layout).gate, layout.qubits("phase")),
+], ids=["fidelity_qadc_circuit", "arithmetic_map", "qpe_circuit"])
+def test_qadc_builders_refuse_what_does_not_fit_before_allocating(build):
+    """At b = 13 the arithmetic permutation and the inverse QFT hold 2**26
+    entries, past the memory cap: each builder refuses before allocating them."""
+    rng = np.random.default_rng(13)
+    layout, cfg = fidelity_layout(1, 1, 13), PrecisionConfig(13)
+    V = make_V(haar(1, rng), layout, register="test")
+    W = make_W(np.stack([haar(1, rng), haar(1, rng)]), layout)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SimulationError, match=r"at most 2\*\*24"):
+            build(V, W, layout, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 @given(st.integers(2, 16), st.integers(0, 2 ** 16 - 1))

@@ -295,6 +295,19 @@ def test_discriminate_promise_violation():
         discriminate(stranger, train, SearchConfig(seed=1))
 
 
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("match_first", [True, False])
+def test_discriminate_separates_the_promised_gap(seed, match_first):
+    """A train state at F = 1 - 1.2e-6 to the test state keeps the promise
+    F < 1 - 1e-6; quantized, it must fall below the match's saturated value,
+    so the search finds the match on every seed and in both train orders."""
+    match = np.array([1, 0], dtype=complex)
+    near = np.array([np.sqrt(1 - 1.2e-6), np.sqrt(1.2e-6)], dtype=complex)
+    states = np.stack([match, near] if match_first else [near, match])
+    found, _ = discriminate(match, TrainSet(states, [0, 1]), SearchConfig(seed=seed))
+    assert found == (0 if match_first else 1)
+
+
 def test_trainset_validation():
     with pytest.raises(SimulationError):
         TrainSet(np.array([[1, 1]], dtype=complex), ["A"])   # unnormalized

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qknn_sim.oracle import classical_action, oracle_layout
-from qknn_sim.qadc import CIRCUIT_MAX_BITS, PrecisionConfig, fidelity_qadc_circuit
+from qknn_sim.qadc import PrecisionConfig, fidelity_qadc_circuit
 from qknn_sim.statevec import (
     FUSE_QUBITS,
     MAX_DENSE_QUBITS,
@@ -134,7 +134,7 @@ def test_gate_rejects_matrix_off_unitary_by_more_than_the_tolerance(matrix):
         Gate("bad", (0,), matrix=matrix.astype(complex))
 
 
-@pytest.mark.parametrize("m,n,b", [(2, 2, 3), (3, 3, CIRCUIT_MAX_BITS)])
+@pytest.mark.parametrize("m,n,b", [(2, 2, 3), (3, 3, 8)])
 def test_gate_accepts_the_dense_reflection_powers_of_the_fidelity_digitizer(m, n, b):
     """The controlled G^k gates fidelity_qadc_circuit builds on Haar states
     pass the strict unitarity check, up to G^128 on the largest dense G
