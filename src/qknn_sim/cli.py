@@ -27,7 +27,6 @@ CSV_HEADER = "# qknn-sim v1"
 class RunConfig:
     """Every setting; field names are the config-file keys, annotations the types."""
 
-    subcommand: str
     scheme: str = "2q-sep-vs-ent"
     M: str = "64"  # single value or comma-separated sweep
     n: int = 2
@@ -85,8 +84,7 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
-_TYPES = {f.name: {"int": int, "float": float}.get(f.type, str)
-          for f in fields(RunConfig) if f.name != "subcommand"}
+_TYPES = {f.name: {"int": int, "float": float}.get(f.type, str) for f in fields(RunConfig)}
 _FLAGS = {key: "--" + key.replace("_", "-") for key in _TYPES} | {"lam": "--lambda"}
 
 
@@ -108,7 +106,7 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
             except ValueError:
                 raise SimulationError(f"{args.config}: key {key!r} has value {value!r}, "
                                       f"expected {_TYPES[key].__name__}") from None
-    return RunConfig(args.subcommand, **merged)
+    return RunConfig(**merged)
 
 
 def _write_lines(path: str | None, lines: list[str], mode: str = "w") -> None:

@@ -33,7 +33,6 @@ def split_corpus(corpus: datasets.LabeledStateCorpus, split: float,
 
 @dataclass(eq=False)
 class EntanglementRow:
-    scheme: str
     classical: float   # accuracy, mean over corpus seeds
     quantum: float
     agreement: float   # share of test states where both paths predict the same
@@ -63,8 +62,7 @@ def entanglement_experiment(scheme: str, per_class: int, k: int, b: int,
             points += 1
         acc_c.append(hits_c / len(test_idx))
         acc_q.append(hits_q / len(test_idx))
-    return EntanglementRow(scheme, float(np.mean(acc_c)), float(np.mean(acc_q)),
-                           agree / points)
+    return EntanglementRow(float(np.mean(acc_c)), float(np.mean(acc_q)), agree / points)
 
 
 @dataclass(eq=False)

@@ -53,8 +53,13 @@ class SearchConfig:
     def __post_init__(self):
         if not 1.0 < self.lam <= 4.0 / 3.0:
             raise SimulationError("growth factor must be in (1, 4/3]")
+        for name in ("max_rounds", "seed"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise SimulationError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.max_rounds < 1:
             raise SimulationError("max_rounds must be >= 1")
+        if self.seed < 0:
+            raise SimulationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(eq=False)
@@ -109,7 +114,8 @@ def grover_search_unknown(oracle: TableOracleHandle | CircuitOracleHandle, cfg: 
 class TableBackend:
     """Oracle factory over a fixed similarity table (the abstract backend).
 
-    ``values`` is the quantized (or raw, for pure scaling studies) table;
+    ``values`` is the quantized (or raw, for pure scaling studies) table, 1-D
+    and finite: a NaN would sort first and keep ``is_top_k`` false forever.
     ``prep_calls`` is the V+W call count of one oracle application, zero
     when the table has no associated circuit width. The table must not change
     after construction: ``is_top_k`` sorts it once, so each call costs
@@ -118,6 +124,10 @@ class TableBackend:
 
     def __init__(self, values: np.ndarray, b: int | None = None):
         self.values = np.asarray(values)
+        if self.values.ndim != 1:
+            raise SimulationError(f"search table must be 1-D, got shape {self.values.shape}")
+        if not np.isfinite(self.values).all():
+            raise SimulationError("search table holds a non-finite value")
         self.prep_calls = sum(prep_calls_per_oracle(b).values()) if b is not None else 0
         self._descending = None  # the table sorted once, on the first is_top_k
 

@@ -158,33 +158,32 @@ class OracleCircuit:
 
     @cached_property
     def circuit(self) -> Circuit:
-        """The model U^dag . T . U on ``layout``, built from the unfused F."""
+        """The model U^dag . T . U on ``layout``, built from the unfused F.
+        The mirror half U^dag reuses U's three parts in reverse order, as each
+        is its own inverse gate for gate: the D cascade, the comparison, and
+        F, which mirrors E^amp and QPE around an XOR arithmetic step."""
         compare, d_gates = _threshold_gates(self.F, self.layout, self.y, self.A)
         (q1,), (q2,), (q3,) = (self.layout.qubits(name) for name in ("Q1", "Q2", "Q3"))
         return Circuit(self.F.gates + compare + d_gates
                        + [pauli_x(q2), toffoli(q1, q2, q3), pauli_x(q2)]
-                       + d_gates + compare + self.F.inverse().gates)
+                       + d_gates + compare + self.F.gates)
 
     @property
     def M(self) -> int:
         return 2 ** self.layout.size("index")
 
-    @property
-    def search_layout(self) -> RegisterLayout:
-        return search_layout(self.layout)
-
     def start(self) -> StateVector:
-        """A fresh uniform index state on ``search_layout``. The oracle keeps
-        no start state; the one state it keeps alive, for its own lifetime,
-        is the run of U on a start state (``_u_run``)."""
-        layout = self.search_layout
+        """A fresh uniform index state on ``search_layout(layout)``. The
+        oracle keeps no start state; the one state it keeps alive, for its
+        own lifetime, is the run of U on a start state (``_u_run``)."""
+        layout = search_layout(self.layout)
         return StateVector.zero_state(layout).apply_circuit(
             Circuit([hadamard(q) for q in layout.qubits("index")]))
 
     @cached_property
     def diffusion(self) -> Circuit:
         """H^m . (reflection about |0...0>) . H^m on the index register, whose
-        qubits are the same in ``layout`` and ``search_layout``."""
+        qubits are the same in ``layout`` and ``search_layout(layout)``."""
         index = self.layout.qubits("index")
         h_index = [hadamard(q) for q in index]
         return Circuit(h_index + zero_reflection(index).gates + h_index)
@@ -396,31 +395,26 @@ class CircuitOracleHandle:
 
 @dataclass(eq=False)
 class QubitReport:
-    registers: dict
     builder_peak: int
     layout_total: int
     closed_form: int
-    delta: int
-    explanation: str
+
+    @property
+    def delta(self) -> int:
+        return self.layout_total - self.closed_form
 
 
-def qubit_accounting(oracle: OracleCircuit, n: int) -> QubitReport:
+def qubit_accounting(oracle: OracleCircuit) -> QubitReport:
     """Peak qubit use of the assembled oracle against the closed-form count.
 
     The closed-form count here is 2m + 2b + k_J + 1 + max(k_D + 2 - m - b,
     2n + b - k_J) with k_J = k_D = 0 extra ancillas, since both comparator
     chains live in the recycled phase register and the D pattern register is
-    the recycled primed index register.
+    the recycled primed index register. m, n and b are the oracle layout's
+    index, train and phase widths.
     """
     layout = oracle.layout
-    m, b = layout.size("index"), layout.size("phase")
+    m, n, b = (layout.size(name) for name in ("index", "train", "phase"))
     k_j = k_d = 0
     formula = 2 * m + 2 * b + k_j + 1 + max(k_d + 2 - m - b, 2 * n + b - k_j)
-    total = layout.num_qubits
-    peak = len(oracle.circuit.qubits())
-    regs = {name: layout.size(name) for name in layout.names}
-    expl = ("Q1, Q2 and Q3 are dedicated qubits in the fixed register machine; "
-            "the closed-form count packs the two comparison flags into work "
-            "space freed by the mid-circuit uncompute, so the fixed layout "
-            "carries a constant overhead of +%d." % (total - formula))
-    return QubitReport(regs, peak, total, formula, total - formula, expl)
+    return QubitReport(len(oracle.circuit.qubits()), layout.num_qubits, formula)

@@ -37,6 +37,8 @@ class PrecisionConfig:
     b: int
 
     def __post_init__(self):
+        if not isinstance(self.b, (int, np.integer)):
+            raise SimulationError(f"precision bits must be an integer, got {self.b!r}")
         if not 2 <= self.b <= 30:
             raise SimulationError("precision bits must be in [2, 30]")
 

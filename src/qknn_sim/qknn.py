@@ -50,10 +50,6 @@ class TrainSet:
     def n(self) -> int:
         return int(round(math.log2(self.states.shape[1])))
 
-    def require_real(self) -> None:
-        if np.abs(self.states.imag).max() > REAL_ATOL:
-            raise SimulationError("dot-product path requires real-amplitude states")
-
 
 @dataclass(eq=False)
 class FidelityTable:
@@ -75,7 +71,8 @@ class FidelityTable:
         if measure == "fidelity":
             exact = np.abs(overlaps) ** 2
         elif measure == "dot":
-            train.require_real()
+            if np.abs(train.states.imag).max() > REAL_ATOL:
+                raise SimulationError("dot-product path requires real-amplitude states")
             if np.abs(test_state.imag).max() > REAL_ATOL:
                 raise SimulationError("dot-product path requires a real-amplitude test state")
             exact = overlaps.real.copy()
@@ -83,9 +80,6 @@ class FidelityTable:
             raise SimulationError(f"unknown measure {measure!r}")
         quant = quantize_array(exact, b, measure) if b is not None else None
         return cls(exact, quant)
-
-    def ranking_values(self) -> np.ndarray:
-        return self.quantized if self.quantized is not None else self.exact
 
 
 @dataclass(eq=False)
@@ -126,8 +120,7 @@ def classical_knn(test_state: np.ndarray, train: TrainSet, k: int,
     if k > train.M:
         raise SimulationError("k cannot exceed the number of train states")
     table = FidelityTable.from_states(test_state, train, measure, b)
-    values = table.ranking_values()
-    neighbors = top_k_indices(values, k)
+    neighbors = top_k_indices(table.exact if b is None else table.quantized, k)
     label = majority_vote([train.labels[i] for i in neighbors])
     return Classification(label, tuple(neighbors),
                           tuple(float(table.exact[i]) for i in neighbors),

@@ -16,8 +16,9 @@ Conventions used throughout the package:
 - States above MAX_QUBITS qubits and dense circuit unitaries above
   MAX_DENSE_QUBITS qubits are refused before anything is allocated.
 - Each gate kernel reads its view of the state (axis order, controls=1
-  slice) from a plan made once per gate shape; the VIEW_PLANS most recently
-  used shapes are kept.
+  slice) from a plan made once per gate shape and kept. One circuit-exact
+  oracle, with its fusing, uses 40 to 71 shapes at every allowed size, and
+  every (y, A) of a classification the same ones.
 - A matrix handed to ``Gate`` is checked for unitarity. The fixed gates (H,
   X, Z, CNOT, TOFFOLI, MCX, MCZ, CSWAP) share read-only module matrices
   that are checked once, at import, and skip the check per gate, as gates
@@ -44,10 +45,6 @@ MAX_DENSE_QUBITS = 10
 # per-call overhead more than its arithmetic; at 12 qubits width 5 gave the
 # lowest cost of fusing plus three runs of the oracle's U (BENCH_13.json).
 FUSE_QUBITS = 5
-# Gate shapes (n, targets, controls) whose view plan _apply_gate keeps. One
-# circuit-exact oracle, with its fusing, uses 40 to 71 shapes at every allowed
-# size, and every (y, A) of a classification the same ones.
-VIEW_PLANS = 1024
 
 
 class SimulationError(Exception):
@@ -494,12 +491,12 @@ class StateVector:
 
 # --- application kernels ---------------------------------------------------
 
-@functools.lru_cache(maxsize=VIEW_PLANS)
+@functools.cache
 def _view_plan(n: int, targets: tuple[int, ...], controls: tuple[int, ...]):
     """(shape, perm, sel, dim) of a gate shape: the tensor shape (2,)*n, the
     axis order ``np.moveaxis`` builds to bring the controls to the front and
     the targets to the back, the controls=1 index and 2**len(targets). A
-    qubit out of range raises; lru_cache keeps no error, so every call does."""
+    qubit out of range raises; the cache keeps no error, so every call does."""
     for q in targets + controls:
         if not 0 <= q < n:
             raise SimulationError(f"qubit index {q} out of range for {n} qubits")

@@ -153,7 +153,7 @@ def test_criterion_9_qubit_accounting():
     details = []
     ok = True
     for b in (2, 3):
-        rep = oracle.qubit_accounting(invariants.dyadic_oracle(b, 1, {1}), n=1)
+        rep = oracle.qubit_accounting(invariants.dyadic_oracle(b, 1, {1}))
         ok &= rep.builder_peak == rep.layout_total
         details.append(f"b={b}: peak={rep.builder_peak} layout={rep.layout_total} "
                        f"formula={rep.closed_form} delta=+{rep.delta}")

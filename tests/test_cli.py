@@ -448,7 +448,7 @@ READS = {
     "discriminate": {"M", "n", "trials", "seed", "budget_rounds", "lam", "out"},
     "entanglement": {"per_class", "k", "b", "seeds", "out"},
 }
-SETTINGS = [f.name for f in fields(RunConfig) if f.name != "subcommand"]
+SETTINGS = [f.name for f in fields(RunConfig)]
 
 
 def unread(cmds, settings):

@@ -56,6 +56,30 @@ def test_search_config_validation():
         SearchConfig(lam=1.5)
     with pytest.raises(SimulationError):
         SearchConfig(max_rounds=0)
+    SearchConfig(max_rounds=np.int64(3), seed=np.int64(5))
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"max_rounds": 2.5}, "max_rounds must be an integer, got 2.5"),
+    ({"seed": 2.5}, "seed must be an integer, got 2.5"),
+    ({"seed": -1}, "seed must be >= 0, got -1"),
+], ids=["fractional max_rounds", "fractional seed", "negative seed"])
+def test_search_config_refuses_fractional_counts_and_negative_seeds(kwargs, message):
+    """A fractional max_rounds used to reach k_maxima's range() as a raw TypeError."""
+    with pytest.raises(SimulationError, match=message):
+        SearchConfig(**kwargs)
+
+
+@pytest.mark.parametrize("table,message", [
+    (np.ones((2, 2)), r"must be 1-D, got shape \(2, 2\)"),
+    (np.array([np.nan, 1, 2, 3]), "non-finite"),
+    (np.array([0.1, np.inf, 0.3]), "non-finite"),
+], ids=["2-D", "NaN", "inf"])
+def test_table_backend_refuses_a_table_it_cannot_search(table, message):
+    """A 2-D table used to fail inside k_maxima with an IndexError, and a NaN,
+    which the descending sort puts first, kept is_top_k false for good."""
+    with pytest.raises(SimulationError, match=message):
+        TableBackend(table)
 
 
 def test_all_marked_succeeds_immediately():

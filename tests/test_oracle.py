@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 from qknn_sim import invariants
 from qknn_sim import oracle as oracle_module
 from qknn_sim import statevec as statevec_module
+from qknn_sim.datasets import haar_random_state
 from qknn_sim.kmax import CircuitBackend, SearchConfig, k_maxima
 from qknn_sim.oracle import (
     CircuitOracleHandle,
+    OracleCircuit,
     SimulationError,
     TableOracleHandle,
     assemble_O_yA,
@@ -23,10 +25,11 @@ from qknn_sim.oracle import (
     oracle_layout,
     prep_calls_per_oracle,
     qubit_accounting,
+    search_layout,
     u_gt_gates,
     u_neq_gates,
 )
-from qknn_sim.qadc import PrecisionConfig, quantize_array
+from qknn_sim.qadc import PrecisionConfig, fidelity_qadc_circuit, quantize_array
 from qknn_sim.statevec import Circuit, StateVector, hadamard, mcz, pauli_x
 from qknn_sim.subroutines import make_V, make_W
 
@@ -145,7 +148,7 @@ def test_fused_circuits_match_the_unfused_reduction(m, n, b):
                        layout, PrecisionConfig(b), 0, {0})
     # the model is U . T . U^dag with T three gates long
     model_U = Circuit(oc.circuit.gates[: (len(oc.circuit) - 3) // 2])
-    reduced = oc.search_layout
+    reduced = search_layout(oc.layout)
     U = model_U.fix_classical(dict.fromkeys(layout.qubits("index_p"), 0),
                               layout.qubits_of(reduced.names))
     (s1,), (s2,) = reduced.qubits("Q1"), reduced.qubits("Q2")
@@ -282,10 +285,48 @@ def test_circuit_handle_runs_search_round():
 
 def test_qubit_accounting_report():
     oc = invariants.dyadic_oracle(3, 1, {1})
-    rep = qubit_accounting(oc, n=1)
+    rep = qubit_accounting(oc)
     assert rep.builder_peak == rep.layout_total == oc.layout.num_qubits
     assert rep.delta == rep.layout_total - rep.closed_form
-    assert "Q1" in rep.explanation or "Q1" in rep.registers
+
+
+# every (m, n, b) the circuit-exact rule admits: M in {2, 4, 8}, n <= 2, log2(M) <= b <= 3
+CIRCUIT_EXACT_SHAPES = [(m, n, b) for m in (1, 2, 3) for n in (1, 2) for b in (2, 3) if m <= b]
+
+
+def _haar_F(m, n, b, seed=0):
+    """The unfused QADC operator F on the (m, n, b) layout for 2**m Haar
+    train states and a Haar test state."""
+    rng = np.random.default_rng(seed)
+    layout = oracle_layout(m, n, b)
+    states = np.stack([haar_random_state(n, rng) for _ in range(2 ** m + 1)])
+    V, W = make_V(states[-1], layout, register="test"), make_W(states[:-1], layout)
+    return layout, fidelity_qadc_circuit(V, W, layout, PrecisionConfig(b))
+
+
+@pytest.mark.parametrize("m,n,b", CIRCUIT_EXACT_SHAPES)
+def test_qubit_accounting_reads_m_n_and_b_from_the_layout(m, n, b):
+    """The model circuit, built from F alone (no U, search oracle or state),
+    touches every qubit of its layout, and the closed form takes m, n and b
+    from that layout; the three dedicated flags Q1, Q2, Q3 are the delta."""
+    layout, F = _haar_F(m, n, b)
+    rep = qubit_accounting(OracleCircuit(layout, 0, frozenset({0}), F, Circuit(), Circuit()))
+    assert rep.builder_peak == rep.layout_total == layout.num_qubits
+    assert rep.closed_form == 2 * m + 2 * b + 1 + max(2 - m - b, 2 * n + b)
+    assert rep.delta == 3
+
+
+@pytest.mark.parametrize("m,n,b", [(1, 1, 2), (2, 2, 3), (3, 1, 3)])
+def test_fidelity_qadc_circuit_is_its_own_inverse_gate_for_gate(m, n, b):
+    """F mirrors E^amp and QPE around the XOR arithmetic step, so F^-1 is F
+    gate for gate: equal targets, controls, prep counts and matrix or
+    permutation bytes. The model's mirror half reuses F on this property."""
+    def key(g):
+        data = g.perm if g.matrix is None else g.matrix
+        return g.targets, g.controls, g.prep_counts, g.matrix is None, data.tobytes()
+
+    _, F = _haar_F(m, n, b)
+    assert [key(g) for g in F.inverse().gates] == [key(g) for g in F.gates]
 
 
 def test_oracle_rejects_m_wider_than_b():
@@ -334,7 +375,7 @@ class _RebuildingHandle(CircuitOracleHandle):
 
     def run_round(self, r, rng):
         self.rng = rng
-        layout = self.oracle.search_layout
+        layout = search_layout(self.oracle.layout)
         state = StateVector.zero_state(layout).apply_circuit(
             Circuit([hadamard(q) for q in layout.qubits("index")]))
         for _ in range(r):
@@ -548,6 +589,6 @@ def test_reduced_search_matches_kickback_model_at_two_qubit_states():
     verdict is the most probable Q3 outcome of the full circuit on |j>. The
     instance marks index 0 (P = 0.58) and leaves index 3 near 0.35."""
     oc = invariants.haar_oracle(np.random.default_rng(43), 2, n=2)
-    assert (oc.layout.num_qubits, oc.search_layout.num_qubits) == (18, 15)
+    assert (oc.layout.num_qubits, search_layout(oc.layout).num_qubits) == (18, 15)
     assert [oc.evaluate(j) for j in range(oc.M)] == [1, 0, 0, 0]
     assert invariants.kickback_gap(oc, depth=2) <= 1e-12

@@ -42,6 +42,13 @@ def test_precision_config_bounds():
     assert PrecisionConfig(4).b == 4
     with pytest.raises(SimulationError):
         PrecisionConfig(1)
+    assert PrecisionConfig(np.int64(3)).b == 3
+
+
+def test_precision_config_refuses_fractional_bits():
+    """b = 2.5 used to digitize to the codes 0..4: [0.1, 0.5, 0.9, 1.0] -> [1, 3, 4, 4]."""
+    with pytest.raises(SimulationError, match="precision bits must be an integer, got 2.5"):
+        PrecisionConfig(2.5)
 
 
 @pytest.mark.parametrize("build", [

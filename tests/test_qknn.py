@@ -96,6 +96,12 @@ def test_classical_knn_validation():
                       TrainSet(np.zeros((0, 2), dtype=complex), []), 1)
 
 
+def test_classical_knn_refuses_fractional_bits():
+    """At b = 2.5 the table used to be ranked on the codes 0..4."""
+    with pytest.raises(SimulationError, match="precision bits must be an integer, got 2.5"):
+        classical_knn(np.array([1, 0], dtype=complex), random_train(4, 1), 1, b=2.5)
+
+
 def test_dot_measure_rejects_complex_states():
     train = random_train(4, 1)
     with pytest.raises(SimulationError):
