@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statevec import SimulationError, require_fits, require_unit_states
+from .statevec import SimulationError, require_count, require_fits, require_unit_states
 
 SCHEMES = ("2q-sep-vs-ent", "2q-sep-vs-maxent", "3q-five-class")
 CLASSES = {
@@ -174,8 +174,7 @@ def gen_class(scheme: str, class_id: str, count: int, seed) -> LabeledStateCorpu
     """Generate one class, one child seed per state; one labeler call checks it."""
     if scheme not in SCHEMES:
         raise SimulationError(f"unknown scheme {scheme!r}")
-    if count < 1:
-        raise SimulationError(f"count must be >= 1, got {count}")
+    require_count("count", count)
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     children = root.spawn(count)
     states = np.array([generate_state(scheme, class_id, np.random.default_rng(child))
@@ -194,8 +193,7 @@ def gen_corpus(scheme: str, per_class: int, seed: int) -> LabeledStateCorpus:
     Corpora above 2**MAX_QUBITS amplitudes are refused before any seed is spawned."""
     if scheme not in SCHEMES:
         raise SimulationError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
-    if per_class < 1:
-        raise SimulationError(f"per_class must be >= 1, got {per_class}")
+    require_count("per_class", per_class)
     require_fits(f"a {scheme} corpus of per-class={per_class} states",
                  per_class * len(CLASSES[scheme]) * 2 ** QUBITS[scheme])
     root = np.random.SeedSequence(seed)
@@ -212,8 +210,8 @@ def gen_discrimination_instance(M: int, n: int, seed):
     """M Haar states of pairwise fidelity < 1 - 1e-6 plus a promised test index.
 
     M * 2**n amplitudes above 2**MAX_QUBITS are refused before allocation."""
-    if M < 1 or n < 1:
-        raise SimulationError(f"M and n must be >= 1, got M={M}, n={n}")
+    require_count("M", M)
+    require_count("n", n)
     require_fits(f"a discrimination instance of M={M} states on n={n} qubits", M * 2 ** n)
     root = np.random.default_rng(seed)
     states = np.empty((M, 2 ** n), dtype=complex)

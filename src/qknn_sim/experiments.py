@@ -5,12 +5,12 @@ experiment are defined in one place."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import datasets, kmax, qadc, qknn
-from .statevec import SimulationError
+from .statevec import SimulationError, require_count
 
 SQRT_K_M = 256
 SQRT_K_VALUES = (1, 2, 4, 8)
@@ -80,17 +80,16 @@ def discrimination_sweep(m_values, n: int, trials: int,
     n qubits, per M. Trial t draws its instance seed, then its search seed,
     from the t-th child of SeedSequence((search.seed, M)). Queries count up
     to the first moment the match is held (all queries if it never is)."""
-    if trials < 1:
-        raise SimulationError(f"trials must be >= 1, got {trials}")
+    require_count("trials", trials)
     rows = []
-    for M in m_values:
+    for M in kmax.require_sizes(m_values):
         hits, queries = 0, []
         for seq in np.random.SeedSequence((search.seed, M)).spawn(trials):
             rng = np.random.default_rng(seq)
             states, chosen = datasets.gen_discrimination_instance(
                 M, n, int(rng.integers(0, 2 ** 31)))
             train = qknn.TrainSet(states, list(range(M)))
-            trial = kmax.SearchConfig(search.lam, search.max_rounds, int(rng.integers(0, 2 ** 31)))
+            trial = replace(search, seed=int(rng.integers(0, 2 ** 31)))
             found, res = qknn.discriminate(states[chosen], train, trial)
             hits += found == chosen
             queries.append(res.queries_to_solution
@@ -120,7 +119,7 @@ def scaling_study(m_values, k: int, trials: int, search: kmax.SearchConfig,
     k with ``search`` (traced into ``trace_sink``), then k = 1, 2, 4, 8 at
     M = 256 with its seed + 101. The caller fits the slopes (``query_slopes``)."""
     rows = kmax.scaling_experiment(m_values, k, trials, search, trace_sink)
-    k_search = kmax.SearchConfig(search.lam, search.max_rounds, search.seed + 101)
+    k_search = replace(search, seed=search.seed + 101)
     k_means = [kmax.scaling_experiment([SQRT_K_M], kk, trials, k_search)[0].mean_queries_to_solution
                for kk in SQRT_K_VALUES]
     coeff = sum(q * math.sqrt(kk) for q, kk in zip(k_means, SQRT_K_VALUES)) / sum(SQRT_K_VALUES)

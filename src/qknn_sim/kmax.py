@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .oracle import (
     TableOracleHandle,
     prep_calls_per_oracle,
 )
-from .statevec import require_fits
+from .statevec import require_count, require_fits
 
 DIFFUSION_PREP_CALLS = 4  # two (V, W) pairs per Grover iteration
 
@@ -53,13 +53,8 @@ class SearchConfig:
     def __post_init__(self):
         if not 1.0 < self.lam <= 4.0 / 3.0:
             raise SimulationError("growth factor must be in (1, 4/3]")
-        for name in ("max_rounds", "seed"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
-                raise SimulationError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.max_rounds < 1:
-            raise SimulationError("max_rounds must be >= 1")
-        if self.seed < 0:
-            raise SimulationError(f"seed must be >= 0, got {self.seed}")
+        require_count("max_rounds", self.max_rounds)
+        require_count("seed", self.seed, low=0)
 
 
 @dataclass(eq=False)
@@ -169,10 +164,7 @@ def k_maxima(backend, k: int, M: int | None = None,
     if M is not None and M != backend.M:
         raise SimulationError(f"M = {M} does not match the backend's {backend.M} entries")
     M = backend.M
-    if k < 1:
-        raise SimulationError("k must be >= 1")
-    if k > M:
-        raise SimulationError("k cannot exceed the table size")
+    require_count("k", k, high=M)
     rng = np.random.default_rng(cfg.seed)
     A = set(int(i) for i in rng.choice(M, size=k, replace=False))
     trace: list = []
@@ -213,6 +205,17 @@ class ScalingRow:
     success_rate: float
 
 
+def require_sizes(M_values) -> list:
+    """A sweep's table sizes as a list; an empty sweep or a size that is not
+    a count >= 1 is refused before anything is seeded or allocated."""
+    M_values = list(M_values)
+    if not M_values:
+        raise SimulationError("M_values must hold at least one table size")
+    for M in M_values:
+        require_count("M", M)
+    return M_values
+
+
 def scaling_experiment(M_values, k: int, trials: int,
                        cfg: SearchConfig = SearchConfig(),
                        trace_sink: list | None = None) -> list[ScalingRow]:
@@ -221,10 +224,9 @@ def scaling_experiment(M_values, k: int, trials: int,
     ``trace_sink``, when given, receives one JSON line per trial. A table
     above 2**MAX_QUBITS entries is refused before any is allocated.
     """
-    if trials < 1:
-        raise SimulationError(f"trials must be >= 1, got {trials}")
-    largest = max(map(int, M_values), default=0)
-    require_fits(f"a table of M={largest} entries", largest, 8)
+    require_count("trials", trials)
+    M_values = require_sizes(M_values)
+    require_fits(f"a table of M={max(M_values)} entries", max(M_values), 8)
     rows = []
     root = np.random.SeedSequence(cfg.seed)
     for M in M_values:
@@ -232,11 +234,10 @@ def scaling_experiment(M_values, k: int, trials: int,
         queries, to_solution, hits = [], [], 0
         for trial_seq in seeds:
             trial_rng = np.random.default_rng(trial_seq)
-            table = trial_rng.random(int(M))
-            run_seed = int(trial_rng.integers(0, 2 ** 31))
-            run_cfg = SearchConfig(cfg.lam, cfg.max_rounds, run_seed)
+            table = trial_rng.random(M)
+            run_cfg = replace(cfg, seed=int(trial_rng.integers(0, 2 ** 31)))
             backend = TableBackend(table)
-            res = k_maxima(backend, k, int(M), run_cfg)
+            res = k_maxima(backend, k, M, run_cfg)
             if trace_sink is not None:
                 trace_sink.append(res.trace_json())
             queries.append(res.oracle_queries)
@@ -244,7 +245,7 @@ def scaling_experiment(M_values, k: int, trials: int,
                                if res.queries_to_solution is not None
                                else res.oracle_queries)
             hits += backend.is_top_k(set(res.top_k))
-        rows.append(ScalingRow(int(M), k, trials, float(np.mean(queries)),
+        rows.append(ScalingRow(M, k, trials, float(np.mean(queries)),
                                float(np.std(queries)), float(np.mean(to_solution)),
                                hits / trials))
     return rows
@@ -252,8 +253,8 @@ def scaling_experiment(M_values, k: int, trials: int,
 
 def fit_loglog_slope(sizes, means) -> float:
     """Least-squares slope of log(mean queries) against log(M); finite only
-    over two or more distinct sizes with positive means."""
-    if len(set(sizes)) < 2 or min(means) <= 0:
+    over two or more distinct sizes with finite positive means."""
+    if len(set(sizes)) < 2 or not all(0 < m < math.inf for m in means):
         raise SimulationError(f"no log-log slope over M = {', '.join(map(str, sizes))}: "
                               f"needs two distinct M and mean queries > 0, got {list(means)}")
     coeffs = np.polyfit(np.log(np.asarray(sizes, dtype=float)),

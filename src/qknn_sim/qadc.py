@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .statevec import (Circuit, Gate, RegisterLayout, SimulationError, basis_permutation,
-                       require_fits)
+                       require_count, require_fits)
 from .subroutines import ReflectionOperator, build_G, qpe_circuit
 
 
@@ -37,8 +37,7 @@ class PrecisionConfig:
     b: int
 
     def __post_init__(self):
-        if not isinstance(self.b, (int, np.integer)):
-            raise SimulationError(f"precision bits must be an integer, got {self.b!r}")
+        require_count("precision bits", self.b, low=None)  # the range has its own message
         if not 2 <= self.b <= 30:
             raise SimulationError("precision bits must be in [2, 30]")
 

@@ -1,16 +1,15 @@
 """End-to-end classifier: the classical baseline and the quantum search path.
 
-Both paths rank train states by a similarity table (fidelity |<psi|phi_j>|^2
-or real inner product). The classical baseline sorts the table; the quantum
-path runs k-maxima over the threshold oracle on the b-bit quantized table
-(oracle-abstract) or on the fully assembled circuit (circuit-exact, tiny
-instances only). Ties are broken deterministically: by lowest index in the
-ranking, and a voting tie goes to the class of the nearest neighbor among
-the tied classes.
+Both paths rank train states by a similarity table: the classical baseline
+sorts the fidelity |<psi|phi_j>|^2 or real inner product table; the quantum
+path runs k-maxima over the threshold oracle on the b-bit quantized fidelity
+table (oracle-abstract) or on the fully assembled circuit (circuit-exact,
+tiny instances only). Ties are broken deterministically: by lowest index in
+the ranking, and a voting tie goes to the class of the nearest neighbor
+among the tied classes.
 """
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -19,7 +18,7 @@ import numpy as np
 from .kmax import CircuitBackend, KMaxResult, SearchConfig, TableBackend, k_maxima
 from .oracle import assemble_O_yA, oracle_layout
 from .qadc import PrecisionConfig, quantize_array
-from .statevec import SimulationError, require_unit_states
+from .statevec import SimulationError, require_count, require_unit_states
 from .subroutines import make_V, make_W
 
 REAL_ATOL = 1e-12
@@ -31,15 +30,23 @@ CIRCUIT_EXACT_RULE = "M in {2, 4, 8}, n <= 2, log2(M) <= b <= 3"
 
 @dataclass(eq=False)
 class TrainSet:
-    """M labeled pure states."""
+    """M >= 1 labeled pure states, each of 2**n amplitudes with n >= 1."""
 
     states: np.ndarray  # (M, 2**n) complex
     labels: list
 
     def __post_init__(self):
-        self.states = np.asarray(self.states, dtype=complex)
+        try:
+            self.states = np.asarray(self.states, dtype=complex)
+        except ValueError as exc:
+            raise SimulationError(f"train states must be equal-length rows ({exc})") from None
         if self.states.ndim != 2 or len(self.labels) != self.states.shape[0]:
             raise SimulationError("states/labels shape mismatch")
+        M, width = self.states.shape
+        if M == 0:
+            raise SimulationError("empty train set")
+        if width < 2 or width & (width - 1):
+            raise SimulationError(f"train states hold {width} amplitudes, not 2**n, n >= 1")
         require_unit_states(self.states, "train states")
 
     @property
@@ -48,7 +55,7 @@ class TrainSet:
 
     @property
     def n(self) -> int:
-        return int(round(math.log2(self.states.shape[1])))
+        return self.states.shape[1].bit_length() - 1
 
 
 @dataclass(eq=False)
@@ -113,12 +120,7 @@ def majority_vote(neighbor_labels: list):
 def classical_knn(test_state: np.ndarray, train: TrainSet, k: int,
                   measure: str = "fidelity", b: int | None = None) -> Classification:
     """Exact top-k by the chosen similarity plus deterministic majority vote."""
-    if train.M == 0:
-        raise SimulationError("empty train set")
-    if k < 1:
-        raise SimulationError("k must be >= 1")
-    if k > train.M:
-        raise SimulationError("k cannot exceed the number of train states")
+    require_count("k", k, high=train.M)
     table = FidelityTable.from_states(test_state, train, measure, b)
     neighbors = top_k_indices(table.exact if b is None else table.quantized, k)
     label = majority_vote([train.labels[i] for i in neighbors])
@@ -129,16 +131,12 @@ def classical_knn(test_state: np.ndarray, train: TrainSet, k: int,
 
 def qknn_classify(test_state: np.ndarray, train: TrainSet, k: int,
                   cfg: PrecisionConfig, search: SearchConfig = SearchConfig(),
-                  mode: str = "oracle-abstract", measure: str = "fidelity") -> Classification:
-    """Quantum-path classification: k-maxima search over the threshold oracle."""
-    if k > train.M:
-        raise SimulationError("k cannot exceed the number of train states")
-    table = FidelityTable.from_states(test_state, train, measure, cfg.b)
+                  mode: str = "oracle-abstract") -> Classification:
+    """Quantum-path classification: k-maxima over the b-bit fidelity threshold oracle."""
+    table = FidelityTable.from_states(test_state, train, "fidelity", cfg.b)
     if mode == "oracle-abstract":
         backend = TableBackend(table.quantized, b=cfg.b)
     elif mode == "circuit-exact":
-        if measure != "fidelity":
-            raise SimulationError("circuit-exact path implements the fidelity oracle")
         m = train.M.bit_length() - 1
         if not (train.M in {2, 4, 8} and train.n <= 2 and m <= cfg.b <= 3):
             raise SimulationError(f"circuit-exact mode is limited to {CIRCUIT_EXACT_RULE}; "

@@ -80,6 +80,16 @@ def require_unit_states(states: np.ndarray, what: str) -> None:
         raise SimulationError(f"{what} must be normalized")
 
 
+def require_count(name: str, value, low: int | None = 1, high: int | None = None) -> None:
+    """Refuse a non-integer count (numpy integers pass) or one outside [low, high]."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise SimulationError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise SimulationError(f"{name} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise SimulationError(f"{name} must be <= {high}, got {value}")
+
+
 def to_mib(nbytes: int) -> float:
     """nbytes in MiB for a refusal message; inf where a float cannot hold it."""
     return nbytes / 2 ** 20 if nbytes < 2 ** 1000 else math.inf

@@ -275,11 +275,23 @@ def test_scaling_experiment_deterministic_and_in_band():
      "trials must be >= 1, got 0"),
     (lambda: experiments.entanglement_experiment("2q-sep-vs-ent", 5, 1, 3, range(0)),
      "seeds must hold at least one corpus seed"),
+    (lambda: scaling_experiment([], 1, 2), "M_values must hold at least one table size"),
+    (lambda: experiments.discrimination_sweep([], 1, 2, SearchConfig()),
+     "M_values must hold at least one table size"),
 ])
 def test_experiment_loops_refuse_empty_work(run, named):
     """No trials or no seeds is bad input, not a mean over nothing."""
     with pytest.raises(SimulationError, match=named):
         run()
+
+
+@pytest.mark.parametrize("means", [[math.nan, 1.0], [math.inf, 1.0], [0.0, 1.0]],
+                         ids=["nan", "inf", "zero"])
+def test_fit_loglog_slope_refuses_a_mean_that_is_not_finite_and_positive(means):
+    """A NaN mean used to pass the guard and return a NaN slope."""
+    with pytest.raises(SimulationError, match="needs two distinct M and mean queries > 0"):
+        fit_loglog_slope([2, 4], means)
+    assert fit_loglog_slope([2, 4], [1.0, 2.0]) == pytest.approx(1.0)
 
 
 def test_trace_json_schema():
