@@ -113,8 +113,8 @@ class TableBackend:
     and finite: a NaN would sort first and keep ``is_top_k`` false forever.
     ``prep_calls`` is the V+W call count of one oracle application, zero
     when the table has no associated circuit width. The table must not change
-    after construction: ``is_top_k`` sorts it once, so each call costs
-    O(k log k) rather than O(M log M).
+    after construction: ``is_top_k`` sorts it once, so each call sorts only
+    A's k values and compares them with the table's k largest as lists.
     """
 
     def __init__(self, values: np.ndarray, b: int | None = None):
@@ -133,8 +133,8 @@ class TableBackend:
         """Whether A's values are the table's len(A) largest, as a multiset."""
         if self._descending is None:
             self._descending = np.sort(self.values)[::-1]
-        mine = np.sort(self.values[list(A)])[::-1]
-        return bool(np.array_equal(self._descending[:len(A)], mine))
+        mine = sorted(self.values[list(A)].tolist(), reverse=True)
+        return self._descending[:len(A)].tolist() == mine
 
     @property
     def M(self) -> int:

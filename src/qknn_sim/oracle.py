@@ -328,8 +328,8 @@ class TableOracleHandle:
         self.M = len(values)
         self._marked = values > values[y]
         self._marked[list(A)] = False
-        self._marked_idx = np.flatnonzero(self._marked)
-        self._unmarked_idx = np.flatnonzero(~self._marked)
+        (self._marked_idx,) = self._marked.nonzero()
+        (self._unmarked_idx,) = (~self._marked).nonzero()
         self._theta = math.asin(math.sqrt(len(self._marked_idx) / self.M))
 
     def run_round(self, r: int, rng: np.random.Generator) -> int:

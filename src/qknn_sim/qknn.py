@@ -40,11 +40,11 @@ class TrainSet:
             self.states = np.asarray(self.states, dtype=complex)
         except ValueError as exc:
             raise SimulationError(f"train states must be equal-length rows ({exc})") from None
+        if self.states.shape[:1] == (0,):  # [] reads as empty too, not as 1-D
+            raise SimulationError("empty train set")
         if self.states.ndim != 2 or len(self.labels) != self.states.shape[0]:
             raise SimulationError("states/labels shape mismatch")
-        M, width = self.states.shape
-        if M == 0:
-            raise SimulationError("empty train set")
+        width = self.states.shape[1]
         if width < 2 or width & (width - 1):
             raise SimulationError(f"train states hold {width} amplitudes, not 2**n, n >= 1")
         require_unit_states(self.states, "train states")
@@ -74,7 +74,8 @@ class FidelityTable:
         if test_state.shape != train.states.shape[1:]:
             raise SimulationError(f"test state shape {test_state.shape} != train state shape")
         require_unit_states(test_state, "test state")
-        overlaps = train.states.conj() @ test_state
+        # conj(<phi_j|psi>) bit for bit: only imaginary signs flip; |.|**2 and .real ignore them
+        overlaps = train.states @ test_state.conj()
         if measure == "fidelity":
             exact = np.abs(overlaps) ** 2
         elif measure == "dot":
@@ -100,8 +101,11 @@ class Classification:
 
 
 def top_k_indices(values: np.ndarray, k: int) -> list[int]:
-    """Top k by value, descending; ties resolved toward the lowest index."""
-    return np.lexsort((np.arange(len(values)), -values))[:k].tolist()
+    """Top k by value, descending; ties resolved toward the lowest index. One
+    O(M) selection finds the k-th largest value; only the entries at or above
+    it, its ties included, are sorted, by (-value, index)."""
+    idx = (values >= np.partition(values, -k)[-k]).nonzero()[0]
+    return idx[np.lexsort((idx, -values[idx]))][:k].tolist()
 
 
 def majority_vote(neighbor_labels: list):

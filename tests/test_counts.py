@@ -81,10 +81,13 @@ def test_scaling_experiment_refuses_a_fractional_table_size():
 
 @pytest.mark.parametrize("states,labels,message", [
     (np.zeros((0, 2), dtype=complex), [], "empty train set"),
+    ([], [], "empty train set"),
+    (np.eye(2, dtype=complex), ["A"], "states/labels shape mismatch"),
+    ([1, 0], ["A"], "states/labels shape mismatch"),
     (np.eye(3, dtype=complex)[:2], ["A", "B"], "train states hold 3 amplitudes"),
     (np.ones((2, 1), dtype=complex), ["A", "B"], "train states hold 1 amplitudes"),
     ([[1, 0], [1]], ["A", "B"], "train states must be equal-length rows"),
-], ids=["empty", "width 3", "width 1", "ragged"])
+], ids=["empty", "empty list", "labels short", "1-D", "width 3", "width 1", "ragged"])
 def test_trainset_refuses_a_set_of_the_wrong_shape(states, labels, message):
     """A width of 3 used to be taken as n = 2 and failed later inside
     circuit-exact; ragged rows raised numpy's ValueError."""

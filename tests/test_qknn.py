@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qknn_sim.datasets import gen_discrimination_instance, haar_random_state
+from qknn_sim.datasets import SCHEMES, gen_corpus, gen_discrimination_instance, haar_random_state
 from qknn_sim.kmax import SearchConfig
 from qknn_sim.qadc import PrecisionConfig
 from qknn_sim.qknn import (
@@ -68,19 +68,69 @@ def test_top_k_deterministic_tie_break():
     assert top_k_indices(values, 3) == [0, 2, 3]
 
 
-@given(st.lists(st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0]), min_size=1,
-                max_size=40),
-       st.integers(1, 40), st.booleans())
-@settings(max_examples=300)
-def test_top_k_indices_matches_python_key_sort(values, k, quantized):
-    """The lexsort path against the reference key sort (-v, i): heavy ties,
-    negative dot values, -0.0 tying with 0.0, float and int64 tables."""
-    table = np.array(values)
-    if quantized:
-        table = np.round(table * 4).astype(np.int64)
-    k = min(k, len(table))
-    reference = sorted(range(len(table)), key=lambda i: (-table[i], i))[:k]
-    assert top_k_indices(table, k) == reference
+TIE_PALETTE = np.array([-1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0])
+
+
+def tied_table(M, palette, quantized, rng):
+    """M entries over a few palette values, so that many tie at the k-th value."""
+    table = rng.choice(TIE_PALETTE[sorted(palette)], size=M)
+    return np.round(table * 4).astype(np.int64) if quantized else table
+
+
+def key_sort_order(table):
+    """The reference ranking of the whole table: indices by (-value, index)."""
+    values = table.tolist()
+    return sorted(range(len(values)), key=lambda i: (-values[i], i))
+
+
+@given(st.integers(1, 2000), st.sets(st.integers(0, len(TIE_PALETTE) - 1), min_size=1),
+       st.booleans(), st.integers(0, 2 ** 32 - 1), st.data())
+@settings(max_examples=300, deadline=None)
+def test_top_k_indices_matches_python_key_sort(M, palette, quantized, seed, data):
+    """The selection path against the reference key sort (-v, i) up to
+    M = 2,000: heavy ties at the k-th value, negative dot values, -0.0 tying
+    with 0.0, float and int64 tables."""
+    table = tied_table(M, palette, quantized, np.random.default_rng(seed))
+    k = data.draw(st.integers(1, M))
+    assert top_k_indices(table, k) == key_sort_order(table)[:k]
+
+
+@pytest.mark.parametrize("quantized", [False, True], ids=["float", "int64"])
+def test_top_k_indices_matches_python_key_sort_for_every_k(quantized):
+    table = tied_table(300, {1, 2, 3, 5}, quantized, np.random.default_rng(26))
+    order = key_sort_order(table)
+    for k in range(1, len(table) + 1):
+        assert top_k_indices(table, k) == order[:k]
+
+
+def assert_tables_match_reference(states, psis):
+    """from_states against the conjugated-train-state product, bit for bit:
+    fidelity on the states as given, dot on their renormalized real parts."""
+    for measure, rows, tests, ref in (
+            ("fidelity", states, psis, lambda o: np.abs(o) ** 2),
+            ("dot", real_unit_rows(states), real_unit_rows(psis), lambda o: o.real)):
+        train = TrainSet(rows, [0] * len(rows))
+        for psi in tests:
+            got = FidelityTable.from_states(psi, train, measure).exact
+            assert got.tobytes() == ref(rows.conj() @ psi).tobytes(), measure
+
+
+def real_unit_rows(states):
+    real = np.real(states)
+    return (real / np.linalg.norm(real, axis=-1, keepdims=True)).astype(complex)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_fidelity_table_is_bit_identical_to_reference_on_corpora(scheme):
+    states = gen_corpus(scheme, 40, seed=7).states
+    assert_tables_match_reference(states, states[::3])
+
+
+@pytest.mark.parametrize("M,n", [(2, 1), (16, 2), (100, 3), (4500, 4)])
+def test_fidelity_table_is_bit_identical_to_reference_on_haar_tables(M, n):
+    rng = np.random.default_rng([M, n])
+    states = np.stack([haar_random_state(n, rng) for _ in range(M)])
+    assert_tables_match_reference(states, [haar_random_state(n, rng) for _ in range(20)])
 
 
 def test_classical_knn_validation():
