@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datasets import DISCRIMINATION_MAX_FIDELITY
 from .kmax import CircuitBackend, KMaxResult, SearchConfig, TableBackend, k_maxima
 from .oracle import assemble_O_yA, oracle_layout
 from .qadc import PrecisionConfig, quantize_array
@@ -22,8 +23,8 @@ from .statevec import SimulationError, require_count, require_unit_states
 from .subroutines import make_V, make_W
 
 REAL_ATOL = 1e-12
-# Similarity bits for discrimination: the smallest b with 1e-6 * 2**b > 1.5, so a fidelity
-# under the promised 1 - 1e-6 rounds below 2**b - 1, the match's saturated value.
+# Similarity bits for discrimination: the smallest b with (1 - DISCRIMINATION_MAX_FIDELITY)
+# * 2**b > 1.5, so a promised fidelity rounds below 2**b - 1, the match's saturated value.
 DISCRIMINATION_BITS = 21
 CIRCUIT_EXACT_RULE = "M in {2, 4, 8}, n <= 2, log2(M) <= b <= 3"
 
@@ -173,6 +174,6 @@ def discriminate(test_state: np.ndarray, train: TrainSet,
     backend = TableBackend(table.quantized, b=None)  # prep cost not modeled here
     result = k_maxima(backend, 1, train.M, search)
     (found,) = result.top_k
-    if table.exact[found] < 1.0 - 1e-6:
+    if table.exact[found] < DISCRIMINATION_MAX_FIDELITY:
         raise SimulationError("discrimination promise violated: no exact match found")
     return int(found), result

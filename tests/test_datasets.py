@@ -198,21 +198,86 @@ def test_generators_are_byte_stable():
 def test_discrimination_check_skips_a_repeat_and_gives_up_on_endless_ones(monkeypatch):
     haar = datasets.haar_random_state
     first = haar(2, 1)
-    draws = [first, 1j * first]  # an accepted state, then the same state up to phase
-    calls = []
+    drawn = []
 
-    def sampler(n, rng):
-        calls.append(n)
-        return draws.pop(0) if draws else haar(n, rng)
+    def sampler(n, rng, count=None):
+        block = haar(n, rng, count)
+        if not drawn:  # an accepted state, then the same state up to phase
+            block[:2] = first, 1j * first
+        drawn.append(count)
+        return block
 
     monkeypatch.setattr(datasets, "haar_random_state", sampler)
     states, _ = gen_discrimination_instance(3, 2, seed=0)
-    assert len(calls) == 4 and np.array_equal(states[0], first)
+    assert sum(drawn) == 4 and np.array_equal(states[0], first)
     for i, j in itertools.combinations(range(3), 2):
-        assert abs(np.vdot(states[i], states[j])) ** 2 < 1 - 1e-6
-    monkeypatch.setattr(datasets, "haar_random_state", lambda n, rng: first)
+        assert abs(np.vdot(states[i], states[j])) ** 2 < datasets.DISCRIMINATION_MAX_FIDELITY
+    drawn.clear()
+
+    def repeats(n, rng, count=None):
+        drawn.append(count)
+        return np.repeat(first[None], count, axis=0)
+
+    monkeypatch.setattr(datasets, "haar_random_state", repeats)
     with pytest.raises(SimulationError, match="rejection-sampling budget exceeded"):
-        gen_discrimination_instance(2, 2, seed=0)
+        gen_discrimination_instance(100, 2, seed=0)
+    assert sum(drawn) == 1 + datasets.REJECTION_BUDGET  # no draw past the budget
+
+
+def sequential_instance(M, n, seed):
+    """The draw-and-check loop one candidate at a time that the block
+    generator must reproduce byte for byte, with its single Haar draw."""
+    rng, high = np.random.default_rng(seed), datasets.DISCRIMINATION_MAX_FIDELITY
+    states = np.empty((M, 2 ** n), dtype=complex)
+    for i in range(M):
+        for _attempt in range(datasets.REJECTION_BUDGET):
+            cand = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+            cand /= np.linalg.norm(cand)
+            if np.all(np.abs(states[:i].conj() @ cand) ** 2 < high):
+                states[i] = cand
+                break
+        else:
+            raise SimulationError("rejection-sampling budget exceeded for discrimination set")
+    return states, int(rng.integers(0, M))
+
+
+def instance_or_error(make, M, n, seed):
+    try:
+        states, chosen = make(M, n, seed)
+    except SimulationError as exc:
+        return str(exc)
+    return states.tobytes(), chosen
+
+
+def assert_same_instance(M, n, seed):
+    assert (instance_or_error(gen_discrimination_instance, M, n, seed)
+            == instance_or_error(sequential_instance, M, n, seed))
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), M=st.integers(1, 64), n=st.sampled_from([1, 2, 3]))
+@settings(max_examples=60, deadline=None)
+def test_block_instances_are_the_one_at_a_time_instances(seed, M, n):
+    assert_same_instance(M, n, seed)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), M=st.integers(2, 24), n=st.sampled_from([1, 2, 3]),
+       high=st.sampled_from([0.02, 0.1, 0.3, 0.6]))
+@settings(max_examples=40, deadline=None)
+def test_block_instances_reject_and_give_up_as_one_at_a_time(seed, M, n, high):
+    """A low promise margin makes most candidates fail: every rejection, and
+    a budget running out, must fall where the one-at-a-time loop has them."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(datasets, "DISCRIMINATION_MAX_FIDELITY", high)
+        assert_same_instance(M, n, seed)
+
+
+@pytest.mark.parametrize("n, count", [(1, 1), (1, 300), (3, 7), (4, 64), (8, 5)])
+def test_block_haar_draw_is_count_single_draws(n, count):
+    block_rng, single_rng = np.random.default_rng(n), np.random.default_rng(n)
+    block = haar_random_state(n, block_rng, count)
+    singles = np.array([haar_random_state(n, single_rng) for _ in range(count)])
+    assert block.shape == (count, 2 ** n) and block.tobytes() == singles.tobytes()
+    assert block_rng.integers(0, 2 ** 31) == single_rng.integers(0, 2 ** 31)
 
 
 @pytest.mark.parametrize("call, name", [
