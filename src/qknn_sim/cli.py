@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass, fields
 
 from . import datasets, experiments, invariants, kmax, qadc, qknn
-from .statevec import SimulationError
+from .statevec import SimulationError, require_count
 
 CSV_HEADER = "# qknn-sim v1"
 
@@ -44,11 +44,9 @@ class RunConfig:
     split: float = 0.9
 
     def __post_init__(self):
-        for name in ("n", "k", "trials", "per_class", "seeds"):
-            if getattr(self, name) < 1:
-                raise SimulationError(f"--{name.replace('_', '-')} must be >= 1")
-        if self.seed < 0:
-            raise SimulationError("--seed must be >= 0")
+        for name in ("n", "k", "trials", "per_class", "seeds", "budget_rounds"):
+            require_count(_FLAGS[name], getattr(self, name))
+        require_count(_FLAGS["seed"], self.seed, low=0)
         sizes = self.m_values()
         if not sizes or min(sizes) < 1:
             raise SimulationError(f"--M needs table sizes >= 1, got {self.M!r}")

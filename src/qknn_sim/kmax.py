@@ -89,10 +89,8 @@ class KMaxResult:
 
 
 def grover_search_unknown(oracle: TableOracleHandle | CircuitOracleHandle, cfg: SearchConfig,
-                          rng: np.random.Generator | None = None) -> SearchResult:
+                          rng: np.random.Generator) -> SearchResult:
     """Find one index with f(index) = 1, or fail after max_rounds rounds."""
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     m = 1.0
     cap = math.sqrt(oracle.M)
     iterations = 0

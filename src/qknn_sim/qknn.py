@@ -1,10 +1,9 @@
 """End-to-end classifier: the classical baseline and the quantum search path.
 
-Both paths rank train states by a similarity table: the classical baseline
-sorts the fidelity |<psi|phi_j>|^2 or real inner product table; the quantum
-path runs k-maxima over the threshold oracle on the b-bit quantized fidelity
-table (oracle-abstract) or on the fully assembled circuit (circuit-exact,
-tiny instances only). Ties are broken deterministically: by lowest index in
+Both paths rank train states by the b-bit quantized fidelity table
+|<psi|phi_j>|^2: the classical baseline sorts it; the quantum path runs
+k-maxima over the threshold oracle on that table (oracle-abstract) or on the
+fully assembled circuit (circuit-exact, tiny instances only). Ties are broken deterministically: by lowest index in
 the ranking, and a voting tie goes to the class of the nearest neighbor
 among the tied classes.
 """
@@ -22,10 +21,10 @@ from .qadc import PrecisionConfig, quantize_array
 from .statevec import SimulationError, require_count, require_unit_states
 from .subroutines import make_V, make_W
 
-REAL_ATOL = 1e-12
 # Similarity bits for discrimination: the smallest b with (1 - DISCRIMINATION_MAX_FIDELITY)
 # * 2**b > 1.5, so a promised fidelity rounds below 2**b - 1, the match's saturated value.
-DISCRIMINATION_BITS = 21
+DISCRIMINATION_BITS = next(b for b in range(2, 31)
+                           if (1 - DISCRIMINATION_MAX_FIDELITY) * 2 ** b > 1.5)
 CIRCUIT_EXACT_RULE = "M in {2, 4, 8}, n <= 2, log2(M) <= b <= 3"
 
 
@@ -61,34 +60,21 @@ class TrainSet:
 
 @dataclass(eq=False)
 class FidelityTable:
-    """Exact similarity table plus its b-bit digitization."""
+    """Exact fidelity table plus its b-bit digitization."""
 
     exact: np.ndarray
-    quantized: np.ndarray | None
+    quantized: np.ndarray
 
     @classmethod
-    def from_states(cls, test_state: np.ndarray, train: TrainSet,
-                    measure: str = "fidelity", b: int | None = None) -> "FidelityTable":
-        if b is not None:
-            PrecisionConfig(b)  # refuses b outside [2, 30], as the quantum path does
+    def from_states(cls, test_state: np.ndarray, train: TrainSet, b: int) -> "FidelityTable":
+        PrecisionConfig(b)  # refuses b outside [2, 30], as the quantum path does
         test_state = np.asarray(test_state, dtype=complex)
         if test_state.shape != train.states.shape[1:]:
             raise SimulationError(f"test state shape {test_state.shape} != train state shape")
         require_unit_states(test_state, "test state")
-        # conj(<phi_j|psi>) bit for bit: only imaginary signs flip; |.|**2 and .real ignore them
-        overlaps = train.states @ test_state.conj()
-        if measure == "fidelity":
-            exact = np.abs(overlaps) ** 2
-        elif measure == "dot":
-            if np.abs(train.states.imag).max() > REAL_ATOL:
-                raise SimulationError("dot-product path requires real-amplitude states")
-            if np.abs(test_state.imag).max() > REAL_ATOL:
-                raise SimulationError("dot-product path requires a real-amplitude test state")
-            exact = overlaps.real.copy()
-        else:
-            raise SimulationError(f"unknown measure {measure!r}")
-        quant = quantize_array(exact, b, measure) if b is not None else None
-        return cls(exact, quant)
+        # conj(<phi_j|psi>) bit for bit: only imaginary signs flip, and |.|**2 ignores them
+        exact = np.abs(train.states @ test_state.conj()) ** 2
+        return cls(exact, quantize_array(exact, b))
 
 
 @dataclass(eq=False)
@@ -98,7 +84,6 @@ class Classification:
     neighbor_values: tuple
     oracle_queries: int
     data_prep_queries: int
-    mode: str
 
 
 def top_k_indices(values: np.ndarray, k: int) -> list[int]:
@@ -122,23 +107,21 @@ def majority_vote(neighbor_labels: list):
     raise AssertionError("unreachable")
 
 
-def classical_knn(test_state: np.ndarray, train: TrainSet, k: int,
-                  measure: str = "fidelity", b: int | None = None) -> Classification:
-    """Exact top-k by the chosen similarity plus deterministic majority vote."""
+def classical_knn(test_state: np.ndarray, train: TrainSet, k: int, b: int) -> Classification:
+    """Top k of the b-bit fidelity table plus deterministic majority vote."""
     require_count("k", k, high=train.M)
-    table = FidelityTable.from_states(test_state, train, measure, b)
-    neighbors = top_k_indices(table.exact if b is None else table.quantized, k)
+    table = FidelityTable.from_states(test_state, train, b)
+    neighbors = top_k_indices(table.quantized, k)
     label = majority_vote([train.labels[i] for i in neighbors])
     return Classification(label, tuple(neighbors),
-                          tuple(float(table.exact[i]) for i in neighbors),
-                          0, 0, "classical")
+                          tuple(float(table.exact[i]) for i in neighbors), 0, 0)
 
 
 def qknn_classify(test_state: np.ndarray, train: TrainSet, k: int,
                   cfg: PrecisionConfig, search: SearchConfig = SearchConfig(),
                   mode: str = "oracle-abstract") -> Classification:
     """Quantum-path classification: k-maxima over the b-bit fidelity threshold oracle."""
-    table = FidelityTable.from_states(test_state, train, "fidelity", cfg.b)
+    table = FidelityTable.from_states(test_state, train, cfg.b)
     if mode == "oracle-abstract":
         backend = TableBackend(table.quantized, b=cfg.b)
     elif mode == "circuit-exact":
@@ -160,7 +143,7 @@ def qknn_classify(test_state: np.ndarray, train: TrainSet, k: int,
     label = majority_vote([train.labels[i] for i in ranked])
     return Classification(label, tuple(ranked),
                           tuple(float(table.exact[i]) for i in ranked),
-                          result.oracle_queries, result.data_prep_queries, mode)
+                          result.oracle_queries, result.data_prep_queries)
 
 
 def discriminate(test_state: np.ndarray, train: TrainSet,
@@ -170,7 +153,7 @@ def discriminate(test_state: np.ndarray, train: TrainSet,
     Fidelity reaches 1 only at the match, so k-maxima with k = 1 finds it on
     the table quantized to DISCRIMINATION_BITS.
     """
-    table = FidelityTable.from_states(test_state, train, "fidelity", DISCRIMINATION_BITS)
+    table = FidelityTable.from_states(test_state, train, DISCRIMINATION_BITS)
     backend = TableBackend(table.quantized, b=None)  # prep cost not modeled here
     result = k_maxima(backend, 1, train.M, search)
     (found,) = result.top_k

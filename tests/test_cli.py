@@ -401,12 +401,18 @@ def test_bad_counts_exit_1(args, capsys):
 
 
 @pytest.mark.parametrize("args,named", [
-    (["bench", "--trials", "0"], "--trials must be >= 1"),
-    (["entanglement", "--seeds", "0"], "--seeds must be >= 1"),
+    (["bench", "--trials", "0"], "--trials must be >= 1, got 0"),
+    (["entanglement", "--seeds", "0"], "--seeds must be >= 1, got 0"),
 ], ids=["bench-trials", "entanglement-seeds"])
 def test_empty_work_exits_1_naming_the_setting(args, named, capsys):
     assert exit_code(args) == 1
     assert capsys.readouterr().err == f"error: {named}\n"
+
+
+def test_budget_rounds_refusal_names_the_flag(capsys):
+    """It used to be refused by SearchConfig as "max_rounds must be >= 1"."""
+    assert exit_code(["bench", "--budget-rounds", "0"]) == 1
+    assert capsys.readouterr().err == "error: --budget-rounds must be >= 1, got 0\n"
 
 
 @pytest.mark.parametrize("cmd,extra", [("discriminate", ["--n", "1"]), ("bench", ["--k", "1"])])

@@ -21,7 +21,7 @@ ENTRY_POINTS = {
     "SearchConfig seed": ("seed", lambda v: SearchConfig(seed=v)),
     "PrecisionConfig": ("precision bits", lambda v: PrecisionConfig(v)),
     "k_maxima": ("k", lambda v: k_maxima(TableBackend(np.array([0.1, 0.2, 0.3])), v)),
-    "classical_knn": ("k", lambda v: classical_knn(TEST, TRAIN, v)),
+    "classical_knn": ("k", lambda v: classical_knn(TEST, TRAIN, v, b=3)),
     "qknn_classify": ("k", lambda v: qknn_classify(TEST, TRAIN, v, PrecisionConfig(3))),
     "scaling_experiment trials": ("trials", lambda v: scaling_experiment([4], 1, v)),
     "scaling_experiment M": ("M", lambda v: scaling_experiment([v], 1, 2)),
@@ -65,7 +65,7 @@ def test_require_count_bounds():
 
 @pytest.mark.parametrize("call", [
     lambda: k_maxima(TableBackend(np.array([0.1, 0.2, 0.3])), 4),
-    lambda: classical_knn(TEST, TRAIN, 5),
+    lambda: classical_knn(TEST, TRAIN, 5, b=3),
     lambda: qknn_classify(TEST, TRAIN, 5, PrecisionConfig(3), mode="circuit-exact"),
 ], ids=["k_maxima", "classical_knn", "qknn_classify circuit-exact"])
 def test_k_above_the_table_size_is_refused_naming_k(call):

@@ -87,13 +87,13 @@ def test_all_marked_succeeds_immediately():
     table = np.arange(1.0, 9.0)
     handle = TableOracleHandle(table, y=0, A=frozenset({0}))
     assert sum(handle.evaluate(j) for j in range(8)) == 7
-    res = grover_search_unknown(handle, SearchConfig(seed=2))
+    res = grover_search_unknown(handle, SearchConfig(), np.random.default_rng(2))
     assert res.found is not None and res.rounds == 1 and res.iterations == 0
 
 
 def test_no_marked_items_fails_after_budget():
     handle = _CountingTableHandle(np.zeros(8), y=0, A=frozenset({0}))
-    res = grover_search_unknown(handle, SearchConfig(seed=2))
+    res = grover_search_unknown(handle, SearchConfig(), np.random.default_rng(2))
     assert res.found is None and res.rounds == 30
     assert sum(handle.depths) == res.iterations and handle.evaluations == res.rounds
 
@@ -105,7 +105,7 @@ def test_single_target_mean_iterations_bound():
         table = np.zeros(64)
         table[17] = 1.0
         handle = TableOracleHandle(table, y=0, A=frozenset({0}))
-        res = grover_search_unknown(handle, SearchConfig(seed=trial))
+        res = grover_search_unknown(handle, SearchConfig(), np.random.default_rng(trial))
         if res.found is not None:
             assert res.found == 17
         iters.append(res.iterations)

@@ -4,10 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qknn_sim.datasets import SCHEMES, gen_corpus, gen_discrimination_instance, haar_random_state
+from qknn_sim.datasets import (
+    DISCRIMINATION_MAX_FIDELITY,
+    SCHEMES,
+    gen_corpus,
+    gen_discrimination_instance,
+    haar_random_state,
+)
 from qknn_sim.kmax import SearchConfig
 from qknn_sim.qadc import PrecisionConfig
 from qknn_sim.qknn import (
+    DISCRIMINATION_BITS,
     FidelityTable,
     SimulationError,
     TrainSet,
@@ -30,7 +37,7 @@ def random_train(M, n, rng=RNG, labels=None):
 
 def test_classical_knn_basis_case():
     train = TrainSet(np.eye(2, dtype=complex), ["A", "B"])
-    result = classical_knn(np.array([1, 0], dtype=complex), train, 1)
+    result = classical_knn(np.array([1, 0], dtype=complex), train, 1, b=2)
     assert result.label == "A" and result.neighbors == (0,)
     assert abs(result.neighbor_values[0] - 1.0) < 1e-12
 
@@ -38,7 +45,7 @@ def test_classical_knn_basis_case():
 def test_classical_knn_majority():
     states = np.array([[1, 0], [1, 0], [0, 1]], dtype=complex)
     train = TrainSet(states, ["A", "A", "B"])
-    result = classical_knn(np.array([1, 0], dtype=complex), train, 3)
+    result = classical_knn(np.array([1, 0], dtype=complex), train, 3, b=2)
     assert result.label == "A"
 
 
@@ -88,7 +95,7 @@ def key_sort_order(table):
 @settings(max_examples=300, deadline=None)
 def test_top_k_indices_matches_python_key_sort(M, palette, quantized, seed, data):
     """The selection path against the reference key sort (-v, i) up to
-    M = 2,000: heavy ties at the k-th value, negative dot values, -0.0 tying
+    M = 2,000: heavy ties at the k-th value, negative values, -0.0 tying
     with 0.0, float and int64 tables."""
     table = tied_table(M, palette, quantized, np.random.default_rng(seed))
     k = data.draw(st.integers(1, M))
@@ -104,20 +111,11 @@ def test_top_k_indices_matches_python_key_sort_for_every_k(quantized):
 
 
 def assert_tables_match_reference(states, psis):
-    """from_states against the conjugated-train-state product, bit for bit:
-    fidelity on the states as given, dot on their renormalized real parts."""
-    for measure, rows, tests, ref in (
-            ("fidelity", states, psis, lambda o: np.abs(o) ** 2),
-            ("dot", real_unit_rows(states), real_unit_rows(psis), lambda o: o.real)):
-        train = TrainSet(rows, [0] * len(rows))
-        for psi in tests:
-            got = FidelityTable.from_states(psi, train, measure).exact
-            assert got.tobytes() == ref(rows.conj() @ psi).tobytes(), measure
-
-
-def real_unit_rows(states):
-    real = np.real(states)
-    return (real / np.linalg.norm(real, axis=-1, keepdims=True)).astype(complex)
+    """from_states against the conjugated-train-state product, bit for bit."""
+    train = TrainSet(states, [0] * len(states))
+    for psi in psis:
+        got = FidelityTable.from_states(psi, train, b=12).exact
+        assert got.tobytes() == (np.abs(states.conj() @ psi) ** 2).tobytes()
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -136,14 +134,14 @@ def test_fidelity_table_is_bit_identical_to_reference_on_haar_tables(M, n):
 def test_classical_knn_validation():
     train = random_train(4, 1)
     with pytest.raises(SimulationError):
-        classical_knn(np.array([1, 0], dtype=complex), train, 5)
+        classical_knn(np.array([1, 0], dtype=complex), train, 5, b=4)
     for k in (0, -1):
         with pytest.raises(SimulationError, match="k must be >= 1"):
             classical_knn(np.array([1, 0], dtype=complex), train, k, b=4)
     with pytest.raises(SimulationError):
         TrainSet(np.zeros((0, 2), dtype=complex), [])
         classical_knn(np.array([1, 0], dtype=complex),
-                      TrainSet(np.zeros((0, 2), dtype=complex), []), 1)
+                      TrainSet(np.zeros((0, 2), dtype=complex), []), 1, b=4)
 
 
 def test_classical_knn_refuses_fractional_bits():
@@ -152,29 +150,9 @@ def test_classical_knn_refuses_fractional_bits():
         classical_knn(np.array([1, 0], dtype=complex), random_train(4, 1), 1, b=2.5)
 
 
-def test_dot_measure_rejects_complex_states():
-    train = random_train(4, 1)
-    with pytest.raises(SimulationError):
-        classical_knn(np.array([1, 0], dtype=complex), train, 1, measure="dot")
-
-
-def test_dot_measure_matches_fidelity_ranking_for_nonnegative_overlaps():
-    """With all inner products >= 0, x -> x^2 is monotone: same ranking."""
-    rng = np.random.default_rng(8)
-    vs = np.abs(rng.normal(size=(8, 4)))
-    vs /= np.linalg.norm(vs, axis=1, keepdims=True)
-    train = TrainSet(vs.astype(complex), list("ABABABAB"))
-    test = np.abs(rng.normal(size=4))
-    test = (test / np.linalg.norm(test)).astype(complex)
-    by_f = classical_knn(test, train, 3, measure="fidelity")
-    by_x = classical_knn(test, train, 3, measure="dot")
-    assert by_f.neighbors == by_x.neighbors and by_f.label == by_x.label
-
-
 def test_quantized_table_construction():
     train = TrainSet(np.eye(2, dtype=complex), ["A", "B"])
-    table = FidelityTable.from_states(np.array([1, 0], dtype=complex), train,
-                                      "fidelity", b=3)
+    table = FidelityTable.from_states(np.array([1, 0], dtype=complex), train, b=3)
     assert list(table.quantized) == [7, 0]   # F=1 saturates
 
 
@@ -192,7 +170,7 @@ def test_qknn_matches_classical_on_quantized_table():
     while trials < 100:
         seed += 1
         test = haar_random_state(2, np.random.default_rng(seed))
-        table = FidelityTable.from_states(test, train, "fidelity", b=12)
+        table = FidelityTable.from_states(test, train, b=12)
         if len(set(table.quantized.tolist())) < train.M:
             continue
         trials += 1
@@ -216,7 +194,6 @@ def test_qknn_reports_queries():
     test = haar_random_state(2, np.random.default_rng(3))
     res = qknn_classify(test, train, 3, PrecisionConfig(12), SearchConfig(seed=0))
     assert res.oracle_queries > 0 and res.data_prep_queries > 0
-    assert res.mode == "oracle-abstract"
 
 
 def test_qknn_circuit_exact_dyadic_instance():
@@ -226,7 +203,7 @@ def test_qknn_circuit_exact_dyadic_instance():
     res = qknn_classify(test, train, 1, PrecisionConfig(2),
                         SearchConfig(seed=3, max_rounds=8), mode="circuit-exact")
     assert res.label == "match" and res.neighbors == (0,)
-    assert res.mode == "circuit-exact" and res.oracle_queries > 0
+    assert res.oracle_queries > 0
 
 
 # (label, neighbors, oracle_queries, data_prep_queries) of three seeded Haar
@@ -304,7 +281,7 @@ def test_qknn_coarse_quantization_returns_admissible_completion():
     rng = np.random.default_rng(10)
     train = random_train(8, 2, rng)
     test = haar_random_state(2, rng)
-    table = FidelityTable.from_states(test, train, "fidelity", b=2)
+    table = FidelityTable.from_states(test, train, b=2)
     res = qknn_classify(test, train, 3, PrecisionConfig(2), SearchConfig(seed=4))
     best = sorted(table.quantized)[::-1][:3]
     got = sorted(table.quantized[list(res.neighbors)])[::-1]
@@ -319,7 +296,7 @@ def test_qknn_neighbors_ranked_by_value_then_lowest_index():
     tied = 0
     for seed in range(20):
         test = haar_random_state(2, rng)
-        table = FidelityTable.from_states(test, train, "fidelity", b=2)
+        table = FidelityTable.from_states(test, train, b=2)
         res = qknn_classify(test, train, 4, PrecisionConfig(2), SearchConfig(seed=seed))
         reference = sorted(res.neighbors, key=lambda i: (-table.quantized[i], i))
         assert list(res.neighbors) == reference
@@ -364,6 +341,15 @@ def test_discriminate_separates_the_promised_gap(seed, match_first):
     assert found == (0 if match_first else 1)
 
 
+def test_discrimination_bits_is_the_smallest_width_that_separates_the_promise():
+    """(1 - DISCRIMINATION_MAX_FIDELITY) * 2**b > 1.5 holds at DISCRIMINATION_BITS
+    and fails one bit lower; at the 1e-6 margin that width is 21."""
+    margin = 1 - DISCRIMINATION_MAX_FIDELITY
+    assert margin * 2 ** DISCRIMINATION_BITS > 1.5
+    assert not margin * 2 ** (DISCRIMINATION_BITS - 1) > 1.5
+    assert DISCRIMINATION_BITS == 21
+
+
 def test_trainset_validation():
     with pytest.raises(SimulationError):
         TrainSet(np.array([[1, 1]], dtype=complex), ["A"])   # unnormalized
@@ -380,7 +366,7 @@ BAD_TEST_STATES = {
     "wrong length": np.array([1, 0, 0, 0], dtype=complex),
 }
 CLASSIFIERS = {
-    "classical_knn": lambda state, train: classical_knn(state, train, 1),
+    "classical_knn": lambda state, train: classical_knn(state, train, 1, b=3),
     "qknn_classify": lambda state, train: qknn_classify(state, train, 1, PrecisionConfig(3),
                                                         SearchConfig(seed=0)),
     "discriminate": lambda state, train: discriminate(state, train, SearchConfig(seed=0)),
