@@ -47,6 +47,7 @@ class RunConfig:
         for name in ("n", "k", "trials", "per_class", "seeds", "budget_rounds"):
             require_count(_FLAGS[name], getattr(self, name))
         require_count(_FLAGS["seed"], self.seed, low=0)
+        kmax.require_growth(_FLAGS["lam"], self.lam)
         sizes = self.m_values()
         if not sizes or min(sizes) < 1:
             raise SimulationError(f"--M needs table sizes >= 1, got {self.M!r}")

@@ -220,12 +220,11 @@ def kickback_gap(oc: oracle.OracleCircuit, depth: int = 3) -> float:
     """Worst gap between the simulator's reduced search and the model circuit.
 
     The worst index-marginal difference, over r <= ``depth`` Grover
-    iterations, between the circuit handle's search oracle and the full
+    iterations, between the oracle's own search rounds and the full
     circuit with Q3 prepared in |->, plus one for each candidate whose
     superposed verdict differs from the most probable Q3 outcome of the full
     circuit run on |j>.
     """
-    handle = oracle.CircuitOracleHandle(oc)
     index = oc.layout.qubits("index")
     (q3,) = oc.layout.qubits("Q3")
     kickback = StateVector.zero_state(oc.layout).apply_circuit(
@@ -234,7 +233,7 @@ def kickback_gap(oc: oracle.OracleCircuit, depth: int = 3) -> float:
     for r in range(depth + 1):
         if r:
             kickback = kickback.apply_circuit(oc.circuit).apply_circuit(oc.diffusion)
-        gap = np.abs(handle.marginal(r) - kickback.measure_probs("index")).max()
+        gap = np.abs(oc.marginal(r) - kickback.measure_probs("index")).max()
         worst = max(worst, float(gap))
     return worst + sum(oc.evaluate(j) != int(np.argmax(oc.q3_distribution(j)))
                        for j in range(oc.M))

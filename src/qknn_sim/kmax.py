@@ -16,12 +16,13 @@ min(A) with high probability.
 
 Query accounting: oracle_queries = simulated Grover iterations plus one per
 post-measurement verification (Boyer, Brassard, Hoyer and Tapp 1998), and
-``k_maxima`` computes it from each search's result; the oracle handles only
-simulate. Threshold (argmin) selection reads values that arrive with the
-measured indices via the digitized similarity register, so it is not
-charged. data_prep_queries counts V/W circuit calls: the per-application
-cost of the circuit oracle plus two (V, W) pairs per Grover iteration for
-the diffusion step of circuit-exact accounting.
+``k_maxima`` computes it from each search's result. The oracles only
+simulate: a table handle, or an assembled circuit that runs its own rounds.
+Threshold (argmin) selection reads values that arrive with the measured
+indices via the digitized similarity register, so it is not charged.
+data_prep_queries counts V/W circuit calls: the per-application cost of the
+circuit oracle plus two (V, W) pairs per Grover iteration for the diffusion
+step of circuit-exact accounting.
 """
 from __future__ import annotations
 
@@ -31,15 +32,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .oracle import (
-    CircuitOracleHandle,
-    SimulationError,
-    TableOracleHandle,
-    prep_calls_per_oracle,
-)
+from .oracle import OracleCircuit, SimulationError, TableOracleHandle, prep_calls_per_oracle
 from .statevec import require_count, require_fits
 
 DIFFUSION_PREP_CALLS = 4  # two (V, W) pairs per Grover iteration
+
+
+def require_growth(name: str, lam: float) -> None:
+    """Refuse a growth factor outside (1, 4/3] (NaN included)."""
+    if not 1.0 < lam <= 4.0 / 3.0:
+        raise SimulationError(f"{name} must be in (1, 4/3], got {lam!r}")
 
 
 @dataclass(frozen=True)
@@ -51,8 +53,7 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 1.0 < self.lam <= 4.0 / 3.0:
-            raise SimulationError("growth factor must be in (1, 4/3]")
+        require_growth("growth factor", self.lam)
         require_count("max_rounds", self.max_rounds)
         require_count("seed", self.seed, low=0)
 
@@ -88,7 +89,7 @@ class KMaxResult:
         })
 
 
-def grover_search_unknown(oracle: TableOracleHandle | CircuitOracleHandle, cfg: SearchConfig,
+def grover_search_unknown(oracle: TableOracleHandle | OracleCircuit, cfg: SearchConfig,
                           rng: np.random.Generator) -> SearchResult:
     """Find one index with f(index) = 1, or fail after max_rounds rounds."""
     m = 1.0
@@ -147,8 +148,8 @@ class CircuitBackend(TableBackend):
         super().__init__(values, b)
         self._assemble = assemble  # (y, A) -> OracleCircuit
 
-    def oracle_for(self, y: int, A: frozenset) -> CircuitOracleHandle:
-        return CircuitOracleHandle(self._assemble(y, frozenset(A)))
+    def oracle_for(self, y: int, A: frozenset) -> OracleCircuit:
+        return self._assemble(y, frozenset(A))
 
     # an entry of this class's own, so that the benchmark tracer, which wraps
     # methods through each class's __dict__, finds and counts it here too

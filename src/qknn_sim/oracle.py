@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -126,7 +126,7 @@ def oracle_layout(m: int, n: int, b: int) -> RegisterLayout:
 
 @dataclass(eq=False)
 class OracleCircuit:
-    """Circuit-exact O_{y,A} plus bookkeeping for query/qubit accounting.
+    """Circuit-exact O_{y,A}, its Grover rounds, and query/qubit bookkeeping.
 
     ``circuit`` is the model: U^dag . T . U, where T = X_Q2 . Toffoli(Q1,
     Q2, Q3) . X_Q2 flips the kickback qubit Q3, the layout's highest qubit.
@@ -141,12 +141,16 @@ class OracleCircuit:
     is F fused once (``Circuit.fuse``), then the rest of the model's U built
     on that fused F, with index_p followed as classical bits and cut out
     (``Circuit.fix_classical``), fused. Its gates differ from the model's
-    and agree with it as unitaries to rounding. ``start()`` and
-    ``diffusion`` complete the register machine: the verdict run and every
-    Grover round begin from the one, and the circuit handle and the kickback
-    law iterate the other. U runs once on ``start()``; the verdicts read
-    that run, and the first query from ``start()`` (``apply()``) continues
-    from it with S . U^dag.
+    and agree with it as unitaries to rounding.
+
+    The oracle runs its own Grover rounds (``run_round``: from ``start()``,
+    each iteration ``search`` then ``diffusion``) and verdicts
+    (``evaluate``). The state after r iterations depends only on (y, A, r),
+    so the oracle keeps each simulated depth's index marginal and the
+    deepest state, which a deeper round extends. U runs once on ``start()``:
+    the verdicts read that run, and the first query from ``start()``
+    (``apply()``) continues from it with S . U^dag. Constructing an oracle
+    simulates nothing.
     """
 
     layout: RegisterLayout
@@ -155,6 +159,10 @@ class OracleCircuit:
     F: Circuit
     U: Circuit
     search: Circuit
+    # deepest Grover state (None: the unkept start), index marginals and CDFs by r
+    _state: StateVector | None = field(default=None, init=False, repr=False)
+    _marginals: list[np.ndarray] = field(default_factory=list, init=False, repr=False)
+    _cdfs: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def circuit(self) -> Circuit:
@@ -173,9 +181,8 @@ class OracleCircuit:
         return 2 ** self.layout.size("index")
 
     def start(self) -> StateVector:
-        """A fresh uniform index state on ``search_layout(layout)``. The
-        oracle keeps no start state; the one state it keeps alive, for its
-        own lifetime, is the run of U on a start state (``_u_run``)."""
+        """A fresh uniform index state on ``search_layout(layout)``, not kept:
+        the oracle keeps only its run of U (``_u_run``) and deepest round."""
         layout = search_layout(self.layout)
         return StateVector.zero_state(layout).apply_circuit(
             Circuit([hadamard(q) for q in layout.qubits("index")]))
@@ -222,6 +229,23 @@ class OracleCircuit:
         """Most probable Q3 outcome on basis input |j>|0...0>, read from
         ``marked_probs`` (0 on a tie, as argmax of ``q3_distribution``)."""
         return int(self.marked_probs[j] > 0.5)
+
+    def marginal(self, r: int) -> np.ndarray:
+        """Index marginal after r Grover iterations of the search oracle."""
+        if not self._marginals:
+            self._marginals.append(self.start().measure_probs("index"))
+        while len(self._marginals) <= r:
+            self._state = self.apply(self._state).apply_circuit(self.diffusion)
+            self._marginals.append(self._state.measure_probs("index"))
+        return self._marginals[r]
+
+    def run_round(self, r: int, rng: np.random.Generator) -> int:
+        """``rng.choice(len(p), p=p / p.sum())`` on the depth-r marginal p, the
+        same index and stream position, from a CDF built once per depth."""
+        cdf = self._cdfs.get(r)
+        if cdf is None:
+            cdf = self._cdfs[r] = choice_cdf(self.marginal(r))
+        return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def search_layout(layout: RegisterLayout) -> RegisterLayout:
@@ -301,7 +325,7 @@ def prep_calls_per_oracle(b: int) -> Counter:
     return Counter({"V": 6 * per_f, "W": 6 * per_f})
 
 
-# --- search handles, one per backend ------------------------------------------
+# --- search draws and the table backend's handle ------------------------------
 
 
 def choice_cdf(probs: np.ndarray) -> np.ndarray:
@@ -346,48 +370,8 @@ class TableOracleHandle:
         return bool(self._marked[j])
 
 
-class CircuitOracleHandle:
-    """Circuit-exact backend: Grover iterations of the search oracle, the
-    model's phase oracle without its Q3 kickback qubit, applied to the
-    simulated register machine on the Q3-free layout.
-
-    The state after r iterations depends only on (y, A, r), so the handle
-    keeps the index marginal of every depth simulated so far and the deepest
-    state; a deeper round extends that state by the missing iterations. The
-    oracle supplies the start state (``start()``) and the diffusion that
-    follows each ``search``. The first iteration is ``apply()`` from the
-    start state, which continues from the oracle's run of U, the run its
-    verdicts read, so U runs once per handle. Queries are charged by
-    ``k_maxima``, r per round plus one per verification, whatever this
-    handle reuses. Construction runs no query.
-    """
-
-    def __init__(self, oracle: OracleCircuit):
-        self.oracle = oracle
-        self.M = oracle.M
-        # the deepest state simulated (None: the start state, which is not
-        # kept), and the index marginal after r iterations
-        self._state = None
-        self._marginals = [oracle.start().measure_probs("index")]
-        self._cdfs: dict[int, np.ndarray] = {}
-
-    def marginal(self, r: int) -> np.ndarray:
-        """Index marginal after r Grover iterations of the search oracle."""
-        while len(self._marginals) <= r:
-            self._state = self.oracle.apply(self._state).apply_circuit(self.oracle.diffusion)
-            self._marginals.append(self._state.measure_probs("index"))
-        return self._marginals[r]
-
-    def run_round(self, r: int, rng: np.random.Generator) -> int:
-        """``rng.choice(len(p), p=p / p.sum())`` on the depth-r marginal p, the
-        same index and stream position, from a CDF built once per depth."""
-        cdf = self._cdfs.get(r)
-        if cdf is None:
-            cdf = self._cdfs[r] = choice_cdf(self.marginal(r))
-        return int(cdf.searchsorted(rng.random(), side="right"))
-
-    def evaluate(self, j: int) -> bool:
-        return bool(self.oracle.evaluate(j))
+# only for perfbench/tracing.py's PLAN, which finds run_round under this old class name
+CircuitOracleHandle = OracleCircuit
 
 
 # --- qubit accounting ---------------------------------------------------------

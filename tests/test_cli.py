@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from qknn_sim import cli, invariants
 from qknn_sim.cli import CSV_HEADER, RunConfig, main, make_parser, parse_config_file
-from qknn_sim.oracle import CircuitOracleHandle, build_J
+from qknn_sim.oracle import OracleCircuit, build_J
 from qknn_sim.statevec import pauli_x
 
 
@@ -57,7 +57,7 @@ def test_classify_exits_1_on_a_search_marginal_the_draw_refuses(monkeypatch, tmp
     """A NaN search marginal in circuit-exact classify is refused before the
     draw, as rng.choice refuses it: the CLI exits 1 with an error line."""
     corpus = _make_corpus(tmp_path, "2q-sep-vs-ent", per_class=3)
-    monkeypatch.setattr(CircuitOracleHandle, "marginal",
+    monkeypatch.setattr(OracleCircuit, "marginal",
                         lambda self, r: np.array([np.nan, 0.5, 0.25, 0.25]))
     assert run_cli(["classify", "--corpus", str(corpus), "--mode", "circuit-exact",
                     "--k", "1", "--b", "2", "--split", "0.67"]) == 1
@@ -413,6 +413,20 @@ def test_budget_rounds_refusal_names_the_flag(capsys):
     """It used to be refused by SearchConfig as "max_rounds must be >= 1"."""
     assert exit_code(["bench", "--budget-rounds", "0"]) == 1
     assert capsys.readouterr().err == "error: --budget-rounds must be >= 1, got 0\n"
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_lambda_refusal_names_the_flag(source, tmp_path, capsys):
+    """It used to be refused by SearchConfig as "growth factor must be in
+    (1, 4/3]", whether the value came from --lambda or a config file's lam."""
+    args = ["bench", "--M", "16", "--trials", "2"]
+    if source == "flag":
+        args += ["--lambda", "2"]
+    else:
+        (tmp_path / "run.cfg").write_text("lam = 2\n")
+        args += ["--config", str(tmp_path / "run.cfg")]
+    assert exit_code(args) == 1
+    assert capsys.readouterr().err == "error: --lambda must be in (1, 4/3], got 2.0\n"
 
 
 @pytest.mark.parametrize("cmd,extra", [("discriminate", ["--n", "1"]), ("bench", ["--k", "1"])])

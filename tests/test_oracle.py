@@ -15,7 +15,6 @@ from qknn_sim import statevec as statevec_module
 from qknn_sim.datasets import haar_random_state
 from qknn_sim.kmax import CircuitBackend, SearchConfig, k_maxima
 from qknn_sim.oracle import (
-    CircuitOracleHandle,
     OracleCircuit,
     SimulationError,
     TableOracleHandle,
@@ -227,8 +226,8 @@ def test_table_run_round_draw_matches_generator_choice(values, data, r, seed):
     assert mine.random() == reference.random()
 
 
-class _FixedMarginalHandle(CircuitOracleHandle):
-    """The circuit handle's draw over a given marginal at every depth."""
+class _FixedMarginalOracle(OracleCircuit):
+    """The circuit oracle's draw over a given marginal at every depth."""
 
     def __init__(self, probs):
         self._cdfs, self.probs = {}, probs
@@ -248,10 +247,10 @@ def test_circuit_run_round_draw_matches_generator_choice(weights, total, seed):
     if not probs.any():
         probs[0] = 1.0
     probs = probs / probs.sum() * total
-    handle = _FixedMarginalHandle(probs)
+    oracle = _FixedMarginalOracle(probs)
     mine, reference = np.random.default_rng(seed), np.random.default_rng(seed)
     for r in (0, 1, 0, 2, 1):
-        assert handle.run_round(r, mine) == int(reference.choice(len(probs),
+        assert oracle.run_round(r, mine) == int(reference.choice(len(probs),
                                                                   p=probs / probs.sum()))
     assert mine.bit_generator.state == reference.bit_generator.state
 
@@ -269,18 +268,17 @@ def test_circuit_run_round_refuses_what_generator_choice_refuses(probs, message)
         with pytest.raises(ValueError):
             np.random.default_rng(0).choice(2, p=np.array(probs) / np.sum(probs))
         with pytest.raises(SimulationError, match=message):
-            _FixedMarginalHandle(np.array(probs)).run_round(0, rng)
+            _FixedMarginalOracle(np.array(probs)).run_round(0, rng)
     assert rng.bit_generator.state == before
 
 
-def test_circuit_handle_runs_search_round():
+def test_circuit_oracle_runs_search_round():
     oc = invariants.dyadic_oracle(2, 1, {1})
-    handle = CircuitOracleHandle(oc)
     rng = np.random.default_rng(4)
-    measured = handle.run_round(1, rng)   # one Grover iteration, t=1 of M=2
+    measured = oc.run_round(1, rng)   # one Grover iteration, t=1 of M=2
     assert measured in (0, 1)
-    assert handle.evaluate(0) is True and handle.evaluate(1) is False
-    assert not hasattr(handle, "query_count")
+    assert oc.evaluate(0) == 1 and oc.evaluate(1) == 0
+    assert not hasattr(oc, "query_count")
 
 
 def test_qubit_accounting_report():
@@ -339,20 +337,28 @@ def test_oracle_rejects_m_wider_than_b():
         assemble_O_yA(V, W, layout, PrecisionConfig(2), 0, {0})
 
 
-class _CountingHandle(CircuitOracleHandle):
-    """The cached handle, recording the depths, candidates and generator it is
-    given, counting its verifications and the simulator work its own oracle
-    copy does."""
+def _copy(cls, oc):
+    """A ``cls`` oracle built from the init fields of ``oc``: the same
+    circuits, none of its simulated states or verdicts."""
+    return cls(*(getattr(oc, f.name) for f in dataclasses.fields(oc) if f.init))
 
-    def __init__(self, oracle):
-        super().__init__(oracle)
+
+class _CountingOracle(OracleCircuit):
+    """The cached oracle, recording the depths, candidates and generator it is
+    given, counting its verifications and the simulator work it does."""
+
+    def __init__(self, *fields):
+        super().__init__(*fields)
         self.depths, self.candidates, self.evaluations, self.rng = [], set(), 0, None
         self.calls = Counter()
-        for name in ("apply", "q3_distribution"):
-            def counted(*args, _method=getattr(oracle, name), _name=name):
-                self.calls[_name] += 1
-                return _method(*args)
-            setattr(oracle, name, counted)
+
+    def apply(self, *args):
+        self.calls["apply"] += 1
+        return super().apply(*args)
+
+    def q3_distribution(self, j):
+        self.calls["q3_distribution"] += 1
+        return super().q3_distribution(j)
 
     def run_round(self, r, rng):
         self.depths.append(r)
@@ -365,40 +371,39 @@ class _CountingHandle(CircuitOracleHandle):
         return super().evaluate(j)
 
 
-class _RebuildingHandle(CircuitOracleHandle):
+class _RebuildingOracle(OracleCircuit):
     """The brute-force reference: every round rebuilds its state from |0...0>
     and samples it, every verification simulates its candidate again."""
 
-    def __init__(self, oracle):
-        super().__init__(oracle)
-        self.marginals, self.rng = {}, None
+    def __init__(self, *fields):
+        super().__init__(*fields)
+        self.rebuilt, self.rng = {}, None
 
     def run_round(self, r, rng):
         self.rng = rng
-        layout = search_layout(self.oracle.layout)
+        layout = search_layout(self.layout)
         state = StateVector.zero_state(layout).apply_circuit(
             Circuit([hadamard(q) for q in layout.qubits("index")]))
         for _ in range(r):
-            state = self.oracle.apply(state).apply_circuit(self.oracle.diffusion)
-        self.marginals[r] = state.measure_probs("index")
+            state = self.apply(state).apply_circuit(self.diffusion)
+        self.rebuilt[r] = state.measure_probs("index")
         return state.sample_measurement("index", rng)
 
     def evaluate(self, j):
-        return bool(np.argmax(self.oracle.q3_distribution(j)))
+        return int(np.argmax(self.q3_distribution(j)))
 
 
-class _HandleBackend(CircuitBackend):
-    """CircuitBackend yielding ``handle_cls`` over a fresh copy of each
-    assembled oracle, so no verdict is shared between handles."""
+class _OracleBackend(CircuitBackend):
+    """CircuitBackend yielding a fresh ``oracle_cls`` copy of each assembled
+    oracle, so no state or verdict is shared between searches."""
 
-    def __init__(self, handle_cls, assemble, values, b):
+    def __init__(self, oracle_cls, assemble, values, b):
         super().__init__(assemble, values, b)
-        self.handle_cls, self.handles = handle_cls, []
+        self.oracle_cls, self.oracles = oracle_cls, []
 
     def oracle_for(self, y, A):
-        handle = self.handle_cls(dataclasses.replace(self._assemble(y, frozenset(A))))
-        self.handles.append(handle)
-        return handle
+        self.oracles.append(_copy(self.oracle_cls, self._assemble(y, frozenset(A))))
+        return self.oracles[-1]
 
 
 FIVE_CASES = [("haar", 2, 1, 0), ("haar", 2, 1, 1), ("basis", 2, 1, 4), ("basis", 2, 1, 5),
@@ -423,9 +428,9 @@ def _search_instance(kind, M, seed, b=2):
 
 @pytest.mark.parametrize("kind,M,k,seed", FIVE_CASES)
 def test_cached_search_matches_brute_force(kind, M, k, seed):
-    """k_maxima over the cached circuit handle equals the rebuilding reference
+    """k_maxima over the cached circuit oracle equals the rebuilding reference
     field by field and leaves the generator in the same state, while each
-    handle simulates at most max(r) Grover iterations and each candidate once.
+    oracle simulates at most max(r) Grover iterations and each candidate once.
 
     Haar-random states give non-dyadic fidelities; basis states (fidelities
     1, 0, 1, 0 to a |0> test state) make these seeds replace a member of A
@@ -434,20 +439,20 @@ def test_cached_search_matches_brute_force(kind, M, k, seed):
     assembled, values = _search_instance(kind, M, seed)
     search = SearchConfig(max_rounds=10, seed=seed)
     results = {}
-    for cls in (_CountingHandle, _RebuildingHandle):
-        backend = _HandleBackend(cls, assembled, values, 2)
-        results[cls] = (k_maxima(backend, k, M, search), backend.handles)
-    (got, cached), (want, reference) = results[_CountingHandle], results[_RebuildingHandle]
+    for cls in (_CountingOracle, _RebuildingOracle):
+        backend = _OracleBackend(cls, assembled, values, 2)
+        results[cls] = (k_maxima(backend, k, M, search), backend.oracles)
+    (got, cached), (want, reference) = results[_CountingOracle], results[_RebuildingOracle]
     for name in ("top_k", "rounds", "oracle_queries", "data_prep_queries", "iterations",
                  "search_rounds"):
         assert getattr(got, name) == getattr(want, name), name
     assert sum(sum(h.depths) + h.evaluations for h in cached) == got.oracle_queries
     assert cached[-1].rng.bit_generator.state == reference[-1].rng.bit_generator.state
     assert len(cached) == len(got.rounds)
-    for handle in cached:
-        grover_apps = handle.calls["apply"] - handle.calls["q3_distribution"]
-        assert grover_apps <= max(handle.depths)
-        assert handle.calls["q3_distribution"] <= len(handle.candidates)
+    for oc in cached:
+        grover_apps = oc.calls["apply"] - oc.calls["q3_distribution"]
+        assert grover_apps <= max(oc.depths)
+        assert oc.calls["q3_distribution"] <= len(oc.candidates)
 
 
 def test_cached_rounds_match_rebuilt_rounds_at_any_depth():
@@ -464,71 +469,68 @@ def test_cached_rounds_match_rebuilt_rounds_at_any_depth():
     W = make_W(np.array([[1, 0], [0, 1], [0, 1], [0, 1]], dtype=complex), layout)
     oc = assemble_O_yA(V, W, layout, PrecisionConfig(2), 1, {1})
     depths = [4, 0, 1, 3, 0]
-    cached = _CountingHandle(dataclasses.replace(oc))
-    reference = _RebuildingHandle(dataclasses.replace(oc))
+    cached, reference = _copy(_CountingOracle, oc), _copy(_RebuildingOracle, oc)
     rng_cached, rng_reference = np.random.default_rng(6), np.random.default_rng(6)
     for r in depths:
         assert cached.run_round(r, rng_cached) == reference.run_round(r, rng_reference)
     assert rng_cached.bit_generator.state == rng_reference.bit_generator.state
     assert cached.calls["apply"] == max(depths)
     for r in depths:
-        assert np.array_equal(cached._marginals[r], reference.marginals[r])
-    assert cached._marginals[1][0] > 1 - 1e-9 and abs(cached._marginals[0][0] - 0.25) < 1e-9
+        assert np.array_equal(cached.marginal(r), reference.rebuilt[r])
+    assert cached.marginal(1)[0] > 1 - 1e-9 and abs(cached.marginal(0)[0] - 0.25) < 1e-9
 
 
-class _KickbackHandle(CircuitOracleHandle):
+class _KickbackOracle(OracleCircuit):
     """The model as written: every round rebuilds the full state with Q3 in
     |->, applies the model circuit r times, and samples it; every
     verification runs the model circuit on its candidate."""
 
     def run_round(self, r, rng):
         self.rng = rng
-        layout = self.oracle.layout
+        layout = self.layout
         (q3,) = layout.qubits("Q3")
         state = StateVector.zero_state(layout).apply_circuit(
             Circuit([pauli_x(q3), hadamard(q3)] + [hadamard(q) for q in layout.qubits("index")]))
         for _ in range(r):
-            state = state.apply_circuit(self.oracle.circuit).apply_circuit(self.oracle.diffusion)
+            state = state.apply_circuit(self.circuit).apply_circuit(self.diffusion)
         return state.sample_measurement("index", rng)
 
     def evaluate(self, j):
-        return bool(np.argmax(self.oracle.q3_distribution(j)))
+        return int(np.argmax(self.q3_distribution(j)))
 
 
 @pytest.mark.parametrize("kind,M,k,seed", FIVE_CASES)
 def test_phase_oracle_search_matches_kickback_model(kind, M, k, seed):
-    """k_maxima over the Q3-free circuit handle equals k_maxima over the
+    """k_maxima over the Q3-free circuit oracle equals k_maxima over the
     model circuit with Q3 in |-> field by field, and leaves the generator
     in the same state."""
     assembled, values = _search_instance(kind, M, seed)
     search = SearchConfig(max_rounds=10, seed=seed)
     results = {}
-    for cls in (_CountingHandle, _KickbackHandle):
-        backend = _HandleBackend(cls, assembled, values, 2)
-        results[cls] = (k_maxima(backend, k, M, search), backend.handles)
-    (got, handles), (want, reference) = results[_CountingHandle], results[_KickbackHandle]
+    for cls in (_CountingOracle, _KickbackOracle):
+        backend = _OracleBackend(cls, assembled, values, 2)
+        results[cls] = (k_maxima(backend, k, M, search), backend.oracles)
+    (got, cached), (want, reference) = results[_CountingOracle], results[_KickbackOracle]
     for name in ("top_k", "rounds", "oracle_queries", "data_prep_queries", "iterations",
                  "search_rounds"):
         assert getattr(got, name) == getattr(want, name), name
-    assert handles[-1].rng.bit_generator.state == reference[-1].rng.bit_generator.state
+    assert cached[-1].rng.bit_generator.state == reference[-1].rng.bit_generator.state
 
 
-class _OwnCircuitsBackend(_HandleBackend):
-    """Each handle's oracle holds Circuit objects of its own, so the runs of
-    each can be told apart by identity; a replaced oracle builds its own
-    model circuit."""
+class _OwnCircuitsBackend(_OracleBackend):
+    """Each oracle holds Circuit objects of its own, so the runs of each can
+    be told apart by identity; a copied oracle builds its own model circuit."""
 
     def oracle_for(self, y, A):
         oc = self._assemble(y, frozenset(A))
-        fresh = dataclasses.replace(oc, U=Circuit(list(oc.U)), search=Circuit(list(oc.search)))
-        handle = self.handle_cls(fresh)
-        self.handles.append(handle)
-        return handle
+        self.oracles.append(self.oracle_cls(oc.layout, oc.y, oc.A, oc.F, Circuit(list(oc.U)),
+                                            Circuit(list(oc.search))))
+        return self.oracles[-1]
 
 
 @pytest.mark.parametrize("kind,M,k,seed", FIVE_CASES)
 def test_each_handle_runs_max_depth_search_queries_and_one_U(monkeypatch, kind, M, k, seed):
-    """Per handle: at most max(r) applications of the search oracle, at most
+    """Per oracle: at most max(r) applications of the search oracle, at most
     one run of U for all verdicts, and no run of the model circuit, which
     is not even built."""
     applied = []  # every circuit run, kept alive so identities stay distinct
@@ -540,17 +542,16 @@ def test_each_handle_runs_max_depth_search_queries_and_one_U(monkeypatch, kind, 
 
     monkeypatch.setattr(StateVector, "apply_circuit", counted)
     assembled, values = _search_instance(kind, M, seed)
-    backend = _OwnCircuitsBackend(_CountingHandle, assembled, values, 2)
+    backend = _OwnCircuitsBackend(_CountingOracle, assembled, values, 2)
     k_maxima(backend, k, M, SearchConfig(max_rounds=10, seed=seed))
-    assert backend.handles
-    for handle in backend.handles:
-        oc = handle.oracle
+    assert backend.oracles
+    for oc in backend.oracles:
         assert "circuit" not in vars(oc)
         runs = Counter(name for c in applied for name in ("search", "U", "circuit")
                        if c is getattr(oc, name))
-        assert runs["search"] <= max(handle.depths)
-        assert runs["U"] == (1 if handle.candidates else 0)
-        assert runs["circuit"] == handle.calls["q3_distribution"] == 0
+        assert runs["search"] <= max(oc.depths)
+        assert runs["U"] == (1 if oc.candidates else 0)
+        assert runs["circuit"] == oc.calls["q3_distribution"] == 0
 
 
 def test_first_query_continues_from_the_verdict_run_of_U(monkeypatch):
@@ -566,16 +567,39 @@ def test_first_query_continues_from_the_verdict_run_of_U(monkeypatch):
 
     assembled, _ = _search_instance("haar", 4, 0)
     oc = assembled(1, frozenset({1}))
-    reference = _RebuildingHandle(dataclasses.replace(oc))
+    reference = _copy(_RebuildingOracle, oc)
     reference.run_round(1, np.random.default_rng(0))
     monkeypatch.setattr(StateVector, "apply_circuit", counted)
-    handle = CircuitOracleHandle(oc)
-    handle.run_round(1, np.random.default_rng(0))
-    verdicts = [handle.evaluate(j) for j in range(oc.M)]
+    oc.run_round(1, np.random.default_rng(0))
+    verdicts = [oc.evaluate(j) for j in range(oc.M)]
     assert sum(c is oc.U for c in applied) == 1
     assert sum(c is oc.search for c in applied) == 0
-    assert np.array_equal(handle.marginal(1), reference.marginals[1])
-    assert verdicts == [bool(np.argmax(oc.q3_distribution(j))) for j in range(oc.M)]
+    assert np.array_equal(oc.marginal(1), reference.rebuilt[1])
+    assert verdicts == [int(np.argmax(oc.q3_distribution(j))) for j in range(oc.M)]
+
+
+def test_assembling_and_handing_out_an_oracle_simulates_nothing(monkeypatch):
+    """assemble_O_yA and CircuitBackend.oracle_for run no circuit on a state
+    and measure nothing; the first round simulates, and so does the first
+    verdict of a fresh oracle."""
+    calls = Counter()
+    for name in ("apply_circuit", "measure_probs"):
+        def counted(*args, _method=getattr(StateVector, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _method(*args, **kwargs)
+        monkeypatch.setattr(StateVector, name, counted)
+    assembled, values = _search_instance("haar", 4, 0)
+    backend = CircuitBackend(assembled, values, 2)
+    oc = backend.oracle_for(1, frozenset({1}))
+    assert oc is assembled(1, frozenset({1}))
+    assert calls == Counter()
+    oc.run_round(0, np.random.default_rng(0))
+    assert calls["apply_circuit"] > 0 and calls["measure_probs"] > 0
+    calls.clear()
+    fresh = backend.oracle_for(2, frozenset({2}))
+    assert calls == Counter()
+    fresh.evaluate(0)
+    assert calls["apply_circuit"] > 0 and calls["measure_probs"] > 0
 
 
 def test_phase_oracle_vs_kickback_law():
@@ -584,7 +608,7 @@ def test_phase_oracle_vs_kickback_law():
 
 def test_reduced_search_matches_kickback_model_at_two_qubit_states():
     """At (m, n, b) = (2, 2, 2) the model has 18 qubits and the simulator 15,
-    without Q3 and the primed index register. Over r <= 2 the handle's index
+    without Q3 and the primed index register. Over r <= 2 the oracle's index
     marginals equal the full circuit's with Q3 in |-> to 1e-12, and every
     verdict is the most probable Q3 outcome of the full circuit on |j>. The
     instance marks index 0 (P = 0.58) and leaves index 3 near 0.35."""

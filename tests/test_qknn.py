@@ -138,10 +138,8 @@ def test_classical_knn_validation():
     for k in (0, -1):
         with pytest.raises(SimulationError, match="k must be >= 1"):
             classical_knn(np.array([1, 0], dtype=complex), train, k, b=4)
-    with pytest.raises(SimulationError):
+    with pytest.raises(SimulationError, match="empty train set"):
         TrainSet(np.zeros((0, 2), dtype=complex), [])
-        classical_knn(np.array([1, 0], dtype=complex),
-                      TrainSet(np.zeros((0, 2), dtype=complex), []), 1, b=4)
 
 
 def test_classical_knn_refuses_fractional_bits():
