@@ -1,13 +1,13 @@
-"""Command-line entry point and experiment orchestration.
+"""Command-line entry point: settings, subcommands and output formatting.
 
 Subcommands: gen-data, classify, verify, bench, discriminate, entanglement;
-each offers only the settings it reads. ``bench`` and ``entanglement`` are
-the query-scaling and entanglement-classification experiments. Precedence
-is flags > config file > defaults; the config file is ``key = value`` lines
-(any ``RunConfig`` field, hyphens or underscores), with ``#`` comments. All
-outputs are machine readable: JSON lines for corpora and reports, CSV with a
-``# qknn-sim v1`` header comment for result tables. Exit codes: 0 ok, 1
-validation error, 2 runtime error, 3 verification failure.
+each offers only the settings it reads, and a study subcommand only formats
+what its loop in ``experiments`` returns. Precedence is flags > config file >
+defaults; the config file is ``key = value`` lines (any ``RunConfig`` field,
+hyphens or underscores), with ``#`` comments. All outputs are machine readable:
+JSON lines for corpora and reports, CSV with a ``# qknn-sim v1`` header comment
+for result tables. Exit codes: 0 ok, 1 validation error, 2 runtime error, 3
+verification failure.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, fields
 
-from . import datasets, experiments, invariants, kmax, qadc, qknn
+from . import datasets, experiments, invariants, kmax, qknn
 from .statevec import SimulationError, require_count
 
 CSV_HEADER = "# qknn-sim v1"
@@ -60,9 +60,8 @@ class RunConfig:
         except ValueError as exc:
             raise SimulationError(f"bad --M value {self.M!r}") from exc
 
-    def search_config(self, seed: int | None = None) -> kmax.SearchConfig:
-        return kmax.SearchConfig(self.lam, self.budget_rounds,
-                                 self.seed if seed is None else seed)
+    def search_config(self) -> kmax.SearchConfig:
+        return kmax.SearchConfig(self.lam, self.budget_rounds, self.seed)
 
 
 def parse_config_file(path: str) -> dict:
@@ -135,22 +134,14 @@ def cmd_classify(cfg: RunConfig) -> int:
     if cfg.corpus is None:
         raise SimulationError("classify needs --corpus FILE")
     corpus = datasets.read_corpus(cfg.corpus)
-    train, test_idx, search_seeds = experiments.split_corpus(corpus, cfg.split, cfg.seed)
-    rows = [CSV_HEADER, "test_id,true_label,predicted,queries,mode"]
-    hits = 0
-    for idx, search_seed in zip(test_idx, search_seeds):
-        state = corpus.states[idx]
-        truth = corpus.labels[idx]
-        if cfg.mode == "classical":
-            result = qknn.classical_knn(state, train, cfg.k, b=cfg.b)
-        else:
-            result = qknn.qknn_classify(state, train, cfg.k, qadc.PrecisionConfig(cfg.b),
-                                        cfg.search_config(search_seed), mode=cfg.mode)
-        hits += result.label == truth
-        rows.append(f"{idx},{truth},{result.label},{result.oracle_queries},{cfg.mode}")
-    accuracy = hits / len(test_idx)
-    _write_lines(cfg.out, rows + [f"# accuracy={accuracy:.6f}"])
-    print(f"accuracy: {accuracy:.4f} over {len(test_idx)} test states ({cfg.mode})")
+    results = list(experiments.classify_split(corpus, cfg.split, cfg.seed, cfg.k, cfg.b,
+                                              (cfg.mode,), cfg.search_config()))
+    accuracy = sum(r.label == truth for _, truth, (r,) in results) / len(results)
+    _write_lines(cfg.out, [CSV_HEADER, "test_id,true_label,predicted,queries,mode",
+                           *(f"{idx},{truth},{r.label},{r.oracle_queries},{cfg.mode}"
+                             for idx, truth, (r,) in results),
+                           f"# accuracy={accuracy:.6f}"])
+    print(f"accuracy: {accuracy:.4f} over {len(results)} test states ({cfg.mode})")
     return 0
 
 
@@ -189,7 +180,7 @@ def cmd_discriminate(cfg: RunConfig) -> int:
         print(f"M={r.M}: success {r.success_rate:.3f}, mean queries {r.mean_queries:.1f}")
     _write_lines(cfg.out, lines)  # rows first: a failed fit keeps them
     if len(rows) >= 2:
-        slope = kmax.fit_loglog_slope([r.M for r in rows], [r.mean_queries for r in rows])
+        slope = experiments.fit_loglog_slope([r.M for r in rows], [r.mean_queries for r in rows])
         _write_lines(cfg.out, [f"# fitted_slope={slope:.4f}"], "a")
         print(f"fitted slope: {slope:.4f}")
     return 0

@@ -1,5 +1,6 @@
-"""Quantum search with an unknown number of marked items, and the k-maxima
-loop built on it.
+"""Quantum search with an unknown number of marked items, the k-maxima loop
+built on it, its two backends and its query accounting. The studies that run
+the search are in ``experiments``.
 
 The search follows the growing-schedule strategy: keep a bound m, draw the
 iteration count r uniformly from [0, ceil(m)), run r Grover iterations,
@@ -26,14 +27,13 @@ step of circuit-exact accounting.
 """
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .oracle import OracleCircuit, SimulationError, TableOracleHandle, prep_calls_per_oracle
-from .statevec import require_count, require_fits
+from .statevec import require_count
 
 DIFFUSION_PREP_CALLS = 4  # two (V, W) pairs per Grover iteration
 
@@ -74,19 +74,6 @@ class KMaxResult:
     queries_to_solution: int | None  # first time A matches the true top-k
     iterations: int
     search_rounds: int
-    seed: int
-    M: int = 0
-
-    def trace_json(self) -> str:
-        """One machine-readable line per trial for downstream plotting."""
-        return json.dumps({
-            "seed": self.seed,
-            "M": self.M,
-            "k": len(self.top_k),
-            "rounds": [[y, found] for y, found in self.rounds],
-            "oracle_queries": self.oracle_queries,
-            "top_k": sorted(int(i) for i in self.top_k),
-        })
 
 
 def grover_search_unknown(oracle: TableOracleHandle | OracleCircuit, cfg: SearchConfig,
@@ -187,75 +174,5 @@ def k_maxima(backend, k: int, M: int | None = None,
             queries_to_solution = oracle_queries
     data_prep = oracle_queries * backend.prep_calls + iterations * DIFFUSION_PREP_CALLS
     return KMaxResult(frozenset(A), trace, oracle_queries, data_prep,
-                      queries_to_solution, iterations, search_rounds, cfg.seed, M)
+                      queries_to_solution, iterations, search_rounds)
 
-
-# --- scaling studies -----------------------------------------------------------
-
-
-@dataclass(eq=False)
-class ScalingRow:
-    M: int
-    k: int
-    trials: int
-    mean_queries: float
-    std_queries: float
-    mean_queries_to_solution: float
-    success_rate: float
-
-
-def require_sizes(M_values) -> list:
-    """A sweep's table sizes as a list; an empty sweep or a size that is not
-    a count >= 1 is refused before anything is seeded or allocated."""
-    M_values = list(M_values)
-    if not M_values:
-        raise SimulationError("M_values must hold at least one table size")
-    for M in M_values:
-        require_count("M", M)
-    return M_values
-
-
-def scaling_experiment(M_values, k: int, trials: int,
-                       cfg: SearchConfig = SearchConfig(),
-                       trace_sink: list | None = None) -> list[ScalingRow]:
-    """Mean oracle queries of full k-maxima runs over random distinct tables.
-
-    ``trace_sink``, when given, receives one JSON line per trial. A table
-    above 2**MAX_QUBITS entries is refused before any is allocated.
-    """
-    require_count("trials", trials)
-    M_values = require_sizes(M_values)
-    require_fits(f"a table of M={max(M_values)} entries", max(M_values), 8)
-    rows = []
-    root = np.random.SeedSequence(cfg.seed)
-    for M in M_values:
-        seeds = root.spawn(trials)
-        queries, to_solution, hits = [], [], 0
-        for trial_seq in seeds:
-            trial_rng = np.random.default_rng(trial_seq)
-            table = trial_rng.random(M)
-            run_cfg = replace(cfg, seed=int(trial_rng.integers(0, 2 ** 31)))
-            backend = TableBackend(table)
-            res = k_maxima(backend, k, M, run_cfg)
-            if trace_sink is not None:
-                trace_sink.append(res.trace_json())
-            queries.append(res.oracle_queries)
-            to_solution.append(res.queries_to_solution
-                               if res.queries_to_solution is not None
-                               else res.oracle_queries)
-            hits += backend.is_top_k(set(res.top_k))
-        rows.append(ScalingRow(M, k, trials, float(np.mean(queries)),
-                               float(np.std(queries)), float(np.mean(to_solution)),
-                               hits / trials))
-    return rows
-
-
-def fit_loglog_slope(sizes, means) -> float:
-    """Least-squares slope of log(mean queries) against log(M); finite only
-    over two or more distinct sizes with finite positive means."""
-    if len(set(sizes)) < 2 or not all(0 < m < math.inf for m in means):
-        raise SimulationError(f"no log-log slope over M = {', '.join(map(str, sizes))}: "
-                              f"needs two distinct M and mean queries > 0, got {list(means)}")
-    coeffs = np.polyfit(np.log(np.asarray(sizes, dtype=float)),
-                        np.log(np.asarray(means, dtype=float)), 1)
-    return float(coeffs[0])

@@ -106,7 +106,7 @@ def test_criterion_7_state_discrimination():
     """k=1 search identifies the promised state in >= 99% of trials, O(sqrt M)."""
     _start()
     rows = experiments.discrimination_sweep([16, 64, 256], 4, 100, kmax.SearchConfig(seed=979))
-    slope = kmax.fit_loglog_slope([r.M for r in rows], [r.mean_queries for r in rows])
+    slope = experiments.fit_loglog_slope([r.M for r in rows], [r.mean_queries for r in rows])
     ok = all(r.hits >= 99 for r in rows) and 0.35 <= slope <= 0.65
     details = " ".join(f"M={r.M}:{r.hits}%" for r in rows)
     _report(7, "state discrimination", ok,

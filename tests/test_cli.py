@@ -459,6 +459,35 @@ def test_small_integer_arguments_never_exit_2(cmd, trials, k, n, M, per_class, s
         assert exit_code(args) in (0, 1)
 
 
+@pytest.fixture(scope="module")
+def tiny_corpora(tmp_path_factory):
+    """A 4-state 2-qubit corpus and a 5-state 3-qubit one."""
+    paths = []
+    for scheme, per_class in (("2q-sep-vs-ent", 2), ("3q-five-class", 1)):
+        path = tmp_path_factory.mktemp("corpora") / f"{scheme}.jsonl"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run_cli(["gen-data", "--scheme", scheme, "--per-class", str(per_class),
+                            "--seed", "0", "--out", str(path)]) == 0
+        paths.append(str(path))
+    return paths
+
+
+@given(corpus=st.sampled_from([0, 1]),
+       mode=st.sampled_from(["classical", "oracle-abstract", "circuit-exact"]),
+       k=st.integers(0, 3), b=st.integers(1, 4),
+       split=st.sampled_from(["0.1", "0.3", "0.5", "0.7", "0.9"]),
+       budget_rounds=st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_classify_small_arguments_never_exit_2(tiny_corpora, corpus, mode, k, b, split,
+                                               budget_rounds):
+    args = ["classify", f"--corpus={tiny_corpora[corpus]}", f"--mode={mode}", f"--k={k}",
+            f"--b={b}", f"--split={split}", f"--budget-rounds={budget_rounds}", "--seed=0"]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert exit_code(args) in (0, 1)
+
+
 # the settings each subcommand reads; it offers these flags and no others
 READS = {
     "gen-data": {"scheme", "per_class", "seed", "out"},

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qknn_sim import datasets, experiments
-from qknn_sim.kmax import SearchConfig, TableBackend, k_maxima, scaling_experiment
+from qknn_sim.kmax import SearchConfig, TableBackend, k_maxima
 from qknn_sim.qadc import PrecisionConfig
 from qknn_sim.qknn import TrainSet, classical_knn, qknn_classify
 from qknn_sim.statevec import SimulationError, require_count
@@ -23,8 +23,10 @@ ENTRY_POINTS = {
     "k_maxima": ("k", lambda v: k_maxima(TableBackend(np.array([0.1, 0.2, 0.3])), v)),
     "classical_knn": ("k", lambda v: classical_knn(TEST, TRAIN, v, b=3)),
     "qknn_classify": ("k", lambda v: qknn_classify(TEST, TRAIN, v, PrecisionConfig(3))),
-    "scaling_experiment trials": ("trials", lambda v: scaling_experiment([4], 1, v)),
-    "scaling_experiment M": ("M", lambda v: scaling_experiment([v], 1, 2)),
+    "scaling_experiment trials": (
+        "trials", lambda v: experiments.scaling_study([4], 1, v, SearchConfig())),
+    "scaling_experiment M": (
+        "M", lambda v: experiments.scaling_study([v], 1, 2, SearchConfig())),
     "discrimination_sweep trials": (
         "trials", lambda v: experiments.discrimination_sweep([2], 1, v, SearchConfig())),
     "discrimination_sweep M": (
@@ -76,7 +78,7 @@ def test_k_above_the_table_size_is_refused_naming_k(call):
 def test_scaling_experiment_refuses_a_fractional_table_size():
     """M = 16.5 used to run, and be reported, as M = 16."""
     with pytest.raises(SimulationError, match=r"^M must be an integer, got 16\.5$"):
-        scaling_experiment([16.5], 1, 2)
+        experiments.scaling_study([16.5], 1, 2, SearchConfig())
 
 
 @pytest.mark.parametrize("states,labels,message", [

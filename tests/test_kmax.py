@@ -7,14 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qknn_sim import experiments
-from qknn_sim.kmax import (
-    SearchConfig,
-    TableBackend,
-    fit_loglog_slope,
-    grover_search_unknown,
-    k_maxima,
-    scaling_experiment,
-)
+from qknn_sim.kmax import SearchConfig, TableBackend, grover_search_unknown, k_maxima
 from qknn_sim.oracle import SimulationError, TableOracleHandle
 
 
@@ -160,7 +153,7 @@ def test_k_maxima_refuses_M_other_than_the_backend_size(M):
     backend = TableBackend(np.random.default_rng(0).random(8))
     with pytest.raises(SimulationError, match="does not match"):
         k_maxima(backend, 2, M)
-    assert k_maxima(backend, 2, 8).M == k_maxima(backend, 2).M == 8
+    assert k_maxima(backend, 2, 8).top_k == k_maxima(backend, 2).top_k
 
 
 def test_k_maxima_exact_on_random_tables():
@@ -260,22 +253,22 @@ def test_data_prep_accounting():
 
 
 def test_scaling_experiment_deterministic_and_in_band():
-    rows1 = scaling_experiment([16, 64, 256], 1, 60, SearchConfig(seed=31))
-    rows2 = scaling_experiment([16, 64, 256], 1, 60, SearchConfig(seed=31))
+    rows1 = experiments.scaling_study([16, 64, 256], 1, 60, SearchConfig(seed=31)).rows
+    rows2 = experiments.scaling_study([16, 64, 256], 1, 60, SearchConfig(seed=31)).rows
     assert [(r.M, r.mean_queries) for r in rows1] == [(r.M, r.mean_queries) for r in rows2]
-    slope = fit_loglog_slope([r.M for r in rows1],
-                             [r.mean_queries_to_solution for r in rows1])
+    _, slope = experiments.query_slopes(rows1)
     assert 0.2 < slope < 0.9
     assert all(r.success_rate == 1.0 for r in rows1)
 
 
 @pytest.mark.parametrize("run,named", [
-    (lambda: scaling_experiment([16], 1, 0), "trials must be >= 1, got 0"),
+    (lambda: experiments.scaling_study([16], 1, 0, SearchConfig()), "trials must be >= 1, got 0"),
     (lambda: experiments.discrimination_sweep([4], 1, 0, SearchConfig()),
      "trials must be >= 1, got 0"),
     (lambda: experiments.entanglement_experiment("2q-sep-vs-ent", 5, 1, 3, range(0)),
      "seeds must hold at least one corpus seed"),
-    (lambda: scaling_experiment([], 1, 2), "M_values must hold at least one table size"),
+    (lambda: experiments.scaling_study([], 1, 2, SearchConfig()),
+     "M_values must hold at least one table size"),
     (lambda: experiments.discrimination_sweep([], 1, 2, SearchConfig()),
      "M_values must hold at least one table size"),
 ])
@@ -290,15 +283,6 @@ def test_experiment_loops_refuse_empty_work(run, named):
 def test_fit_loglog_slope_refuses_a_mean_that_is_not_finite_and_positive(means):
     """A NaN mean used to pass the guard and return a NaN slope."""
     with pytest.raises(SimulationError, match="needs two distinct M and mean queries > 0"):
-        fit_loglog_slope([2, 4], means)
-    assert fit_loglog_slope([2, 4], [1.0, 2.0]) == pytest.approx(1.0)
+        experiments.fit_loglog_slope([2, 4], means)
+    assert experiments.fit_loglog_slope([2, 4], [1.0, 2.0]) == pytest.approx(1.0)
 
-
-def test_trace_json_schema():
-    res = k_maxima(TableBackend(np.array([0.1, 0.9, 0.5, 0.7])), 2,
-                   cfg=SearchConfig(seed=3))
-    import json
-    obj = json.loads(res.trace_json())
-    assert set(obj) == {"seed", "M", "k", "rounds", "oracle_queries", "top_k"}
-    assert obj["M"] == 4 and obj["k"] == 2 and obj["top_k"] == [1, 3]
-    assert all(len(r) == 2 for r in obj["rounds"])
