@@ -71,10 +71,10 @@ def parse_config_file(path: str) -> dict:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line or "\0" in line:  # open() refuses a path with a NUL
-            raise SimulationError(f"{path}:{lineno}: expected key = value, no NUL byte")
-        key, _, val = line.partition("=")
+        key, eq, val = line.partition("=")
         key = key.strip().replace("-", "_")
+        if not (key and eq) or "\0" in line:  # open() refuses a path with a NUL
+            raise SimulationError(f"{path}:{lineno}: expected key = value, no NUL byte")
         if key in first_line:
             raise SimulationError(f"{path}:{lineno}: key {key!r} is already set on "
                                   f"line {first_line[key]}")

@@ -1,5 +1,5 @@
 """Quantum primitives for the classifier: state preparation, interference
-tests, the fidelity/dot-product reflection operators, and phase estimation.
+tests, the reflection operators G and H, and phase estimation.
 
 The central object is the reflection operator built from the state-prep
 oracles. For the fidelity path it is
@@ -9,8 +9,9 @@ oracles. For the fidelity path it is
 where U prepares the test state and runs the swap-test network. Restricted
 to the index-j block, G rotates a two-dimensional subspace by angle
 2*pi*theta_j with sin(pi*theta_j) = sqrt((1+F_j)/2), so phase estimation on
-G digitizes the fidelity F_j. The dot-product analogue H uses the Hadamard
-test and sin(pi*theta_j) = sqrt((1+X_j)/2) with X_j the real inner product.
+G digitizes the fidelity F_j. The analogue H uses the Hadamard test and
+sin(pi*theta_j) = sqrt((1+X_j)/2) with X_j the real inner product; no
+classifier digitizes it, and it is kept for its eigenstructure laws.
 """
 from __future__ import annotations
 
@@ -114,16 +115,16 @@ def zero_reflection(qubits: tuple[int, ...]) -> Circuit:
 
 @dataclass(eq=False)
 class ReflectionOperator:
-    """A reflection operator (G or H) plus the pieces QADC needs."""
+    """A reflection operator (G or H) plus the prep circuit it reflects about."""
 
-    kind: str                      # "fidelity" | "dot"
     gate: Gate                     # dense G or H on its support, with its prep counts
     amp_circuit: Circuit           # the prep circuit: E^amp, uncomputed at the end
 
 
-def reflection_operator(kind: str, prep: Circuit, layout: RegisterLayout,
+def reflection_operator(name: str, prep: Circuit, layout: RegisterLayout,
                         work: tuple[str, ...], support: tuple[str, ...]) -> ReflectionOperator:
-    """prep S0 prep^dag Z_B on the ``support`` registers, as one dense gate.
+    """prep S0 prep^dag Z_B on the ``support`` registers, as one dense gate
+    called ``name``.
 
     S0 reflects about |0..0> on the ``work`` registers, whose last one is
     the interference ancilla B.
@@ -132,21 +133,21 @@ def reflection_operator(kind: str, prep: Circuit, layout: RegisterLayout,
     circ = Circuit([pauli_z(bq)] + prep.inverse().gates
                    + zero_reflection(layout.qubits_of(work)).gates + prep.gates)
     qubits = layout.qubits_of(support)
-    gate = Gate.derived("G" if kind == "fidelity" else "H", qubits, (),
-                        circuit_to_matrix(circ, qubits), None, tuple(circ.prep_counts().items()))
-    return ReflectionOperator(kind, gate, prep)
+    gate = Gate.derived(name, qubits, (), circuit_to_matrix(circ, qubits), None,
+                        tuple(circ.prep_counts().items()))
+    return ReflectionOperator(gate, prep)
 
 
 def build_G(V: Gate, W: Gate, layout: RegisterLayout) -> ReflectionOperator:
     """G = U W S0 W^dag U^dag Z_B on (index, train, test, B)."""
     prep = Circuit([W] + build_U(V, layout).gates)
-    return reflection_operator("fidelity", prep, layout, ("train", "test", "B"),
+    return reflection_operator("G", prep, layout, ("train", "test", "B"),
                                ("index", "train", "test", "B"))
 
 
 def build_H_dot(V: Gate, W: Gate, layout: RegisterLayout) -> ReflectionOperator:
     """H = V_c S0 V_c^dag Z_B with V_c the prepare-and-interfere unitary."""
-    return reflection_operator("dot", hadamard_test_circuit(V, W, layout), layout,
+    return reflection_operator("H", hadamard_test_circuit(V, W, layout), layout,
                                ("data", "B"), ("index", "data", "B"))
 
 

@@ -192,15 +192,16 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
     assert "separable: 4" in capsys.readouterr().out
 
 
-def test_config_file_parser_rejects_garbage(tmp_path):
-    """A line without '=', and a value with a NUL byte (which no path may
-    hold), exit 1."""
+def test_config_file_parser_rejects_garbage(tmp_path, capsys):
+    """A line without '=', a line without a key, and a value with a NUL byte
+    (which no path may hold), exit 1 naming the file and line."""
     cfg = tmp_path / "bad.cfg"
     assert parse_config_file.__name__ == "parse_config_file"
-    for text in ("this is not a key value line\n", "out = a\0b\n"):
+    for text in ("this is not a key value line\n", "out = a\0b\n", "= 5\n"):
         cfg.write_text(text)
         code = run_cli(["gen-data", "--scheme", "2q-sep-vs-ent", "--config", str(cfg)])
         assert code == 1
+        assert "bad.cfg:1: expected key = value" in capsys.readouterr().err
 
 
 def test_bench_emits_per_trial_traces(tmp_path):

@@ -1,6 +1,7 @@
 """Comparator circuits, membership gates, and the assembled threshold oracle."""
 import dataclasses
 import functools
+import hashlib
 import math
 from collections import Counter
 
@@ -28,9 +29,9 @@ from qknn_sim.oracle import (
     u_gt_gates,
     u_neq_gates,
 )
-from qknn_sim.qadc import PrecisionConfig, fidelity_qadc_circuit, quantize_array
+from qknn_sim.qadc import PrecisionConfig, arithmetic_map, fidelity_qadc_circuit, quantize_array
 from qknn_sim.statevec import Circuit, StateVector, hadamard, mcz, pauli_x
-from qknn_sim.subroutines import make_V, make_W
+from qknn_sim.subroutines import build_G, make_V, make_W, qpe_circuit
 
 
 def test_threshold_state_validation(monkeypatch):
@@ -174,13 +175,19 @@ def test_oracle_evaluate_most_probable_outcome():
 
 
 def test_oracle_netlist_mentions_core_pieces():
-    oc = invariants.dyadic_oracle(2, 1, {1})
-    text = oc.circuit.netlist()
-    for token in ("W ", "V ", "IQFT", "QA[fidelity]", "TOFFOLI"):
-        assert token in text
-    for line in text.splitlines():
-        name, rest = line.split(" ", 1)
-        assert name and rest
+    """The model netlist names its pieces and is pinned byte for byte: it
+    holds names and qubit numbers only, so its digest needs no tolerance."""
+    for b, gates, digest in (
+            (2, 175, "29f23f05cb5a99a93456ce5068d81c309a25d8e1e53a74f2d4a00147cd666717"),
+            (3, 233, "905596a5b65fe7757f81a65ff25d7032ddef51b5b8a76ef326a944554816a44d")):
+        text = invariants.dyadic_oracle(b, 1, {1}).circuit.netlist()
+        for token in ("W ", "V ", "IQFT", "QA[fidelity]", "TOFFOLI"):
+            assert token in text
+        for line in text.splitlines():
+            name, rest = line.split(" ", 1)
+            assert name and rest
+        assert len(text.splitlines()) == gates
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_table_oracle_handle_examples():
@@ -292,14 +299,40 @@ def test_qubit_accounting_report():
 CIRCUIT_EXACT_SHAPES = [(m, n, b) for m in (1, 2, 3) for n in (1, 2) for b in (2, 3) if m <= b]
 
 
-def _haar_F(m, n, b, seed=0):
-    """The unfused QADC operator F on the (m, n, b) layout for 2**m Haar
-    train states and a Haar test state."""
+def _haar_VW(m, n, b, seed=0):
+    """The (m, n, b) layout with V and W for 2**m Haar train states and a
+    Haar test state."""
     rng = np.random.default_rng(seed)
     layout = oracle_layout(m, n, b)
     states = np.stack([haar_random_state(n, rng) for _ in range(2 ** m + 1)])
-    V, W = make_V(states[-1], layout, register="test"), make_W(states[:-1], layout)
+    return layout, make_V(states[-1], layout, register="test"), make_W(states[:-1], layout)
+
+
+def _haar_F(m, n, b, seed=0):
+    """The unfused QADC operator F on the (m, n, b) layout for 2**m Haar
+    train states and a Haar test state."""
+    layout, V, W = _haar_VW(m, n, b, seed)
     return layout, fidelity_qadc_circuit(V, W, layout, PrecisionConfig(b))
+
+
+def _gate_key(g):
+    """Everything a gate is: name, qubits, prep counts, matrix or permutation bytes."""
+    data = g.perm if g.matrix is None else g.matrix
+    return g.name, g.targets, g.controls, g.prep_counts, g.matrix is None, data.tobytes()
+
+
+@pytest.mark.parametrize("m,n,b", [(1, 1, 2), (2, 2, 3)])
+def test_fidelity_qadc_circuit_is_amp_qpe_arithmetic_and_their_inverses(m, n, b):
+    """F is E^amp -> QPE(G) -> QA -> QPE^-1 -> E^amp^-1, gate for gate, with
+    E^amp the prep circuit G reflects about."""
+    layout, V, W = _haar_VW(m, n, b)
+    cfg = PrecisionConfig(b)
+    G = build_G(V, W, layout)
+    qpe = qpe_circuit(G.gate, layout.qubits("phase"))
+    want = (G.amp_circuit.gates + qpe.gates + [arithmetic_map(cfg, layout)]
+            + qpe.inverse().gates + G.amp_circuit.inverse().gates)
+    got = fidelity_qadc_circuit(V, W, layout, cfg).gates
+    assert [_gate_key(g) for g in got] == [_gate_key(g) for g in want]
 
 
 @pytest.mark.parametrize("m,n,b", CIRCUIT_EXACT_SHAPES)
@@ -320,8 +353,7 @@ def test_fidelity_qadc_circuit_is_its_own_inverse_gate_for_gate(m, n, b):
     gate for gate: equal targets, controls, prep counts and matrix or
     permutation bytes. The model's mirror half reuses F on this property."""
     def key(g):
-        data = g.perm if g.matrix is None else g.matrix
-        return g.targets, g.controls, g.prep_counts, g.matrix is None, data.tobytes()
+        return _gate_key(g)[1:]   # the inverse's names carry ^-1
 
     _, F = _haar_F(m, n, b)
     assert [key(g) for g in F.inverse().gates] == [key(g) for g in F.gates]

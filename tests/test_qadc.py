@@ -13,7 +13,6 @@ from qknn_sim.qadc import (
     arithmetic_map,
     arithmetic_table,
     fidelity_qadc_circuit,
-    qadc_circuit,
     quantize_array,
 )
 from qknn_sim.statevec import (
@@ -23,7 +22,7 @@ from qknn_sim.statevec import (
     hadamard,
     pauli_x,
 )
-from qknn_sim.subroutines import build_G, build_H_dot, make_V, make_W, qpe_circuit
+from qknn_sim.subroutines import build_G, make_V, make_W, qpe_circuit
 
 RNG = np.random.default_rng(1234)
 
@@ -88,24 +87,15 @@ def test_quantize_array_ties_to_even_and_saturates():
 
 def test_fidelity_saturation_and_dot_offset():
     assert quantize_array([1.0, 0.0], 3).tolist() == [7, 0]
-    assert quantize_array([1.0, -1.0, 0.0], 3, "dot").tolist() == [7, 0, 4]
-
-
-@pytest.mark.parametrize("measure", ["fidleity", "abs", ""])
-def test_quantize_array_refuses_unknown_measure(measure):
-    with pytest.raises(SimulationError, match="unknown measure"):
-        quantize_array([0.2, 0.9], 3, measure)
-    with pytest.raises(SimulationError, match="unknown measure"):
-        arithmetic_table(PrecisionConfig(3), measure)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("measure", ["fidelity", "dot"])
+@pytest.mark.parametrize("measure", ["fidelity"])
 def test_quantize_array_refuses_non_finite_values(bad, measure):
     """A NaN would cast to the int64 minimum and an infinity would saturate;
     both are refused, naming the value."""
     with pytest.raises(SimulationError, match=f"non-finite {measure} values, got {bad}"):
-        quantize_array([0.5, bad], 3, measure)
+        quantize_array([0.5, bad], 3)
 
 
 def test_arithmetic_table_values():
@@ -119,18 +109,17 @@ def test_arithmetic_table_values():
     assert abs(value - 0.5) < 0.02  # sin^2(pi/3) = 3/4 -> F = 1/2
 
 
-def _reference_phase_value(t, b, measure):
+def _reference_phase_value(t, b):
     """g(t) per phase value with math.sin and Python's round (ties to even)."""
     v = 2.0 * math.sin(math.pi * min(t, 2 ** b - t) / 2 ** b) ** 2 - 1.0
-    x = min(max(v, 0.0), 1.0) if measure == "fidelity" else (min(max(v, -1.0), 1.0) + 1.0) / 2
-    return min(max(round(x * 2 ** b), 0), 2 ** b - 1)
+    return _reference_code(min(max(v, 0.0), 1.0), b)
 
 
-@pytest.mark.parametrize("measure", ["fidelity", "dot"])
+@pytest.mark.parametrize("measure", ["fidelity"])
 def test_arithmetic_table_matches_per_phase_reference(measure):
     for b in range(2, 9):
-        assert arithmetic_table(PrecisionConfig(b), measure).tolist() == [
-            _reference_phase_value(t, b, measure) for t in range(2 ** b)]
+        assert arithmetic_table(PrecisionConfig(b)).tolist() == [
+            _reference_phase_value(t, b) for t in range(2 ** b)]
 
 
 def test_arithmetic_folding_exhaustive():
@@ -262,8 +251,8 @@ def test_apply_F_then_inverse_then_F_is_idempotent_on_content():
 def test_apply_E_dig_uses_reflection_operator():
     b = 2
     layout, V, W = _dyadic_instance(b)
-    G = build_G(V, W, layout)
-    out = StateVector.zero_state(layout).apply_circuit(qadc_circuit(G, layout, PrecisionConfig(b)))
+    out = StateVector.zero_state(layout).apply_circuit(
+        fidelity_qadc_circuit(V, W, layout, PrecisionConfig(b)))
     assert abs(fid_distribution(out, 0)[3] - 1.0) < 1e-9
 
 
@@ -286,28 +275,6 @@ def test_apply_F_accuracy_random_instances():
             assert abs(best / 2 ** b - F) <= bound
 
 
-def _dot_layout(m, n, b):
-    return RegisterLayout.from_sizes([
-        ("index", m), ("data", n), ("B", 1), ("phase", b), ("fid", b)])
-
-
-@pytest.mark.parametrize("u,expected_over_8", [
-    (np.array([1.0, 0.0]), 7),                       # X = 1 saturates
-    (np.array([0.0, 1.0]), 4),                       # X = 0 -> offset 1/2
-    (np.array([1.0, 1.0]) / math.sqrt(2), 7),        # X = 1/sqrt2, theta = 3/8 dyadic
-])
-def test_apply_X_dot_known_values(u, expected_over_8):
-    b = 3
-    v = np.array([1.0, 0.0])
-    layout = _dot_layout(1, 1, b)
-    V = make_V(v.astype(complex), layout, register="data")
-    W = make_W(np.stack([u, u]).astype(complex), layout, train="data")
-    H = build_H_dot(V, W, layout)
-    out = StateVector.zero_state(layout).apply_circuit(qadc_circuit(H, layout, PrecisionConfig(b)))
-    dist = fid_distribution(out, 0)
-    assert abs(dist[expected_over_8] - 1.0) < 1e-9
-
-
 def _reference_code(x, b):
     """Nearest b-bit code of x in [0, 1] by Python's round (ties to even), saturated."""
     return min(max(round(x * 2 ** b), 0), 2 ** b - 1)
@@ -319,6 +286,3 @@ def test_quantize_array_matches_scalar():
     for b in (2, 5, 12):
         np.testing.assert_array_equal(
             quantize_array(xs, b), [_reference_code(min(max(x, 0.0), 1.0), b) for x in xs])
-        np.testing.assert_array_equal(
-            quantize_array(2 * xs - 1, b, "dot"),
-            [_reference_code((min(max(2 * x - 1, -1.0), 1.0) + 1.0) / 2, b) for x in xs])

@@ -197,8 +197,11 @@ def test_reflection_operators_count_their_oracle_queries():
     phis = np.stack([haar(1) for _ in range(2)])
     layout, V, W, G = _g_setup(haar(1), phis, 1)
     assert dict(G.gate.prep_counts) == {"V": 2, "W": 2}
+    assert G.gate.name == "G"
     layout, V, W = _dot_setup([1.0, 0.0], [[0.6, 0.8], [0.0, 1.0]])
-    assert dict(build_H_dot(V, W, layout).gate.prep_counts) == {"V": 4, "W": 2}
+    H = build_H_dot(V, W, layout)
+    assert dict(H.gate.prep_counts) == {"V": 4, "W": 2}
+    assert H.gate.name == "H"
     controlled = [g for g in hadamard_test_circuit(V, W, layout) if g.controls]
     assert [(g.name, g.controls, g.prep_counts) for g in controlled] == [
         ("V^-1", layout.qubits("B"), (("V", 1),)), ("W", layout.qubits("B"), (("W", 1),))]
