@@ -12,17 +12,20 @@ entropy is a measure-zero event, so the entangled class needs a numerical
 margin to be reproducibly labelable.
 
 The labeler takes one state or an (N, 2**n) stack, with one batched SVD per
-cut; ``gen_class`` draws a class state by state, then labels it in one
-pass. An ABC state is a plain Haar draw, separable with probability zero, so
-that pass is its only check: a separable draw raises from ``gen_class``
-instead of being redrawn. Discrimination instances have pairwise fidelity
-F < DISCRIMINATION_MAX_FIDELITY. Their candidates come in blocks of up to
-DISCRIMINATION_BLOCK from one Haar draw, never more than a one-at-a-time
-loop would draw, and one product per block gives their fidelities with the
-accepted states and each other. Candidates are accepted in stream order; a
-fidelity within the rounding band (8 * 2**n eps) of the threshold is
-re-checked with the one-candidate product, so every instance is byte for
-byte that of drawing and checking one candidate at a time.
+cut. ``gen_class`` draws a class as one batch: each state's own child-seed
+generator draws its pieces (one-qubit factors, an entangled pair with its
+redraws, Haar unitaries) in a state-by-state draw's order, one ``normal``
+call per piece, and array operations combine the rows; one labeler pass
+then checks the class. An ABC state is a plain Haar draw, separable with
+probability zero, so that pass is its only check: a separable draw raises
+from ``gen_class`` instead of being redrawn. Discrimination instances have
+pairwise fidelity F < DISCRIMINATION_MAX_FIDELITY. Their candidates come in
+blocks of up to DISCRIMINATION_BLOCK from one Haar draw, never more than a
+one-at-a-time loop would draw, and one product per block gives their
+fidelities with the accepted states and each other. Candidates are accepted
+in stream order; a fidelity within the rounding band (8 * 2**n eps) of the
+threshold is re-checked with the one-candidate product, so every instance
+is byte for byte that of drawing and checking one candidate at a time.
 """
 from __future__ import annotations
 
@@ -53,24 +56,32 @@ def haar_random_state(n: int, seed, count: int | None = None) -> np.ndarray:
     """Normalized complex Gaussian vector: Haar-distributed pure state.
 
     With ``count``, a (count, 2**n) block from one draw: its rows are bit for
-    bit ``count`` single draws, and it leaves the generator where they would."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    if count is None:
-        v = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
-        re, im = v.real, v.imag
-        return v / np.sqrt(re.dot(re) + im.dot(im))  # np.linalg.norm's own expression
-    require_count("count", count)
-    z = rng.normal(size=(count, 2, 2 ** n))
+    bit ``count`` single draws, and it leaves the generator where they would.
+    With a list of generators for ``seed``, one row per generator, bit for
+    bit that generator's single draw."""
+    if isinstance(seed, list):
+        z = np.array([rng.normal(size=(2, 2 ** n)) for rng in seed])
+    else:
+        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+        if count is None:
+            v = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+            re, im = v.real, v.imag
+            return v / np.sqrt(re.dot(re) + im.dot(im))  # np.linalg.norm's own expression
+        require_count("count", count)
+        z = rng.normal(size=(count, 2, 2 ** n))
     v = z[:, 0] + 1j * z[:, 1]
     # A (1, N) @ (N, 1) matmul runs the same strided dot product per row.
     re, im = v.real[:, None], v.imag[:, None]
     return v / np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0]
 
 
-def haar_random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(z)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+def haar_random_unitary(dim: int, rngs: list) -> np.ndarray:
+    """One Haar unitary per generator: QR of a complex Gaussian matrix, each
+    column times the phase of R's diagonal entry (Mezzadri 2007)."""
+    z = np.array([rng.normal(size=(2, dim, dim)) for rng in rngs])
+    q, r = np.linalg.qr(z[:, 0] + 1j * z[:, 1])
+    d = np.diagonal(r, axis1=1, axis2=2)
+    return q * (d / np.abs(d))[:, None, :]
 
 
 def schmidt_coefficients(states: np.ndarray, n: int, part: tuple[int, ...]) -> np.ndarray:
@@ -108,13 +119,15 @@ _CLASS_OF_PATTERN = {
 
 def label_entanglement(states: np.ndarray, scheme: str) -> str | list[str]:
     """Class id of one state (a str) or of each row of an (N, 2**n) stack (a
-    list), from one SVD per cut; raises, naming the row, if a state fits none."""
+    list), from one SVD per cut. Refuses non-finite or non-unit input; raises,
+    naming the row, if a state fits none."""
     if scheme not in QUBITS:
         raise SimulationError(f"unknown scheme {scheme!r}")
     states = np.asarray(states, dtype=complex)
     n = QUBITS[scheme]
     if states.ndim not in (1, 2) or states.shape[-1] != 2 ** n:
         raise SimulationError(f"{scheme} needs a {n}-qubit state or a stack of them")
+    require_unit_states(states, "states" if states.ndim == 2 else "state")
     if n == 2:
         schmidt = schmidt_coefficients(states, 2, (0,))  # one decomposition per cut
         pattern = _separable(schmidt) + 2 * (_entropy_bits(schmidt) >= MAXENT_ENTROPY_MIN)
@@ -131,50 +144,49 @@ def label_entanglement(states: np.ndarray, scheme: str) -> str | list[str]:
 # --- generators ----------------------------------------------------------------
 
 
-def _entangled_2q(rng: np.random.Generator) -> np.ndarray:
+def _entangled_2q(rngs: list) -> np.ndarray:
+    """One pair per generator, each redrawn from its own generator until its
+    entropy reaches the floor, at most REJECTION_BUDGET candidates each."""
+    states, todo = np.empty((len(rngs), 4), dtype=complex), np.arange(len(rngs))
     for _ in range(REJECTION_BUDGET):
-        state = haar_random_state(2, rng)
-        if entanglement_entropy_bits(state, 2, (0,)) >= ENTANGLED_ENTROPY_FLOOR:
-            return state
+        states[todo] = haar_random_state(2, [rngs[i] for i in todo])
+        todo = todo[_entropy_bits(schmidt_coefficients(states[todo], 2, (0,)))
+                    < ENTANGLED_ENTROPY_FLOOR]
+        if not todo.size:
+            return states
     raise SimulationError("rejection-sampling budget exceeded for entangled 2q states")
 
 
-def _maxent_2q(rng: np.random.Generator) -> np.ndarray:
-    bell = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
-    u0 = haar_random_unitary(2, rng)
-    u1 = haar_random_unitary(2, rng)
-    return np.kron(u1, u0) @ bell  # qubit 0 on the low bit
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return (a[:, :, None] * b[:, None, :]).reshape(len(a), -1)  # np.outer per row
 
 
-def _product3(rng: np.random.Generator, arrangement: str) -> np.ndarray:
-    if arrangement == "A-B-C":
-        a, b, c = (haar_random_state(1, rng) for _ in range(3))
-        return np.outer(c, np.outer(b, a)).reshape(-1)
-    if arrangement == "AB-C":
-        return np.outer(haar_random_state(1, rng), _entangled_2q(rng)).reshape(-1)
-    if arrangement == "A-BC":
-        return np.outer(_entangled_2q(rng), haar_random_state(1, rng)).reshape(-1)
-    if arrangement == "AC-B":
-        ent = _entangled_2q(rng).reshape(2, 2)       # [c, a]
-        mid = haar_random_state(1, rng)
-        return np.einsum("ca,b->cba", ent, mid).reshape(-1)
-    raise SimulationError(f"unknown arrangement {arrangement!r}")
-
-
-def generate_state(scheme: str, class_id: str, rng: np.random.Generator) -> np.ndarray:
-    if scheme in ("2q-sep-vs-ent", "2q-sep-vs-maxent"):
-        if class_id == "separable":
-            return np.outer(haar_random_state(1, rng), haar_random_state(1, rng)).reshape(-1)
-        if class_id == "entangled" and scheme == "2q-sep-vs-ent":
-            return _entangled_2q(rng)
-        if class_id == "maxent" and scheme == "2q-sep-vs-maxent":
-            return _maxent_2q(rng)
-    elif scheme == "3q-five-class":
-        if class_id == "ABC":
-            return haar_random_state(3, rng)
-        if class_id in ("A-B-C", "AB-C", "A-BC", "AC-B"):
-            return _product3(rng, class_id)
-    raise SimulationError(f"unknown class {class_id!r} for scheme {scheme!r}")
+def _draw_class(class_id: str, rngs: list) -> np.ndarray:
+    """The states of one class, one per generator; each generator draws its
+    pieces in the order listed (the entangled pair with all its rejections)."""
+    if class_id == "separable":
+        a = haar_random_state(1, rngs)
+        return _outer(a, haar_random_state(1, rngs))
+    if class_id == "entangled":
+        return _entangled_2q(rngs)
+    if class_id == "maxent":
+        u0, u1 = haar_random_unitary(2, rngs), haar_random_unitary(2, rngs)
+        bell = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
+        return np.array([np.kron(v1, v0) @ bell for v0, v1 in zip(u0, u1)])  # qubit 0 low
+    if class_id == "ABC":
+        return haar_random_state(3, rngs)
+    if class_id == "A-B-C":
+        a, b, c = (haar_random_state(1, rngs) for _ in range(3))
+        return _outer(c, _outer(b, a))
+    if class_id == "AB-C":
+        c = haar_random_state(1, rngs)
+        return _outer(c, _entangled_2q(rngs))
+    ent = _entangled_2q(rngs)
+    if class_id == "A-BC":
+        return _outer(ent, haar_random_state(1, rngs))
+    mid = haar_random_state(1, rngs)  # AC-B: the pair is [c, a]
+    # einsum's product loop; a broadcast multiply can round the last bit differently
+    return np.einsum("nca,nb->ncba", ent.reshape(-1, 2, 2), mid).reshape(len(rngs), -1)
 
 
 @dataclass(eq=False)
@@ -189,14 +201,16 @@ class LabeledStateCorpus:
 
 
 def gen_class(scheme: str, class_id: str, count: int, seed) -> LabeledStateCorpus:
-    """Generate one class, one child seed per state; one labeler call checks it."""
+    """Generate one class as a batch, each state from its own child seed's
+    generator; one labeler call checks it."""
     if scheme not in SCHEMES:
         raise SimulationError(f"unknown scheme {scheme!r}")
     require_count("count", count)
+    if class_id not in CLASSES[scheme]:
+        raise SimulationError(f"unknown class {class_id!r} for scheme {scheme!r}")
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     children = root.spawn(count)
-    states = np.array([generate_state(scheme, class_id, np.random.default_rng(child))
-                       for child in children])
+    states = _draw_class(class_id, [np.random.default_rng(child) for child in children])
     labels = label_entanglement(states, scheme)
     for row, got in enumerate(labels):
         if got != class_id:

@@ -1,4 +1,5 @@
 """Corpus generation, entanglement labeling, and instance sampling."""
+import collections
 import hashlib
 import itertools
 import json
@@ -21,6 +22,7 @@ from qknn_sim.datasets import (
     gen_corpus,
     gen_discrimination_instance,
     haar_random_state,
+    haar_random_unitary,
     label_entanglement,
     read_corpus,
     schmidt_coefficients,
@@ -72,6 +74,22 @@ def test_labeler_rejects_wrong_sizes():
         label_entanglement(BELL, "no-such-scheme")
 
 
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("bad, single, stack", [
+    (math.nan, "state contains non-finite amplitudes", "states contain non-finite amplitudes"),
+    (0.0, "state must be normalized", "states must be normalized"),
+    (2.0, "state must be normalized", "states must be normalized"),
+])
+def test_labeler_refuses_what_is_not_a_state(scheme, bad, single, stack):
+    """A NaN amplitude, the zero vector and 2|0...0>, alone and in a stack."""
+    state = np.zeros(2 ** QUBITS[scheme], dtype=complex)
+    state[0] = bad
+    with pytest.raises(SimulationError, match=f"^{single}$"):
+        label_entanglement(state, scheme)
+    with pytest.raises(SimulationError, match=f"^{stack}$"):
+        label_entanglement(np.stack([NAMED[QUBITS[scheme]][0], state]), scheme)
+
+
 def test_partially_entangled_state_fits_no_maxent_class():
     theta = 0.3
     state = np.array([math.cos(theta), 0, 0, math.sin(theta)], dtype=complex)
@@ -101,6 +119,123 @@ def test_label_closure_per_class():
         for cid in CLASSES[scheme]:
             corpus = gen_class(scheme, cid, 1000, seed=42)
             assert all(label_entanglement(s, scheme) == cid for s in corpus.states)
+
+
+# --- the state-by-state generator: the reference the batched gen_class must match ---
+
+
+def _unitary(dim, rng):
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(z)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def _entangled_2q(rng):
+    for _ in range(datasets.REJECTION_BUDGET):
+        state = haar_random_state(2, rng)
+        if entanglement_entropy_bits(state, 2, (0,)) >= datasets.ENTANGLED_ENTROPY_FLOOR:
+            return state
+    raise SimulationError("rejection-sampling budget exceeded for entangled 2q states")
+
+
+def _product3(rng, arrangement):
+    if arrangement == "A-B-C":
+        a, b, c = (haar_random_state(1, rng) for _ in range(3))
+        return np.outer(c, np.outer(b, a)).reshape(-1)
+    if arrangement == "AB-C":
+        return np.outer(haar_random_state(1, rng), _entangled_2q(rng)).reshape(-1)
+    if arrangement == "A-BC":
+        return np.outer(_entangled_2q(rng), haar_random_state(1, rng)).reshape(-1)
+    ent = _entangled_2q(rng).reshape(2, 2)       # AC-B: [c, a]
+    mid = haar_random_state(1, rng)
+    return np.einsum("ca,b->cba", ent, mid).reshape(-1)
+
+
+def generate_state(class_id, rng):
+    if class_id == "separable":
+        return np.outer(haar_random_state(1, rng), haar_random_state(1, rng)).reshape(-1)
+    if class_id == "entangled":
+        return _entangled_2q(rng)
+    if class_id == "maxent":
+        u0, u1 = _unitary(2, rng), _unitary(2, rng)
+        return np.kron(u1, u0) @ BELL  # qubit 0 on the low bit
+    if class_id == "ABC":
+        return haar_random_state(3, rng)
+    return _product3(rng, class_id)
+
+
+def reference_class(class_id, count, seed):
+    """The states of gen_class drawn one child seed at a time, or its refusal."""
+    try:
+        return np.array([generate_state(class_id, np.random.default_rng(child))
+                         for child in np.random.SeedSequence(seed).spawn(count)]).tobytes()
+    except SimulationError as exc:
+        return str(exc)
+
+
+def batched_class(scheme, class_id, count, seed):
+    try:
+        return gen_class(scheme, class_id, count, seed).states.tobytes()
+    except SimulationError as exc:
+        return str(exc)
+
+
+@given(scheme=st.sampled_from(SCHEMES), count=st.integers(1, 40),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_batched_classes_are_the_state_by_state_classes(scheme, count, seed):
+    for cid in CLASSES[scheme]:
+        assert batched_class(scheme, cid, count, seed) == reference_class(cid, count, seed), cid
+
+
+class CountingDraws:
+    """Wraps datasets.haar_random_state: counts the draws of n-qubit states
+    per generator (the generators are kept, so none is counted twice)."""
+
+    def __init__(self, monkeypatch, n):
+        self.n, self.drawn, self.haar = n, collections.Counter(), datasets.haar_random_state
+        monkeypatch.setattr(datasets, "haar_random_state", self)
+
+    def __call__(self, n, seed, count=None):
+        if n == self.n:
+            self.drawn.update(seed)
+        return self.haar(n, seed, count)
+
+
+def test_entangled_pairs_give_up_at_the_rejection_budget(monkeypatch):
+    draws = CountingDraws(monkeypatch, 2)
+    monkeypatch.setattr(datasets, "ENTANGLED_ENTROPY_FLOOR", 1.5)  # above any 2q entropy
+    with pytest.raises(SimulationError,
+                       match="^rejection-sampling budget exceeded for entangled 2q states$"):
+        gen_class("2q-sep-vs-ent", "entangled", 3, 0)
+    assert sorted(draws.drawn.values()) == [datasets.REJECTION_BUDGET] * 3
+
+
+def test_rejected_pairs_redraw_as_state_by_state(monkeypatch):
+    """A floor most pairs fail: every class still matches the reference byte
+    for byte, with rows that redraw several times."""
+    draws = CountingDraws(monkeypatch, 2)
+    monkeypatch.setattr(datasets, "ENTANGLED_ENTROPY_FLOOR", 0.9)
+    for scheme in SCHEMES:
+        for cid in CLASSES[scheme]:
+            assert batched_class(scheme, cid, 30, 11) == reference_class(cid, 30, 11), cid
+    assert max(draws.drawn.values()) > 2  # a row rejected more than once
+
+
+@pytest.mark.parametrize("scheme, class_id", [
+    ("2q-sep-vs-ent", "maxent"), ("2q-sep-vs-maxent", "entangled"), ("3q-five-class", "separable"),
+])
+def test_gen_class_refuses_a_class_of_another_scheme(scheme, class_id):
+    with pytest.raises(SimulationError,
+                       match=f"^unknown class '{class_id}' for scheme '{scheme}'$"):
+        gen_class(scheme, class_id, 3, 0)
+
+
+def test_haar_unitaries_per_generator_are_the_single_draws():
+    batch = haar_random_unitary(2, [np.random.default_rng(s) for s in range(20)])
+    singles = np.array([_unitary(2, np.random.default_rng(s)) for s in range(20)])
+    assert batch.tobytes() == singles.tobytes()
+    assert np.allclose(batch @ batch.conj().swapaxes(1, 2), np.eye(2))
 
 
 def test_entropy_bounds():
@@ -278,6 +413,14 @@ def test_block_haar_draw_is_count_single_draws(n, count):
     singles = np.array([haar_random_state(n, single_rng) for _ in range(count)])
     assert block.shape == (count, 2 ** n) and block.tobytes() == singles.tobytes()
     assert block_rng.integers(0, 2 ** 31) == single_rng.integers(0, 2 ** 31)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_haar_draw_per_generator_is_each_generators_single_draw(n):
+    rngs, singles = ([np.random.default_rng(s) for s in range(9)] for _ in range(2))
+    rows = haar_random_state(n, rngs)
+    assert rows.tobytes() == np.array([haar_random_state(n, r) for r in singles]).tobytes()
+    assert [r.integers(0, 2 ** 31) for r in rngs] == [r.integers(0, 2 ** 31) for r in singles]
 
 
 @pytest.mark.parametrize("call, name", [
