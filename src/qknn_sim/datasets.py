@@ -11,21 +11,23 @@ marginal. The floor (entropy >= 0.05) is a corpus parameter: exactly-zero
 entropy is a measure-zero event, so the entangled class needs a numerical
 margin to be reproducibly labelable.
 
-The labeler takes one state or an (N, 2**n) stack, with one batched SVD per
-cut. ``gen_class`` draws a class as one batch: each state's own child-seed
-generator draws its pieces (one-qubit factors, an entangled pair with its
-redraws, Haar unitaries) in a state-by-state draw's order, one ``normal``
-call per piece, and array operations combine the rows; one labeler pass
-then checks the class. An ABC state is a plain Haar draw, separable with
-probability zero, so that pass is its only check: a separable draw raises
-from ``gen_class`` instead of being redrawn. Discrimination instances have
-pairwise fidelity F < DISCRIMINATION_MAX_FIDELITY. Their candidates come in
-blocks of up to DISCRIMINATION_BLOCK from one Haar draw, never more than a
+The one Haar draw, ``haar_random_state``, takes generators and returns rows:
+bit for bit the textbook draw of one state at a time. The labeler takes one
+state or an (N, 2**n) stack, with one batched SVD per cut. ``gen_class``
+draws a class as one batch: each state's own child-seed generator draws its
+pieces (one-qubit factors, an entangled pair with its redraws, Haar
+unitaries) in a state-by-state draw's order, one ``normal`` call per piece,
+and array operations combine the rows; one labeler pass then checks the
+class. An ABC state is a plain Haar draw, separable with probability zero,
+so that pass is its only check: a separable draw raises from ``gen_class``
+instead of being redrawn. Discrimination instances have pairwise fidelity F
+< DISCRIMINATION_MAX_FIDELITY. Their candidates come in blocks of up to
+DISCRIMINATION_BLOCK rows from one generator, never more than a
 one-at-a-time loop would draw, and one product per block gives their
 fidelities with the accepted states and each other. Candidates are accepted
 in stream order; a fidelity within the rounding band (8 * 2**n eps) of the
-threshold is re-checked with the one-candidate product, so every instance
-is byte for byte that of drawing and checking one candidate at a time.
+threshold is re-checked with the one-candidate product, so every instance is
+byte for byte that of drawing and checking one candidate at a time.
 """
 from __future__ import annotations
 
@@ -52,25 +54,13 @@ DISCRIMINATION_MAX_FIDELITY = 1.0 - 1e-6  # the promise margin between train sta
 DISCRIMINATION_BLOCK = 64  # candidates per draw; the fidelity product is O(M * block)
 
 
-def haar_random_state(n: int, seed, count: int | None = None) -> np.ndarray:
-    """Normalized complex Gaussian vector: Haar-distributed pure state.
-
-    With ``count``, a (count, 2**n) block from one draw: its rows are bit for
-    bit ``count`` single draws, and it leaves the generator where they would.
-    With a list of generators for ``seed``, one row per generator, bit for
-    bit that generator's single draw."""
-    if isinstance(seed, list):
-        z = np.array([rng.normal(size=(2, 2 ** n)) for rng in seed])
-    else:
-        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-        if count is None:
-            v = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
-            re, im = v.real, v.imag
-            return v / np.sqrt(re.dot(re) + im.dot(im))  # np.linalg.norm's own expression
-        require_count("count", count)
-        z = rng.normal(size=(count, 2, 2 ** n))
+def haar_random_state(n: int, rngs: list, count: int = 1) -> np.ndarray:
+    """``count`` Haar-random states from each generator in turn, each bit for bit
+    (generator state too) the textbook draw v = re + 1j * im, v / norm(v)."""
+    require_count("count", count)
+    z = np.concatenate([rng.normal(size=(count, 2, 2 ** n)) for rng in rngs])
     v = z[:, 0] + 1j * z[:, 1]
-    # A (1, N) @ (N, 1) matmul runs the same strided dot product per row.
+    # np.linalg.norm's own expression; a (1, N) @ (N, 1) matmul runs its dot product per row.
     re, im = v.real[:, None], v.imag[:, None]
     return v / np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0]
 
@@ -97,14 +87,11 @@ def _separable(schmidt: np.ndarray) -> np.ndarray:
     return schmidt[..., 0] >= 1.0 - SCHMIDT_SEP_TOL
 
 
-def _entropy_bits(schmidt: np.ndarray) -> np.ndarray:
+def entropy_bits(schmidt: np.ndarray) -> np.ndarray:
+    """Entanglement entropy, in bits, of each set of Schmidt coefficients."""
     lam2 = schmidt ** 2
     lam2 = np.where(lam2 > 1e-15, lam2, 1.0)  # a masked term adds 1 * log2(1) = 0
     return -(lam2 * np.log2(lam2)).sum(axis=-1)
-
-
-def entanglement_entropy_bits(state: np.ndarray, n: int, part: tuple[int, ...]) -> float:
-    return float(_entropy_bits(schmidt_coefficients(state, n, part)))
 
 
 # Class of each pattern code, None for no class. 2 qubits: 1 if the cut is separable
@@ -130,7 +117,7 @@ def label_entanglement(states: np.ndarray, scheme: str) -> str | list[str]:
     require_unit_states(states, "states" if states.ndim == 2 else "state")
     if n == 2:
         schmidt = schmidt_coefficients(states, 2, (0,))  # one decomposition per cut
-        pattern = _separable(schmidt) + 2 * (_entropy_bits(schmidt) >= MAXENT_ENTROPY_MIN)
+        pattern = _separable(schmidt) + 2 * (entropy_bits(schmidt) >= MAXENT_ENTROPY_MIN)
     else:
         pattern = sum(_separable(schmidt_coefficients(states, 3, (q,))) << q for q in range(3))
     labels = [_CLASS_OF_PATTERN[scheme][p] for p in np.atleast_1d(pattern).tolist()]
@@ -150,7 +137,7 @@ def _entangled_2q(rngs: list) -> np.ndarray:
     states, todo = np.empty((len(rngs), 4), dtype=complex), np.arange(len(rngs))
     for _ in range(REJECTION_BUDGET):
         states[todo] = haar_random_state(2, [rngs[i] for i in todo])
-        todo = todo[_entropy_bits(schmidt_coefficients(states[todo], 2, (0,)))
+        todo = todo[entropy_bits(schmidt_coefficients(states[todo], 2, (0,)))
                     < ENTANGLED_ENTROPY_FLOOR]
         if not todo.size:
             return states
@@ -200,15 +187,14 @@ class LabeledStateCorpus:
         return len(self.labels)
 
 
-def gen_class(scheme: str, class_id: str, count: int, seed) -> LabeledStateCorpus:
-    """Generate one class as a batch, each state from its own child seed's
-    generator; one labeler call checks it."""
+def gen_class(scheme: str, class_id: str, count: int, root) -> LabeledStateCorpus:
+    """Generate one class as a batch, each state from the generator of its own
+    child of the SeedSequence ``root``; one labeler call checks it."""
     if scheme not in SCHEMES:
         raise SimulationError(f"unknown scheme {scheme!r}")
     require_count("count", count)
     if class_id not in CLASSES[scheme]:
         raise SimulationError(f"unknown class {class_id!r} for scheme {scheme!r}")
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     children = root.spawn(count)
     states = _draw_class(class_id, [np.random.default_rng(child) for child in children])
     labels = label_entanglement(states, scheme)
@@ -258,7 +244,7 @@ def gen_discrimination_instance(M: int, n: int, seed):
         # No more candidates than the one-at-a-time loop would draw, at most a block.
         start, size = done, min(M - done, REJECTION_BUDGET - misses, DISCRIMINATION_BLOCK)
         block = states[start:start + size]
-        block[:] = haar_random_state(n, rng, size)
+        block[:] = haar_random_state(n, [rng], size)
         fid = np.abs(block.conj() @ states[:start + size].T) ** 2
         fid[:, start:] = np.tril(fid[:, start:], -1)  # each candidate meets those before it
         if (fid < clear).all():

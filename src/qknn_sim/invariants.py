@@ -40,7 +40,7 @@ def swap_test_law(rng: np.random.Generator, pairs: int, sizes: tuple[int, ...]) 
     worst = 0.0
     for n in itertools.islice(itertools.cycle(sizes), pairs):
         layout = RegisterLayout.from_sizes([("train", n), ("test", n), ("B", 1)])
-        psi, phi = haar(n, rng), haar(n, rng)
+        psi, phi = haar(n, [rng], 2)
         state = StateVector.zero_state(layout)
         state = state.apply(sub.make_V(phi, layout, register="train"))
         state = state.apply(sub.make_V(psi, layout, register="test"))
@@ -89,7 +89,7 @@ def eigenstructure_law(rng: np.random.Generator, instances: int, dot_instances: 
     """Worst eigen-law deviation of G_j over Haar pairs, n cycling through
     ``sizes``, then of H_j over real 2-qubit pairs: B v+- = e^{+-2 pi i theta} v+-
     with sin(pi*theta) = sqrt((1+s)/2) (``subroutines.eigen_law_error``)."""
-    errors = [g_eigen_law(haar(n, rng), haar(n, rng))
+    errors = [g_eigen_law(*haar(n, [rng], 2))
               for n in itertools.islice(itertools.cycle(sizes), instances)]
     errors += [h_eigen_law(_real_unit(rng, 4), _real_unit(rng, 4)) for _ in range(dot_instances)]
     return max(errors, default=0.0)
@@ -116,8 +116,7 @@ def g_block_diagonality(rng: np.random.Generator, n: int, M: int) -> float:
     """G over M Haar train states of n qubits acts as G_j on index block j."""
     layout = RegisterLayout.from_sizes([("index", M.bit_length() - 1), ("train", n),
                                         ("test", n), ("B", 1)])
-    psi = haar(n, rng)
-    phis = np.stack([haar(n, rng) for _ in range(M)])
+    psi, *phis = haar(n, [rng], M + 1)
     G = sub.build_G(sub.make_V(psi, layout, register="test"), sub.make_W(phis, layout), layout)
     block_layout = RegisterLayout.from_sizes([("train", n), ("test", n), ("B", 1)])
     return _block_error(G.gate.matrix, [sub.g_block_matrix(psi, phi, block_layout) for phi in phis],
@@ -209,7 +208,7 @@ def haar_oracle(rng: np.random.Generator, m: int, n: int = 1) -> oracle.OracleCi
     of n qubits, at a random threshold state with |A| = max(1, M // 2)."""
     M = 2 ** m
     layout = oracle.oracle_layout(m, n, 2)
-    states = np.stack([haar(n, rng) for _ in range(M + 1)])
+    states = haar(n, [rng], M + 1)
     A = [int(i) for i in rng.permutation(M)[: max(1, M // 2)]]
     return oracle.assemble_O_yA(sub.make_V(states[M], layout, register="test"),
                                 sub.make_W(states[:M], layout), layout, qadc.PrecisionConfig(2),

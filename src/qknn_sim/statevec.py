@@ -450,11 +450,8 @@ class StateVector:
             raise SimulationError("amplitude array length must be 2**num_qubits")
 
     @classmethod
-    def zero_state(cls, layout_or_n: RegisterLayout | int) -> "StateVector":
-        if isinstance(layout_or_n, RegisterLayout):
-            n, layout = layout_or_n.num_qubits, layout_or_n
-        else:
-            n, layout = layout_or_n, None
+    def zero_state(cls, layout: RegisterLayout) -> "StateVector":
+        n = layout.num_qubits
         require_fits(f"a {n}-qubit state", 2 ** n)
         amps = np.zeros(2 ** n, dtype=complex)
         amps[0] = 1.0
@@ -491,10 +488,8 @@ class StateVector:
         out = keep.reshape(2 ** len(qubits), -1).sum(axis=1)
         return out
 
-    def sample_measurement(self, register: str | list[str], rng: np.random.Generator | int) -> int:
+    def sample_measurement(self, register: str | list[str], rng: np.random.Generator) -> int:
         """Draw one outcome of a register measurement from the Born rule."""
-        if not isinstance(rng, np.random.Generator):
-            rng = np.random.default_rng(rng)
         probs = self.measure_probs(register)
         return int(rng.choice(len(probs), p=probs / probs.sum()))
 

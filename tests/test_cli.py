@@ -17,6 +17,7 @@ from qknn_sim import cli, invariants
 from qknn_sim.cli import CSV_HEADER, RunConfig, main, make_parser, parse_config_file
 from qknn_sim.oracle import OracleCircuit, build_J
 from qknn_sim.statevec import pauli_x
+from test_datasets import textbook_haar
 
 
 def run_cli(args):
@@ -132,6 +133,20 @@ def test_verify_fault_injection_fails_named_invariant(tmp_path, monkeypatch):
     report = json.loads(out.read_text())
     failing = [c["name"] for c in report["invariants"] if not c["pass"]]
     assert failing == ["comparator_J_exhaustive_b3"]
+
+
+def one_state_at_a_time(n, rngs, count=1):
+    """haar_random_state as the textbook draw of one state at a time."""
+    return np.array([textbook_haar(n, rng) for rng in rngs for _ in range(count)])
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_verify_report_is_that_of_textbook_one_state_draws(seed, monkeypatch):
+    """Every law draws its instances' states bit for bit as one state at a
+    time would: the whole report, deviations included, is unchanged."""
+    want = invariants.verify(seed)
+    monkeypatch.setattr(invariants, "haar", one_state_at_a_time)
+    assert invariants.verify(seed) == want
 
 
 def test_bench_csv_and_determinism(tmp_path):

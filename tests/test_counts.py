@@ -31,7 +31,8 @@ ENTRY_POINTS = {
         "trials", lambda v: experiments.discrimination_sweep([2], 1, v, SearchConfig())),
     "discrimination_sweep M": (
         "M", lambda v: experiments.discrimination_sweep([v], 1, 2, SearchConfig())),
-    "gen_class": ("count", lambda v: datasets.gen_class("2q-sep-vs-ent", "separable", v, 0)),
+    "gen_class": ("count", lambda v: datasets.gen_class("2q-sep-vs-ent", "separable", v,
+                                                        np.random.SeedSequence(0))),
     "gen_corpus": ("per_class", lambda v: datasets.gen_corpus("2q-sep-vs-ent", v, 0)),
     "gen_discrimination_instance M": ("M", lambda v: datasets.gen_discrimination_instance(v, 1, 0)),
     "gen_discrimination_instance n": ("n", lambda v: datasets.gen_discrimination_instance(2, v, 0)),

@@ -17,7 +17,7 @@ from qknn_sim.datasets import (
     SCHEMES,
     LabeledStateCorpus,
     SimulationError,
-    entanglement_entropy_bits,
+    entropy_bits,
     gen_class,
     gen_corpus,
     gen_discrimination_instance,
@@ -42,17 +42,27 @@ NAMED = {
 }
 
 
+def entropy(state, n, part):
+    return float(entropy_bits(schmidt_coefficients(state, n, part)))
+
+
+def textbook_haar(n, rng):
+    """The textbook Haar draw of one state: the reference for haar_random_state."""
+    v = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+    return v / np.linalg.norm(v)
+
+
 def test_bell_state_labels():
     assert label_entanglement(BELL, "2q-sep-vs-ent") == "entangled"
     assert label_entanglement(BELL, "2q-sep-vs-maxent") == "maxent"
-    assert abs(entanglement_entropy_bits(BELL, 2, (0,)) - 1.0) < 1e-9
+    assert abs(entropy(BELL, 2, (0,)) - 1.0) < 1e-9
 
 
 def test_product_state_labels():
     plus = np.array([1, 1]) / math.sqrt(2)
     state = np.kron(plus, np.array([1, 0])).astype(complex)   # |0>_A (x) |+>_B
     assert label_entanglement(state, "2q-sep-vs-ent") == "separable"
-    assert entanglement_entropy_bits(state, 2, (0,)) < 1e-9
+    assert entropy(state, 2, (0,)) < 1e-9
 
 
 def test_three_qubit_class_examples():
@@ -106,7 +116,8 @@ def test_stacked_labeler_matches_the_single_state_labeler(data):
     classes mixed with Bell, GHZ, W and product states."""
     scheme = data.draw(st.sampled_from(SCHEMES))
     seed = data.draw(st.integers(0, 2 ** 32 - 1))
-    pool = np.concatenate([gen_class(scheme, cid, 3, seed).states for cid in CLASSES[scheme]]
+    pool = np.concatenate([gen_class(scheme, cid, 3, np.random.SeedSequence(seed)).states
+                           for cid in CLASSES[scheme]]
                           + [NAMED[QUBITS[scheme]]])
     rows = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=24))
     stack = pool[rows]
@@ -117,7 +128,7 @@ def test_label_closure_per_class():
     """Every generated state re-labels as its own class, 1000 per class."""
     for scheme in SCHEMES:
         for cid in CLASSES[scheme]:
-            corpus = gen_class(scheme, cid, 1000, seed=42)
+            corpus = gen_class(scheme, cid, 1000, np.random.SeedSequence(42))
             assert all(label_entanglement(s, scheme) == cid for s in corpus.states)
 
 
@@ -132,35 +143,35 @@ def _unitary(dim, rng):
 
 def _entangled_2q(rng):
     for _ in range(datasets.REJECTION_BUDGET):
-        state = haar_random_state(2, rng)
-        if entanglement_entropy_bits(state, 2, (0,)) >= datasets.ENTANGLED_ENTROPY_FLOOR:
+        state = textbook_haar(2, rng)
+        if entropy(state, 2, (0,)) >= datasets.ENTANGLED_ENTROPY_FLOOR:
             return state
     raise SimulationError("rejection-sampling budget exceeded for entangled 2q states")
 
 
 def _product3(rng, arrangement):
     if arrangement == "A-B-C":
-        a, b, c = (haar_random_state(1, rng) for _ in range(3))
+        a, b, c = (textbook_haar(1, rng) for _ in range(3))
         return np.outer(c, np.outer(b, a)).reshape(-1)
     if arrangement == "AB-C":
-        return np.outer(haar_random_state(1, rng), _entangled_2q(rng)).reshape(-1)
+        return np.outer(textbook_haar(1, rng), _entangled_2q(rng)).reshape(-1)
     if arrangement == "A-BC":
-        return np.outer(_entangled_2q(rng), haar_random_state(1, rng)).reshape(-1)
+        return np.outer(_entangled_2q(rng), textbook_haar(1, rng)).reshape(-1)
     ent = _entangled_2q(rng).reshape(2, 2)       # AC-B: [c, a]
-    mid = haar_random_state(1, rng)
+    mid = textbook_haar(1, rng)
     return np.einsum("ca,b->cba", ent, mid).reshape(-1)
 
 
 def generate_state(class_id, rng):
     if class_id == "separable":
-        return np.outer(haar_random_state(1, rng), haar_random_state(1, rng)).reshape(-1)
+        return np.outer(textbook_haar(1, rng), textbook_haar(1, rng)).reshape(-1)
     if class_id == "entangled":
         return _entangled_2q(rng)
     if class_id == "maxent":
         u0, u1 = _unitary(2, rng), _unitary(2, rng)
         return np.kron(u1, u0) @ BELL  # qubit 0 on the low bit
     if class_id == "ABC":
-        return haar_random_state(3, rng)
+        return textbook_haar(3, rng)
     return _product3(rng, class_id)
 
 
@@ -175,7 +186,7 @@ def reference_class(class_id, count, seed):
 
 def batched_class(scheme, class_id, count, seed):
     try:
-        return gen_class(scheme, class_id, count, seed).states.tobytes()
+        return gen_class(scheme, class_id, count, np.random.SeedSequence(seed)).states.tobytes()
     except SimulationError as exc:
         return str(exc)
 
@@ -196,10 +207,10 @@ class CountingDraws:
         self.n, self.drawn, self.haar = n, collections.Counter(), datasets.haar_random_state
         monkeypatch.setattr(datasets, "haar_random_state", self)
 
-    def __call__(self, n, seed, count=None):
+    def __call__(self, n, rngs, count=1):
         if n == self.n:
-            self.drawn.update(seed)
-        return self.haar(n, seed, count)
+            self.drawn.update({rng: count for rng in rngs})
+        return self.haar(n, rngs, count)
 
 
 def test_entangled_pairs_give_up_at_the_rejection_budget(monkeypatch):
@@ -207,7 +218,7 @@ def test_entangled_pairs_give_up_at_the_rejection_budget(monkeypatch):
     monkeypatch.setattr(datasets, "ENTANGLED_ENTROPY_FLOOR", 1.5)  # above any 2q entropy
     with pytest.raises(SimulationError,
                        match="^rejection-sampling budget exceeded for entangled 2q states$"):
-        gen_class("2q-sep-vs-ent", "entangled", 3, 0)
+        gen_class("2q-sep-vs-ent", "entangled", 3, np.random.SeedSequence(0))
     assert sorted(draws.drawn.values()) == [datasets.REJECTION_BUDGET] * 3
 
 
@@ -228,7 +239,7 @@ def test_rejected_pairs_redraw_as_state_by_state(monkeypatch):
 def test_gen_class_refuses_a_class_of_another_scheme(scheme, class_id):
     with pytest.raises(SimulationError,
                        match=f"^unknown class '{class_id}' for scheme '{scheme}'$"):
-        gen_class(scheme, class_id, 3, 0)
+        gen_class(scheme, class_id, 3, np.random.SeedSequence(0))
 
 
 def test_haar_unitaries_per_generator_are_the_single_draws():
@@ -241,9 +252,9 @@ def test_haar_unitaries_per_generator_are_the_single_draws():
 def test_entropy_bounds():
     rng = np.random.default_rng(5)
     for _ in range(200):
-        state = haar_random_state(3, rng)
+        state = haar_random_state(3, [rng])[0]
         for part in [(0,), (1,), (2,), (0, 1)]:
-            s = entanglement_entropy_bits(state, 3, part)
+            s = entropy(state, 3, part)
             assert -1e-9 <= s <= min(len(part), 3 - len(part)) + 1e-9
 
 
@@ -252,12 +263,12 @@ def test_three_qubit_labeler_is_exhaustive():
     rng = np.random.default_rng(9)
     seen = set()
     for _ in range(300):
-        seen.add(label_entanglement(haar_random_state(3, rng), "3q-five-class"))
+        seen.add(label_entanglement(haar_random_state(3, [rng])[0], "3q-five-class"))
     assert seen <= set(CLASSES["3q-five-class"])
 
 
 def test_haar_sampler_statistics():
-    states = [haar_random_state(1, seed) for seed in range(10_000)]
+    states = haar_random_state(1, [np.random.default_rng(seed) for seed in range(10_000)])
     assert all(abs(np.linalg.norm(s) - 1) < 1e-12 for s in states)
     bloch = np.mean([[2 * np.real(np.conj(s[0]) * s[1]),
                       2 * np.imag(np.conj(s[0]) * s[1]),
@@ -268,7 +279,8 @@ def test_haar_sampler_statistics():
 
 
 def test_haar_seed_determinism():
-    assert np.allclose(haar_random_state(2, 7), haar_random_state(2, 7))
+    assert np.allclose(haar_random_state(2, [np.random.default_rng(7)]),
+                       haar_random_state(2, [np.random.default_rng(7)]))
 
 
 def test_gen_corpus_counts_and_determinism():
@@ -285,13 +297,13 @@ def test_gen_corpus_refuses_an_unknown_scheme():
 
 
 def test_maxent_class_has_unit_entropy():
-    corpus = gen_class("2q-sep-vs-maxent", "maxent", 50, seed=8)
+    corpus = gen_class("2q-sep-vs-maxent", "maxent", 50, np.random.SeedSequence(8))
     for state in corpus.states:
-        assert entanglement_entropy_bits(state, 2, (0,)) >= 1 - 1e-6
+        assert entropy(state, 2, (0,)) >= 1 - 1e-6
 
 
 def test_ac_b_arrangement_structure():
-    corpus = gen_class("3q-five-class", "AC-B", 20, seed=2)
+    corpus = gen_class("3q-five-class", "AC-B", 20, np.random.SeedSequence(2))
     largest = [schmidt_coefficients(corpus.states, 3, (q,))[:, 0] for q in range(3)]
     assert np.all(largest[0] < 1 - 1e-9) and np.all(largest[2] < 1 - 1e-9)
     assert np.all(largest[1] >= 1 - 1e-9)  # only qubit B splits off
@@ -332,11 +344,11 @@ def test_generators_are_byte_stable():
 
 def test_discrimination_check_skips_a_repeat_and_gives_up_on_endless_ones(monkeypatch):
     haar = datasets.haar_random_state
-    first = haar(2, 1)
+    first = haar(2, [np.random.default_rng(1)])[0]
     drawn = []
 
-    def sampler(n, rng, count=None):
-        block = haar(n, rng, count)
+    def sampler(n, rngs, count=1):
+        block = haar(n, rngs, count)
         if not drawn:  # an accepted state, then the same state up to phase
             block[:2] = first, 1j * first
         drawn.append(count)
@@ -349,7 +361,7 @@ def test_discrimination_check_skips_a_repeat_and_gives_up_on_endless_ones(monkey
         assert abs(np.vdot(states[i], states[j])) ** 2 < datasets.DISCRIMINATION_MAX_FIDELITY
     drawn.clear()
 
-    def repeats(n, rng, count=None):
+    def repeats(n, rngs, count=1):
         drawn.append(count)
         return np.repeat(first[None], count, axis=0)
 
@@ -409,23 +421,26 @@ def test_block_instances_reject_and_give_up_as_one_at_a_time(seed, M, n, high):
 @pytest.mark.parametrize("n, count", [(1, 1), (1, 300), (3, 7), (4, 64), (8, 5)])
 def test_block_haar_draw_is_count_single_draws(n, count):
     block_rng, single_rng = np.random.default_rng(n), np.random.default_rng(n)
-    block = haar_random_state(n, block_rng, count)
-    singles = np.array([haar_random_state(n, single_rng) for _ in range(count)])
+    block = haar_random_state(n, [block_rng], count)
+    singles = np.array([textbook_haar(n, single_rng) for _ in range(count)])
     assert block.shape == (count, 2 ** n) and block.tobytes() == singles.tobytes()
     assert block_rng.integers(0, 2 ** 31) == single_rng.integers(0, 2 ** 31)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_haar_draw_per_generator_is_each_generators_single_draw(n):
-    rngs, singles = ([np.random.default_rng(s) for s in range(9)] for _ in range(2))
-    rows = haar_random_state(n, rngs)
-    assert rows.tobytes() == np.array([haar_random_state(n, r) for r in singles]).tobytes()
-    assert [r.integers(0, 2 ** 31) for r in rngs] == [r.integers(0, 2 ** 31) for r in singles]
+    """``count`` rows from each generator in turn, each its textbook draws."""
+    for count in (1, 3):
+        rngs, singles = ([np.random.default_rng(s) for s in range(9)] for _ in range(2))
+        rows = haar_random_state(n, rngs, count)
+        want = [textbook_haar(n, r) for r in singles for _ in range(count)]
+        assert rows.tobytes() == np.array(want).tobytes()
+        assert [r.integers(0, 2 ** 31) for r in rngs] == [r.integers(0, 2 ** 31) for r in singles]
 
 
 @pytest.mark.parametrize("call, name", [
     (lambda size: gen_corpus("2q-sep-vs-ent", size, seed=0), "per_class"),
-    (lambda size: gen_class("3q-five-class", "ABC", size, seed=0), "count"),
+    (lambda size: gen_class("3q-five-class", "ABC", size, np.random.SeedSequence(0)), "count"),
     (lambda size: gen_discrimination_instance(size, 2, seed=0), "M"),
     (lambda size: gen_discrimination_instance(4, size, seed=0), "n"),
 ])

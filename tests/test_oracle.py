@@ -304,7 +304,7 @@ def _haar_VW(m, n, b, seed=0):
     Haar test state."""
     rng = np.random.default_rng(seed)
     layout = oracle_layout(m, n, b)
-    states = np.stack([haar_random_state(n, rng) for _ in range(2 ** m + 1)])
+    states = haar_random_state(n, [rng], 2 ** m + 1)
     return layout, make_V(states[-1], layout, register="test"), make_W(states[:-1], layout)
 
 

@@ -29,7 +29,7 @@ RNG = np.random.default_rng(555)
 
 
 def random_train(M, n, rng=RNG, labels=None):
-    states = np.stack([haar_random_state(n, rng) for _ in range(M)])
+    states = haar_random_state(n, [rng], M)
     if labels is None:
         labels = [("A" if i % 2 == 0 else "B") for i in range(M)]
     return TrainSet(states, labels)
@@ -127,8 +127,8 @@ def test_fidelity_table_is_bit_identical_to_reference_on_corpora(scheme):
 @pytest.mark.parametrize("M,n", [(2, 1), (16, 2), (100, 3), (4500, 4)])
 def test_fidelity_table_is_bit_identical_to_reference_on_haar_tables(M, n):
     rng = np.random.default_rng([M, n])
-    states = np.stack([haar_random_state(n, rng) for _ in range(M)])
-    assert_tables_match_reference(states, [haar_random_state(n, rng) for _ in range(20)])
+    states = haar_random_state(n, [rng], M)
+    assert_tables_match_reference(states, haar_random_state(n, [rng], 20))
 
 
 def test_classical_knn_validation():
@@ -167,7 +167,7 @@ def test_qknn_matches_classical_on_quantized_table():
     seed = 0
     while trials < 100:
         seed += 1
-        test = haar_random_state(2, np.random.default_rng(seed))
+        test = haar_random_state(2, [np.random.default_rng(seed)])[0]
         table = FidelityTable.from_states(test, train, b=12)
         if len(set(table.quantized.tolist())) < train.M:
             continue
@@ -180,7 +180,7 @@ def test_qknn_matches_classical_on_quantized_table():
 
 def test_qknn_deterministic_per_seed():
     train = random_train(8, 1)
-    test = haar_random_state(1, np.random.default_rng(1))
+    test = haar_random_state(1, [np.random.default_rng(1)])[0]
     first = qknn_classify(test, train, 3, PrecisionConfig(12), SearchConfig(seed=9))
     second = qknn_classify(test, train, 3, PrecisionConfig(12), SearchConfig(seed=9))
     assert first.label == second.label and first.neighbors == second.neighbors
@@ -189,7 +189,7 @@ def test_qknn_deterministic_per_seed():
 
 def test_qknn_reports_queries():
     train = random_train(16, 2)
-    test = haar_random_state(2, np.random.default_rng(3))
+    test = haar_random_state(2, [np.random.default_rng(3)])[0]
     res = qknn_classify(test, train, 3, PrecisionConfig(12), SearchConfig(seed=0))
     assert res.oracle_queries > 0 and res.data_prep_queries > 0
 
@@ -240,7 +240,7 @@ def test_qknn_circuit_exact_outputs_are_pinned():
 def test_qknn_circuit_exact_rejects_large_instances():
     train = random_train(16, 2)
     with pytest.raises(SimulationError):
-        qknn_classify(haar_random_state(2, RNG), train, 1, PrecisionConfig(2),
+        qknn_classify(haar_random_state(2, [RNG])[0], train, 1, PrecisionConfig(2),
                       mode="circuit-exact")
 
 
@@ -250,7 +250,7 @@ def test_qknn_circuit_exact_refuses_outside_its_rule(M, b):
     log2(M) <= b: M = 1, M = 3, and M = 8 at b = 2, are refused with the rule."""
     rng = np.random.default_rng(8)
     with pytest.raises(SimulationError, match=r"M in \{2, 4, 8\}, n <= 2, log2\(M\) <= b <= 3"):
-        qknn_classify(haar_random_state(1, rng), random_train(M, 1, rng), 1,
+        qknn_classify(haar_random_state(1, [rng])[0], random_train(M, 1, rng), 1,
                       PrecisionConfig(b), mode="circuit-exact")
 
 
@@ -260,7 +260,7 @@ def test_qknn_circuit_exact_takes_states_the_state_check_takes(scale):
     1e-9 state check, so V and W take it too, and it classifies as the unit
     state does: same label, neighbours and query counts."""
     rng = np.random.default_rng(21)
-    train, test = random_train(4, 1, rng), haar_random_state(1, rng)
+    train, test = random_train(4, 1, rng), haar_random_state(1, [rng])[0]
     cfg, search = PrecisionConfig(2), SearchConfig(seed=4, max_rounds=8)
 
     def summary(state, train_set):
@@ -278,7 +278,7 @@ def test_qknn_coarse_quantization_returns_admissible_completion():
     indices whose quantized values form the top-k multiset."""
     rng = np.random.default_rng(10)
     train = random_train(8, 2, rng)
-    test = haar_random_state(2, rng)
+    test = haar_random_state(2, [rng])[0]
     table = FidelityTable.from_states(test, train, b=2)
     res = qknn_classify(test, train, 3, PrecisionConfig(2), SearchConfig(seed=4))
     best = sorted(table.quantized)[::-1][:3]
@@ -293,7 +293,7 @@ def test_qknn_neighbors_ranked_by_value_then_lowest_index():
     train = random_train(8, 2, rng, labels=list("ABCDABCD"))
     tied = 0
     for seed in range(20):
-        test = haar_random_state(2, rng)
+        test = haar_random_state(2, [rng])[0]
         table = FidelityTable.from_states(test, train, b=2)
         res = qknn_classify(test, train, 4, PrecisionConfig(2), SearchConfig(seed=seed))
         reference = sorted(res.neighbors, key=lambda i: (-table.quantized[i], i))
@@ -321,7 +321,7 @@ def test_discriminate_trivial_pair():
 def test_discriminate_promise_violation():
     states, _ = gen_discrimination_instance(4, 2, seed=4)
     train = TrainSet(states, list(range(4)))
-    stranger = haar_random_state(2, np.random.default_rng(77))
+    stranger = haar_random_state(2, [np.random.default_rng(77)])[0]
     with pytest.raises(SimulationError):
         discriminate(stranger, train, SearchConfig(seed=1))
 

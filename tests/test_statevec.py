@@ -33,18 +33,22 @@ from qknn_sim.subroutines import make_V, make_W
 INV_SQRT2 = 1 / np.sqrt(2)
 
 
+def one_register(n):
+    return RegisterLayout.from_sizes([("q", n)])
+
+
 def random_state(n, rng):
     v = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
     return v / np.linalg.norm(v)
 
 
 def test_hadamard_on_zero():
-    out = StateVector.zero_state(1).apply(hadamard(0))
+    out = StateVector.zero_state(one_register(1)).apply(hadamard(0))
     np.testing.assert_allclose(out.amplitudes, [INV_SQRT2, INV_SQRT2], atol=1e-15)
 
 
 def test_x_preserves_uniform_superposition():
-    plus = StateVector.zero_state(1).apply(hadamard(0))
+    plus = StateVector.zero_state(one_register(1)).apply(hadamard(0))
     out = plus.apply(pauli_x(0))
     np.testing.assert_allclose(out.amplitudes, plus.amplitudes, atol=1e-15)
 
@@ -71,14 +75,14 @@ def _prep(psi):
 def test_gate_rejects_out_of_range_index():
     """The range check lives in the cached view plan, which keeps no error:
     the same out-of-range shape raises each time it is applied."""
-    state = StateVector.zero_state(2)
+    state = StateVector.zero_state(one_register(2))
     for gate in (pauli_x(5), cnot(0, 5), cnot(0, 5)):
         with pytest.raises(SimulationError, match="qubit index 5 out of range for 2 qubits"):
             state.apply(gate)
 
 
 @pytest.mark.parametrize("make", [
-    lambda: StateVector.zero_state(40),
+    lambda: StateVector.zero_state(one_register(40)),
     lambda: StateVector.zero_state(RegisterLayout.from_sizes([("a", 20), ("b", 20)])),
     lambda: classical_action(Circuit([pauli_x(0)]), 40, 0),
 ])
@@ -89,7 +93,7 @@ def test_state_size_cap_refuses_before_allocating(make):
 
 def test_state_size_cap_names_the_size_of_a_state_no_float_can_hold():
     with pytest.raises(SimulationError, match="1100-qubit state needs inf MiB"):
-        StateVector.zero_state(1100)
+        StateVector.zero_state(one_register(1100))
 
 
 def test_gate_rejects_non_unitary_matrix():
@@ -188,7 +192,7 @@ def test_deterministic_state_always_measures_zero():
     layout = RegisterLayout.from_sizes([("q", 1)])
     state = StateVector.zero_state(layout)
     for seed in range(5):
-        assert state.sample_measurement("q", seed) == 0
+        assert state.sample_measurement("q", np.random.default_rng(seed)) == 0
 
 
 def _random_circuit(n, gates, rng):
@@ -218,7 +222,7 @@ def test_norm_preserved_under_random_circuits(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 13))
     circ = _random_circuit(n, 20, rng)
-    out = StateVector.zero_state(n).apply_circuit(circ)
+    out = StateVector.zero_state(one_register(n)).apply_circuit(circ)
     assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-9
 
 
