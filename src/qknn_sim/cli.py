@@ -146,7 +146,7 @@ def cmd_classify(cfg: RunConfig) -> int:
 
 
 def cmd_bench(cfg: RunConfig) -> int:
-    traces: list = []
+    traces = [] if cfg.out else None  # traced only where they are written
     study = experiments.scaling_study(cfg.m_values(), cfg.k, cfg.trials, cfg.search_config(),
                                       trace_sink=traces)
     rows = study.rows

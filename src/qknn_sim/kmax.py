@@ -109,7 +109,7 @@ class TableBackend:
             raise SimulationError(f"search table must be 1-D, got shape {self.values.shape}")
         if not np.isfinite(self.values).all():
             raise SimulationError("search table holds a non-finite value")
-        self.prep_calls = sum(prep_calls_per_oracle(b).values()) if b is not None else 0
+        self.prep_calls = prep_calls_per_oracle(b) if b is not None else 0
         self._descending = None  # the table sorted once, on the first is_top_k
 
     def oracle_for(self, y: int, A: frozenset) -> TableOracleHandle:

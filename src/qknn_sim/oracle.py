@@ -21,7 +21,6 @@ and the carry chain itself advances with one CNOT plus a U_!= per stage.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -314,15 +313,15 @@ def classical_action(circuit: Circuit, num_qubits: int, x: int) -> int:
     return y
 
 
-def prep_calls_per_oracle(b: int) -> Counter:
-    """Analytic V/W call count of one circuit-exact oracle application.
+def prep_calls_per_oracle(b: int) -> int:
+    """Analytic V+W call count of one circuit-exact oracle application.
 
     Six F applications (forward, primed, primed mirror, and their inverses),
     each containing one E^amp pair plus 2*(2**b - 1) reflection-operator
-    applications at two calls of each oracle per reflection.
+    applications at two calls of each oracle per reflection, for V and W alike.
     """
     per_f = 2 + 4 * (2 ** b - 1)
-    return Counter({"V": 6 * per_f, "W": 6 * per_f})
+    return 2 * 6 * per_f
 
 
 # --- search draws and the table backend's handle ------------------------------

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -157,8 +156,8 @@ class Gate:
 
     ``controls`` are positive controls (applied only where every control
     qubit is 1); negative controls are expressed by conjugating with X.
-    ``prep_counts`` tracks how many data-preparation oracle calls (V/W,
-    inverses included) this gate stands for, used by query accounting.
+    A gate carries no query accounting: the V/W calls of an oracle
+    application are ``oracle.prep_calls_per_oracle``'s closed form.
     """
 
     name: str
@@ -166,7 +165,6 @@ class Gate:
     controls: tuple[int, ...] = ()
     matrix: np.ndarray | None = None
     perm: np.ndarray | None = None
-    prep_counts: tuple[tuple[str, int], ...] = ()
 
     def __post_init__(self):
         self._check_structure()
@@ -194,8 +192,7 @@ class Gate:
 
     @classmethod
     def derived(cls, name: str, targets: tuple[int, ...], controls: tuple[int, ...],
-                matrix: np.ndarray | None, perm: np.ndarray | None = None,
-                prep_counts: tuple[tuple[str, int], ...] = ()) -> "Gate":
+                matrix: np.ndarray | None, perm: np.ndarray | None = None) -> "Gate":
         """A gate made from checked gates: one gate's matrix or permutation
         (on other qubits or controls), their inverse, the block that
         ``Circuit.fix_classical`` cuts from them (all of a column set's weight
@@ -204,19 +201,18 @@ class Gate:
         G^k), or a fixed gate on a module matrix checked at import. Such a
         matrix is unitary by construction, so only the structure is checked."""
         gate = object.__new__(cls)
-        vars(gate).update(name=name, targets=targets, controls=controls, matrix=matrix,
-                          perm=perm, prep_counts=prep_counts)
+        vars(gate).update(name=name, targets=targets, controls=controls, matrix=matrix, perm=perm)
         gate._check_structure()
         return gate
 
     def inverse(self) -> "Gate":
         if self.matrix is not None:
             return Gate.derived(self.name + "^-1", self.targets, self.controls,
-                                self.matrix.conj().T, None, self.prep_counts)
+                                self.matrix.conj().T)
         inv = np.empty_like(self.perm)
         inv[self.perm] = np.arange(len(self.perm))
         return Gate.derived(self.name + "^-1", self.targets, self.controls,
-                            None, inv, self.prep_counts)
+                            None, inv)
 
     def qubits(self) -> set[int]:
         return set(self.targets) | set(self.controls)
@@ -251,7 +247,7 @@ class Circuit:
             return tuple(mapping.get(q, q) for q in qubits)
 
         return Circuit([Gate.derived(g.name, move(g.targets), move(g.controls), g.matrix,
-                                     g.perm, g.prep_counts) for g in self.gates])
+                                     g.perm) for g in self.gates])
 
     def fix_classical(self, values: dict[int, int], keep: tuple[int, ...]) -> "Circuit":
         """The circuit on the ``keep`` qubits, renumbered keep[i] -> i, for
@@ -302,8 +298,7 @@ class Circuit:
                     targets = tuple(targets[p] for p in free)
             try:
                 out.append(Gate.derived(gate.name, tuple(renumber[q] for q in targets),
-                                        tuple(renumber[q] for q in controls), matrix, perm,
-                                        gate.prep_counts))
+                                        tuple(renumber[q] for q in controls), matrix, perm))
             except KeyError as exc:
                 raise SimulationError(f"{gate.name}: qubit {exc.args[0]} is neither "
                                       "tracked nor kept") from None
@@ -315,8 +310,8 @@ class Circuit:
     def fuse(self, width: int = FUSE_QUBITS) -> "Circuit":
         """The same unitary in fewer gates: each maximal run of consecutive
         gates whose qubits (targets and controls) number at most ``width`` in
-        all becomes one dense gate on those qubits, sorted, with the run's
-        summed prep counts. A run of one gate, a gate wider than ``width``
+        all becomes one dense gate on those qubits, sorted, named FUSED<n>
+        for its n gates. A run of one gate, a gate wider than ``width``
         among them, is kept as the same object."""
         runs: list[tuple[list[Gate], set[int]]] = []
         for gate in self.gates:
@@ -333,8 +328,7 @@ class Circuit:
                 continue
             run, targets = Circuit(gates), tuple(sorted(span))
             out.append(Gate.derived(f"FUSED{len(gates)}", targets, (),
-                                    circuit_to_matrix(run, targets), None,
-                                    tuple(run.prep_counts().items())))
+                                    circuit_to_matrix(run, targets)))
         return Circuit(out)
 
     def qubits(self) -> set[int]:
@@ -342,13 +336,6 @@ class Circuit:
         for g in self.gates:
             out |= g.qubits()
         return out
-
-    def prep_counts(self) -> Counter:
-        total: Counter = Counter()
-        for g in self.gates:
-            for tag, count in g.prep_counts:
-                total[tag] += count
-        return total
 
     def netlist(self) -> str:
         return "\n".join(g.netlist_line() for g in self.gates)
@@ -423,11 +410,9 @@ def cswap(control: int, t1: int, t2: int) -> Gate:
 
 
 def register_unitary(targets: tuple[int, ...], matrix: np.ndarray, name: str,
-                     controls: tuple[int, ...] = (),
-                     prep_counts: tuple[tuple[str, int], ...] = ()) -> Gate:
+                     controls: tuple[int, ...] = ()) -> Gate:
     """A gate on a matrix from outside the gate algebra (V, W, the IQFT): checked."""
-    return Gate(name, tuple(targets), tuple(controls),
-                matrix=np.asarray(matrix, dtype=complex), prep_counts=prep_counts)
+    return Gate(name, tuple(targets), tuple(controls), matrix=np.asarray(matrix, dtype=complex))
 
 
 def basis_permutation(targets: tuple[int, ...], perm: np.ndarray, name: str,

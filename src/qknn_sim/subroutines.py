@@ -53,7 +53,7 @@ def unitary_with_first_column(psi: np.ndarray) -> np.ndarray:
 def make_V(psi: np.ndarray, layout: RegisterLayout, register: str = "test") -> Gate:
     """V, the test-state oracle: |0^n> -> |psi> on ``register``."""
     mat = unitary_with_first_column(psi)
-    return register_unitary(layout.qubits(register), mat, "V", prep_counts=(("V", 1),))
+    return register_unitary(layout.qubits(register), mat, "V")
 
 
 def make_W(phis: np.ndarray, layout: RegisterLayout, train: str = "train") -> Gate:
@@ -70,7 +70,7 @@ def make_W(phis: np.ndarray, layout: RegisterLayout, train: str = "train") -> Ga
         # index register sits on the low bits: block j holds local values j + t*M
         blocks[j::M, j::M] = unitary_with_first_column(phis[j])
     qubits = layout.qubits("index") + layout.qubits(train)
-    return register_unitary(qubits, blocks, "W", prep_counts=(("W", 1),))
+    return register_unitary(qubits, blocks, "W")
 
 
 # --- interference tests ------------------------------------------------------
@@ -98,7 +98,7 @@ def hadamard_test_circuit(V: Gate, W: Gate, layout: RegisterLayout) -> Circuit:
     (bq,) = layout.qubits("B")
     if V.targets != layout.qubits("data"):
         raise SimulationError("test-state oracle does not act on the data register")
-    v_inv, w = (Gate.derived(g.name, g.targets, (bq,), g.matrix, None, g.prep_counts)
+    v_inv, w = (Gate.derived(g.name, g.targets, (bq,), g.matrix)
                 for g in (V.inverse(), W))  # controlled on B
     return Circuit([V, hadamard(bq), v_inv, w, hadamard(bq)])
 
@@ -117,7 +117,7 @@ def zero_reflection(qubits: tuple[int, ...]) -> Circuit:
 class ReflectionOperator:
     """A reflection operator (G or H) plus the prep circuit it reflects about."""
 
-    gate: Gate                     # dense G or H on its support, with its prep counts
+    gate: Gate                     # dense G or H on its support
     amp_circuit: Circuit           # the prep circuit: E^amp, uncomputed at the end
 
 
@@ -133,8 +133,7 @@ def reflection_operator(name: str, prep: Circuit, layout: RegisterLayout,
     circ = Circuit([pauli_z(bq)] + prep.inverse().gates
                    + zero_reflection(layout.qubits_of(work)).gates + prep.gates)
     qubits = layout.qubits_of(support)
-    gate = Gate.derived(name, qubits, (), circuit_to_matrix(circ, qubits), None,
-                        tuple(circ.prep_counts().items()))
+    gate = Gate.derived(name, qubits, (), circuit_to_matrix(circ, qubits))
     return ReflectionOperator(gate, prep)
 
 
@@ -169,8 +168,7 @@ def qpe_circuit(op: Gate, phase_qubits: tuple[int, ...]) -> Circuit:
         if k > 0:
             power = power @ power  # compose, never diagonalize
             reps *= 2
-        counts = tuple((tag, cnt * reps) for tag, cnt in op.prep_counts)
-        circ.append(Gate.derived(f"{op.name}^{reps}", op.targets, (ctl,), power, None, counts))
+        circ.append(Gate.derived(f"{op.name}^{reps}", op.targets, (ctl,), power))
     x, t = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
     iqft = np.exp(-2j * np.pi * x * t / d) / math.sqrt(d)
     circ.append(register_unitary(phase_qubits, iqft, "IQFT"))

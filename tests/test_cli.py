@@ -161,6 +161,23 @@ def test_bench_csv_and_determinism(tmp_path):
     assert any(l.startswith("# fitted_slope_to_solution=") for l in lines)
 
 
+def test_bench_traces_only_what_it_writes(tmp_path, monkeypatch):
+    """bench hands scaling_study a trace sink only when --out is set: without
+    it the per-trial JSON lines would be serialised and thrown away."""
+    sinks = []
+    study = cli.experiments.scaling_study
+
+    def spy(*args, trace_sink=None, **kwargs):
+        sinks.append(trace_sink)
+        return study(*args, trace_sink=trace_sink, **kwargs)
+
+    monkeypatch.setattr(cli.experiments, "scaling_study", spy)
+    args = ["bench", "--M", "16", "--trials", "2"]
+    assert run_cli(args) == 0
+    assert run_cli([*args, "--out", str(tmp_path / "b.csv")]) == 0
+    assert sinks[0] is None and isinstance(sinks[1], list) and len(sinks) == 2
+
+
 def test_bench_appends_the_sqrt_k_trend(tmp_path, capsys):
     """After its rows and slopes, bench writes the mean queries to solution
     at M = 256 for k = 1, 2, 4, 8 and their worst deviation from c*sqrt(k)."""

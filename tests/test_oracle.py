@@ -20,6 +20,7 @@ from qknn_sim.oracle import (
     SimulationError,
     TableOracleHandle,
     assemble_O_yA,
+    build_D,
     build_J,
     classical_action,
     oracle_layout,
@@ -50,6 +51,32 @@ def test_threshold_state_validation(monkeypatch):
     for y, A in ((0, {1, 2}), (0, {0, 9}), (0, set())):
         with pytest.raises(SimulationError):
             assemble_O_yA(V, W, layout, cfg, y, A)
+
+
+def _assemble_with_index_wider_than_b():
+    layout = oracle_layout(3, 1, 2)
+    V = make_V(np.array([1, 0], dtype=complex), layout, register="test")
+    W = make_W(np.tile(np.eye(2, dtype=complex), (4, 1)), layout)
+    assemble_O_yA(V, W, layout, PrecisionConfig(2), 1, {1})
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: build_J((0, 1), (2,), 3, (4,)), "J operands must have equal width"),
+    (lambda: build_J((0, 1, 2), (3, 4, 5), 6, (7,)), "J needs width-1 chain ancillas"),
+    (lambda: build_D(0, (0, 1), (2,), (3, 4), 5),
+     "D needs an m-qubit pattern register and m chain ancillas"),
+    (lambda: build_D(0, (0, 1), (2, 3), (4,), 5),
+     "D needs an m-qubit pattern register and m chain ancillas"),
+    (lambda: build_D(4, (0, 1), (2, 3), (4, 5), 6), "D pattern out of range"),
+    (lambda: build_D(-1, (0, 1), (2, 3), (4, 5), 6), "D pattern out of range"),
+    (_assemble_with_index_wider_than_b, "hosts comparator chains in the phase register "
+                                        r"and needs log2\(M\) <= b"),
+], ids=["J-width", "J-chain", "D-pattern", "D-chain", "D-above", "D-below", "O-log2M-above-b"])
+def test_comparator_refusals(build, message):
+    """J, D and the assembled oracle refuse registers they cannot run on,
+    each by its own message."""
+    with pytest.raises(SimulationError, match=message):
+        build()
 
 
 def test_assembly_checks_unitarity_only_of_matrices_from_outside(monkeypatch):
@@ -162,10 +189,29 @@ def test_fused_circuits_match_the_unfused_reduction(m, n, b):
     assert len(oc.U) < len(U)
 
 
+def _prep_calls_by_name(circuit):
+    """V and W calls read from gate names: V, W and their inverses (any number
+    of ``^-1``) are one call each; G^r and its inverses are 2r of each."""
+    calls = Counter()
+    for g in circuit:
+        name = g.name
+        while name.endswith("^-1"):
+            name = name[:-len("^-1")]
+        base, _, power = name.partition("^")
+        if base in ("V", "W"):
+            calls[base] += 1
+        elif base == "G":
+            calls.update({"V": 2 * int(power), "W": 2 * int(power)})
+    return calls
+
+
 def test_oracle_prep_counts_match_formula():
-    b = 2
-    oc = invariants.dyadic_oracle(b, 1, {1})
-    assert oc.circuit.prep_counts() == prep_calls_per_oracle(b)
+    """The model circuit's V and W calls, counted by gate name, are equal in
+    number and sum to the closed form (84 + 84 at b = 2, 180 + 180 at b = 3)."""
+    for b in (2, 3):
+        calls = _prep_calls_by_name(invariants.dyadic_oracle(b, 1, {1}).circuit)
+        assert calls["V"] == calls["W"]
+        assert calls["V"] + calls["W"] == prep_calls_per_oracle(b)
 
 
 def test_oracle_evaluate_most_probable_outcome():
@@ -316,9 +362,9 @@ def _haar_F(m, n, b, seed=0):
 
 
 def _gate_key(g):
-    """Everything a gate is: name, qubits, prep counts, matrix or permutation bytes."""
+    """Everything a gate is: name, qubits, matrix or permutation bytes."""
     data = g.perm if g.matrix is None else g.matrix
-    return g.name, g.targets, g.controls, g.prep_counts, g.matrix is None, data.tobytes()
+    return g.name, g.targets, g.controls, g.matrix is None, data.tobytes()
 
 
 @pytest.mark.parametrize("m,n,b", [(1, 1, 2), (2, 2, 3)])

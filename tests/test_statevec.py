@@ -161,6 +161,26 @@ def test_gate_rejects_non_bijective_permutation():
         basis_permutation((0, 1), np.array([0, 0, 1, 2]), "bad")
 
 
+_X2 = np.array([[0, 1], [1, 0]], dtype=complex)
+
+
+@pytest.mark.parametrize("build", [Gate, Gate.derived], ids=["Gate", "derived"])
+@pytest.mark.parametrize("targets,controls,matrix,perm,message", [
+    ((0, 0), (), np.eye(4, dtype=complex), None, "bad: repeated target qubits"),
+    ((0,), (1, 1), _X2, None, "bad: repeated control qubits"),
+    ((0,), (0,), _X2, None, "bad: control/target overlap"),
+    ((0,), (), None, None, "bad: exactly one of matrix/perm required"),
+    ((0,), (), _X2, np.array([1, 0]), "bad: exactly one of matrix/perm required"),
+    ((0,), (), np.eye(4, dtype=complex), None, r"bad: matrix shape \(4, 4\) != \(2,2\)"),
+    ((0,), (), None, np.array([0, 1, 2]), "bad: permutation is not a bijection on 2 basis states"),
+], ids=["target", "control", "overlap", "neither", "both", "shape", "perm-length"])
+def test_gate_structure_refusals(build, targets, controls, matrix, perm, message):
+    """Both constructors refuse a malformed gate by the same message:
+    ``Gate.derived`` skips only the unitarity check."""
+    with pytest.raises(SimulationError, match=f"^{message}$"):
+        build("bad", targets, controls, matrix, perm)
+
+
 def test_measure_probs_single_qubit_plus():
     plus = StateVector.zero_state(RegisterLayout.from_sizes([("q", 1)])).apply(hadamard(0))
     np.testing.assert_allclose(plus.measure_probs("q"), [0.5, 0.5], atol=1e-12)
@@ -372,18 +392,18 @@ def test_circuit_to_matrix_equals_per_column_reference(seed):
 def test_remap_is_the_same_circuit_on_renamed_qubits(seed):
     """Under a random qubit bijection, the renamed circuit's dense unitary on
     the mapped qubits is bit for bit the original's on its own qubits, and
-    every gate keeps its name, prep counts and matrix or permutation."""
+    every gate keeps its name and matrix or permutation."""
     rng = np.random.default_rng(seed)
     qubits = tuple(int(q) for q in rng.choice(8, size=int(rng.integers(1, 6)), replace=False))
     span = int(rng.integers(1, len(qubits) + 1))
     gates = [_random_gate(qubits, span, rng) for _ in range(int(rng.integers(1, 12)))]
-    gates.append(register_unitary(qubits[:1], np.eye(2), "W", prep_counts=(("W", 1),)))
+    gates.append(register_unitary(qubits[:1], np.eye(2), "W"))
     circ = Circuit(gates)
     image = tuple(int(q) for q in rng.permutation(10)[: len(qubits)])
     renamed = circ.remap(dict(zip(qubits, image)))
     assert np.array_equal(circuit_to_matrix(renamed, image), circuit_to_matrix(circ, qubits))
     for old, new in zip(circ, renamed, strict=True):
-        assert (new.name, new.prep_counts) == (old.name, old.prep_counts)
+        assert new.name == old.name
         assert new.matrix is old.matrix and new.perm is old.perm
 
 
@@ -392,17 +412,15 @@ def test_remap_is_the_same_circuit_on_renamed_qubits(seed):
 def test_fuse_is_the_same_unitary_in_gates_of_at_most_width_qubits(seed):
     """Random 1-qubit, controlled, multi-target and permutation gates on up
     to 8 qubits, with one gate wider than ``width`` at a random position:
-    the fused circuit has the same dense unitary to 1e-12 and the same prep
-    counts, no fused gate spans more than ``width`` qubits, and the wide
-    gate comes through as the same object."""
+    the fused circuit has the same dense unitary to 1e-12, no fused gate
+    spans more than ``width`` qubits, and the wide gate comes through as the
+    same object."""
     rng = np.random.default_rng(seed)
     width = int(rng.integers(1, FUSE_QUBITS + 1))
     n = int(rng.integers(width + 1, 9))
     qubits = tuple(range(n))
     gates = [_random_gate(qubits, int(rng.integers(1, width + 1)), rng)
              for _ in range(int(rng.integers(0, 16)))]
-    gates[::3] = [Gate(g.name, g.targets, g.controls, g.matrix, g.perm, (("V", 1), ("W", 2)))
-                  for g in gates[::3]]
     span = tuple(int(q) for q in rng.permutation(n)[: int(rng.integers(width + 1, n + 1))])
     wide = basis_permutation(span[:1], np.array([1, 0]), "WIDE", span[1:])
     gates.insert(int(rng.integers(0, len(gates) + 1)), wide)
@@ -410,7 +428,6 @@ def test_fuse_is_the_same_unitary_in_gates_of_at_most_width_qubits(seed):
     fused = circ.fuse(width)
     np.testing.assert_allclose(circuit_to_matrix(fused, qubits), circuit_to_matrix(circ, qubits),
                                rtol=0, atol=1e-12)
-    assert fused.prep_counts() == circ.prep_counts()
     assert all(len(g.qubits()) <= width for g in fused if g is not wide)
     assert sum(g is wide for g in fused) == 1
     assert len(fused) <= len(circ)
