@@ -47,6 +47,9 @@ class RunConfig:
         for name in ("n", "k", "trials", "per_class", "seeds", "budget_rounds"):
             require_count(_FLAGS[name], getattr(self, name))
         require_count(_FLAGS["seed"], self.seed, low=0)
+        if not 2 <= self.b <= 30:
+            raise SimulationError(f"{_FLAGS['b']}: precision bits must be in [2, 30], "
+                                  f"got {self.b}")
         kmax.require_growth(_FLAGS["lam"], self.lam)
         sizes = self.m_values()
         if not sizes or min(sizes) < 1:

@@ -20,13 +20,14 @@ and the carry chain itself advances with one CNOT plus a U_!= per stage.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .qadc import PrecisionConfig, fidelity_qadc_circuit
+from .qadc import PrecisionConfig, fidelity_qadc_circuit, prep_positions, refill_qadc_circuit
 from .statevec import (
     Circuit,
     Gate,
@@ -34,6 +35,8 @@ from .statevec import (
     SimulationError,
     StateVector,
     cnot,
+    fix_gate,
+    fuse_run,
     hadamard,
     mcx,
     mcz,
@@ -137,10 +140,11 @@ class OracleCircuit:
     with Q3 held in |->. ``index_p`` only ever holds basis values (it starts
     at 0, X gates load y and the D patterns into it, and every other gate
     reads it as a control or is block-diagonal in it). So the simulator's U
-    is F fused once (``Circuit.fuse``), then the rest of the model's U built
-    on that fused F, with index_p followed as classical bits and cut out
-    (``Circuit.fix_classical``), fused. Its gates differ from the model's
-    and agree with it as unitaries to rounding.
+    is F fused (``Circuit.fuse``), then the rest of the model's U built on
+    that, with index_p followed as classical bits and cut out
+    (``Circuit.fix_classical``), fused: the same unitary to rounding. Only
+    the first assembly at a (layout, b, y, A) builds all of it; later ones
+    rebuild from its plan only the gates V and W change (``assemble_O_yA``).
 
     The oracle runs its own Grover rounds (``run_round``: from ``start()``,
     each iteration ``search`` then ``diffusion``) and verdicts
@@ -271,12 +275,61 @@ def _threshold_gates(F: Circuit, layout: RegisterLayout, y: int,
     return compare, d_gates
 
 
+PLAN_LIMIT = 32  # assembly plans kept, one per (layout, b, y, A); the oldest goes first
+_plans: dict[tuple, "_Plan"] = {}
+
+
+@dataclass(eq=False)
+class _Plan:
+    """The first assembly at a (layout, b, y, A): its F, ``cut`` (the rest of U
+    after ``fix_classical``), U and search, None for each gate derived from V
+    or W; (position in U, start, stop) of the fusion runs of F (``runs``) and
+    of ``cut`` (``tail_runs``) holding one; per run of F, the tracked values
+    before and after its renamed copy and that copy's inverse and where in
+    ``cut`` each lands (None: dropped); the renamings (search layout, primed)."""
+
+    F: list
+    cut: list
+    U: list
+    search: list
+    runs: list[tuple[int, int, int]]
+    cuts: list[tuple[tuple[dict, dict, int | None], ...]]
+    tail_runs: list[tuple[int, int, int]]
+    renames: tuple[dict[int, int], dict[int, int]]
+
+    def assemble(self, V: Gate, W: Gate, layout: RegisterLayout) -> tuple[Circuit, ...]:
+        """F, U and search for V and W, each gate derived from them rebuilt by
+        the first assembly's call on the same gates; raises SimulationError
+        where the tracked values part from the plan's."""
+        F = refill_qadc_circuit(self.F, V, W, layout)
+        cut, U, search = self.cut.copy(), self.U.copy(), self.search.copy()
+        to_kept, to_primed = self.renames
+        for (at, start, stop), cuts in zip(self.runs, self.cuts):
+            fused = Circuit([fuse_run(F[start:stop])])
+            U[at] = fused.remap(to_kept).gates[0]
+            primed = fused.remap(to_primed).gates[0]
+            for (before, after, pos), copy in zip(cuts, (primed, primed.inverse())):
+                bits = dict(before)
+                gate = fix_gate(copy, bits, to_kept)
+                if bits != after:
+                    raise SimulationError(f"{copy.name}: moves a tracked qubit off the plan")
+                if pos is not None:
+                    cut[pos] = gate
+        for at, start, stop in self.tail_runs:
+            U[at] = fuse_run(cut[start:stop])
+        for at, _, _ in self.runs + self.tail_runs:
+            search[at], search[-1 - at] = U[at], U[at].inverse()
+        return Circuit(F), Circuit(U), Circuit(search)
+
+
 def assemble_O_yA(V: Gate, W: Gate, layout: RegisterLayout,
                   cfg: PrecisionConfig, y: int, A) -> OracleCircuit:
     """Steps: F on (index,fid); F renamed onto (index',fid') loaded with y; J;
     mid-circuit uncompute of the primed registers; D cascade; X+Toffoli;
     mirror uncompute. Builds the simulator's U and search oracle; the model
-    circuit waits for its first read."""
+    circuit waits for its first read. The first assembly at a (layout, b,
+    y, A) leaves a ``_Plan``, from which later ones rebuild only the gates
+    derived from V and W; a V and W the plan cannot take are assembled anew."""
     A = frozenset(A)
     m = layout.size("index")
     if y not in A or any(not 0 <= i < 2 ** m for i in A):  # also refuses an empty A
@@ -285,20 +338,53 @@ def assemble_O_yA(V: Gate, W: Gate, layout: RegisterLayout,
     if m > cfg.b:
         raise SimulationError("circuit-exact oracle hosts comparator chains in the "
                               "phase register and needs log2(M) <= b")
-    f_main = fidelity_qadc_circuit(V, W, layout, cfg)
+    key = (layout, cfg.b, y, A)
+    if key in _plans:
+        try:
+            return OracleCircuit(layout, y, A, *_plans[key].assemble(V, W, layout))
+        except SimulationError:
+            pass  # assembled anew below, which refuses this V and W or plans for it
+    F = fidelity_qadc_circuit(V, W, layout, cfg).gates
     # the simulator's U, without index_p and Q3: F fused once, then the rest of U
     # built on it, index_p cut out and fused. F is block-diagonal in index, so
     # fix_classical cuts each renamed F gate to its block at index_p = y.
-    fused = f_main.fuse()
+    fused = Circuit(F).fuse()
     reduced = search_layout(layout)
     keep = layout.qubits_of(reduced.names)
     compare, d_gates = _threshold_gates(fused, layout, y, A)
-    tail = Circuit(compare + d_gates).fix_classical(
-        dict.fromkeys(layout.qubits("index_p"), 0), keep).fuse()
-    U = Circuit(fused.remap(dict(zip(keep, range(len(keep))))).gates + tail.gates)
+    steps = list(Circuit(compare + d_gates).fix_steps(
+        dict.fromkeys(layout.qubits("index_p"), 0), keep))
+    cut = [gate for _, gate in steps if gate is not None]
+    to_kept = dict(zip(keep, range(len(keep))))
+    U = fused.remap(to_kept).gates + Circuit(cut).fuse().gates
     (s1,), (s2,) = reduced.qubits("Q1"), reduced.qubits("Q2")
-    search = Circuit(U.gates + [pauli_x(s2), mcz((s1,), s2), pauli_x(s2)] + U.inverse().gates)
-    return OracleCircuit(layout, y, A, f_main, U, search)
+    search = U + [pauli_x(s2), mcz((s1,), s2), pauli_x(s2)] + Circuit(U).inverse().gates
+    if key not in _plans:  # the plan; compare is y loaded, F renamed, J, that
+        # inverted, y unloaded: fused gate i's copy is step first + i, its inverse last - i
+        in_F = set(prep_positions(len(F), cfg.b))
+        runs = [(at, start, stop) for at, (start, stop) in enumerate(Circuit(F).fusion_runs())
+                if not in_F.isdisjoint(range(start, stop))]
+        count = itertools.count()
+        at_cut = [None if gate is None else next(count) for _, gate in steps]
+        first = sum((y >> l) & 1 for l in range(m))
+        last = len(compare) - 1 - first
+        cuts = [tuple((steps[j][0], steps[j + 1][0], at_cut[j]) for j in (first + i, last - i))
+                for i, _, _ in runs]
+        in_cut = {pos for pair in cuts for *_, pos in pair}
+        tail_runs = [(len(fused) + i, start, stop)
+                     for i, (start, stop) in enumerate(Circuit(cut).fusion_runs())
+                     if not in_cut.isdisjoint(range(start, stop))]
+        in_U = {at for at, _, _ in runs + tail_runs}
+        derived = ((F, in_F), (cut, in_cut), (U, in_U),
+                   (search, in_U | {len(search) - 1 - at for at in in_U}))
+        to_primed = dict(zip(layout.qubits_of(["index", "fid"]),
+                             layout.qubits_of(["index_p", "fid_p"])))
+        if len(_plans) >= PLAN_LIMIT:
+            del _plans[next(iter(_plans))]
+        _plans[key] = _Plan(*([None if i in out else g for i, g in enumerate(gates)]
+                              for gates, out in derived),
+                            runs, cuts, tail_runs, (to_kept, to_primed))
+    return OracleCircuit(layout, y, A, Circuit(F), Circuit(U), Circuit(search))
 
 
 def classical_action(circuit: Circuit, num_qubits: int, x: int) -> int:

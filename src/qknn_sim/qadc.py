@@ -5,7 +5,7 @@ that the fidelity F_j sits in the amplitude of an ancilla; E^dig runs phase
 estimation on the reflection operator G, converts the estimated phase to
 the fidelity with a reversible arithmetic permutation, and uncomputes every
 work register. ``fidelity_qadc_circuit`` is their one composition; it maps
-|j>|0> -> |j>|F_j>.
+|j>|0> -> |j>|F_j>. ``refill_qadc_circuit`` puts another V and W into it.
 
 ``quantize_array`` is the one b-bit rounding rule: it digitizes the
 similarity table every mode ranks, and it computes the arithmetic
@@ -24,7 +24,7 @@ import numpy as np
 
 from .statevec import (Circuit, Gate, RegisterLayout, SimulationError, basis_permutation,
                        require_count, require_fits)
-from .subroutines import build_G, qpe_circuit
+from .subroutines import build_G, controlled_powers, qpe_circuit
 
 
 @dataclass(frozen=True)
@@ -88,3 +88,27 @@ def fidelity_qadc_circuit(V: Gate, W: Gate, layout: RegisterLayout,
     qpe = qpe_circuit(G.gate, layout.qubits("phase"))
     return Circuit(G.amp_circuit.gates + qpe.gates + [arithmetic_map(cfg, layout)]
                    + qpe.inverse().gates + G.amp_circuit.inverse().gates)
+
+
+def refill_qadc_circuit(gates: list, V: Gate, W: Gate, layout: RegisterLayout) -> list[Gate]:
+    """``fidelity_qadc_circuit``'s gates for V and W from its gates for any
+    pair: the gates at ``prep_positions`` are rebuilt by the same
+    calls, and every other gate, the inverse QFT and the arithmetic map
+    among them, is kept."""
+    G = build_G(V, W, layout)
+    first = G.amp_circuit.gates + controlled_powers(G.gate, layout.qubits("phase"))
+    gates = list(gates)
+    for i, gate in zip(prep_positions(len(gates), layout.size("phase")),
+                       first + [g.inverse() for g in first]):
+        gates[i] = gate
+    return gates
+
+
+def prep_positions(length: int, b: int) -> list[int]:
+    """Where V and W enter ``fidelity_qadc_circuit``'s ``length`` gates:
+    E^amp and G's controlled powers, then the inverse of each at its mirror
+    position. F is E^amp, b Hadamards, the powers and the inverse QFT, then
+    QA, then the inverses of the first part in reverse."""
+    a = (length - 1) // 2 - 2 * b - 1
+    first = [*range(a), *range(a + b, a + 2 * b)]
+    return first + [length - 1 - i for i in first]

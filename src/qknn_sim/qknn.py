@@ -131,8 +131,9 @@ def qknn_classify(test_state: np.ndarray, train: TrainSet, k: int,
                                   f"got M = {train.M}, n = {train.n}, b = {cfg.b}")
         layout = oracle_layout(m, train.n, cfg.b)
         V, W = make_V(test_state, layout), make_W(train.states, layout)
-        # uncached: each accepted step swaps min(A) for a strictly larger value,
-        # so the sum over A grows and no (y, A) is asked for twice
+        # no oracle is kept: each accepted step swaps min(A) for a strictly larger
+        # value, so no (y, A) is asked for twice; assemble_O_yA's plans keep, across
+        # classifications, what a test state and train set do not change
         backend = CircuitBackend(lambda y, A: assemble_O_yA(V, W, layout, cfg, y, A),
                                  table.quantized, cfg.b)
     else:

@@ -269,43 +269,21 @@ class Circuit:
         tracked nor kept, and where a tracked qubit does not end at its start
         value.
         """
+        return Circuit([gate for _, gate in self.fix_steps(values, keep) if gate is not None])
+
+    def fix_steps(self, values: dict[int, int], keep: tuple[int, ...]):
+        """``fix_classical`` gate by gate: (the tracked values a gate reads,
+        its gate on ``keep`` or None where dropped), checks included."""
         bits = dict(values)
         renumber = {q: i for i, q in enumerate(keep)}
         if not bits.keys().isdisjoint(renumber):
             raise SimulationError("a qubit cannot be both tracked and kept")
-        out: list[Gate] = []
         for gate in self.gates:
-            targets, controls = gate.targets, gate.controls
-            matrix, perm = gate.matrix, gate.perm
-            if not bits.keys().isdisjoint(targets + controls):
-                if any(bits.get(c) == 0 for c in controls):
-                    continue
-                controls = tuple(c for c in controls if c not in bits)
-                fixed = [i for i, q in enumerate(targets) if q in bits]
-                if fixed:
-                    free = [i for i, q in enumerate(targets) if q not in bits]
-                    k_in = sum(bits[targets[p]] << i for i, p in enumerate(fixed))
-                    k_out, matrix, perm = _cut_block(gate, fixed, free, k_in)
-                    if k_out != k_in and controls:
-                        raise SimulationError(f"{gate.name}: changes a tracked qubit under "
-                                              f"untracked controls {controls}")
-                    for i, p in enumerate(fixed):
-                        bits[targets[p]] = (k_out >> i) & 1
-                    if not free:
-                        if matrix is not None and matrix[0, 0] != 1:
-                            raise SimulationError(f"{gate.name}: leaves a phase on tracked qubits")
-                        continue
-                    targets = tuple(targets[p] for p in free)
-            try:
-                out.append(Gate.derived(gate.name, tuple(renumber[q] for q in targets),
-                                        tuple(renumber[q] for q in controls), matrix, perm))
-            except KeyError as exc:
-                raise SimulationError(f"{gate.name}: qubit {exc.args[0]} is neither "
-                                      "tracked nor kept") from None
+            before = dict(bits)
+            yield before, fix_gate(gate, bits, renumber)
         moved = sorted(q for q in values if bits[q] != values[q])
         if moved:
             raise SimulationError(f"tracked qubits {moved} do not end at their start values")
-        return Circuit(out)
 
     def fuse(self, width: int = FUSE_QUBITS) -> "Circuit":
         """The same unitary in fewer gates: each maximal run of consecutive
@@ -313,23 +291,20 @@ class Circuit:
         all becomes one dense gate on those qubits, sorted, named FUSED<n>
         for its n gates. A run of one gate, a gate wider than ``width``
         among them, is kept as the same object."""
-        runs: list[tuple[list[Gate], set[int]]] = []
-        for gate in self.gates:
-            qubits = gate.qubits()
-            if runs and len(runs[-1][1] | qubits) <= width:
-                runs[-1][0].append(gate)
-                runs[-1][1].update(qubits)
+        return Circuit([fuse_run(self.gates[start:stop])
+                        for start, stop in self.fusion_runs(width)])
+
+    def fusion_runs(self, width: int = FUSE_QUBITS) -> list[tuple[int, int]]:
+        """(start, stop) of each run ``fuse`` makes one gate of."""
+        runs: list[tuple[int, int]] = []
+        span: set[int] = set()
+        for i, gate in enumerate(self.gates):
+            if runs and len(span | gate.qubits()) <= width:
+                runs[-1], span = (runs[-1][0], i + 1), span | gate.qubits()
             else:
-                runs.append(([gate], qubits))
-        out: list[Gate] = []
-        for gates, span in runs:
-            if len(gates) == 1:
-                out.append(gates[0])
-                continue
-            run, targets = Circuit(gates), tuple(sorted(span))
-            out.append(Gate.derived(f"FUSED{len(gates)}", targets, (),
-                                    circuit_to_matrix(run, targets)))
-        return Circuit(out)
+                runs.append((i, i + 1))
+                span = gate.qubits()
+        return runs
 
     def qubits(self) -> set[int]:
         out: set[int] = set()
@@ -347,6 +322,47 @@ class Circuit:
         return len(self.gates)
 
 
+def fuse_run(gates: list[Gate]) -> Gate:
+    """The gate ``Circuit.fuse`` makes of one run."""
+    if len(gates) == 1:
+        return gates[0]
+    targets = tuple(sorted(set().union(*(g.qubits() for g in gates))))
+    return Gate.derived(f"FUSED{len(gates)}", targets, (),
+                        circuit_to_matrix(Circuit(gates), targets))
+
+
+def fix_gate(gate: Gate, bits: dict[int, int], renumber: dict[int, int]) -> Gate | None:
+    """One gate of ``Circuit.fix_classical``, updating the tracked values
+    ``bits``: its gate on the kept qubits (``renumber``), or None."""
+    targets, controls = gate.targets, gate.controls
+    matrix, perm = gate.matrix, gate.perm
+    if not bits.keys().isdisjoint(targets + controls):
+        if any(bits.get(c) == 0 for c in controls):
+            return None
+        controls = tuple(c for c in controls if c not in bits)
+        fixed = [i for i, q in enumerate(targets) if q in bits]
+        if fixed:
+            free = [i for i, q in enumerate(targets) if q not in bits]
+            k_in = sum(bits[targets[p]] << i for i, p in enumerate(fixed))
+            k_out, matrix, perm = _cut_block(gate, fixed, free, k_in)
+            if k_out != k_in and controls:
+                raise SimulationError(f"{gate.name}: changes a tracked qubit under "
+                                      f"untracked controls {controls}")
+            for i, p in enumerate(fixed):
+                bits[targets[p]] = (k_out >> i) & 1
+            if not free:
+                if matrix is not None and matrix[0, 0] != 1:
+                    raise SimulationError(f"{gate.name}: leaves a phase on tracked qubits")
+                return None
+            targets = tuple(targets[p] for p in free)
+    try:
+        return Gate.derived(gate.name, tuple(renumber[q] for q in targets),
+                            tuple(renumber[q] for q in controls), matrix, perm)
+    except KeyError as exc:
+        raise SimulationError(f"{gate.name}: qubit {exc.args[0]} is neither "
+                              "tracked nor kept") from None
+
+
 def _local_bits(local: np.ndarray, positions: list[int]) -> np.ndarray:
     """The bits of each local index at ``positions``, packed little-endian."""
     out = np.zeros_like(local)
@@ -355,13 +371,24 @@ def _local_bits(local: np.ndarray, positions: list[int]) -> np.ndarray:
     return out
 
 
+@functools.cache
+def _blocks(width: int, fixed: tuple[int, ...]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """For ``width`` targets, each local index's tracked value (its bits at
+    positions ``fixed``) and, per tracked value, its local indices: shared,
+    so read-only."""
+    key = _local_bits(np.arange(2 ** width), list(fixed))
+    blocks = [np.flatnonzero(key == k) for k in range(2 ** len(fixed))]
+    for array in (key, *blocks):
+        array.setflags(write=False)
+    return key, blocks
+
+
 def _cut_block(gate: Gate, fixed: list[int], free: list[int], k_in: int):
     """(k_out, matrix, perm): the tracked value the gate maps k_in to (the
     tracked target positions ``fixed``, packed little-endian), and the gate's
     block on the ``free`` target positions from input k_in to output k_out."""
-    local = np.arange(2 ** len(gate.targets))
-    key = _local_bits(local, fixed)
-    cols = np.flatnonzero(key == k_in)
+    key, blocks = _blocks(len(gate.targets), tuple(fixed))
+    cols = blocks[k_in]
     if gate.perm is not None:
         image = gate.perm[cols]
     else:
@@ -372,7 +399,7 @@ def _cut_block(gate: Gate, fixed: list[int], free: list[int], k_in: int):
         raise SimulationError(f"{gate.name}: puts a tracked qubit into superposition")
     if gate.perm is not None:
         return k_out, None, _local_bits(image, free)
-    return k_out, gate.matrix[key == k_out][:, cols], None
+    return k_out, gate.matrix[blocks[k_out]][:, cols], None
 
 
 # --- gate constructors -----------------------------------------------------

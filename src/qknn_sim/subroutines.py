@@ -155,24 +155,27 @@ def build_H_dot(V: Gate, W: Gate, layout: RegisterLayout) -> ReflectionOperator:
 
 def qpe_circuit(op: Gate, phase_qubits: tuple[int, ...]) -> Circuit:
     """Standard phase estimation of an uncontrolled unitary gate: controlled
-    powers by repeated composition, then the inverse quantum Fourier
+    powers (``controlled_powers``), then the inverse quantum Fourier
     transform on the phase register."""
     if op.matrix is None or op.controls:
         raise SimulationError(f"{op.name}: phase estimation needs an uncontrolled matrix gate")
     b, d = len(phase_qubits), 2 ** len(phase_qubits)
     require_fits(f"a {b}-qubit inverse QFT", d * d)
-    circ = Circuit([hadamard(q) for q in phase_qubits])
-    power = op.matrix
-    reps = 1
-    for k, ctl in enumerate(phase_qubits):
-        if k > 0:
-            power = power @ power  # compose, never diagonalize
-            reps *= 2
-        circ.append(Gate.derived(f"{op.name}^{reps}", op.targets, (ctl,), power))
     x, t = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
     iqft = np.exp(-2j * np.pi * x * t / d) / math.sqrt(d)
-    circ.append(register_unitary(phase_qubits, iqft, "IQFT"))
-    return circ
+    return Circuit([hadamard(q) for q in phase_qubits] + controlled_powers(op, phase_qubits)
+                   + [register_unitary(phase_qubits, iqft, "IQFT")])
+
+
+def controlled_powers(op: Gate, phase_qubits: tuple[int, ...]) -> list[Gate]:
+    """op^(2^k) controlled on phase_qubits[k], each the square of the one
+    before: composed, never diagonalized."""
+    gates, power = [], op.matrix
+    for k, ctl in enumerate(phase_qubits):
+        if k > 0:
+            power = power @ power
+        gates.append(Gate.derived(f"{op.name}^{2 ** k}", op.targets, (ctl,), power))
+    return gates
 
 
 # --- eigenstructure ----------------------------------------------------------

@@ -462,6 +462,24 @@ def test_lambda_refusal_names_the_flag(source, tmp_path, capsys):
     assert capsys.readouterr().err == "error: --lambda must be in (1, 4/3], got 2.0\n"
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("cmd", ["classify", "entanglement"])
+def test_precision_bits_refusal_names_the_flag(cmd, source, tmp_path, capsys):
+    """It used to be refused by PrecisionConfig as "precision bits must be in
+    [2, 30]", whether the value came from --b or a config file's b."""
+    args = [cmd]
+    if cmd == "classify":
+        args += ["--corpus", str(_make_corpus(tmp_path, per_class=5))]
+    if source == "flag":
+        args += ["--b", "0"]
+    else:
+        (tmp_path / "run.cfg").write_text("b = 1\n")
+        args += ["--config", str(tmp_path / "run.cfg")]
+    assert exit_code(args) == 1
+    got = "0" if source == "flag" else "1"
+    assert capsys.readouterr().err == f"error: --b: precision bits must be in [2, 30], got {got}\n"
+
+
 @pytest.mark.parametrize("cmd,extra", [("discriminate", ["--n", "1"]), ("bench", ["--k", "1"])])
 def test_failed_slope_fit_keeps_the_rows(cmd, extra, tmp_path, capsys):
     """A sweep whose slope cannot be fitted exits 1 naming the M values, and

@@ -31,7 +31,7 @@ from qknn_sim.oracle import (
     u_neq_gates,
 )
 from qknn_sim.qadc import PrecisionConfig, arithmetic_map, fidelity_qadc_circuit, quantize_array
-from qknn_sim.statevec import Circuit, StateVector, hadamard, mcz, pauli_x
+from qknn_sim.statevec import Circuit, StateVector, hadamard, mcz, pauli_x, register_unitary
 from qknn_sim.subroutines import build_G, make_V, make_W, qpe_circuit
 
 
@@ -80,9 +80,12 @@ def test_comparator_refusals(build, message):
 
 
 def test_assembly_checks_unitarity_only_of_matrices_from_outside(monkeypatch):
-    """A (2, 2, 3) assembly, V and W included, runs the unitarity check on
-    V, W and the inverse QFT alone: G, its powers, the controlled copies,
-    inverses, blocks and fused runs are derived from checked gates."""
+    """A cold (2, 2, 3) assembly, V and W included, runs the unitarity check
+    on V, W and the inverse QFT alone: G, its powers, the controlled copies,
+    inverses, blocks and fused runs are derived from checked gates. A second
+    assembly at the same (y, A), on the plan the first left, checks V and W
+    alone: the inverse QFT is the plan's, checked once."""
+    monkeypatch.setattr(oracle_module, "_plans", {})
     checked = []
     real_check = statevec_module._require_unitary
 
@@ -98,6 +101,10 @@ def test_assembly_checks_unitarity_only_of_matrices_from_outside(monkeypatch):
     oc = assemble_O_yA(V, W, layout, PrecisionConfig(3), 1, {1, 2})
     assert len(oc.search) > len(oc.U) > 0
     assert sorted(checked) == ["IQFT", "V", "W"]
+    checked.clear()
+    V, W = make_V(states[3], layout, register="test"), make_W(states[1:], layout)
+    assert len(assemble_O_yA(V, W, layout, PrecisionConfig(3), 1, {1, 2}).U) == len(oc.U)
+    assert sorted(checked) == ["V", "W"]
 
 
 @pytest.mark.parametrize("a,b,carry,expect_flip", [
@@ -365,6 +372,90 @@ def _gate_key(g):
     """Everything a gate is: name, qubits, matrix or permutation bytes."""
     data = g.perm if g.matrix is None else g.matrix
     return g.name, g.targets, g.controls, g.matrix is None, data.tobytes()
+
+
+def _assembly_keys(oc):
+    return [[_gate_key(g) for g in circuit] for circuit in (oc.F, oc.U, oc.search)]
+
+
+@pytest.mark.parametrize("m,n,b", CIRCUIT_EXACT_SHAPES)
+def test_a_warm_plan_assembles_what_a_cold_one_does(m, n, b, monkeypatch):
+    """At every shape circuit-exact admits and several (y, A), an assembly on a
+    plan left by another test state and train set gives the cold assembly of
+    the same inputs, gate for gate: names, qubits, matrix or permutation
+    bytes, in F, U and search alike."""
+    M, cfg = 2 ** m, PrecisionConfig(b)
+    for y, A in {(0, (0,)), (M - 1, (M - 1, 0)), (M // 2, (M // 2, 1)), (1, tuple(range(M)))}:
+        warming = _haar_VW(m, n, b, seed=10 + y)
+        layout, V, W = _haar_VW(m, n, b, seed=20 + y)
+        monkeypatch.setattr(oracle_module, "_plans", {})
+        cold = _assembly_keys(assemble_O_yA(V, W, layout, cfg, y, A))
+        monkeypatch.setattr(oracle_module, "_plans", {})
+        assemble_O_yA(warming[1], warming[2], layout, cfg, y, A)
+        assert len(oracle_module._plans) == 1
+        assert _assembly_keys(assemble_O_yA(V, W, layout, cfg, y, A)) == cold, (y, A)
+
+
+def _index_mixing_W(layout, rng):
+    """A Haar unitary on index + train: not block-diagonal in index."""
+    qubits = layout.qubits("index") + layout.qubits("train")
+    z = rng.normal(size=(2 ** len(qubits),) * 2) + 1j * rng.normal(size=(2 ** len(qubits),) * 2)
+    q, r = np.linalg.qr(z)
+    return register_unitary(qubits, q * (np.diag(r) / np.abs(np.diag(r))), "W")
+
+
+def test_a_warm_plan_refuses_what_a_cold_one_refuses(monkeypatch):
+    """After a plan is warmed at (1, 1, 2), a W that mixes the index
+    register is refused as a cold assembly refuses it: the renamed F cannot
+    be cut at index_p = y."""
+    monkeypatch.setattr(oracle_module, "_plans", {})
+    layout, V, W = _haar_VW(1, 1, 2)
+    cfg = PrecisionConfig(2)
+    assemble_O_yA(V, W, layout, cfg, 1, {1})
+    bad = _index_mixing_W(layout, np.random.default_rng(4))
+    with pytest.raises(SimulationError, match="FUSED6: puts a tracked qubit into superposition"):
+        assemble_O_yA(V, bad, layout, cfg, 1, {1})
+    monkeypatch.setattr(oracle_module, "_plans", {})
+    with pytest.raises(SimulationError, match="FUSED6: puts a tracked qubit into superposition"):
+        assemble_O_yA(V, bad, layout, cfg, 1, {1})
+
+
+def test_a_w_that_moves_the_index_is_assembled_as_on_no_plan(monkeypatch):
+    """A W that swaps the two index values is classical on index, and the
+    cold assembly follows index_p through the swap. A plan left by a
+    block-diagonal W cannot take it, nor can a plan it left take a
+    block-diagonal W: each is assembled as on no plan at all."""
+    layout, V, W = _haar_VW(1, 1, 2)
+    cfg = PrecisionConfig(2)
+    swap = register_unitary(W.targets, W.matrix[[1, 0, 3, 2]], "W")  # |j>|t> -> W|1-j>|t>
+
+    def assembled(W):
+        return _assembly_keys(assemble_O_yA(V, W, layout, cfg, 0, {0}))
+    fresh = {}
+    for w in (W, swap):
+        monkeypatch.setattr(oracle_module, "_plans", {})
+        fresh[w] = assembled(w)
+    assert fresh[W] != fresh[swap]
+    for first, then in ((W, swap), (swap, W)):
+        monkeypatch.setattr(oracle_module, "_plans", {})
+        assembled(first)
+        assert assembled(then) == fresh[then]
+
+
+def test_the_plan_holds_at_most_its_bound(monkeypatch):
+    """More distinct (y, A) than PLAN_LIMIT: the plan never holds more
+    entries than the bound, and the newest (y, A) are the ones it keeps."""
+    monkeypatch.setattr(oracle_module, "_plans", {})
+    layout, V, W = _haar_VW(3, 1, 3)
+    cfg = PrecisionConfig(3)
+    keys = [(y, frozenset({y} | set(rest))) for y in range(8)
+            for rest in ((), ((y + 1) % 8,), ((y + 3) % 8,), ((y + 1) % 8, (y + 2) % 8),
+                         ((y + 5) % 8,))]
+    assert len(keys) > oracle_module.PLAN_LIMIT
+    for y, A in keys:
+        assemble_O_yA(V, W, layout, cfg, y, A)
+        assert len(oracle_module._plans) <= oracle_module.PLAN_LIMIT
+    assert [key[2:] for key in oracle_module._plans] == keys[-oracle_module.PLAN_LIMIT:]
 
 
 @pytest.mark.parametrize("m,n,b", [(1, 1, 2), (2, 2, 3)])

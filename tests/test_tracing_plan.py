@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qknn_sim import kmax, qadc, qknn
+from qknn_sim import kmax, oracle, qadc, qknn
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -45,10 +45,13 @@ def _bindings(plan) -> dict:
     return out
 
 
-def test_traced_circuit_run_builds_one_qadc_circuit_per_oracle_and_restores_every_name():
-    """A tiny circuit-exact classification under the tracer: each oracle
-    assembly builds the F circuit once (its primed copy is F renamed), and
-    uninstalling puts back every binding the tracer replaced."""
+def test_traced_circuit_run_builds_one_qadc_circuit_per_plan_and_restores_every_name(
+        monkeypatch):
+    """A tiny circuit-exact classification run twice under the tracer, from
+    no assembly plan: the first assembly at each (y, A) builds the F circuit
+    once (its primed copy is F renamed) and leaves a plan, the second builds
+    none, and uninstalling puts back every binding the tracer replaced."""
+    monkeypatch.setattr(oracle, "_plans", {})
     tracing = _tracing()
     before = _bindings(tracing.PLAN)
     rng = np.random.default_rng([0, 9])
@@ -58,15 +61,16 @@ def test_traced_circuit_run_builds_one_qadc_circuit_per_oracle_and_restores_ever
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        qknn.qknn_classify(states[2], train, 1, qadc.PrecisionConfig(2),
-                           kmax.SearchConfig(max_rounds=5, seed=0), mode="circuit-exact")
+        for _ in range(2):  # the second run asks for the same (y, A) as the first
+            qknn.qknn_classify(states[2], train, 1, qadc.PrecisionConfig(2),
+                               kmax.SearchConfig(max_rounds=5, seed=0), mode="circuit-exact")
     finally:
         tracer.uninstall()
     after = _bindings(tracing.PLAN)
     assert after.keys() == before.keys()
     assert [key for key, value in before.items() if after[key] is not value] == []
-    assert tracer.calls("oracle.assemble") > 0
-    assert tracer.calls("qadc.circuit_build") == tracer.calls("oracle.assemble")
+    assert tracer.calls("oracle.assemble") == 2 * len(oracle._plans) > 0
+    assert tracer.calls("qadc.circuit_build") == len(oracle._plans)
 
 
 @pytest.mark.parametrize("module,attr", [(entry[0], entry[1]) for entry in _plan()])
