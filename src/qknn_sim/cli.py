@@ -17,7 +17,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, fields
 
-from . import datasets, experiments, invariants, kmax, qknn
+from . import datasets, experiments, invariants, kmax, qadc, qknn
 from .statevec import SimulationError, require_count
 
 CSV_HEADER = "# qknn-sim v1"
@@ -47,9 +47,10 @@ class RunConfig:
         for name in ("n", "k", "trials", "per_class", "seeds", "budget_rounds"):
             require_count(_FLAGS[name], getattr(self, name))
         require_count(_FLAGS["seed"], self.seed, low=0)
-        if not 2 <= self.b <= 30:
-            raise SimulationError(f"{_FLAGS['b']}: precision bits must be in [2, 30], "
-                                  f"got {self.b}")
+        try:
+            qadc.PrecisionConfig(self.b)
+        except SimulationError as exc:
+            raise SimulationError(f"{_FLAGS['b']}: {exc}") from None
         kmax.require_growth(_FLAGS["lam"], self.lam)
         sizes = self.m_values()
         if not sizes or min(sizes) < 1:

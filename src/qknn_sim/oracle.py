@@ -20,7 +20,6 @@ and the carry chain itself advances with one CNOT plus a U_!= per stage.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -140,11 +139,11 @@ class OracleCircuit:
     with Q3 held in |->. ``index_p`` only ever holds basis values (it starts
     at 0, X gates load y and the D patterns into it, and every other gate
     reads it as a control or is block-diagonal in it). So the simulator's U
-    is F fused (``Circuit.fuse``), then the rest of the model's U built on
+    is F fused (``fuse_run``), then the rest of the model's U built on
     that, with index_p followed as classical bits and cut out
-    (``Circuit.fix_classical``), fused: the same unitary to rounding. Only
-    the first assembly at a (layout, b, y, A) builds all of it; later ones
-    rebuild from its plan only the gates V and W change (``assemble_O_yA``).
+    (``Circuit.fix_steps``), fused: the same unitary to rounding. Every
+    assembly composes U and search in one place, ``_Plan.assemble``; the
+    plan at a (layout, b, y, A) keeps the gates V and W do not reach.
 
     The oracle runs its own Grover rounds (``run_round``: from ``start()``,
     each iteration ``search`` then ``diffusion``) and verdicts
@@ -173,11 +172,14 @@ class OracleCircuit:
         The mirror half U^dag reuses U's three parts in reverse order, as each
         is its own inverse gate for gate: the D cascade, the comparison, and
         F, which mirrors E^amp and QPE around an XOR arithmetic step."""
-        compare, d_gates = _threshold_gates(self.F, self.layout, self.y, self.A)
+        y_bits, to_primed, J, D = _threshold_parts(self.layout, self.y, self.A)
+        primed = self.F.remap(to_primed)
+        load_y = [pauli_x(q) for q, bit in y_bits.items() if bit]
+        compare = load_y + primed.gates + J + primed.inverse().gates + load_y
         (q1,), (q2,), (q3,) = (self.layout.qubits(name) for name in ("Q1", "Q2", "Q3"))
-        return Circuit(self.F.gates + compare + d_gates
+        return Circuit(self.F.gates + compare + D
                        + [pauli_x(q2), toffoli(q1, q2, q3), pauli_x(q2)]
-                       + d_gates + compare + self.F.gates)
+                       + D + compare + self.F.gates)
 
     @property
     def M(self) -> int:
@@ -257,22 +259,19 @@ def search_layout(layout: RegisterLayout) -> RegisterLayout:
                                       if name not in ("index_p", "Q3")])
 
 
-def _threshold_gates(F: Circuit, layout: RegisterLayout, y: int,
-                     A: frozenset[int]) -> tuple[list[Gate], list[Gate]]:
-    """The part of U after F: (compare, D cascade). compare loads y into
-    index_p, runs F renamed onto (index_p, fid_p), J, that renamed F
-    inverted (the mid-circuit uncompute) and unloads y; the D cascade marks
-    the members of A on Q2."""
+def _threshold_parts(layout: RegisterLayout, y: int, A: frozenset[int]):
+    """What U adds to F: index_p at y's bits, which the y load sets; the
+    renaming of (index, fid) onto (index_p, fid_p), which makes F's copy; J,
+    which compares fid with fid_p into Q1; the D cascade, which marks the
+    members of A on Q2."""
     m, b = layout.size("index"), layout.size("fid")
     index, index_p = layout.qubits("index"), layout.qubits("index_p")
     fid, fid_p = layout.qubits("fid"), layout.qubits("fid_p")
     phase, (q1,), (q2,) = layout.qubits("phase"), layout.qubits("Q1"), layout.qubits("Q2")
-    f_primed = F.remap(dict(zip(index + fid, index_p + fid_p)))
-    load_y = [pauli_x(index_p[l]) for l in range(m) if (y >> l) & 1]
-    compare = (load_y + f_primed.gates + build_J(fid, fid_p, q1, phase[: b - 1]).gates
-               + f_primed.inverse().gates + load_y)
-    d_gates = [g for i in sorted(A) for g in build_D(i, index, index_p, phase[:m], q2)]
-    return compare, d_gates
+    y_bits = {q: (y >> l) & 1 for l, q in enumerate(index_p)}
+    J = build_J(fid, fid_p, q1, phase[: b - 1]).gates
+    D = [g for i in sorted(A) for g in build_D(i, index, index_p, phase[:m], q2)]
+    return y_bits, dict(zip(index + fid, index_p + fid_p)), J, D
 
 
 PLAN_LIMIT = 32  # assembly plans kept, one per (layout, b, y, A); the oldest goes first
@@ -281,55 +280,95 @@ _plans: dict[tuple, "_Plan"] = {}
 
 @dataclass(eq=False)
 class _Plan:
-    """The first assembly at a (layout, b, y, A): its F, ``cut`` (the rest of U
-    after ``fix_classical``), U and search, None for each gate derived from V
-    or W; (position in U, start, stop) of the fusion runs of F (``runs``) and
-    of ``cut`` (``tail_runs``) holding one; per run of F, the tracked values
-    before and after its renamed copy and that copy's inverse and where in
-    ``cut`` each lands (None: dropped); the renamings (search layout, primed)."""
+    """How U and search are made from F at one (layout, b, y, A), and the
+    gates of them that V and W do not reach.
+
+    U is F's fusion runs (``runs``), each fused, on the search layout, then
+    the cut fused by its own runs (``tail_runs``). The cut is each fused F
+    gate renamed onto (index_p, fid_p) and cut at index_p = y (``y_bits``),
+    J, those copies inverted and cut, and the D cascade; J and D are cut by
+    ``fix_steps`` from index_p = 0. search is U . S . U^dag. ``F`` is the
+    first F with None where V and W enter, for ``refill_qadc_circuit``, and
+    ``variable`` holds the runs of F with a gate derived from V or W. The
+    first assembly builds every gate and keeps those that no variable run
+    reaches (``units``, ``tail``), so later ones build only the rest."""
 
     F: list
-    cut: list
-    U: list
-    search: list
-    runs: list[tuple[int, int, int]]
-    cuts: list[tuple[tuple[dict, dict, int | None], ...]]
-    tail_runs: list[tuple[int, int, int]]
-    renames: tuple[dict[int, int], dict[int, int]]
+    runs: list[tuple[int, int]]
+    variable: set[tuple[int, int]]
+    y_bits: dict[int, int]
+    J: list
+    D: list
+    S: list[Gate]
+    renames: tuple[dict[int, int], dict[int, int]]  # onto the search layout, the primed pair
+    units: dict = field(default_factory=dict)  # run of F -> (U gate, inverse, copy cut, inverse cut)
+    tail_runs: list[tuple[int, int]] = field(default_factory=list)  # fusion runs of the cut
+    tail: dict = field(default_factory=dict)  # run of the cut -> (U gate, inverse)
 
-    def assemble(self, V: Gate, W: Gate, layout: RegisterLayout) -> tuple[Circuit, ...]:
-        """F, U and search for V and W, each gate derived from them rebuilt by
-        the first assembly's call on the same gates; raises SimulationError
-        where the tracked values part from the plan's."""
-        F = refill_qadc_circuit(self.F, V, W, layout)
-        cut, U, search = self.cut.copy(), self.U.copy(), self.search.copy()
-        to_kept, to_primed = self.renames
-        for (at, start, stop), cuts in zip(self.runs, self.cuts):
-            fused = Circuit([fuse_run(F[start:stop])])
-            U[at] = fused.remap(to_kept).gates[0]
-            primed = fused.remap(to_primed).gates[0]
-            for (before, after, pos), copy in zip(cuts, (primed, primed.inverse())):
-                bits = dict(before)
-                gate = fix_gate(copy, bits, to_kept)
-                if bits != after:
-                    raise SimulationError(f"{copy.name}: moves a tracked qubit off the plan")
-                if pos is not None:
-                    cut[pos] = gate
-        for at, start, stop in self.tail_runs:
-            U[at] = fuse_run(cut[start:stop])
-        for at, _, _ in self.runs + self.tail_runs:
-            search[at], search[-1 - at] = U[at], U[at].inverse()
+    @classmethod
+    def record(cls, F: list[Gate], layout: RegisterLayout, b: int, y: int, A) -> "_Plan":
+        """The plan F gives: its runs and where V and W enter, J and D cut."""
+        y_bits, to_primed, J, D = _threshold_parts(layout, y, A)
+        reduced = search_layout(layout)
+        keep = layout.qubits_of(reduced.names)
+        (s1,), (s2,) = reduced.qubits("Q1"), reduced.qubits("Q2")
+        cut = Circuit(J + D).fix_steps(dict.fromkeys(y_bits, 0), keep)
+        in_F = set(prep_positions(len(F), b))
+        runs = Circuit(F).fusion_runs()
+        return cls([None if i in in_F else g for i, g in enumerate(F)], runs,
+                   {run for run in runs if not in_F.isdisjoint(range(*run))}, y_bits,
+                   cut[:len(J)], cut[len(J):], [pauli_x(s2), mcz((s1,), s2), pauli_x(s2)],
+                   (dict(zip(keep, range(len(keep)))), to_primed))
+
+    def assemble(self, F: list[Gate]) -> tuple[Circuit, Circuit, Circuit]:
+        """F, U and search: each gate the plan keeps, the others built from F."""
+        units = [self.units.get(run) or self._unit(fuse_run(F[slice(*run)]))
+                 for run in self.runs]
+        cut = [g for g in [u[2] for u in units] + self.J + [u[3] for u in units[::-1]] + self.D
+               if g is not None]
+        tail_runs = self.tail_runs or Circuit(cut).fusion_runs()
+        tail = [self.tail.get(run) or _with_inverse(fuse_run(cut[slice(*run)]))
+                for run in tail_runs]
+        if not self.tail_runs:  # the first assembly: keep what no variable run reaches,
+            # telling the gates built from one by identity, as each is built anew
+            built = {id(g) for run, unit in zip(self.runs, units) if run in self.variable
+                     for g in unit}
+            self.units = {run: u for run, u in zip(self.runs, units) if run not in self.variable}
+            self.tail = {run: t for run, t in zip(tail_runs, tail)
+                         if built.isdisjoint(map(id, cut[slice(*run)]))}
+            self.tail_runs = tail_runs
+        U = [u[0] for u in units] + [t[0] for t in tail]
+        search = U + self.S + [t[1] for t in tail[::-1]] + [u[1] for u in units[::-1]]
         return Circuit(F), Circuit(U), Circuit(search)
+
+    def _unit(self, fused: Gate) -> tuple[Gate, Gate, Gate | None, Gate | None]:
+        """A fused F gate and its inverse on the search layout, then its copy
+        on (index_p, fid_p) and that copy's inverse, each cut at index_p = y.
+        A copy that moves index_p is refused: F must leave the index alone."""
+        to_kept, to_primed = self.renames
+        primed = Circuit([fused]).remap(to_primed).gates[0]
+        cuts = []
+        for copy in (primed, primed.inverse()):
+            bits = dict(self.y_bits)
+            cuts.append(fix_gate(copy, bits, to_kept))
+            if bits != self.y_bits:
+                raise SimulationError(f"{copy.name}: moves index_p off y; W must be "
+                                      "block-diagonal in the index register")
+        return (*_with_inverse(Circuit([fused]).remap(to_kept).gates[0]), *cuts)
+
+
+def _with_inverse(gate: Gate) -> tuple[Gate, Gate]:
+    return gate, gate.inverse()
 
 
 def assemble_O_yA(V: Gate, W: Gate, layout: RegisterLayout,
                   cfg: PrecisionConfig, y: int, A) -> OracleCircuit:
     """Steps: F on (index,fid); F renamed onto (index',fid') loaded with y; J;
     mid-circuit uncompute of the primed registers; D cascade; X+Toffoli;
-    mirror uncompute. Builds the simulator's U and search oracle; the model
-    circuit waits for its first read. The first assembly at a (layout, b,
-    y, A) leaves a ``_Plan``, from which later ones rebuild only the gates
-    derived from V and W; a V and W the plan cannot take are assembled anew."""
+    mirror uncompute. Builds the simulator's U and search oracle through the
+    ``_Plan`` at (layout, b, y, A), which the first assembly there records
+    from F built anew and later ones refill with V and W; the model circuit
+    waits for its first read."""
     A = frozenset(A)
     m = layout.size("index")
     if y not in A or any(not 0 <= i < 2 ** m for i in A):  # also refuses an empty A
@@ -339,52 +378,15 @@ def assemble_O_yA(V: Gate, W: Gate, layout: RegisterLayout,
         raise SimulationError("circuit-exact oracle hosts comparator chains in the "
                               "phase register and needs log2(M) <= b")
     key = (layout, cfg.b, y, A)
-    if key in _plans:
-        try:
-            return OracleCircuit(layout, y, A, *_plans[key].assemble(V, W, layout))
-        except SimulationError:
-            pass  # assembled anew below, which refuses this V and W or plans for it
-    F = fidelity_qadc_circuit(V, W, layout, cfg).gates
-    # the simulator's U, without index_p and Q3: F fused once, then the rest of U
-    # built on it, index_p cut out and fused. F is block-diagonal in index, so
-    # fix_classical cuts each renamed F gate to its block at index_p = y.
-    fused = Circuit(F).fuse()
-    reduced = search_layout(layout)
-    keep = layout.qubits_of(reduced.names)
-    compare, d_gates = _threshold_gates(fused, layout, y, A)
-    steps = list(Circuit(compare + d_gates).fix_steps(
-        dict.fromkeys(layout.qubits("index_p"), 0), keep))
-    cut = [gate for _, gate in steps if gate is not None]
-    to_kept = dict(zip(keep, range(len(keep))))
-    U = fused.remap(to_kept).gates + Circuit(cut).fuse().gates
-    (s1,), (s2,) = reduced.qubits("Q1"), reduced.qubits("Q2")
-    search = U + [pauli_x(s2), mcz((s1,), s2), pauli_x(s2)] + Circuit(U).inverse().gates
-    if key not in _plans:  # the plan; compare is y loaded, F renamed, J, that
-        # inverted, y unloaded: fused gate i's copy is step first + i, its inverse last - i
-        in_F = set(prep_positions(len(F), cfg.b))
-        runs = [(at, start, stop) for at, (start, stop) in enumerate(Circuit(F).fusion_runs())
-                if not in_F.isdisjoint(range(start, stop))]
-        count = itertools.count()
-        at_cut = [None if gate is None else next(count) for _, gate in steps]
-        first = sum((y >> l) & 1 for l in range(m))
-        last = len(compare) - 1 - first
-        cuts = [tuple((steps[j][0], steps[j + 1][0], at_cut[j]) for j in (first + i, last - i))
-                for i, _, _ in runs]
-        in_cut = {pos for pair in cuts for *_, pos in pair}
-        tail_runs = [(len(fused) + i, start, stop)
-                     for i, (start, stop) in enumerate(Circuit(cut).fusion_runs())
-                     if not in_cut.isdisjoint(range(start, stop))]
-        in_U = {at for at, _, _ in runs + tail_runs}
-        derived = ((F, in_F), (cut, in_cut), (U, in_U),
-                   (search, in_U | {len(search) - 1 - at for at in in_U}))
-        to_primed = dict(zip(layout.qubits_of(["index", "fid"]),
-                             layout.qubits_of(["index_p", "fid_p"])))
+    plan = _plans.get(key)
+    if plan is None:
+        F = fidelity_qadc_circuit(V, W, layout, cfg).gates
         if len(_plans) >= PLAN_LIMIT:
             del _plans[next(iter(_plans))]
-        _plans[key] = _Plan(*([None if i in out else g for i, g in enumerate(gates)]
-                              for gates, out in derived),
-                            runs, cuts, tail_runs, (to_kept, to_primed))
-    return OracleCircuit(layout, y, A, Circuit(F), Circuit(U), Circuit(search))
+        plan = _plans[key] = _Plan.record(F, layout, cfg.b, y, A)
+    else:
+        F = refill_qadc_circuit(plan.F, V, W, layout)
+    return OracleCircuit(layout, y, A, *plan.assemble(F))
 
 
 def classical_action(circuit: Circuit, num_qubits: int, x: int) -> int:
@@ -467,10 +469,6 @@ class QubitReport:
     builder_peak: int
     layout_total: int
     closed_form: int
-
-    @property
-    def delta(self) -> int:
-        return self.layout_total - self.closed_form
 
 
 def qubit_accounting(oracle: OracleCircuit) -> QubitReport:

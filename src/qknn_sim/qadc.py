@@ -36,7 +36,7 @@ class PrecisionConfig:
     def __post_init__(self):
         require_count("precision bits", self.b, low=None)  # the range has its own message
         if not 2 <= self.b <= 30:
-            raise SimulationError("precision bits must be in [2, 30]")
+            raise SimulationError(f"precision bits must be in [2, 30], got {self.b}")
 
 
 def quantize_array(values: np.ndarray, b: int) -> np.ndarray:

@@ -132,8 +132,9 @@ def qknn_classify(test_state: np.ndarray, train: TrainSet, k: int,
         layout = oracle_layout(m, train.n, cfg.b)
         V, W = make_V(test_state, layout), make_W(train.states, layout)
         # no oracle is kept: each accepted step swaps min(A) for a strictly larger
-        # value, so no (y, A) is asked for twice; assemble_O_yA's plans keep, across
-        # classifications, what a test state and train set do not change
+        # value, so no (y, A) is asked for twice. Every assembly goes through the
+        # plan at its (y, A), which keeps across classifications what a test state
+        # and train set do not change, and composes U and search in one place
         backend = CircuitBackend(lambda y, A: assemble_O_yA(V, W, layout, cfg, y, A),
                                  table.quantized, cfg.b)
     else:

@@ -40,7 +40,7 @@ MAX_QUBITS = 24
 # Largest qubit subset circuit_to_matrix builds a dense unitary on (1024 x 1024);
 # it peaks at three 16 MiB arrays of 2**20 amplitudes (768 MiB at 12 qubits).
 MAX_DENSE_QUBITS = 10
-# Widest gate Circuit.fuse builds (32 x 32). On small states a gate costs its
+# Widest gate fuse_run builds (32 x 32). On small states a gate costs its
 # per-call overhead more than its arithmetic; at 12 qubits width 5 gave the
 # lowest cost of fusing plus three runs of the oracle's U (BENCH_13.json).
 FUSE_QUBITS = 5
@@ -195,9 +195,9 @@ class Gate:
                 matrix: np.ndarray | None, perm: np.ndarray | None = None) -> "Gate":
         """A gate made from checked gates: one gate's matrix or permutation
         (on other qubits or controls), their inverse, the block that
-        ``Circuit.fix_classical`` cuts from them (all of a column set's weight
+        ``Circuit.fix_steps`` cuts from them (all of a column set's weight
         lands in one row set), the dense product of checked gates (a run that
-        ``Circuit.fuse`` builds, a reflection operator G or H, and its powers
+        ``fuse_run`` builds, a reflection operator G or H, and its powers
         G^k), or a fixed gate on a module matrix checked at import. Such a
         matrix is unitary by construction, so only the structure is checked."""
         gate = object.__new__(cls)
@@ -230,9 +230,6 @@ class Circuit:
 
     gates: list[Gate] = field(default_factory=list)
 
-    def append(self, gate: Gate) -> None:
-        self.gates.append(gate)
-
     def inverse(self) -> "Circuit":
         return Circuit([g.inverse() for g in reversed(self.gates)])
 
@@ -249,9 +246,11 @@ class Circuit:
         return Circuit([Gate.derived(g.name, move(g.targets), move(g.controls), g.matrix,
                                      g.perm) for g in self.gates])
 
-    def fix_classical(self, values: dict[int, int], keep: tuple[int, ...]) -> "Circuit":
-        """The circuit on the ``keep`` qubits, renumbered keep[i] -> i, for
-        inputs in which each qubit q of ``values`` is in basis state values[q].
+    def fix_steps(self, values: dict[int, int], keep: tuple[int, ...]) -> list[Gate | None]:
+        """Gate for gate, the circuit on the ``keep`` qubits, renumbered
+        keep[i] -> i, for inputs in which each qubit q of ``values`` is in
+        basis state values[q]: each gate's cut (``fix_gate``), or None where
+        it is dropped.
 
         The tracked qubits are followed through the gate list as classical
         bits. A gate with a tracked control that reads 0 is dropped, and
@@ -269,33 +268,20 @@ class Circuit:
         tracked nor kept, and where a tracked qubit does not end at its start
         value.
         """
-        return Circuit([gate for _, gate in self.fix_steps(values, keep) if gate is not None])
-
-    def fix_steps(self, values: dict[int, int], keep: tuple[int, ...]):
-        """``fix_classical`` gate by gate: (the tracked values a gate reads,
-        its gate on ``keep`` or None where dropped), checks included."""
         bits = dict(values)
         renumber = {q: i for i, q in enumerate(keep)}
         if not bits.keys().isdisjoint(renumber):
             raise SimulationError("a qubit cannot be both tracked and kept")
-        for gate in self.gates:
-            before = dict(bits)
-            yield before, fix_gate(gate, bits, renumber)
+        steps = [fix_gate(gate, bits, renumber) for gate in self.gates]
         moved = sorted(q for q in values if bits[q] != values[q])
         if moved:
             raise SimulationError(f"tracked qubits {moved} do not end at their start values")
-
-    def fuse(self, width: int = FUSE_QUBITS) -> "Circuit":
-        """The same unitary in fewer gates: each maximal run of consecutive
-        gates whose qubits (targets and controls) number at most ``width`` in
-        all becomes one dense gate on those qubits, sorted, named FUSED<n>
-        for its n gates. A run of one gate, a gate wider than ``width``
-        among them, is kept as the same object."""
-        return Circuit([fuse_run(self.gates[start:stop])
-                        for start, stop in self.fusion_runs(width)])
+        return steps
 
     def fusion_runs(self, width: int = FUSE_QUBITS) -> list[tuple[int, int]]:
-        """(start, stop) of each run ``fuse`` makes one gate of."""
+        """(start, stop) of each maximal run of consecutive gates whose qubits
+        (targets and controls) number at most ``width`` in all. ``fuse_run``
+        makes one gate of each: the same unitary in fewer gates."""
         runs: list[tuple[int, int]] = []
         span: set[int] = set()
         for i, gate in enumerate(self.gates):
@@ -323,7 +309,9 @@ class Circuit:
 
 
 def fuse_run(gates: list[Gate]) -> Gate:
-    """The gate ``Circuit.fuse`` makes of one run."""
+    """One run of ``Circuit.fusion_runs`` as one dense gate on its qubits,
+    sorted, named FUSED<n> for its n gates. A run of one gate, a gate wider
+    than the fusion width among them, is kept as the same object."""
     if len(gates) == 1:
         return gates[0]
     targets = tuple(sorted(set().union(*(g.qubits() for g in gates))))
@@ -332,8 +320,8 @@ def fuse_run(gates: list[Gate]) -> Gate:
 
 
 def fix_gate(gate: Gate, bits: dict[int, int], renumber: dict[int, int]) -> Gate | None:
-    """One gate of ``Circuit.fix_classical``, updating the tracked values
-    ``bits``: its gate on the kept qubits (``renumber``), or None."""
+    """One step of ``Circuit.fix_steps``, updating the tracked values
+    ``bits``: the gate's cut on the kept qubits (``renumber``), or None."""
     targets, controls = gate.targets, gate.controls
     matrix, perm = gate.matrix, gate.perm
     if not bits.keys().isdisjoint(targets + controls):

@@ -156,7 +156,7 @@ def test_criterion_9_qubit_accounting():
         rep = oracle.qubit_accounting(invariants.dyadic_oracle(b, 1, {1}))
         ok &= rep.builder_peak == rep.layout_total
         details.append(f"b={b}: peak={rep.builder_peak} layout={rep.layout_total} "
-                       f"formula={rep.closed_form} delta=+{rep.delta}")
+                       f"formula={rep.closed_form} delta=+{rep.layout_total - rep.closed_form}")
     details.append("delta explained: Q1/Q2/Q3 dedicated instead of packed into "
                    "recycled work qubits")
     _report(9, "qubit accounting", ok, "; ".join(details), 60)

@@ -122,7 +122,7 @@ def test_verify_report_is_valid_json_and_passes(tmp_path, capsys):
 def test_verify_fault_injection_fails_named_invariant(tmp_path, monkeypatch):
     def negated_J(a_qubits, b_qubits, out, chain):
         circ = build_J(a_qubits, b_qubits, out, chain)
-        circ.append(pauli_x(out))
+        circ.gates.append(pauli_x(out))
         return circ
 
     # only the registry's J check sees the fault; the assembled oracle keeps the real J

@@ -1,6 +1,11 @@
 """Every top-level function, class and constant of the package is named
 somewhere outside its own definition: in the package, the tests or the
-benchmark."""
+benchmark. Every method and property of a package class is named by the
+program itself, the package or the benchmark, or is listed with the reason
+it stays.
+
+Both checks go by name, so a member whose name other code also uses (an
+``append``, an ``M``) passes unseen."""
 import ast
 import functools
 import re
@@ -79,3 +84,60 @@ def test_detects_a_dead_definition():
 def test_no_dead_definitions(path):
     outside = set().union(*(names_in(p) for p in SEARCHED if p != path))
     assert dead_definitions(path.read_text(), outside) == []
+
+
+# Methods and properties that no program code (src/ or perfbench/) reaches,
+# kept for a reason; the tests may still call them.
+UNREACHED_KEPT = {
+    "Circuit.netlist": "the documented textual export of a circuit (README); the model "
+                       "circuit's pinned digest is taken over it",
+}
+PROGRAM = sorted({*ROOT.glob("src/**/*.py"), *ROOT.glob("perfbench/*.py")})
+
+
+def methods(source: str) -> list[tuple[str, int, int]]:
+    """(Class.name, first line, last line) of each method and property of the
+    top-level classes, dunder methods aside: Python calls those itself."""
+    return [(f"{cls.name}.{node.name}", node.lineno, node.end_lineno)
+            for cls in ast.parse(source).body if isinstance(cls, ast.ClassDef)
+            for node in cls.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))]
+
+
+def unreached_methods(module: str, outside: set[str]) -> list[str]:
+    """The methods of ``module`` whose name neither ``outside`` (the names
+    the other program files use) nor ``module``, outside their own lines,
+    holds."""
+    own = named(module)
+    return [qualified for qualified, first, last in methods(module)
+            if (name := qualified.split(".")[1]) not in outside
+            and not any(n == name and not first <= line <= last for n, line in own)]
+
+
+def test_detects_an_unreached_method():
+    module = ("class Report:\n"
+              "    def __len__(self):\n        return 0\n"
+              "    @property\n    def delta(self):\n        return self.delta\n"
+              "    def total(self):\n        return len(self)\n"
+              "def use(r):\n    return r.total()\n")
+    assert unreached_methods(module, set()) == ["Report.delta"]
+    assert unreached_methods(module, {"delta"}) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unreached_methods(path):
+    """A method or property only the tests call is test code: it moves to
+    the tests, or is listed in UNREACHED_KEPT with its reason."""
+    outside = set().union(*(names_in(p) for p in PROGRAM if p != path))
+    found = unreached_methods(path.read_text(), outside)
+    assert [m for m in found if m not in UNREACHED_KEPT] == []
+
+
+def test_every_kept_method_is_still_unreached():
+    """An entry of UNREACHED_KEPT that the program now reaches, or that is
+    gone, is stale."""
+    found = set()
+    for path in MODULES:
+        outside = set().union(*(names_in(p) for p in PROGRAM if p != path))
+        found.update(unreached_methods(path.read_text(), outside))
+    assert set(UNREACHED_KEPT) <= found

@@ -33,6 +33,7 @@ from qknn_sim.oracle import (
 from qknn_sim.qadc import PrecisionConfig, arithmetic_map, fidelity_qadc_circuit, quantize_array
 from qknn_sim.statevec import Circuit, StateVector, hadamard, mcz, pauli_x, register_unitary
 from qknn_sim.subroutines import build_G, make_V, make_W, qpe_circuit
+from test_statevec import fix_classical
 
 
 def test_threshold_state_validation(monkeypatch):
@@ -183,8 +184,8 @@ def test_fused_circuits_match_the_unfused_reduction(m, n, b):
     # the model is U . T . U^dag with T three gates long
     model_U = Circuit(oc.circuit.gates[: (len(oc.circuit) - 3) // 2])
     reduced = search_layout(oc.layout)
-    U = model_U.fix_classical(dict.fromkeys(layout.qubits("index_p"), 0),
-                              layout.qubits_of(reduced.names))
+    U = fix_classical(model_U, dict.fromkeys(layout.qubits("index_p"), 0),
+                      layout.qubits_of(reduced.names))
     (s1,), (s2,) = reduced.qubits("Q1"), reduced.qubits("Q2")
     search = Circuit(U.gates + [pauli_x(s2), mcz((s1,), s2), pauli_x(s2)] + U.inverse().gates)
     size = reduced.num_qubits
@@ -286,6 +287,30 @@ def test_table_run_round_draw_matches_generator_choice(values, data, r, seed):
     assert mine.random() == reference.random()
 
 
+@pytest.mark.parametrize("M,t,r", [(4, 2, 0), (4, 1, 1), (8, 0, 0), (8, 0, 3), (16, 1, 0),
+                                   (16, 1, 2), (16, 3, 1), (64, 5, 3)])
+def test_table_rounds_hit_at_the_grover_rate_within_each_class(M, t, r):
+    """Over many seeded rounds, the share of marked draws lies within a
+    binomial 5 sigma of sin^2((2r+1) theta), sin^2 theta = t/M, and the
+    marked and unmarked draws are exactly the classes ``evaluate`` gives.
+    The values are shuffled; A holds y and the largest value, which beats y
+    but is left unmarked."""
+    rng = np.random.default_rng([M, t, r])
+    values = rng.permutation(M)
+    y, top = (int(np.flatnonzero(values == v)[0]) for v in (M - 2 - t, M - 1))
+    handle = TableOracleHandle(values, y, frozenset({y, top}))
+    marked = np.array([handle.evaluate(j) for j in range(M)])
+    assert marked.sum() == t
+    draws = 8000
+    got = np.array([handle.run_round(r, rng) for _ in range(draws)])
+    p = math.sin((2 * r + 1) * math.asin(math.sqrt(t / M))) ** 2
+    hits = int(marked[got].sum())
+    assert abs(hits - draws * p) <= 5 * math.sqrt(draws * p * (1 - p)), (hits, draws * p)
+    for members, share in ((marked, p), (~marked, 1 - p)):
+        if share > 1e-12:  # each member of a class with a share is expected 20+ times
+            assert set(got[members[got]].tolist()) == set(np.flatnonzero(members).tolist())
+
+
 class _FixedMarginalOracle(OracleCircuit):
     """The circuit oracle's draw over a given marginal at every depth."""
 
@@ -345,7 +370,7 @@ def test_qubit_accounting_report():
     oc = invariants.dyadic_oracle(3, 1, {1})
     rep = qubit_accounting(oc)
     assert rep.builder_peak == rep.layout_total == oc.layout.num_qubits
-    assert rep.delta == rep.layout_total - rep.closed_form
+    assert rep.layout_total - rep.closed_form == 3  # Q1, Q2 and Q3
 
 
 # every (m, n, b) the circuit-exact rule admits: M in {2, 4, 8}, n <= 2, log2(M) <= b <= 3
@@ -421,25 +446,45 @@ def test_a_warm_plan_refuses_what_a_cold_one_refuses(monkeypatch):
 
 
 def test_a_w_that_moves_the_index_is_assembled_as_on_no_plan(monkeypatch):
-    """A W that swaps the two index values is classical on index, and the
-    cold assembly follows index_p through the swap. A plan left by a
-    block-diagonal W cannot take it, nor can a plan it left take a
-    block-diagonal W: each is assembled as on no plan at all."""
+    """A W that swaps the two index values is classical on index, but F
+    built from it moves index_p off y in its renamed copy, which no W that
+    ``make_W`` makes does. It is refused, with a message that names the
+    rule, on a cold assembly and on a plan a block-diagonal W left alike;
+    after a cold refusal, the block-diagonal W assembles as on no plan."""
     layout, V, W = _haar_VW(1, 1, 2)
     cfg = PrecisionConfig(2)
     swap = register_unitary(W.targets, W.matrix[[1, 0, 3, 2]], "W")  # |j>|t> -> W|1-j>|t>
+    message = "FUSED6: moves index_p off y; W must be block-diagonal in the index register"
+    monkeypatch.setattr(oracle_module, "_plans", {})
+    cold = _assembly_keys(assemble_O_yA(V, W, layout, cfg, 0, {0}))
+    for warm in (True, False):
+        if not warm:
+            monkeypatch.setattr(oracle_module, "_plans", {})
+        with pytest.raises(SimulationError, match=f"^{message}$"):
+            assemble_O_yA(V, swap, layout, cfg, 0, {0})
+    assert _assembly_keys(assemble_O_yA(V, W, layout, cfg, 0, {0})) == cold
 
-    def assembled(W):
-        return _assembly_keys(assemble_O_yA(V, W, layout, cfg, 0, {0}))
-    fresh = {}
-    for w in (W, swap):
-        monkeypatch.setattr(oracle_module, "_plans", {})
-        fresh[w] = assembled(w)
-    assert fresh[W] != fresh[swap]
-    for first, then in ((W, swap), (swap, W)):
-        monkeypatch.setattr(oracle_module, "_plans", {})
-        assembled(first)
-        assert assembled(then) == fresh[then]
+
+def test_every_assembly_composes_u_and_search_in_the_plan(monkeypatch):
+    """Cold or warm, each assemble_O_yA call reaches ``_Plan.assemble``
+    exactly once, and the oracle's F, U and search are the very circuits
+    that call returned: no other path builds them."""
+    monkeypatch.setattr(oracle_module, "_plans", {})
+    returned = []
+    real = oracle_module._Plan.assemble
+
+    def counted(plan, F):
+        returned.append(real(plan, F))
+        return returned[-1]
+    monkeypatch.setattr(oracle_module._Plan, "assemble", counted)
+    for seed in (0, 1):  # the first pass is cold at each (y, A), the second warm
+        layout, V, W = _haar_VW(2, 1, 2, seed)
+        for y, A in ((0, {0}), (3, {3, 1})):
+            calls = len(returned)
+            oc = assemble_O_yA(V, W, layout, PrecisionConfig(2), y, A)
+            assert len(returned) == calls + 1
+            assert all(got is made for got, made in zip((oc.F, oc.U, oc.search), returned[-1]))
+    assert len(oracle_module._plans) == 2
 
 
 def test_the_plan_holds_at_most_its_bound(monkeypatch):
@@ -481,7 +526,7 @@ def test_qubit_accounting_reads_m_n_and_b_from_the_layout(m, n, b):
     rep = qubit_accounting(OracleCircuit(layout, 0, frozenset({0}), F, Circuit(), Circuit()))
     assert rep.builder_peak == rep.layout_total == layout.num_qubits
     assert rep.closed_form == 2 * m + 2 * b + 1 + max(2 - m - b, 2 * n + b)
-    assert rep.delta == 3
+    assert rep.layout_total - rep.closed_form == 3
 
 
 @pytest.mark.parametrize("m,n,b", [(1, 1, 2), (2, 2, 3), (3, 1, 3)])
