@@ -138,6 +138,8 @@ def cmd_classify(cfg: RunConfig) -> int:
     if cfg.corpus is None:
         raise SimulationError("classify needs --corpus FILE")
     corpus = datasets.read_corpus(cfg.corpus)
+    train = experiments.split_corpus(corpus, cfg.split, cfg.seed)[0]
+    require_count(_FLAGS["k"], cfg.k, high=train.M)  # before any test state is classified
     results = list(experiments.classify_split(corpus, cfg.split, cfg.seed, cfg.k, cfg.b,
                                               (cfg.mode,), cfg.search_config()))
     accuracy = sum(r.label == truth for _, truth, (r,) in results) / len(results)
@@ -150,6 +152,7 @@ def cmd_classify(cfg: RunConfig) -> int:
 
 
 def cmd_bench(cfg: RunConfig) -> int:
+    require_count(_FLAGS["k"], cfg.k, high=min(cfg.m_values()))
     traces = [] if cfg.out else None  # traced only where they are written
     study = experiments.scaling_study(cfg.m_values(), cfg.k, cfg.trials, cfg.search_config(),
                                       trace_sink=traces)

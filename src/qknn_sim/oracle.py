@@ -28,6 +28,7 @@ import numpy as np
 
 from .qadc import PrecisionConfig, fidelity_qadc_circuit, prep_positions, refill_qadc_circuit
 from .statevec import (
+    FUSE_QUBITS,
     Circuit,
     Gate,
     RegisterLayout,
@@ -141,9 +142,11 @@ class OracleCircuit:
     reads it as a control or is block-diagonal in it). So the simulator's U
     is F fused (``fuse_run``), then the rest of the model's U built on
     that, with index_p followed as classical bits and cut out
-    (``Circuit.fix_steps``), fused: the same unitary to rounding. Every
-    assembly composes U and search in one place, ``_Plan.assemble``; the
-    plan at a (layout, b, y, A) keeps the gates V and W do not reach.
+    (``Circuit.fix_steps``), fused: the same unitary to rounding, as F's
+    mirror half and each mirrored copy in the cut are the exact adjoints of
+    their first halves. Every assembly composes U and search in one place,
+    ``_Plan.assemble``; the plan at a (layout, b, y, A) keeps the gates V
+    and W do not reach.
 
     The oracle runs its own Grover rounds (``run_round``: from ``start()``,
     each iteration ``search`` then ``diffusion``) and verdicts
@@ -283,27 +286,30 @@ class _Plan:
     """How U and search are made from F at one (layout, b, y, A), and the
     gates of them that V and W do not reach.
 
-    U is F's fusion runs (``runs``), each fused, on the search layout, then
-    the cut fused by its own runs (``tail_runs``). The cut is each fused F
-    gate renamed onto (index_p, fid_p) and cut at index_p = y (``y_bits``),
-    J, those copies inverted and cut, and the D cascade; J and D are cut by
-    ``fix_steps`` from index_p = 0. search is U . S . U^dag. ``F`` is the
-    first F with None where V and W enter, for ``refill_qadc_circuit``, and
-    ``variable`` holds the runs of F with a gate derived from V or W. The
-    first assembly builds every gate and keeps those that no variable run
-    reaches (``units``, ``tail``), so later ones build only the rest."""
+    F is a palindrome around QA, each gate's mirror its inverse, and so are
+    its fusion runs: the greedy runs before QA (``runs`` but the last), a
+    middle run holding QA and, when they fit in ``FUSE_QUBITS``, the last of
+    those runs and its mirror, then their mirror images. A run's unit is the
+    run fused on the search layout, its inverse, and the fused run's copy
+    renamed onto (index_p, fid_p) and cut at index_p = y (``y_bits``); a
+    mirror run's gate and inverse are its forward run's, swapped. U is F's
+    gates, then the cut: P + c + P^-1 + J + P + c^-1 + P^-1 + D, with P the
+    forward runs' cut copies fused, c the middle's, and J and D cut by
+    ``fix_steps`` from index_p = 0 and fused, each gate of the cut kept
+    with its inverse. search is U . S . U^dag. ``F`` is the first F with
+    None where V and W enter, for ``refill_qadc_circuit``; ``units`` keeps
+    the units of the runs no V- or W-derived gate is in (``variable`` holds
+    the others)."""
 
     F: list
-    runs: list[tuple[int, int]]
+    runs: list[tuple[int, int]]  # F's forward runs, then its middle run
     variable: set[tuple[int, int]]
     y_bits: dict[int, int]
-    J: list
-    D: list
+    J: list[tuple[Gate, Gate]]
+    D: list[tuple[Gate, Gate]]
     S: list[Gate]
     renames: tuple[dict[int, int], dict[int, int]]  # onto the search layout, the primed pair
-    units: dict = field(default_factory=dict)  # run of F -> (U gate, inverse, copy cut, inverse cut)
-    tail_runs: list[tuple[int, int]] = field(default_factory=list)  # fusion runs of the cut
-    tail: dict = field(default_factory=dict)  # run of the cut -> (U gate, inverse)
+    units: dict = field(default_factory=dict)  # run of F -> (U gate, inverse, copy cut)
 
     @classmethod
     def record(cls, F: list[Gate], layout: RegisterLayout, b: int, y: int, A) -> "_Plan":
@@ -314,51 +320,53 @@ class _Plan:
         (s1,), (s2,) = reduced.qubits("Q1"), reduced.qubits("Q2")
         cut = Circuit(J + D).fix_steps(dict.fromkeys(y_bits, 0), keep)
         in_F = set(prep_positions(len(F), b))
-        runs = Circuit(F).fusion_runs()
+        half = len(F) // 2  # F[half] is QA
+        runs = Circuit(F[:half]).fusion_runs()
+        start = runs[-1][0]
+        if len(Circuit(F[start:len(F) - start]).qubits()) <= FUSE_QUBITS:
+            runs[-1] = (start, len(F) - start)
+        else:
+            runs.append((half, half + 1))
         return cls([None if i in in_F else g for i, g in enumerate(F)], runs,
                    {run for run in runs if not in_F.isdisjoint(range(*run))}, y_bits,
-                   cut[:len(J)], cut[len(J):], [pauli_x(s2), mcz((s1,), s2), pauli_x(s2)],
+                   _fused(cut[:len(J)]), _fused(cut[len(J):]),
+                   [pauli_x(s2), mcz((s1,), s2), pauli_x(s2)],
                    (dict(zip(keep, range(len(keep)))), to_primed))
 
     def assemble(self, F: list[Gate]) -> tuple[Circuit, Circuit, Circuit]:
-        """F, U and search: each gate the plan keeps, the others built from F."""
+        """F, U and search: each unit the plan keeps, the others built from F."""
         units = [self.units.get(run) or self._unit(fuse_run(F[slice(*run)]))
                  for run in self.runs]
-        cut = [g for g in [u[2] for u in units] + self.J + [u[3] for u in units[::-1]] + self.D
-               if g is not None]
-        tail_runs = self.tail_runs or Circuit(cut).fusion_runs()
-        tail = [self.tail.get(run) or _with_inverse(fuse_run(cut[slice(*run)]))
-                for run in tail_runs]
-        if not self.tail_runs:  # the first assembly: keep what no variable run reaches,
-            # telling the gates built from one by identity, as each is built anew
-            built = {id(g) for run, unit in zip(self.runs, units) if run in self.variable
-                     for g in unit}
-            self.units = {run: u for run, u in zip(self.runs, units) if run not in self.variable}
-            self.tail = {run: t for run, t in zip(tail_runs, tail)
-                         if built.isdisjoint(map(id, cut[slice(*run)]))}
-            self.tail_runs = tail_runs
-        U = [u[0] for u in units] + [t[0] for t in tail]
-        search = U + self.S + [t[1] for t in tail[::-1]] + [u[1] for u in units[::-1]]
-        return Circuit(F), Circuit(U), Circuit(search)
+        self.units = {run: u for run, u in zip(self.runs, units) if run not in self.variable}
+        P, c = _fused([u[2] for u in units[:-1]]), _with_inverse(units[-1][2])
+        P_inv = [t[::-1] for t in P[::-1]]
+        pairs = ([u[:2] for u in units] + [u[1::-1] for u in units[-2::-1]]
+                 + P + [c] + P_inv + self.J + P + [c[::-1]] + P_inv + self.D)
+        U = [t[0] for t in pairs]
+        return Circuit(F), Circuit(U), Circuit(U + self.S + [t[1] for t in pairs[::-1]])
 
-    def _unit(self, fused: Gate) -> tuple[Gate, Gate, Gate | None, Gate | None]:
+    def _unit(self, fused: Gate) -> tuple[Gate, Gate, Gate | None]:
         """A fused F gate and its inverse on the search layout, then its copy
-        on (index_p, fid_p) and that copy's inverse, each cut at index_p = y.
-        A copy that moves index_p is refused: F must leave the index alone."""
+        on (index_p, fid_p) cut at index_p = y. A copy that moves index_p is
+        refused: F must leave the index alone. The copy's inverse, unitary
+        too, then keeps index_p at y as well."""
         to_kept, to_primed = self.renames
-        primed = Circuit([fused]).remap(to_primed).gates[0]
-        cuts = []
-        for copy in (primed, primed.inverse()):
-            bits = dict(self.y_bits)
-            cuts.append(fix_gate(copy, bits, to_kept))
-            if bits != self.y_bits:
-                raise SimulationError(f"{copy.name}: moves index_p off y; W must be "
-                                      "block-diagonal in the index register")
-        return (*_with_inverse(Circuit([fused]).remap(to_kept).gates[0]), *cuts)
+        bits = dict(self.y_bits)
+        cut = fix_gate(Circuit([fused]).remap(to_primed).gates[0], bits, to_kept)
+        if bits != self.y_bits:
+            raise SimulationError(f"{fused.name}: moves index_p off y; W must be "
+                                  "block-diagonal in the index register")
+        return (*_with_inverse(Circuit([fused]).remap(to_kept).gates[0]), cut)
 
 
 def _with_inverse(gate: Gate) -> tuple[Gate, Gate]:
     return gate, gate.inverse()
+
+
+def _fused(gates: list[Gate | None]) -> list[tuple[Gate, Gate]]:
+    """The gates that are not None, fused by their runs, each with its inverse."""
+    kept = Circuit([g for g in gates if g is not None])
+    return [_with_inverse(fuse_run(kept.gates[slice(*run)])) for run in kept.fusion_runs()]
 
 
 def assemble_O_yA(V: Gate, W: Gate, layout: RegisterLayout,

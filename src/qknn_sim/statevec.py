@@ -17,7 +17,7 @@ Conventions used throughout the package:
   MAX_DENSE_QUBITS qubits are refused before anything is allocated.
 - Each gate kernel reads its view of the state (axis order, controls=1
   slice) from a plan made once per gate shape and kept. One circuit-exact
-  oracle, with its fusing, uses 40 to 71 shapes at every allowed size, and
+  oracle, with its fusing, uses 39 to 66 shapes at every allowed size, and
   every (y, A) of a classification the same ones.
 - A matrix handed to ``Gate`` is checked for unitarity. The fixed gates (H,
   X, Z, CNOT, TOFFOLI, MCX, MCZ, CSWAP) share read-only module matrices

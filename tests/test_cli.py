@@ -480,6 +480,21 @@ def test_precision_bits_refusal_names_the_flag(cmd, source, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: --b: precision bits must be in [2, 30], got {got}\n"
 
 
+def test_bench_k_above_the_table_size_names_the_flag(capsys):
+    """It used to be refused by k_maxima as "k must be <= 16, got 20"."""
+    assert exit_code(["bench", "--M", "16", "--k", "20"]) == 1
+    assert capsys.readouterr() == ("", "error: --k must be <= 16, got 20\n")
+
+
+def test_classify_k_above_the_train_set_size_names_the_flag(tmp_path, capsys):
+    """It used to be refused by classical_knn as "k must be <= 8, got 9": at
+    --split 0.67 the 12-state corpus trains on 8. No test state is classified."""
+    corpus = _make_corpus(tmp_path, "2q-sep-vs-ent", per_class=6)
+    capsys.readouterr()
+    assert exit_code(["classify", "--corpus", str(corpus), "--k", "9", "--split", "0.67"]) == 1
+    assert capsys.readouterr() == ("", "error: --k must be <= 8, got 9\n")
+
+
 @pytest.mark.parametrize("cmd,extra", [("discriminate", ["--n", "1"]), ("bench", ["--k", "1"])])
 def test_failed_slope_fit_keeps_the_rows(cmd, extra, tmp_path, capsys):
     """A sweep whose slope cannot be fitted exits 1 naming the M values, and

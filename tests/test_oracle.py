@@ -35,6 +35,9 @@ from qknn_sim.statevec import Circuit, StateVector, hadamard, mcz, pauli_x, regi
 from qknn_sim.subroutines import build_G, make_V, make_W, qpe_circuit
 from test_statevec import fix_classical
 
+# every (m, n, b) the circuit-exact rule admits: M in {2, 4, 8}, n <= 2, log2(M) <= b <= 3
+CIRCUIT_EXACT_SHAPES = [(m, n, b) for m in (1, 2, 3) for n in (1, 2) for b in (2, 3) if m <= b]
+
 
 def test_threshold_state_validation(monkeypatch):
     """assemble_O_yA accepts y = 1, A = {1, 2} at M = 4 and refuses a y
@@ -169,11 +172,13 @@ def test_assembled_oracle_reversibility():
     assert np.linalg.norm(back.amplitudes - v) < 1e-8
 
 
-@pytest.mark.parametrize("m,n,b", [(1, 1, 2), (2, 1, 3)])
+@pytest.mark.parametrize("m,n,b", CIRCUIT_EXACT_SHAPES)
 def test_fused_circuits_match_the_unfused_reduction(m, n, b):
-    """The simulator's fused U and search oracle act on a random state of
-    the search layout as the unfused ``fix_classical`` reduction of the
-    model's U does, to 1e-12, and U runs in fewer gates."""
+    """At every shape circuit-exact admits, the simulator's fused U and
+    search oracle act on a random state of the search layout as the unfused
+    ``fix_classical`` reduction of the model's U does, to 1e-12, and U runs
+    in fewer gates. This is the reference an assembly that is not bit for
+    bit the product of the model's gates is held to."""
     rng = np.random.default_rng(m)
     M = 2 ** m
     layout = oracle_layout(m, n, b)
@@ -311,6 +316,39 @@ def test_table_rounds_hit_at_the_grover_rate_within_each_class(M, t, r):
             assert set(got[members[got]].tolist()) == set(np.flatnonzero(members).tolist())
 
 
+@pytest.mark.parametrize("m,n,b,rows,cases", [
+    (1, 1, 2, [0, 1], [(0, {0}), (1, {1})]),
+    (2, 2, 2, [0, 1, 2, 3], [(0, {0}), (1, {1})]),
+    (2, 2, 3, [0, 1, 0, 2], [(0, {0}), (1, {1})]),
+])
+def test_circuit_marginals_follow_the_table_grover_law(m, n, b, rows, cases):
+    """On exact instances the simulated search is the table handle's closed
+    form. Train state j is basis state rows[j] and the test state is |0>, so
+    every fidelity is 0 or 1 and the QADC digitizes it without error. The
+    index marginal after r iterations of the assembled oracle is then
+    sin^2((2r+1) theta), sin^2 theta = t/M, spread evenly over the marked
+    class of the handle's ``evaluate``, the rest evenly over the unmarked,
+    to 1e-12 for r = 0 .. ceil(sqrt(M)) + 1, the depths the search's growing
+    bound reaches. t = 0 at every shape, then 1, 1 and 2."""
+    M, cfg = 2 ** m, PrecisionConfig(b)
+    layout = oracle_layout(m, n, b)
+    basis = np.eye(2 ** n, dtype=complex)
+    V, W = make_V(basis[0], layout, register="test"), make_W(basis[rows], layout)
+    values = quantize_array(np.abs(basis[rows, 0]) ** 2, b)
+    for y, A in cases:
+        handle = TableOracleHandle(values, y, frozenset(A))
+        marked = np.array([handle.evaluate(j) for j in range(M)])
+        oc = assemble_O_yA(V, W, layout, cfg, y, A)
+        assert [oc.evaluate(j) for j in range(M)] == marked.tolist()
+        t = int(marked.sum())
+        theta = math.asin(math.sqrt(t / M))
+        for r in range(math.ceil(math.sqrt(M)) + 2):
+            hit = math.sin((2 * r + 1) * theta) ** 2
+            want = np.where(marked, hit / max(t, 1), (1 - hit) / (M - t))
+            np.testing.assert_allclose(oc.marginal(r), want, rtol=0, atol=1e-12,
+                                       err_msg=f"y = {y}, A = {A}, t = {t}, r = {r}")
+
+
 class _FixedMarginalOracle(OracleCircuit):
     """The circuit oracle's draw over a given marginal at every depth."""
 
@@ -371,10 +409,6 @@ def test_qubit_accounting_report():
     rep = qubit_accounting(oc)
     assert rep.builder_peak == rep.layout_total == oc.layout.num_qubits
     assert rep.layout_total - rep.closed_form == 3  # Q1, Q2 and Q3
-
-
-# every (m, n, b) the circuit-exact rule admits: M in {2, 4, 8}, n <= 2, log2(M) <= b <= 3
-CIRCUIT_EXACT_SHAPES = [(m, n, b) for m in (1, 2, 3) for n in (1, 2) for b in (2, 3) if m <= b]
 
 
 def _haar_VW(m, n, b, seed=0):
@@ -485,6 +519,55 @@ def test_every_assembly_composes_u_and_search_in_the_plan(monkeypatch):
             assert len(returned) == calls + 1
             assert all(got is made for got, made in zip((oc.F, oc.U, oc.search), returned[-1]))
     assert len(oracle_module._plans) == 2
+
+
+def _adjoint_key(g):
+    """``_gate_key`` of g's inverse but its name: qubits, and the bytes of
+    conj().T of g's matrix or of the inverse of g's permutation."""
+    data = np.argsort(g.perm) if g.matrix is None else g.matrix.conj().T
+    return g.targets, g.controls, g.matrix is None, data.tobytes()
+
+
+@pytest.mark.parametrize("m,n,b", CIRCUIT_EXACT_SHAPES)
+def test_u_builds_each_mirrored_half_once(m, n, b, monkeypatch):
+    """U's F part is a palindrome of adjoint pairs: the j-th gate from its
+    end is the j-th gate's inverse, byte for byte, and the middle gate,
+    which holds QA, is its own. The cut P + c + P^-1 + J + P + c^-1 + P^-1
+    + D holds each copy of P and of P^-1 as the same gate objects, and P^-1
+    and c^-1 as the inverses of P and c. A warm assembly fuses runs of F
+    before QA only; each mirror gate is taken as an inverse."""
+    M, cfg = 2 ** m, PrecisionConfig(b)
+    y, A = M - 1, frozenset({M - 1, 0})
+    monkeypatch.setattr(oracle_module, "_plans", {})
+    layout, V, W = _haar_VW(m, n, b, seed=1)
+    U = assemble_O_yA(V, W, layout, cfg, y, A).U.gates
+    (plan,) = oracle_module._plans.values()
+    half = len(plan.runs) - 1  # the forward runs; then the middle one
+    for j in range(half):
+        assert _gate_key(U[2 * half - j])[1:] == _adjoint_key(U[j]), j
+    middle = U[half]
+    if middle.matrix is None:
+        assert np.array_equal(np.argsort(middle.perm), middle.perm)
+    else:
+        np.testing.assert_allclose(middle.matrix, middle.matrix.conj().T, rtol=0, atol=1e-12)
+    tail, J, D = U[2 * half + 1:], [t[0] for t in plan.J], [t[0] for t in plan.D]
+    p = (len(tail) - len(J) - len(D) - 2) // 4
+    P, c, P_inv = tail[:p], tail[p], tail[p + 1: 2 * p + 1]
+    assert [_gate_key(g)[1:] for g in P_inv] == [_adjoint_key(g) for g in P[::-1]]
+    second = 2 * p + 1 + len(J)
+    assert all(g is h for g, h in zip(tail[second:], P + [None] + P_inv + D, strict=True)
+               if h is not None)
+    assert _gate_key(tail[second + p])[1:] == _adjoint_key(c)
+    assert tail[2 * p + 1: second] == J
+    calls = []
+    real = oracle_module.fuse_run
+    monkeypatch.setattr(oracle_module, "fuse_run", lambda gates: calls.append(gates) or real(gates))
+    _, V, W = _haar_VW(m, n, b, seed=2)
+    F = assemble_O_yA(V, W, layout, cfg, y, A).F.gates
+    where = {id(g): i for i, g in enumerate(F)}
+    runs = [[where.get(id(g)) for g in gates] for gates in calls if len(gates) > 1]
+    runs = [pos for pos in runs if None not in pos]  # the others fuse P, which no F gate is in
+    assert runs and all(max(pos) < len(F) // 2 for pos in runs), runs
 
 
 def test_the_plan_holds_at_most_its_bound(monkeypatch):
