@@ -194,6 +194,9 @@ def cmd_discriminate(cfg: RunConfig) -> int:
 
 
 def cmd_entanglement(cfg: RunConfig) -> int:
+    smallest = min(len(datasets.CLASSES[s]) for s in datasets.SCHEMES) * cfg.per_class
+    require_count(_FLAGS["k"], cfg.k,  # before any corpus is drawn
+                  high=experiments.train_size(smallest, experiments.ENTANGLEMENT_SPLIT))
     lines = [CSV_HEADER, "scheme,classical,quantum,agreement"]
     for scheme in datasets.SCHEMES:
         r = experiments.entanglement_experiment(scheme, cfg.per_class, cfg.k, cfg.b,

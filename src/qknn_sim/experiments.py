@@ -15,6 +15,7 @@ from .statevec import SimulationError, require_count, require_fits
 
 SQRT_K_M = 256
 SQRT_K_VALUES = (1, 2, 4, 8)
+ENTANGLEMENT_SPLIT = 0.9  # each corpus's train share in criterion 8's experiment
 
 
 def require_sizes(M_values) -> list:
@@ -39,13 +40,18 @@ def fit_loglog_slope(sizes, means) -> float:
     return float(coeffs[0])
 
 
+def train_size(count: int, split: float) -> int:
+    """The states a split of ``count`` trains on: round(count * split)."""
+    return int(round(count * split))
+
+
 def split_corpus(corpus: datasets.LabeledStateCorpus, split: float,
                  seed: int) -> tuple[qknn.TrainSet, np.ndarray, list[int]]:
     """(train set, test indices, search seeds): the first round(len * split)
     states of a seeded permutation train, the rest test, and test state i
     searches with the i-th child of SeedSequence(seed)."""
     order = np.random.default_rng(seed).permutation(len(corpus))
-    cut = int(round(len(corpus) * split))
+    cut = train_size(len(corpus), split)
     if cut < 1 or cut >= len(corpus):
         raise SimulationError("split leaves an empty train or test side")
     train = qknn.TrainSet(corpus.states[order[:cut]], [corpus.labels[i] for i in order[:cut]])
@@ -88,7 +94,8 @@ def entanglement_experiment(scheme: str, per_class: int, k: int, b: int,
     acc_c, acc_q, agree, points = [], [], 0, 0
     for seed in seeds:
         corpus = datasets.gen_corpus(scheme, per_class, seed=1000 + seed)
-        results = list(classify_split(corpus, 0.9, seed, k, b, ("classical", "oracle-abstract")))
+        results = list(classify_split(corpus, ENTANGLEMENT_SPLIT, seed, k, b,
+                                      ("classical", "oracle-abstract")))
         acc_c.append(sum(c.label == truth for _, truth, (c, _) in results) / len(results))
         acc_q.append(sum(q.label == truth for _, truth, (_, q) in results) / len(results))
         agree += sum(c.label == q.label for _, _, (c, q) in results)

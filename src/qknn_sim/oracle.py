@@ -41,6 +41,7 @@ from .statevec import (
     mcx,
     mcz,
     pauli_x,
+    permutation_run,
     require_fits,
     toffoli,
 )
@@ -201,7 +202,7 @@ class OracleCircuit:
         qubits are the same in ``layout`` and ``search_layout(layout)``."""
         index = self.layout.qubits("index")
         h_index = [hadamard(q) for q in index]
-        return Circuit(h_index + zero_reflection(index).gates + h_index)
+        return Circuit(h_index + [fuse_run(zero_reflection(index).gates)] + h_index)
 
     @cached_property
     def _u_run(self) -> StateVector:
@@ -295,8 +296,9 @@ class _Plan:
     mirror run's gate and inverse are its forward run's, swapped. U is F's
     gates, then the cut: P + c + P^-1 + J + P + c^-1 + P^-1 + D, with P the
     forward runs' cut copies fused, c the middle's, and J and D cut by
-    ``fix_steps`` from index_p = 0 and fused, each gate of the cut kept
-    with its inverse. search is U . S . U^dag. ``F`` is the first F with
+    ``fix_steps`` from index_p = 0, each one permutation gate, each gate of
+    the cut kept with its inverse. search is U . S . U^dag, S fused to one
+    exact diagonal gate. ``F`` is the first F with
     None where V and W enter, for ``refill_qadc_circuit``; ``units`` keeps
     the units of the runs no V- or W-derived gate is in (``variable`` holds
     the others)."""
@@ -329,8 +331,9 @@ class _Plan:
             runs.append((half, half + 1))
         return cls([None if i in in_F else g for i, g in enumerate(F)], runs,
                    {run for run in runs if not in_F.isdisjoint(range(*run))}, y_bits,
-                   _fused(cut[:len(J)]), _fused(cut[len(J):]),
-                   [pauli_x(s2), mcz((s1,), s2), pauli_x(s2)],
+                   *([_with_inverse(permutation_run([g for g in part if g is not None], name))]
+                     for part, name in ((cut[:len(J)], "J"), (cut[len(J):], "D"))),
+                   [fuse_run([pauli_x(s2), mcz((s1,), s2), pauli_x(s2)])],
                    (dict(zip(keep, range(len(keep)))), to_primed))
 
     def assemble(self, F: list[Gate]) -> tuple[Circuit, Circuit, Circuit]:

@@ -15,10 +15,12 @@ Conventions used throughout the package:
   draws one outcome from a seeded generator.
 - States above MAX_QUBITS qubits and dense circuit unitaries above
   MAX_DENSE_QUBITS qubits are refused before anything is allocated.
-- Each gate kernel reads its view of the state (axis order, controls=1
-  slice) from a plan made once per gate shape and kept. One circuit-exact
-  oracle, with its fusing, uses 39 to 66 shapes at every allowed size, and
-  every (y, A) of a classification the same ones.
+- ``apply_circuit`` runs each gate on the prefix of the state up to its
+  highest qubit (lazy width): above the qubits touched so far, all is 0.
+- Each gate kernel reads its view of the state (axis order and controls=1
+  slice, or for a permutation the indices it gathers through) from a plan
+  made once per gate shape, width included, and kept. One circuit-exact
+  oracle uses 60 to 98 shapes at every allowed size, each (y, A) the same.
 - A matrix handed to ``Gate`` is checked for unitarity. The fixed gates (H,
   X, Z, CNOT, TOFFOLI, MCX, MCZ, CSWAP) share read-only module matrices
   that are checked once, at import, and skip the check per gate, as gates
@@ -206,13 +208,9 @@ class Gate:
         return gate
 
     def inverse(self) -> "Gate":
-        if self.matrix is not None:
-            return Gate.derived(self.name + "^-1", self.targets, self.controls,
-                                self.matrix.conj().T)
-        inv = np.empty_like(self.perm)
-        inv[self.perm] = np.arange(len(self.perm))
         return Gate.derived(self.name + "^-1", self.targets, self.controls,
-                            None, inv)
+                            None if self.matrix is None else self.matrix.conj().T,
+                            None if self.perm is None else np.argsort(self.perm))
 
     def qubits(self) -> set[int]:
         return set(self.targets) | set(self.controls)
@@ -317,6 +315,20 @@ def fuse_run(gates: list[Gate]) -> Gate:
     targets = tuple(sorted(set().union(*(g.qubits() for g in gates))))
     return Gate.derived(f"FUSED{len(gates)}", targets, (),
                         circuit_to_matrix(Circuit(gates), targets))
+
+
+def permutation_run(gates: list[Gate], name: str) -> Gate:
+    """A classical run of gates as one permutation gate on its qubits, sorted:
+    the inverse run carries each basis state's 1-based label to where the run
+    sends that state. A run that mixes or signs basis states is refused."""
+    targets = tuple(sorted(Circuit(gates).qubits()))
+    labels = np.arange(1, 2 ** len(targets) + 1, dtype=complex)
+    for g in Circuit(gates).remap(dict(zip(targets, range(len(targets))))).inverse():
+        _apply_gate(labels, len(targets), g, g.targets, g.controls)
+    perm = labels.real.astype(np.int64) - 1
+    if not np.array_equal(labels, perm + 1):
+        raise SimulationError(f"{name}: the run is not a basis permutation")
+    return Gate.derived(name, targets, (), None, perm)
 
 
 def fix_gate(gate: Gate, bits: dict[int, int], renumber: dict[int, int]) -> Gate | None:
@@ -463,11 +475,16 @@ class StateVector:
         return StateVector(self.num_qubits, amps, self.layout)
 
     def apply_circuit(self, circuit: Circuit) -> "StateVector":
-        # one working copy for the whole gate list; kernels mutate in place
-        amps = self.amplitudes.copy()
+        # one working copy, each gate in place on amps[:2**w] (all above is 0), w grown to
+        # its qubits and one more if it holds all below, which gemv would round otherwise
+        amps, n = self.amplitudes.copy(), self.num_qubits
+        w = next((k for k in range(n, 0, -1) if amps[2 ** (k - 1): 2 ** k].any()), 0)
         for gate in circuit:
-            _apply_gate(amps, self.num_qubits, gate, gate.targets, gate.controls)
-        return StateVector(self.num_qubits, amps, self.layout)
+            qubits = gate.targets + gate.controls
+            top = max(qubits, default=0) + 1
+            w = min(n, max(w, top + (len(qubits) == top)))
+            _apply_gate(amps[: 2 ** w], w, gate, gate.targets, gate.controls)
+        return StateVector(n, amps, self.layout)
 
     # -- register helpers --
 
@@ -514,25 +531,34 @@ def _view_plan(n: int, targets: tuple[int, ...], controls: tuple[int, ...]):
     return (2,) * n, tuple(perm), (1,) * c, 2 ** t
 
 
+@functools.cache
+def _gather_plan(n: int, targets: tuple[int, ...], controls: tuple[int, ...]):
+    """(rows, local) of a gate shape: row r, local target value l of the
+    controls=1 block is basis index rows[r] + local[l], a column plus a row."""
+    shape, perm, sel, dim = _view_plan(n, targets, controls)
+    index = np.arange(2 ** n).reshape(shape).transpose(perm)[sel].reshape(-1, dim)
+    return index[:, :1].copy(), index[0] - index[0, 0]
+
+
 def _apply_gate(amps: np.ndarray, n: int, gate: Gate, targets, controls) -> None:
     """Apply ``gate`` in place on ``targets`` under ``controls`` (its own qubits,
     or their positions in a sub-register).
 
-    The state is viewed as (controls..., rest..., targets...), with the
-    trailing target axes ordered so that flattening them yields the
-    little-endian local index of ``targets``; only the controls=1 slice is
-    rewritten, by the matrix or by the basis permutation.
+    A permutation moves the controls=1 amplitudes by index (``_gather_plan``).
+    A matrix rewrites the controls=1 slice of the state viewed as (controls...,
+    rest..., targets...), the target axes ordered so that flattening them
+    yields the little-endian local index of ``targets``.
     """
+    if gate.perm is not None:
+        rows, local = _gather_plan(n, targets, controls)
+        cols = np.flatnonzero(gate.perm != np.arange(len(gate.perm)))  # the values it moves
+        amps[rows + local[gate.perm[cols]]] = amps[rows + local[cols]]
+        return
     shape, perm, sel, dim = _view_plan(n, targets, controls)
     moved = amps.reshape(shape).transpose(perm)
     block = moved[sel]
     flat = np.ascontiguousarray(block).reshape(-1, dim)
-    if gate.matrix is not None:
-        out = flat @ gate.matrix.T
-    else:
-        out = np.empty_like(flat)
-        out[:, gate.perm] = flat
-    moved[sel] = out.reshape(block.shape)
+    moved[sel] = (flat @ gate.matrix.T).reshape(block.shape)
 
 
 def circuit_to_matrix(circuit: Circuit, qubits: tuple[int, ...]) -> np.ndarray:

@@ -418,7 +418,7 @@ SLOPE_FIT_FAILURES = [
     ["entanglement", "--per-class", "0"],
     ["entanglement", "--k", "0"],
     ["entanglement", "--b", "1"],
-    ["entanglement", "--per-class", "1"],   # 2 states: the split leaves no test state
+    ["entanglement", "--per-class", "1", "--k", "1"],   # 2 states: the split leaves no test state
 ])
 def test_bad_counts_exit_1(args, capsys):
     """Bad input prints nothing on stdout and one error line on stderr (after
@@ -493,6 +493,19 @@ def test_classify_k_above_the_train_set_size_names_the_flag(tmp_path, capsys):
     capsys.readouterr()
     assert exit_code(["classify", "--corpus", str(corpus), "--k", "9", "--split", "0.67"]) == 1
     assert capsys.readouterr() == ("", "error: --k must be <= 8, got 9\n")
+
+
+def test_entanglement_k_above_the_smallest_train_set_names_the_flag(monkeypatch, capsys):
+    """It used to be refused by qknn as "k must be <= 9, got 20", after the
+    first scheme's corpus was drawn. At --per-class 5 the two-class schemes'
+    90/10 splits train on 9 states, the five-class one on 22; the smallest
+    bounds --k, checked before any corpus is drawn or classified."""
+    monkeypatch.setattr(cli.experiments, "entanglement_experiment",
+                        lambda *args: pytest.fail("a corpus was classified"))
+    assert exit_code(["entanglement", "--per-class", "5", "--k", "20"]) == 1
+    assert capsys.readouterr() == ("", "error: --k must be <= 9, got 20\n")
+    assert exit_code(["entanglement", "--per-class", "5", "--k", "10"]) == 1
+    assert capsys.readouterr() == ("", "error: --k must be <= 9, got 10\n")
 
 
 @pytest.mark.parametrize("cmd,extra", [("discriminate", ["--n", "1"]), ("bench", ["--k", "1"])])

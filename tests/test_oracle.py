@@ -320,6 +320,7 @@ def test_table_rounds_hit_at_the_grover_rate_within_each_class(M, t, r):
     (1, 1, 2, [0, 1], [(0, {0}), (1, {1})]),
     (2, 2, 2, [0, 1, 2, 3], [(0, {0}), (1, {1})]),
     (2, 2, 3, [0, 1, 0, 2], [(0, {0}), (1, {1})]),
+    (3, 2, 3, [0, 1, 0, 2, 3, 0, 1, 2], [(1, {1}), (1, {1, 0}), (1, {1, 0, 2})]),
 ])
 def test_circuit_marginals_follow_the_table_grover_law(m, n, b, rows, cases):
     """On exact instances the simulated search is the table handle's closed
@@ -329,7 +330,8 @@ def test_circuit_marginals_follow_the_table_grover_law(m, n, b, rows, cases):
     sin^2((2r+1) theta), sin^2 theta = t/M, spread evenly over the marked
     class of the handle's ``evaluate``, the rest evenly over the unmarked,
     to 1e-12 for r = 0 .. ceil(sqrt(M)) + 1, the depths the search's growing
-    bound reaches. t = 0 at every shape, then 1, 1 and 2."""
+    bound reaches. t = 0 and then 1, 1 and 2 at the first three shapes;
+    t = 3, 2 and 1 at (3, 2, 3), 19 simulated qubits."""
     M, cfg = 2 ** m, PrecisionConfig(b)
     layout = oracle_layout(m, n, b)
     basis = np.eye(2 ** n, dtype=complex)
@@ -568,6 +570,38 @@ def test_u_builds_each_mirrored_half_once(m, n, b, monkeypatch):
     runs = [[where.get(id(g)) for g in gates] for gates in calls if len(gates) > 1]
     runs = [pos for pos in runs if None not in pos]  # the others fuse P, which no F gate is in
     assert runs and all(max(pos) < len(F) // 2 for pos in runs), runs
+
+
+@pytest.mark.parametrize("m,n,b", CIRCUIT_EXACT_SHAPES)
+def test_the_plan_runs_each_classical_part_as_one_gate(m, n, b, monkeypatch):
+    """J and D are reversible classical circuits: the plan holds each as one
+    uncontrolled permutation gate, J on fid, fid_p, Q1 and its b - 1 chain
+    qubits (3b), D on index, its m chain qubits and Q2 (2m + 1), each with
+    its inverse, and U and search run them so. The sign S and the
+    diffusion's reflection about |0...0> are one dense gate each, with
+    every entry 0 or +-1."""
+    M, cfg = 2 ** m, PrecisionConfig(b)
+    monkeypatch.setattr(oracle_module, "_plans", {})
+    layout, V, W = _haar_VW(m, n, b, seed=3)
+    oc = assemble_O_yA(V, W, layout, cfg, M - 1, frozenset({M - 1, 0}))
+    (plan,) = oracle_module._plans.values()
+    reduced = search_layout(layout)
+    (s1,), (s2,) = reduced.qubits("Q1"), reduced.qubits("Q2")
+    J_qubits = reduced.qubits_of(["fid", "fid_p", "Q1"]) + reduced.qubits("phase")[: b - 1]
+    D_qubits = reduced.qubits("index") + reduced.qubits("phase")[:m] + (s2,)
+    for pairs, qubits in ((plan.J, J_qubits), (plan.D, D_qubits)):
+        ((gate, inverse),) = pairs
+        assert gate.matrix is None and inverse.matrix is None and not gate.controls
+        assert gate.targets == tuple(sorted(qubits))
+        assert np.array_equal(inverse.perm, np.argsort(gate.perm))
+        assert sum(g is gate for g in oc.U) == 1 and sum(g is inverse for g in oc.search) == 1
+    ((S,),) = [oc.search.gates[len(oc.U): len(oc.search) - len(oc.U)]]
+    assert S.targets == (s1, s2) and not S.controls
+    reflections = oc.diffusion.gates[m: len(oc.diffusion) - m]
+    assert len(reflections) == 1 and reflections[0].targets == layout.qubits("index")
+    for gate in (S, reflections[0]):
+        assert np.array_equal(np.abs(gate.matrix), np.eye(len(gate.matrix)))
+        assert set(np.diag(gate.matrix).real) <= {1, -1}
 
 
 def test_the_plan_holds_at_most_its_bound(monkeypatch):

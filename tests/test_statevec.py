@@ -26,6 +26,8 @@ from qknn_sim.statevec import (
     mcx,
     mcz,
     pauli_x,
+    pauli_z,
+    permutation_run,
     register_unitary,
     toffoli,
 )
@@ -365,6 +367,87 @@ def test_apply_gate_equals_the_moveaxis_kernel(seed):
         _moveaxis_apply_gate(want, n, gate, gate.targets, gate.controls)
         _apply_gate(got, n, gate, gate.targets, gate.controls)
         assert np.array_equal(got, want)
+
+
+def _full_width_apply_circuit(state, circuit):
+    """``StateVector.apply_circuit``'s reference: every gate on all 2**n
+    amplitudes."""
+    amps = state.amplitudes.copy()
+    for gate in circuit:
+        _apply_gate(amps, state.num_qubits, gate, gate.targets, gate.controls)
+    return amps
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=80, deadline=None)
+def test_lazy_width_equals_the_full_width_loop(seed):
+    """On a 1-10 qubit state that is exactly zero at and above a random
+    qubit, ``apply_circuit`` runs each gate on the prefix its qubits need;
+    over a random list of dense, controlled and permutation gates, each on
+    qubits below a random bound, the amplitudes are the full-width loop's
+    bit for bit, in a state of the full size."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 11))
+    low = int(rng.integers(0, n + 1))
+    amps = np.zeros(2 ** n, dtype=complex)
+    amps[: 2 ** low] = random_state(low, rng)
+    gates = []
+    for _ in range(int(rng.integers(1, 9))):
+        top = int(rng.integers(1, n + 1))
+        gates.append(_random_gate(list(range(top)), min(top, 4), rng))
+    state = StateVector(n, amps)
+    got = state.apply_circuit(Circuit(gates))
+    assert got.num_qubits == n and got.amplitudes.shape == (2 ** n,)
+    assert np.array_equal(got.amplitudes, _full_width_apply_circuit(state, Circuit(gates)))
+    assert np.array_equal(state.amplitudes, amps)  # the input is not touched
+
+
+@pytest.mark.parametrize("n", [8, 11, 14])
+def test_permutation_kernel_equals_the_dense_kernel_on_its_matrix(n):
+    """A permutation gate, applied by index gather, moves the amplitudes the
+    dense kernel moves with its 0/1 matrix, bit for bit: 1-6 targets, 0-3
+    controls, non-adjacent and out of order, at 8-14 qubits."""
+    rng = np.random.default_rng(n)
+    for t, c in ((1, 0), (2, 3), (4, 1), (5, 0), (6, 2)):
+        qubits = [int(q) for q in rng.permutation(n)]
+        targets, controls = tuple(qubits[:t]), tuple(qubits[t:t + c])
+        perm = rng.permutation(2 ** t)
+        matrix = np.zeros((2 ** t, 2 ** t), dtype=complex)
+        matrix[perm, np.arange(2 ** t)] = 1
+        state = random_state(n, rng)
+        gathered, dense = state.copy(), state.copy()
+        _apply_gate(gathered, n, basis_permutation(targets, perm, "P", controls), targets, controls)
+        _apply_gate(dense, n, register_unitary(targets, matrix, "M", controls), targets, controls)
+        assert np.array_equal(gathered, dense), (t, c)
+        assert not np.array_equal(gathered, state) or np.array_equal(perm, np.arange(2 ** t))
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_permutation_run_is_the_classical_run_as_one_gate(seed):
+    """X, CNOT, Toffoli, CSWAP and permutation gates on up to 7 qubits, made
+    one permutation gate on their sorted qubits: the same amplitudes as the
+    gates one by one, bit for bit."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 8))
+    gates = []
+    for _ in range(int(rng.integers(1, 12))):
+        a, b, c = (int(q) for q in rng.choice(n, size=3, replace=False))
+        kind = int(rng.integers(0, 5))
+        gates.append([pauli_x(a), cnot(a, b), toffoli(a, b, c), cswap(a, b, c),
+                      basis_permutation((a, b), rng.permutation(4), "P", (c,))][kind])
+    run = permutation_run(gates, "R")
+    assert run.matrix is None and run.targets == tuple(sorted(Circuit(gates).qubits()))
+    state = StateVector(n, random_state(n, rng))
+    assert np.array_equal(state.apply(run).amplitudes, state.apply_circuit(Circuit(gates)).amplitudes)
+
+
+@pytest.mark.parametrize("gates", [[hadamard(0)], [cnot(0, 1), pauli_z(1)], [mcz((0,), 1)]])
+def test_permutation_run_refuses_a_run_that_mixes_or_signs(gates):
+    """H mixes basis states (labels no longer integers); a sign leaves a
+    negative label, which is no bijection."""
+    with pytest.raises(SimulationError, match="R: .*(not a basis permutation|not a bijection)"):
+        permutation_run(gates, "R")
 
 
 def _per_column_matrix(circuit, qubits):
