@@ -35,14 +35,13 @@ from .statevec import (
     SimulationError,
     StateVector,
     cnot,
-    fix_gate,
     fuse_run,
     hadamard,
     mcx,
     mcz,
     pauli_x,
     permutation_run,
-    require_fits,
+    restrict,
     toffoli,
 )
 from .subroutines import zero_reflection
@@ -142,10 +141,10 @@ class OracleCircuit:
     at 0, X gates load y and the D patterns into it, and every other gate
     reads it as a control or is block-diagonal in it). So the simulator's U
     is F fused (``fuse_run``), then the rest of the model's U built on
-    that, with index_p followed as classical bits and cut out
-    (``Circuit.fix_steps``), fused: the same unitary to rounding, as F's
-    mirror half and each mirrored copy in the cut are the exact adjoints of
-    their first halves. Every assembly composes U and search in one place,
+    that, each fused gate with index_p restricted to the basis value it
+    holds there (``statevec.restrict``): the same unitary to rounding, as
+    F's mirror half and each mirrored copy are the exact adjoints of their
+    first halves. Every assembly composes U and search in one place,
     ``_Plan.assemble``; the plan at a (layout, b, y, A) keeps the gates V
     and W do not reach.
 
@@ -292,12 +291,12 @@ class _Plan:
     middle run holding QA and, when they fit in ``FUSE_QUBITS``, the last of
     those runs and its mirror, then their mirror images. A run's unit is the
     run fused on the search layout, its inverse, and the fused run's copy
-    renamed onto (index_p, fid_p) and cut at index_p = y (``y_bits``); a
-    mirror run's gate and inverse are its forward run's, swapped. U is F's
-    gates, then the cut: P + c + P^-1 + J + P + c^-1 + P^-1 + D, with P the
-    forward runs' cut copies fused, c the middle's, and J and D cut by
-    ``fix_steps`` from index_p = 0, each one permutation gate, each gate of
-    the cut kept with its inverse. search is U . S . U^dag, S fused to one
+    renamed onto (index_p, fid_p) and restricted to index_p = y (``y_bits``);
+    a mirror run's gate and inverse are its forward run's, swapped. U is F's
+    gates, then P + c + P^-1 + J + P + c^-1 + P^-1 + D, with P the forward
+    runs' restricted copies fused, c the middle's, and J and D each one
+    permutation gate (``permutation_run``) restricted to index_p = 0, each
+    gate kept with its inverse. search is U . S . U^dag, S fused to one
     exact diagonal gate. ``F`` is the first F with
     None where V and W enter, for ``refill_qadc_circuit``; ``units`` keeps
     the units of the runs no V- or W-derived gate is in (``variable`` holds
@@ -311,16 +310,17 @@ class _Plan:
     D: list[tuple[Gate, Gate]]
     S: list[Gate]
     renames: tuple[dict[int, int], dict[int, int]]  # onto the search layout, the primed pair
-    units: dict = field(default_factory=dict)  # run of F -> (U gate, inverse, copy cut)
+    units: dict = field(default_factory=dict)  # run of F -> (U gate, inverse, restricted copy)
 
     @classmethod
     def record(cls, F: list[Gate], layout: RegisterLayout, b: int, y: int, A) -> "_Plan":
-        """The plan F gives: its runs and where V and W enter, J and D cut."""
+        """The plan F gives: its runs and where V and W enter, J and D each
+        one permutation gate on the search layout."""
         y_bits, to_primed, J, D = _threshold_parts(layout, y, A)
         reduced = search_layout(layout)
         keep = layout.qubits_of(reduced.names)
+        to_kept = dict(zip(keep, range(len(keep))))
         (s1,), (s2,) = reduced.qubits("Q1"), reduced.qubits("Q2")
-        cut = Circuit(J + D).fix_steps(dict.fromkeys(y_bits, 0), keep)
         in_F = set(prep_positions(len(F), b))
         half = len(F) // 2  # F[half] is QA
         runs = Circuit(F[:half]).fusion_runs()
@@ -331,10 +331,10 @@ class _Plan:
             runs.append((half, half + 1))
         return cls([None if i in in_F else g for i, g in enumerate(F)], runs,
                    {run for run in runs if not in_F.isdisjoint(range(*run))}, y_bits,
-                   *([_with_inverse(permutation_run([g for g in part if g is not None], name))]
-                     for part, name in ((cut[:len(J)], "J"), (cut[len(J):], "D"))),
-                   [fuse_run([pauli_x(s2), mcz((s1,), s2), pauli_x(s2)])],
-                   (dict(zip(keep, range(len(keep)))), to_primed))
+                   *([_with_inverse(restrict(permutation_run(part, name),
+                                             dict.fromkeys(y_bits, 0), to_kept))]
+                     for part, name in ((J, "J"), (D, "D"))),
+                   [fuse_run([pauli_x(s2), mcz((s1,), s2), pauli_x(s2)])], (to_kept, to_primed))
 
     def assemble(self, F: list[Gate]) -> tuple[Circuit, Circuit, Circuit]:
         """F, U and search: each unit the plan keeps, the others built from F."""
@@ -348,28 +348,29 @@ class _Plan:
         U = [t[0] for t in pairs]
         return Circuit(F), Circuit(U), Circuit(U + self.S + [t[1] for t in pairs[::-1]])
 
-    def _unit(self, fused: Gate) -> tuple[Gate, Gate, Gate | None]:
+    def _unit(self, fused: Gate) -> tuple[Gate, Gate, Gate]:
         """A fused F gate and its inverse on the search layout, then its copy
-        on (index_p, fid_p) cut at index_p = y. A copy that moves index_p is
+        on (index_p, fid_p) restricted to index_p = y. A copy that moves
+        index_p off y, into another basis value or a superposition, is
         refused: F must leave the index alone. The copy's inverse, unitary
         too, then keeps index_p at y as well."""
         to_kept, to_primed = self.renames
-        bits = dict(self.y_bits)
-        cut = fix_gate(Circuit([fused]).remap(to_primed).gates[0], bits, to_kept)
-        if bits != self.y_bits:
+        primed = Circuit([fused]).remap(to_primed).gates[0]
+        try:
+            primed = restrict(primed, self.y_bits, to_kept)
+        except SimulationError as exc:
             raise SimulationError(f"{fused.name}: moves index_p off y; W must be "
-                                  "block-diagonal in the index register")
-        return (*_with_inverse(Circuit([fused]).remap(to_kept).gates[0]), cut)
+                                  "block-diagonal in the index register") from exc
+        return (*_with_inverse(Circuit([fused]).remap(to_kept).gates[0]), primed)
 
 
 def _with_inverse(gate: Gate) -> tuple[Gate, Gate]:
     return gate, gate.inverse()
 
 
-def _fused(gates: list[Gate | None]) -> list[tuple[Gate, Gate]]:
-    """The gates that are not None, fused by their runs, each with its inverse."""
-    kept = Circuit([g for g in gates if g is not None])
-    return [_with_inverse(fuse_run(kept.gates[slice(*run)])) for run in kept.fusion_runs()]
+def _fused(gates: list[Gate]) -> list[tuple[Gate, Gate]]:
+    """The gates fused by their runs, each with its inverse."""
+    return [_with_inverse(fuse_run(gates[slice(*run)])) for run in Circuit(gates).fusion_runs()]
 
 
 def assemble_O_yA(V: Gate, W: Gate, layout: RegisterLayout,
@@ -398,18 +399,6 @@ def assemble_O_yA(V: Gate, W: Gate, layout: RegisterLayout,
     else:
         F = refill_qadc_circuit(plan.F, V, W, layout)
     return OracleCircuit(layout, y, A, *plan.assemble(F))
-
-
-def classical_action(circuit: Circuit, num_qubits: int, x: int) -> int:
-    """Output basis state of a reversible (classical) circuit on basis input x."""
-    require_fits(f"a {num_qubits}-qubit state", 2 ** num_qubits)
-    amps = np.zeros(2 ** num_qubits, dtype=complex)
-    amps[x] = 1.0
-    out = StateVector(num_qubits, amps).apply_circuit(circuit)
-    y = int(np.argmax(np.abs(out.amplitudes)))
-    if abs(abs(out.amplitudes[y]) - 1.0) > 1e-9:
-        raise SimulationError("circuit is not classical on this input")
-    return y
 
 
 def prep_calls_per_oracle(b: int) -> int:

@@ -26,6 +26,8 @@ Conventions used throughout the package:
   that are checked once, at import, and skip the check per gate, as gates
   derived from checked gates do (``Gate.derived``), dense circuit products
   such as the reflection operators and their powers among them.
+- ``permutation_run`` is the one evaluator of reversible classical circuits;
+  ``restrict`` cuts one gate to a basis sector of some of its targets.
 """
 from __future__ import annotations
 
@@ -196,12 +198,12 @@ class Gate:
     def derived(cls, name: str, targets: tuple[int, ...], controls: tuple[int, ...],
                 matrix: np.ndarray | None, perm: np.ndarray | None = None) -> "Gate":
         """A gate made from checked gates: one gate's matrix or permutation
-        (on other qubits or controls), their inverse, the block that
-        ``Circuit.fix_steps`` cuts from them (all of a column set's weight
-        lands in one row set), the dense product of checked gates (a run that
-        ``fuse_run`` builds, a reflection operator G or H, and its powers
-        G^k), or a fixed gate on a module matrix checked at import. Such a
-        matrix is unitary by construction, so only the structure is checked."""
+        (on other qubits or controls), their inverse, the block ``restrict``
+        cuts from one (a basis sector no input leaves), a classical run's
+        permutation, the dense product of checked gates (a run ``fuse_run``
+        builds, a reflection operator G or H, and its powers G^k), or a fixed
+        gate on a module matrix checked at import. Such a matrix is unitary
+        by construction, so only the structure is checked."""
         gate = object.__new__(cls)
         vars(gate).update(name=name, targets=targets, controls=controls, matrix=matrix, perm=perm)
         gate._check_structure()
@@ -243,38 +245,6 @@ class Circuit:
 
         return Circuit([Gate.derived(g.name, move(g.targets), move(g.controls), g.matrix,
                                      g.perm) for g in self.gates])
-
-    def fix_steps(self, values: dict[int, int], keep: tuple[int, ...]) -> list[Gate | None]:
-        """Gate for gate, the circuit on the ``keep`` qubits, renumbered
-        keep[i] -> i, for inputs in which each qubit q of ``values`` is in
-        basis state values[q]: each gate's cut (``fix_gate``), or None where
-        it is dropped.
-
-        The tracked qubits are followed through the gate list as classical
-        bits. A gate with a tracked control that reads 0 is dropped, and
-        tracked controls that read 1 are removed. A gate with tracked targets
-        is cut to the block its tracked input selects; its output must be one
-        tracked value, which the gate may change only where no untracked
-        control remains (an uncontrolled X just updates the bit). A gate left
-        with no target adds nothing and is dropped. Blocks and renumbered
-        gates skip the unitarity re-check.
-
-        Raises SimulationError where a tracked qubit would leave its basis
-        state (any non-zero entry off the block), where a tracked target
-        changes under an untracked control, where a gate left with no target
-        would carry a phase, where a gate touches a qubit that is neither
-        tracked nor kept, and where a tracked qubit does not end at its start
-        value.
-        """
-        bits = dict(values)
-        renumber = {q: i for i, q in enumerate(keep)}
-        if not bits.keys().isdisjoint(renumber):
-            raise SimulationError("a qubit cannot be both tracked and kept")
-        steps = [fix_gate(gate, bits, renumber) for gate in self.gates]
-        moved = sorted(q for q in values if bits[q] != values[q])
-        if moved:
-            raise SimulationError(f"tracked qubits {moved} do not end at their start values")
-        return steps
 
     def fusion_runs(self, width: int = FUSE_QUBITS) -> list[tuple[int, int]]:
         """(start, stop) of each maximal run of consecutive gates whose qubits
@@ -320,8 +290,10 @@ def fuse_run(gates: list[Gate]) -> Gate:
 def permutation_run(gates: list[Gate], name: str) -> Gate:
     """A classical run of gates as one permutation gate on its qubits, sorted:
     the inverse run carries each basis state's 1-based label to where the run
-    sends that state. A run that mixes or signs basis states is refused."""
+    sends that state. A run that mixes or signs basis states is refused, and
+    one too wide for a state before anything is allocated (``require_fits``)."""
     targets = tuple(sorted(Circuit(gates).qubits()))
+    require_fits(f"a {len(targets)}-qubit state", 2 ** len(targets))
     labels = np.arange(1, 2 ** len(targets) + 1, dtype=complex)
     for g in Circuit(gates).remap(dict(zip(targets, range(len(targets))))).inverse():
         _apply_gate(labels, len(targets), g, g.targets, g.controls)
@@ -331,75 +303,35 @@ def permutation_run(gates: list[Gate], name: str) -> Gate:
     return Gate.derived(name, targets, (), None, perm)
 
 
-def fix_gate(gate: Gate, bits: dict[int, int], renumber: dict[int, int]) -> Gate | None:
-    """One step of ``Circuit.fix_steps``, updating the tracked values
-    ``bits``: the gate's cut on the kept qubits (``renumber``), or None."""
-    targets, controls = gate.targets, gate.controls
-    matrix, perm = gate.matrix, gate.perm
-    if not bits.keys().isdisjoint(targets + controls):
-        if any(bits.get(c) == 0 for c in controls):
-            return None
-        controls = tuple(c for c in controls if c not in bits)
-        fixed = [i for i, q in enumerate(targets) if q in bits]
-        if fixed:
-            free = [i for i, q in enumerate(targets) if q not in bits]
-            k_in = sum(bits[targets[p]] << i for i, p in enumerate(fixed))
-            k_out, matrix, perm = _cut_block(gate, fixed, free, k_in)
-            if k_out != k_in and controls:
-                raise SimulationError(f"{gate.name}: changes a tracked qubit under "
-                                      f"untracked controls {controls}")
-            for i, p in enumerate(fixed):
-                bits[targets[p]] = (k_out >> i) & 1
-            if not free:
-                if matrix is not None and matrix[0, 0] != 1:
-                    raise SimulationError(f"{gate.name}: leaves a phase on tracked qubits")
-                return None
-            targets = tuple(targets[p] for p in free)
-    try:
-        return Gate.derived(gate.name, tuple(renumber[q] for q in targets),
-                            tuple(renumber[q] for q in controls), matrix, perm)
-    except KeyError as exc:
-        raise SimulationError(f"{gate.name}: qubit {exc.args[0]} is neither "
-                              "tracked nor kept") from None
-
-
-def _local_bits(local: np.ndarray, positions: list[int]) -> np.ndarray:
-    """The bits of each local index at ``positions``, packed little-endian."""
-    out = np.zeros_like(local)
-    for i, p in enumerate(positions):
-        out |= ((local >> p) & 1) << i
-    return out
-
-
 @functools.cache
-def _blocks(width: int, fixed: tuple[int, ...]) -> tuple[np.ndarray, list[np.ndarray]]:
-    """For ``width`` targets, each local index's tracked value (its bits at
-    positions ``fixed``) and, per tracked value, its local indices: shared,
-    so read-only."""
-    key = _local_bits(np.arange(2 ** width), list(fixed))
-    blocks = [np.flatnonzero(key == k) for k in range(2 ** len(fixed))]
-    for array in (key, *blocks):
-        array.setflags(write=False)
-    return key, blocks
+def _sector(width: int, mask: int, bits: int) -> np.ndarray:
+    """The local indices of ``width`` targets that read ``bits`` under
+    ``mask``: shared, so read-only."""
+    cols = np.flatnonzero((np.arange(2 ** width) & mask) == bits)
+    cols.setflags(write=False)
+    return cols
 
 
-def _cut_block(gate: Gate, fixed: list[int], free: list[int], k_in: int):
-    """(k_out, matrix, perm): the tracked value the gate maps k_in to (the
-    tracked target positions ``fixed``, packed little-endian), and the gate's
-    block on the ``free`` target positions from input k_in to output k_out."""
-    key, blocks = _blocks(len(gate.targets), tuple(fixed))
-    cols = blocks[k_in]
+def restrict(gate: Gate, values: dict[int, int], renumber: dict[int, int]) -> Gate:
+    """The gate on the inputs whose targets in ``values`` hold those basis
+    values: its block on its other targets, every qubit q renumbered to
+    renumber[q]. Controls are never fixed. A gate that moves such an input
+    out of that sector (a non-zero entry off the block, or a permutation
+    image outside it) is refused."""
+    fixed = [(p, values[q]) for p, q in enumerate(gate.targets) if q in values]
+    cols = _sector(len(gate.targets), sum(1 << p for p, _ in fixed), sum(v << p for p, v in fixed))
     if gate.perm is not None:
-        image = gate.perm[cols]
+        rank = np.full(len(gate.perm), -1)
+        rank[cols] = np.arange(len(cols))
+        matrix, perm = None, rank[gate.perm[cols]]
+        leaks = (perm < 0).any()
     else:
-        image = np.flatnonzero(gate.matrix[:, cols].any(axis=1))
-    outs = key[image]
-    k_out = int(outs[0])
-    if (outs != k_out).any():
-        raise SimulationError(f"{gate.name}: puts a tracked qubit into superposition")
-    if gate.perm is not None:
-        return k_out, None, _local_bits(image, free)
-    return k_out, gate.matrix[blocks[k_out]][:, cols], None
+        matrix, perm = gate.matrix[np.ix_(cols, cols)], None
+        leaks = np.delete(gate.matrix[:, cols], cols, axis=0).any()
+    if leaks:
+        raise SimulationError(f"{gate.name}: moves qubits {sorted(values)} off their basis values")
+    return Gate.derived(gate.name, tuple(renumber[q] for q in gate.targets if q not in values),
+                        tuple(renumber[q] for q in gate.controls), matrix, perm)
 
 
 # --- gate constructors -----------------------------------------------------

@@ -22,7 +22,6 @@ from qknn_sim.oracle import (
     assemble_O_yA,
     build_D,
     build_J,
-    classical_action,
     oracle_layout,
     prep_calls_per_oracle,
     qubit_accounting,
@@ -31,7 +30,8 @@ from qknn_sim.oracle import (
     u_neq_gates,
 )
 from qknn_sim.qadc import PrecisionConfig, arithmetic_map, fidelity_qadc_circuit, quantize_array
-from qknn_sim.statevec import Circuit, StateVector, hadamard, mcz, pauli_x, register_unitary
+from qknn_sim.statevec import (Circuit, StateVector, hadamard, mcz, pauli_x, permutation_run,
+                               register_unitary)
 from qknn_sim.subroutines import build_G, make_V, make_W, qpe_circuit
 from test_statevec import fix_classical
 
@@ -116,10 +116,10 @@ def test_assembly_checks_unitarity_only_of_matrices_from_outside(monkeypatch):
     (1, 0, 0, False),
 ])
 def test_u_gt_truth_table(a, b, carry, expect_flip):
-    circ = Circuit(u_gt_gates(0, 1, 2, 3))
+    perm = permutation_run(u_gt_gates(0, 1, 2, 3), "U_>").perm  # on all 4 qubits: x -> perm[x]
     for flag in (0, 1):
         x = a | (b << 1) | (carry << 2) | (flag << 3)
-        y = classical_action(circ, 4, x)
+        y = perm[x]
         assert (y >> 3) & 1 == (flag ^ expect_flip)
         assert y & 0b111 == x & 0b111
 
@@ -129,10 +129,10 @@ def test_u_gt_truth_table(a, b, carry, expect_flip):
     (0, 1, 0, False),
 ])
 def test_u_neq_truth_table(a, b, carry, expect_flip):
-    circ = Circuit(u_neq_gates(0, 1, 2, 3))
+    perm = permutation_run(u_neq_gates(0, 1, 2, 3), "U_!=").perm  # all 4 qubits
     for flag in (0, 1):
         x = a | (b << 1) | (carry << 2) | (flag << 3)
-        y = classical_action(circ, 4, x)
+        y = perm[x]
         assert (y >> 3) & 1 == (flag ^ expect_flip)
         assert y & 0b111 == x & 0b111
 
@@ -144,10 +144,10 @@ def test_J_exhaustive(width):
 
 
 def test_J_known_comparisons():
-    circ = build_J((0, 1, 2), (3, 4, 5), 6, (7, 8))
-    assert (classical_action(circ, 9, 0b011101) >> 6) & 1 == 1   # 5 > 3
-    assert (classical_action(circ, 9, 0b011011) >> 6) & 1 == 0   # 3 <= 3
-    assert (classical_action(circ, 9, 0b111010) >> 6) & 1 == 0   # 2 < 7
+    perm = permutation_run(build_J((0, 1, 2), (3, 4, 5), 6, (7, 8)).gates, "J").perm  # all 9 qubits
+    assert (perm[0b011101] >> 6) & 1 == 1   # 5 > 3
+    assert (perm[0b011011] >> 6) & 1 == 0   # 3 <= 3
+    assert (perm[0b111010] >> 6) & 1 == 0   # 2 < 7
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -176,16 +176,20 @@ def test_assembled_oracle_reversibility():
 def test_fused_circuits_match_the_unfused_reduction(m, n, b):
     """At every shape circuit-exact admits, the simulator's fused U and
     search oracle act on a random state of the search layout as the unfused
-    ``fix_classical`` reduction of the model's U does, to 1e-12, and U runs
-    in fewer gates. This is the reference an assembly that is not bit for
-    bit the product of the model's gates is held to."""
+    reduction of the model's U does, to 1e-12, and U runs in fewer gates.
+    The reduction is the test-local, gate-by-gate ``fix_classical``, which
+    shares no code with ``restrict`` or ``permutation_run``. At y = M - 1
+    and A = {M - 1, 1}, the D patterns XORed with y are not A, so a D
+    restricted at index_p = y rather than 0 marks other indices. This is the
+    reference an assembly that is not bit for bit the product of the
+    model's gates is held to."""
     rng = np.random.default_rng(m)
     M = 2 ** m
     layout = oracle_layout(m, n, b)
     states = rng.normal(size=(M + 1, 2 ** n)) + 1j * rng.normal(size=(M + 1, 2 ** n))
     states /= np.linalg.norm(states, axis=1, keepdims=True)
     oc = assemble_O_yA(make_V(states[M], layout, register="test"), make_W(states[:M], layout),
-                       layout, PrecisionConfig(b), 0, {0})
+                       layout, PrecisionConfig(b), M - 1, {M - 1, 1})
     # the model is U . T . U^dag with T three gates long
     model_U = Circuit(oc.circuit.gates[: (len(oc.circuit) - 3) // 2])
     reduced = search_layout(oc.layout)
@@ -465,19 +469,23 @@ def _index_mixing_W(layout, rng):
     return register_unitary(qubits, q * (np.diag(r) / np.abs(np.diag(r))), "W")
 
 
+# the one refusal of a W that is not block-diagonal in the index register
+W_RULE = "FUSED6: moves index_p off y; W must be block-diagonal in the index register"
+
+
 def test_a_warm_plan_refuses_what_a_cold_one_refuses(monkeypatch):
     """After a plan is warmed at (1, 1, 2), a W that mixes the index
-    register is refused as a cold assembly refuses it: the renamed F cannot
-    be cut at index_p = y."""
+    register is refused as a cold assembly refuses it, by the rule it
+    breaks: the renamed F cannot be restricted to index_p = y."""
     monkeypatch.setattr(oracle_module, "_plans", {})
     layout, V, W = _haar_VW(1, 1, 2)
     cfg = PrecisionConfig(2)
     assemble_O_yA(V, W, layout, cfg, 1, {1})
     bad = _index_mixing_W(layout, np.random.default_rng(4))
-    with pytest.raises(SimulationError, match="FUSED6: puts a tracked qubit into superposition"):
+    with pytest.raises(SimulationError, match=f"^{W_RULE}$"):
         assemble_O_yA(V, bad, layout, cfg, 1, {1})
     monkeypatch.setattr(oracle_module, "_plans", {})
-    with pytest.raises(SimulationError, match="FUSED6: puts a tracked qubit into superposition"):
+    with pytest.raises(SimulationError, match=f"^{W_RULE}$"):
         assemble_O_yA(V, bad, layout, cfg, 1, {1})
 
 
@@ -490,13 +498,12 @@ def test_a_w_that_moves_the_index_is_assembled_as_on_no_plan(monkeypatch):
     layout, V, W = _haar_VW(1, 1, 2)
     cfg = PrecisionConfig(2)
     swap = register_unitary(W.targets, W.matrix[[1, 0, 3, 2]], "W")  # |j>|t> -> W|1-j>|t>
-    message = "FUSED6: moves index_p off y; W must be block-diagonal in the index register"
     monkeypatch.setattr(oracle_module, "_plans", {})
     cold = _assembly_keys(assemble_O_yA(V, W, layout, cfg, 0, {0}))
     for warm in (True, False):
         if not warm:
             monkeypatch.setattr(oracle_module, "_plans", {})
-        with pytest.raises(SimulationError, match=f"^{message}$"):
+        with pytest.raises(SimulationError, match=f"^{W_RULE}$"):
             assemble_O_yA(V, swap, layout, cfg, 0, {0})
     assert _assembly_keys(assemble_O_yA(V, W, layout, cfg, 0, {0})) == cold
 

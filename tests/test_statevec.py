@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qknn_sim.oracle import classical_action, oracle_layout
+from qknn_sim.oracle import oracle_layout
 from qknn_sim.qadc import PrecisionConfig, fidelity_qadc_circuit
 from qknn_sim.statevec import (
     FUSE_QUBITS,
@@ -29,6 +29,7 @@ from qknn_sim.statevec import (
     pauli_z,
     permutation_run,
     register_unitary,
+    restrict,
     toffoli,
 )
 from qknn_sim.subroutines import make_V, make_W
@@ -47,9 +48,38 @@ def fuse(circuit, width=FUSE_QUBITS):
 
 
 def fix_classical(circuit, values, keep):
-    """The reduced circuit ``Circuit.fix_steps`` describes: its gates, the
-    dropped ones left out."""
-    return Circuit([g for g in circuit.fix_steps(values, keep) if g is not None])
+    """A reference reduction that shares no code with ``restrict`` or
+    ``permutation_run``: the circuit on the ``keep`` qubits, renumbered
+    keep[i] -> i, for inputs in which each qubit q of ``values`` is in basis
+    state values[q]. Those qubits are followed gate by gate as classical
+    bits: a control among them that reads 0 drops its gate, one that reads 1
+    is removed, and a gate with targets among them becomes the dense block
+    of its matrix from their value in to their value out, which they take."""
+    bits, renumber, out = dict(values), {q: i for i, q in enumerate(keep)}, []
+    for gate in circuit:
+        if any(bits.get(c) == 0 for c in gate.controls):
+            continue
+        dim = 2 ** len(gate.targets)
+        matrix = gate.matrix if gate.perm is None else np.eye(dim, dtype=complex)[:, gate.perm]
+        tracked = [(i, q) for i, q in enumerate(gate.targets) if q in bits]
+        key = np.zeros(dim, dtype=np.int64)
+        for j, (i, _) in enumerate(tracked):
+            key |= ((np.arange(dim) >> i) & 1) << j
+        k_in = sum(bits[q] << j for j, (_, q) in enumerate(tracked))
+        cols = np.flatnonzero(key == k_in)
+        (k_out,) = set(key[matrix[:, cols].any(axis=1)].tolist())  # they stay classical
+        for j, (_, q) in enumerate(tracked):
+            bits[q] = (k_out >> j) & 1
+        block = matrix[np.ix_(np.flatnonzero(key == k_out), cols)]
+        targets = tuple(renumber[q] for q in gate.targets if q not in bits)
+        controls = tuple(renumber[c] for c in gate.controls if c not in bits)
+        assert k_out == k_in or not controls, f"{gate.name} moves a tracked qubit under a control"
+        if targets:
+            out.append(Gate(gate.name, targets, controls, matrix=block))
+        else:
+            assert block[0, 0] == 1, f"{gate.name} leaves a phase on tracked qubits only"
+    assert bits == values, "tracked qubits do not end at their start values"
+    return Circuit(out)
 
 
 def random_state(n, rng):
@@ -99,7 +129,7 @@ def test_gate_rejects_out_of_range_index():
 @pytest.mark.parametrize("make", [
     lambda: StateVector.zero_state(one_register(40)),
     lambda: StateVector.zero_state(RegisterLayout.from_sizes([("a", 20), ("b", 20)])),
-    lambda: classical_action(Circuit([pauli_x(0)]), 40, 0),
+    lambda: permutation_run([mcx(tuple(range(39)), 39)], "R"),
 ])
 def test_state_size_cap_refuses_before_allocating(make):
     with pytest.raises(SimulationError, match="40-qubit state"):
@@ -133,12 +163,11 @@ def test_public_constructors_refuse_a_non_unitary_matrix(build):
 @pytest.mark.parametrize("build", [
     lambda: hadamard(0), lambda: pauli_x(0), lambda: mcz((1,), 0), lambda: cswap(2, 0, 1),
     lambda: Circuit([pauli_x(0)]).remap({0: 3}).gates[0],
-    lambda: fix_classical(Circuit([cnot(1, 0)]), {1: 1}, (0,)).gates[0],
-], ids=["H", "X", "MCZ", "CSWAP", "remap", "fix_classical"])
+], ids=["H", "X", "MCZ", "CSWAP", "remap"])
 def test_fixed_gate_matrices_are_read_only(build):
     """Every fixed gate shares one module matrix, and so do the gates remap
-    and fix_steps make from it: a write through any of them raises
-    instead of changing every gate of that kind."""
+    makes from it: a write through any of them raises instead of changing
+    every gate of that kind."""
     gate = build()
     with pytest.raises(ValueError):
         gate.matrix[0, 0] = 5
@@ -614,9 +643,10 @@ def _classical_circuit(rng):
 @given(st.integers(0, 10_000))
 @settings(max_examples=60, deadline=None)
 def test_fix_classical_equals_the_tracked_slice_of_the_full_unitary(seed):
-    """On inputs whose tracked qubits hold their start values, the reduced
-    circuit on the kept qubits (renumbered in a random order) is the full
-    circuit's unitary restricted to that slice, to 1e-12."""
+    """The reference reduction ``fix_classical`` is right: on inputs whose
+    tracked qubits hold their start values, the reduced circuit on the kept
+    qubits (renumbered in a random order) is the full circuit's unitary
+    restricted to that slice, to 1e-12."""
     rng = np.random.default_rng(seed)
     circ, values, free = _classical_circuit(rng)
     keep = tuple(int(q) for q in rng.permutation(free))
@@ -630,8 +660,67 @@ def test_fix_classical_equals_the_tracked_slice_of_the_full_unitary(seed):
     np.testing.assert_allclose(got, full[np.ix_(idx, idx)], rtol=0, atol=1e-12)
 
 
+@given(st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_restrict_is_the_sector_slice_of_the_full_unitary(seed):
+    """A dense gate, under controls or not, or a permutation gate,
+    block-diagonal in random fixed targets: restricted to random values of
+    them and renumbered in a random order, it is the slice of its full
+    unitary at those values, exactly (the sign of a zero aside, which the
+    full unitary's products set). One off-block entry of 1e-9 on the
+    sector, or one permutation image outside it, is refused."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 7))
+    qubits = [int(q) for q in rng.permutation(n)]
+    t = int(rng.integers(1, n + 1))
+    targets, controls = tuple(qubits[:t]), tuple(qubits[t:t + int(rng.integers(0, n - t + 1))])
+    fixed = [q for q in targets if rng.random() < 0.5]
+    values = {q: int(rng.integers(0, 2)) for q in fixed}
+    local = np.arange(2 ** t)
+    key = np.zeros(2 ** t, dtype=np.int64)
+    for i, q in enumerate(fixed):
+        key |= ((local >> targets.index(q)) & 1) << i
+    blocks = [np.flatnonzero(key == k) for k in range(2 ** len(fixed))]
+    dense = bool(rng.integers(0, 2))
+    if dense:
+        matrix = np.zeros((2 ** t, 2 ** t), dtype=complex)
+        for rows in blocks:
+            z = rng.normal(size=(len(rows),) * 2) + 1j * rng.normal(size=(len(rows),) * 2)
+            matrix[np.ix_(rows, rows)] = np.linalg.qr(z)[0]
+        gate = register_unitary(targets, matrix, "B", controls)
+    else:
+        perm = np.empty(2 ** t, dtype=np.int64)
+        for rows in blocks:
+            perm[rows] = rows[rng.permutation(len(rows))]
+        gate = basis_permutation(targets, perm, "P", controls)
+    kept = [q for q in targets + controls if q not in values]
+    renumber = dict(zip(kept, (int(i) for i in rng.permutation(len(kept)))))
+    span = tuple(sorted(targets + controls))
+    full = circuit_to_matrix(Circuit([gate]), span)
+    reduced = np.arange(2 ** len(kept))
+    idx = np.full(len(reduced), sum(v << span.index(q) for q, v in values.items()))
+    for q in kept:
+        idx |= ((reduced >> renumber[q]) & 1) << span.index(q)
+    got = circuit_to_matrix(Circuit([restrict(gate, values, renumber)]), tuple(range(len(kept))))
+    assert np.array_equal(got, full[np.ix_(idx, idx)])
+    if not fixed:
+        return
+    value = sum(values[q] << i for i, q in enumerate(fixed))
+    a, b = int(blocks[value][0]), int(blocks[value ^ 1][0])  # in and out of the sector
+    if dense:
+        leaky = matrix.copy()
+        leaky[b, a] = 1e-9
+        bad = Gate.derived("B", targets, controls, leaky)
+    else:
+        swapped = perm.copy()
+        swapped[[a, b]] = perm[[b, a]]
+        bad = basis_permutation(targets, swapped, "P", controls)
+    with pytest.raises(SimulationError, match="off their basis values"):
+        restrict(bad, values, renumber)
+
+
 def _off_block_rotation(angle):
-    """A 2-qubit gate on (tracked 0, free 1), block-diagonal in qubit 0 but
+    """A 2-qubit gate on (fixed 0, free 1), block-diagonal in qubit 0 but
     for a rotation by ``angle`` between the two values of qubit 0 at qubit 1 = 0."""
     c, s = np.cos(angle), np.sin(angle)
     matrix = np.eye(4, dtype=complex)
@@ -639,22 +728,26 @@ def _off_block_rotation(angle):
     return register_unitary((0, 1), matrix, "R")
 
 
-@pytest.mark.parametrize("gates,message", [
-    ([hadamard(0)], "superposition"),                          # H on a tracked qubit
-    ([cnot(1, 0)], "untracked control"),                       # X on it under a free control
-    ([_off_block_rotation(1e-9)], "superposition"),            # off-block entry of 1e-9
-    ([register_unitary((0,), 1j * np.eye(2), "P")], "phase"),  # a phase no kept qubit carries
-    ([pauli_x(0)], "do not end at their start values"),       # left flipped
-    ([hadamard(2)], "neither tracked nor kept"),               # a qubit outside both
-])
-def test_fix_classical_refuses(gates, message):
-    with pytest.raises(SimulationError, match=message):
-        fix_classical(Circuit(gates), {0: 0}, (1,))
+@pytest.mark.parametrize("gate,values,renumber", [
+    (hadamard(0), {0: 0}, {}),                                  # superposition of a fixed qubit
+    (pauli_x(0), {0: 1}, {}),                                   # a fixed qubit flipped
+    (cnot(1, 0), {0: 0}, {1: 0}),                               # flipped under a free control
+    (_off_block_rotation(1e-9), {0: 0}, {1: 0}),                # off-block entry of 1e-9
+    (cswap(2, 0, 1), {0: 1, 1: 0}, {2: 0}),                     # two fixed targets exchanged
+    (basis_permutation((0, 1), np.array([0, 3, 2, 1]), "P", (2,)), {1: 0}, {0: 0, 2: 1}),
+], ids=["H", "X", "CNOT", "off-block", "CSWAP", "perm"])
+def test_restrict_refuses_a_gate_that_leaves_the_sector(gate, values, renumber):
+    """Each way a gate can move an input off the fixed targets' basis
+    values is refused, in a dense matrix or a permutation, whether or not
+    the gate is controlled."""
+    with pytest.raises(SimulationError, match=r"moves qubits \[.*\] off their basis values"):
+        restrict(gate, values, renumber)
 
 
 def test_fix_classical_drops_and_strips_tracked_controls():
-    """Controls reading 0 drop the gate, controls reading 1 are removed, an
-    uncontrolled X moves the tracked bit, and the kept qubits are renumbered."""
+    """In the reference reduction, controls reading 0 drop the gate, controls
+    reading 1 are removed, an uncontrolled X moves the tracked bit, and the
+    kept qubits are renumbered."""
     circ = Circuit([toffoli(0, 1, 3), pauli_x(0), toffoli(0, 1, 3), cnot(0, 2), pauli_x(0)])
     reduced = fix_classical(circ, {0: 0}, (3, 1, 2))
     assert reduced.netlist().splitlines() == ["TOFFOLI 0 [1]", "CNOT 2"]
