@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
-from .qadc import PrecisionConfig, fidelity_qadc_circuit, prep_positions, refill_qadc_circuit
+from .qadc import PrecisionConfig, fidelity_qadc_circuit
 from .statevec import (
     FUSE_QUBITS,
     Circuit,
@@ -144,18 +144,18 @@ class OracleCircuit:
     that, each fused gate with index_p restricted to the basis value it
     holds there (``statevec.restrict``): the same unitary to rounding, as
     F's mirror half and each mirrored copy are the exact adjoints of their
-    first halves. Every assembly composes U and search in one place,
-    ``_Plan.assemble``; the plan at a (layout, b, y, A) keeps the gates V
-    and W do not reach.
+    first halves. Every assembly builds ``F`` with ``fidelity_qadc_circuit``
+    and composes U and search from it in one place, ``_Plan.assemble``; the
+    plan at a (layout, y, A) keeps the fused gates V and W do not reach.
 
-    The oracle runs its own Grover rounds (``run_round``: from ``start()``,
+    The oracle runs its own Grover rounds (``run_round``: from ``start``,
     each iteration ``search`` then ``diffusion``) and verdicts
     (``evaluate``). The state after r iterations depends only on (y, A, r),
     so the oracle keeps each simulated depth's index marginal and the
-    deepest state, which a deeper round extends. U runs once on ``start()``:
-    the verdicts read that run, and the first query from ``start()``
-    (``apply()``) continues from it with S . U^dag. Constructing an oracle
-    simulates nothing.
+    deepest state, which a deeper round extends. U runs once on
+    ``start``: the verdicts read that run, and the first query from
+    ``start`` (``apply()``) continues from it with S . U^dag. Constructing
+    an oracle simulates nothing.
     """
 
     layout: RegisterLayout
@@ -164,7 +164,7 @@ class OracleCircuit:
     F: Circuit
     U: Circuit
     search: Circuit
-    # deepest Grover state (None: the unkept start), index marginals and CDFs by r
+    # deepest Grover state (None: ``start``), index marginals and CDFs by r
     _state: StateVector | None = field(default=None, init=False, repr=False)
     _marginals: list[np.ndarray] = field(default_factory=list, init=False, repr=False)
     _cdfs: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
@@ -188,30 +188,32 @@ class OracleCircuit:
     def M(self) -> int:
         return 2 ** self.layout.size("index")
 
+    @cached_property
     def start(self) -> StateVector:
-        """A fresh uniform index state on ``search_layout(layout)``, not kept:
-        the oracle keeps only its run of U (``_u_run``) and deepest round."""
+        """The uniform index state on ``search_layout(layout)``, built once per
+        search: the depth-0 marginal reads it, then ``_u_run`` runs U on it."""
         layout = search_layout(self.layout)
         return StateVector.zero_state(layout).apply_circuit(
             Circuit([hadamard(q) for q in layout.qubits("index")]))
 
-    @cached_property
+    @property
     def diffusion(self) -> Circuit:
         """H^m . (reflection about |0...0>) . H^m on the index register, whose
         qubits are the same in ``layout`` and ``search_layout(layout)``."""
-        index = self.layout.qubits("index")
-        h_index = [hadamard(q) for q in index]
-        return Circuit(h_index + [fuse_run(zero_reflection(index).gates)] + h_index)
+        return _diffusion(self.layout.qubits("index"))
 
     @cached_property
     def _u_run(self) -> StateVector:
-        """U on ``start()``: the state the verdicts read and the first query
-        continues from."""
-        return self.start().apply_circuit(self.U)
+        """U on ``start``: the state the verdicts read and the first query
+        continues from. ``start`` is let go then: a search reads it first
+        for the depth-0 marginal, and no later step reads it."""
+        run = self.start.apply_circuit(self.U)
+        del self.start
+        return run
 
     def apply(self, state: StateVector | None = None) -> StateVector:
-        """One query of the search oracle on ``state``, or on ``start()`` when
-        none is given. From ``start()`` the query continues from ``_u_run``
+        """One query of the search oracle on ``state``, or on ``start`` when
+        none is given. From ``start`` the query continues from ``_u_run``
         with the rest of ``search``, S . U^dag: the same arithmetic."""
         if state is None:
             return self._u_run.apply_circuit(Circuit(self.search.gates[len(self.U):]))
@@ -241,7 +243,7 @@ class OracleCircuit:
     def marginal(self, r: int) -> np.ndarray:
         """Index marginal after r Grover iterations of the search oracle."""
         if not self._marginals:
-            self._marginals.append(self.start().measure_probs("index"))
+            self._marginals.append(self.start.measure_probs("index"))
         while len(self._marginals) <= r:
             self._state = self.apply(self._state).apply_circuit(self.diffusion)
             self._marginals.append(self._state.measure_probs("index"))
@@ -254,6 +256,13 @@ class OracleCircuit:
         if cdf is None:
             cdf = self._cdfs[r] = choice_cdf(self.marginal(r))
         return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+@cache
+def _diffusion(index: tuple[int, ...]) -> Circuit:
+    """``OracleCircuit.diffusion``, built once per index register."""
+    h_index = [hadamard(q) for q in index]
+    return Circuit(h_index + [fuse_run(zero_reflection(index).gates)] + h_index)
 
 
 def search_layout(layout: RegisterLayout) -> RegisterLayout:
@@ -277,13 +286,13 @@ def _threshold_parts(layout: RegisterLayout, y: int, A: frozenset[int]):
     return y_bits, dict(zip(index + fid, index_p + fid_p)), J, D
 
 
-PLAN_LIMIT = 32  # assembly plans kept, one per (layout, b, y, A); the oldest goes first
+PLAN_LIMIT = 32  # assembly plans kept, one per (layout, y, A); the oldest goes first
 _plans: dict[tuple, "_Plan"] = {}
 
 
 @dataclass(eq=False)
 class _Plan:
-    """How U and search are made from F at one (layout, b, y, A), and the
+    """How U and search are made from F at one (layout, y, A), and the
     gates of them that V and W do not reach.
 
     F is a palindrome around QA, each gate's mirror its inverse, and so are
@@ -297,14 +306,11 @@ class _Plan:
     runs' restricted copies fused, c the middle's, and J and D each one
     permutation gate (``permutation_run``) restricted to index_p = 0, each
     gate kept with its inverse. search is U . S . U^dag, S fused to one
-    exact diagonal gate. ``F`` is the first F with
-    None where V and W enter, for ``refill_qadc_circuit``; ``units`` keeps
-    the units of the runs no V- or W-derived gate is in (``variable`` holds
-    the others)."""
+    exact diagonal gate. ``units`` holds the units of the runs no gate made
+    from V or W is in, built once by ``record``; every assembly builds the
+    others from its own F."""
 
-    F: list
     runs: list[tuple[int, int]]  # F's forward runs, then its middle run
-    variable: set[tuple[int, int]]
     y_bits: dict[int, int]
     J: list[tuple[Gate, Gate]]
     D: list[tuple[Gate, Gate]]
@@ -313,15 +319,15 @@ class _Plan:
     units: dict = field(default_factory=dict)  # run of F -> (U gate, inverse, restricted copy)
 
     @classmethod
-    def record(cls, F: list[Gate], layout: RegisterLayout, b: int, y: int, A) -> "_Plan":
-        """The plan F gives: its runs and where V and W enter, J and D each
-        one permutation gate on the search layout."""
+    def record(cls, F: list[Gate], layout: RegisterLayout, y: int, A) -> "_Plan":
+        """The plan F gives: its runs, J and D each one permutation gate on the
+        search layout, and the units of the runs that touch none of G's
+        registers (index, train, test, B), where every gate made from V or W acts."""
         y_bits, to_primed, J, D = _threshold_parts(layout, y, A)
         reduced = search_layout(layout)
         keep = layout.qubits_of(reduced.names)
         to_kept = dict(zip(keep, range(len(keep))))
         (s1,), (s2,) = reduced.qubits("Q1"), reduced.qubits("Q2")
-        in_F = set(prep_positions(len(F), b))
         half = len(F) // 2  # F[half] is QA
         runs = Circuit(F[:half]).fusion_runs()
         start = runs[-1][0]
@@ -329,24 +335,26 @@ class _Plan:
             runs[-1] = (start, len(F) - start)
         else:
             runs.append((half, half + 1))
-        return cls([None if i in in_F else g for i, g in enumerate(F)], runs,
-                   {run for run in runs if not in_F.isdisjoint(range(*run))}, y_bits,
+        plan = cls(runs, y_bits,
                    *([_with_inverse(restrict(permutation_run(part, name),
                                              dict.fromkeys(y_bits, 0), to_kept))]
                      for part, name in ((J, "J"), (D, "D"))),
                    [fuse_run([pauli_x(s2), mcz((s1,), s2), pauli_x(s2)])], (to_kept, to_primed))
+        data = set(layout.qubits_of(["index", "train", "test", "B"]))
+        plan.units = {run: plan._unit(fuse_run(F[slice(*run)])) for run in runs
+                      if data.isdisjoint(Circuit(F[slice(*run)]).qubits())}
+        return plan
 
-    def assemble(self, F: list[Gate]) -> tuple[Circuit, Circuit, Circuit]:
-        """F, U and search: each unit the plan keeps, the others built from F."""
+    def assemble(self, F: list[Gate]) -> tuple[Circuit, Circuit]:
+        """U and search: each unit the plan keeps, the others built from F."""
         units = [self.units.get(run) or self._unit(fuse_run(F[slice(*run)]))
                  for run in self.runs]
-        self.units = {run: u for run, u in zip(self.runs, units) if run not in self.variable}
         P, c = _fused([u[2] for u in units[:-1]]), _with_inverse(units[-1][2])
         P_inv = [t[::-1] for t in P[::-1]]
         pairs = ([u[:2] for u in units] + [u[1::-1] for u in units[-2::-1]]
                  + P + [c] + P_inv + self.J + P + [c[::-1]] + P_inv + self.D)
         U = [t[0] for t in pairs]
-        return Circuit(F), Circuit(U), Circuit(U + self.S + [t[1] for t in pairs[::-1]])
+        return Circuit(U), Circuit(U + self.S + [t[1] for t in pairs[::-1]])
 
     def _unit(self, fused: Gate) -> tuple[Gate, Gate, Gate]:
         """A fused F gate and its inverse on the search layout, then its copy
@@ -377,10 +385,11 @@ def assemble_O_yA(V: Gate, W: Gate, layout: RegisterLayout,
                   cfg: PrecisionConfig, y: int, A) -> OracleCircuit:
     """Steps: F on (index,fid); F renamed onto (index',fid') loaded with y; J;
     mid-circuit uncompute of the primed registers; D cascade; X+Toffoli;
-    mirror uncompute. Builds the simulator's U and search oracle through the
-    ``_Plan`` at (layout, b, y, A), which the first assembly there records
-    from F built anew and later ones refill with V and W; the model circuit
-    waits for its first read."""
+    mirror uncompute. Every call builds F with ``fidelity_qadc_circuit``, then
+    the simulator's U and search oracle from it through the ``_Plan`` at
+    (layout, y, A), which the first assembly there records; the model
+    circuit waits for its first read. The layout holds b, and a cfg of
+    another width is refused while F is built, before the plan lookup."""
     A = frozenset(A)
     m = layout.size("index")
     if y not in A or any(not 0 <= i < 2 ** m for i in A):  # also refuses an empty A
@@ -389,16 +398,14 @@ def assemble_O_yA(V: Gate, W: Gate, layout: RegisterLayout,
     if m > cfg.b:
         raise SimulationError("circuit-exact oracle hosts comparator chains in the "
                               "phase register and needs log2(M) <= b")
-    key = (layout, cfg.b, y, A)
+    F = fidelity_qadc_circuit(V, W, layout, cfg)
+    key = (layout, y, A)
     plan = _plans.get(key)
     if plan is None:
-        F = fidelity_qadc_circuit(V, W, layout, cfg).gates
         if len(_plans) >= PLAN_LIMIT:
             del _plans[next(iter(_plans))]
-        plan = _plans[key] = _Plan.record(F, layout, cfg.b, y, A)
-    else:
-        F = refill_qadc_circuit(plan.F, V, W, layout)
-    return OracleCircuit(layout, y, A, *plan.assemble(F))
+        plan = _plans[key] = _Plan.record(F.gates, layout, y, A)
+    return OracleCircuit(layout, y, A, F, *plan.assemble(F.gates))
 
 
 def prep_calls_per_oracle(b: int) -> int:

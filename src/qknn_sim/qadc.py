@@ -5,7 +5,10 @@ that the fidelity F_j sits in the amplitude of an ancilla; E^dig runs phase
 estimation on the reflection operator G, converts the estimated phase to
 the fidelity with a reversible arithmetic permutation, and uncomputes every
 work register. ``fidelity_qadc_circuit`` is their one composition; it maps
-|j>|0> -> |j>|F_j>. ``refill_qadc_circuit`` puts another V and W into it.
+|j>|0> -> |j>|F_j>, and every circuit-exact oracle assembly calls it. Its
+two gates that depend on neither V nor W are built once and shared: the
+inverse QFT per phase register, the arithmetic permutation per precision
+and layout.
 
 ``quantize_array`` is the one b-bit rounding rule: it digitizes the
 similarity table every mode ranks, and it computes the arithmetic
@@ -18,13 +21,14 @@ by construction.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .statevec import (Circuit, Gate, RegisterLayout, SimulationError, basis_permutation,
                        require_count, require_fits)
-from .subroutines import build_G, controlled_powers, qpe_circuit
+from .subroutines import build_G, qpe_circuit
 
 
 @dataclass(frozen=True)
@@ -58,11 +62,14 @@ def arithmetic_table(cfg: PrecisionConfig) -> np.ndarray:
     return quantize_array(2.0 * np.sin(np.pi * theta) ** 2 - 1.0, cfg.b)
 
 
+@functools.cache
 def arithmetic_map(cfg: PrecisionConfig, layout: RegisterLayout) -> Gate:
     """Reversible |t>|z> -> |t>|z XOR g(t)> permutation on (phase, fid).
 
     On a fresh fid register this writes the digitized fidelity; the XOR
-    completion extends the map to a bijection on every other input.
+    completion extends the map to a bijection on every other input. Built
+    once per (cfg, layout) and shared by every F there: its permutation is
+    read-only.
     """
     b = cfg.b
     if layout.size("phase") != b or layout.size("fid") != b:
@@ -74,8 +81,9 @@ def arithmetic_map(cfg: PrecisionConfig, layout: RegisterLayout) -> Gate:
     t = local & (2 ** b - 1)
     z = local >> b
     perm = t | ((z ^ table[t]) << b)
-    targets = layout.qubits("phase") + layout.qubits("fid")
-    return basis_permutation(targets, perm, "QA[fidelity]")
+    gate = basis_permutation(layout.qubits("phase") + layout.qubits("fid"), perm, "QA[fidelity]")
+    gate.perm.setflags(write=False)
+    return gate
 
 
 def fidelity_qadc_circuit(V: Gate, W: Gate, layout: RegisterLayout,
@@ -89,26 +97,3 @@ def fidelity_qadc_circuit(V: Gate, W: Gate, layout: RegisterLayout,
     return Circuit(G.amp_circuit.gates + qpe.gates + [arithmetic_map(cfg, layout)]
                    + qpe.inverse().gates + G.amp_circuit.inverse().gates)
 
-
-def refill_qadc_circuit(gates: list, V: Gate, W: Gate, layout: RegisterLayout) -> list[Gate]:
-    """``fidelity_qadc_circuit``'s gates for V and W from its gates for any
-    pair: the gates at ``prep_positions`` are rebuilt by the same
-    calls, and every other gate, the inverse QFT and the arithmetic map
-    among them, is kept."""
-    G = build_G(V, W, layout)
-    first = G.amp_circuit.gates + controlled_powers(G.gate, layout.qubits("phase"))
-    gates = list(gates)
-    for i, gate in zip(prep_positions(len(gates), layout.size("phase")),
-                       first + [g.inverse() for g in first]):
-        gates[i] = gate
-    return gates
-
-
-def prep_positions(length: int, b: int) -> list[int]:
-    """Where V and W enter ``fidelity_qadc_circuit``'s ``length`` gates:
-    E^amp and G's controlled powers, then the inverse of each at its mirror
-    position. F is E^amp, b Hadamards, the powers and the inverse QFT, then
-    QA, then the inverses of the first part in reverse."""
-    a = (length - 1) // 2 - 2 * b - 1
-    first = [*range(a), *range(a + b, a + 2 * b)]
-    return first + [length - 1 - i for i in first]

@@ -15,6 +15,7 @@ classifier digitizes it, and it is kept for its eigenstructure laws.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -154,28 +155,31 @@ def build_H_dot(V: Gate, W: Gate, layout: RegisterLayout) -> ReflectionOperator:
 
 
 def qpe_circuit(op: Gate, phase_qubits: tuple[int, ...]) -> Circuit:
-    """Standard phase estimation of an uncontrolled unitary gate: controlled
-    powers (``controlled_powers``), then the inverse quantum Fourier
-    transform on the phase register."""
+    """Standard phase estimation of an uncontrolled unitary gate: op^(2^k)
+    controlled on phase_qubits[k], each the square of the one before
+    (composed, never diagonalized), then the inverse quantum Fourier
+    transform on the phase register (``inverse_qft``)."""
     if op.matrix is None or op.controls:
         raise SimulationError(f"{op.name}: phase estimation needs an uncontrolled matrix gate")
-    b, d = len(phase_qubits), 2 ** len(phase_qubits)
-    require_fits(f"a {b}-qubit inverse QFT", d * d)
-    x, t = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
-    iqft = np.exp(-2j * np.pi * x * t / d) / math.sqrt(d)
-    return Circuit([hadamard(q) for q in phase_qubits] + controlled_powers(op, phase_qubits)
-                   + [register_unitary(phase_qubits, iqft, "IQFT")])
-
-
-def controlled_powers(op: Gate, phase_qubits: tuple[int, ...]) -> list[Gate]:
-    """op^(2^k) controlled on phase_qubits[k], each the square of the one
-    before: composed, never diagonalized."""
-    gates, power = [], op.matrix
+    iqft = inverse_qft(phase_qubits)  # a register too wide is refused before any power
+    gates, power = [hadamard(q) for q in phase_qubits], op.matrix
     for k, ctl in enumerate(phase_qubits):
         if k > 0:
             power = power @ power
         gates.append(Gate.derived(f"{op.name}^{2 ** k}", op.targets, (ctl,), power))
-    return gates
+    return Circuit(gates + [iqft])
+
+
+@functools.cache
+def inverse_qft(phase_qubits: tuple[int, ...]) -> Gate:
+    """The inverse QFT on ``phase_qubits``, built and checked once per
+    register: every phase estimation there shares its read-only matrix."""
+    b, d = len(phase_qubits), 2 ** len(phase_qubits)
+    require_fits(f"a {b}-qubit inverse QFT", d * d)
+    x, t = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
+    gate = register_unitary(phase_qubits, np.exp(-2j * np.pi * x * t / d) / math.sqrt(d), "IQFT")
+    gate.matrix.setflags(write=False)
+    return gate
 
 
 # --- eigenstructure ----------------------------------------------------------

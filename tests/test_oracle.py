@@ -32,7 +32,7 @@ from qknn_sim.oracle import (
 from qknn_sim.qadc import PrecisionConfig, arithmetic_map, fidelity_qadc_circuit, quantize_array
 from qknn_sim.statevec import (Circuit, StateVector, hadamard, mcz, pauli_x, permutation_run,
                                register_unitary)
-from qknn_sim.subroutines import build_G, make_V, make_W, qpe_circuit
+from qknn_sim.subroutines import build_G, inverse_qft, make_V, make_W, qpe_circuit
 from test_statevec import fix_classical
 
 # every (m, n, b) the circuit-exact rule admits: M in {2, 4, 8}, n <= 2, log2(M) <= b <= 3
@@ -88,8 +88,9 @@ def test_assembly_checks_unitarity_only_of_matrices_from_outside(monkeypatch):
     on V, W and the inverse QFT alone: G, its powers, the controlled copies,
     inverses, blocks and fused runs are derived from checked gates. A second
     assembly at the same (y, A), on the plan the first left, checks V and W
-    alone: the inverse QFT is the plan's, checked once."""
+    alone: the inverse QFT is built and checked once per register."""
     monkeypatch.setattr(oracle_module, "_plans", {})
+    inverse_qft.cache_clear()
     checked = []
     real_check = statevec_module._require_unitary
 
@@ -509,24 +510,34 @@ def test_a_w_that_moves_the_index_is_assembled_as_on_no_plan(monkeypatch):
 
 
 def test_every_assembly_composes_u_and_search_in_the_plan(monkeypatch):
-    """Cold or warm, each assemble_O_yA call reaches ``_Plan.assemble``
-    exactly once, and the oracle's F, U and search are the very circuits
-    that call returned: no other path builds them."""
+    """Cold or warm, each assemble_O_yA call builds F with
+    ``fidelity_qadc_circuit`` exactly once and reaches ``_Plan.assemble``
+    exactly once, on that F's gates. The oracle's F is the very circuit the
+    first call returned, and its U and search are the very circuits the
+    second returned: no other path builds them."""
     monkeypatch.setattr(oracle_module, "_plans", {})
-    returned = []
-    real = oracle_module._Plan.assemble
+    built, returned = [], []
+    real_build, real_assemble = fidelity_qadc_circuit, oracle_module._Plan.assemble
 
-    def counted(plan, F):
-        returned.append(real(plan, F))
+    def build(*args):
+        built.append(real_build(*args))
+        return built[-1]
+
+    def assemble(plan, F):
+        assert F is built[-1].gates
+        returned.append(real_assemble(plan, F))
         return returned[-1]
-    monkeypatch.setattr(oracle_module._Plan, "assemble", counted)
+    monkeypatch.setattr(oracle_module, "fidelity_qadc_circuit", build)
+    monkeypatch.setattr(oracle_module._Plan, "assemble", assemble)
     for seed in (0, 1):  # the first pass is cold at each (y, A), the second warm
         layout, V, W = _haar_VW(2, 1, 2, seed)
         for y, A in ((0, {0}), (3, {3, 1})):
-            calls = len(returned)
+            calls = len(built), len(returned)
             oc = assemble_O_yA(V, W, layout, PrecisionConfig(2), y, A)
-            assert len(returned) == calls + 1
-            assert all(got is made for got, made in zip((oc.F, oc.U, oc.search), returned[-1]))
+            assert (len(built), len(returned)) == (calls[0] + 1, calls[1] + 1)
+            assert oc.F is built[-1]
+            assert all(got is made for got, made in zip((oc.U, oc.search), returned[-1],
+                                                        strict=True))
     assert len(oracle_module._plans) == 2
 
 
@@ -543,8 +554,10 @@ def test_u_builds_each_mirrored_half_once(m, n, b, monkeypatch):
     end is the j-th gate's inverse, byte for byte, and the middle gate,
     which holds QA, is its own. The cut P + c + P^-1 + J + P + c^-1 + P^-1
     + D holds each copy of P and of P^-1 as the same gate objects, and P^-1
-    and c^-1 as the inverses of P and c. A warm assembly fuses runs of F
-    before QA only; each mirror gate is taken as an inverse."""
+    and c^-1 as the inverses of P and c. A warm assembly fuses exactly the
+    runs of F that touch G's registers (index, train, test, B), where V, W
+    and G's powers act, all of them before QA; the plan keeps the others,
+    and each mirror gate is taken as an inverse."""
     M, cfg = 2 ** m, PrecisionConfig(b)
     y, A = M - 1, frozenset({M - 1, 0})
     monkeypatch.setattr(oracle_module, "_plans", {})
@@ -577,6 +590,9 @@ def test_u_builds_each_mirrored_half_once(m, n, b, monkeypatch):
     runs = [[where.get(id(g)) for g in gates] for gates in calls if len(gates) > 1]
     runs = [pos for pos in runs if None not in pos]  # the others fuse P, which no F gate is in
     assert runs and all(max(pos) < len(F) // 2 for pos in runs), runs
+    data = set(layout.qubits_of(["index", "train", "test", "B"]))
+    made = [list(range(*run)) for run in plan.runs if data & Circuit(F[slice(*run)]).qubits()]
+    assert runs == [pos for pos in made if len(pos) > 1], (runs, made)
 
 
 @pytest.mark.parametrize("m,n,b", CIRCUIT_EXACT_SHAPES)
@@ -624,7 +640,7 @@ def test_the_plan_holds_at_most_its_bound(monkeypatch):
     for y, A in keys:
         assemble_O_yA(V, W, layout, cfg, y, A)
         assert len(oracle_module._plans) <= oracle_module.PLAN_LIMIT
-    assert [key[2:] for key in oracle_module._plans] == keys[-oracle_module.PLAN_LIMIT:]
+    assert [key[1:] for key in oracle_module._plans] == keys[-oracle_module.PLAN_LIMIT:]
 
 
 @pytest.mark.parametrize("m,n,b", [(1, 1, 2), (2, 2, 3)])

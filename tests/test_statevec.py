@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qknn_sim.oracle import oracle_layout
-from qknn_sim.qadc import PrecisionConfig, fidelity_qadc_circuit
+from qknn_sim.qadc import PrecisionConfig, arithmetic_map, fidelity_qadc_circuit
 from qknn_sim.statevec import (
     FUSE_QUBITS,
     MAX_DENSE_QUBITS,
@@ -32,7 +32,7 @@ from qknn_sim.statevec import (
     restrict,
     toffoli,
 )
-from qknn_sim.subroutines import make_V, make_W
+from qknn_sim.subroutines import inverse_qft, make_V, make_W
 
 INV_SQRT2 = 1 / np.sqrt(2)
 
@@ -163,15 +163,20 @@ def test_public_constructors_refuse_a_non_unitary_matrix(build):
 @pytest.mark.parametrize("build", [
     lambda: hadamard(0), lambda: pauli_x(0), lambda: mcz((1,), 0), lambda: cswap(2, 0, 1),
     lambda: Circuit([pauli_x(0)]).remap({0: 3}).gates[0],
-], ids=["H", "X", "MCZ", "CSWAP", "remap"])
+    lambda: inverse_qft((4, 5)),
+    lambda: arithmetic_map(PrecisionConfig(2), oracle_layout(1, 1, 2)),
+], ids=["H", "X", "MCZ", "CSWAP", "remap", "IQFT", "QA"])
 def test_fixed_gate_matrices_are_read_only(build):
     """Every fixed gate shares one module matrix, and so do the gates remap
-    makes from it: a write through any of them raises instead of changing
-    every gate of that kind."""
+    makes from it; the inverse QFT and the arithmetic permutation are built
+    once per register and shared: a write through any of them raises
+    instead of changing every gate of that kind."""
     gate = build()
+    data = gate.perm if gate.matrix is None else gate.matrix
     with pytest.raises(ValueError):
-        gate.matrix[0, 0] = 5
-    assert np.array_equal(build().matrix, gate.matrix)
+        data[0] = 5
+    rebuilt = build()
+    assert np.array_equal(rebuilt.perm if rebuilt.matrix is None else rebuilt.matrix, data)
 
 
 @pytest.mark.parametrize("matrix", [np.diag([1 + 4e-6, 1]), np.diag([np.nan, 1])])

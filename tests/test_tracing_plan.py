@@ -45,12 +45,13 @@ def _bindings(plan) -> dict:
     return out
 
 
-def test_traced_circuit_run_builds_one_qadc_circuit_per_plan_and_restores_every_name(
+def test_traced_circuit_run_builds_one_qadc_circuit_per_assembly_and_restores_every_name(
         monkeypatch):
     """A tiny circuit-exact classification run twice under the tracer, from
-    no assembly plan: the first assembly at each (y, A) builds the F circuit
-    once (its primed copy is F renamed) and leaves a plan, the second builds
-    none, and uninstalling puts back every binding the tracer replaced."""
+    no assembly plan: the first assembly at each (y, A) leaves a plan, the
+    second reuses it, every assembly builds the F circuit once (its primed
+    copy is F renamed), and uninstalling puts back every binding the tracer
+    replaced."""
     monkeypatch.setattr(oracle, "_plans", {})
     tracing = _tracing()
     before = _bindings(tracing.PLAN)
@@ -70,7 +71,7 @@ def test_traced_circuit_run_builds_one_qadc_circuit_per_plan_and_restores_every_
     assert after.keys() == before.keys()
     assert [key for key, value in before.items() if after[key] is not value] == []
     assert tracer.calls("oracle.assemble") == 2 * len(oracle._plans) > 0
-    assert tracer.calls("qadc.circuit_build") == len(oracle._plans)
+    assert tracer.calls("qadc.circuit_build") == tracer.calls("oracle.assemble")
 
 
 @pytest.mark.parametrize("module,attr", [(entry[0], entry[1]) for entry in _plan()])
