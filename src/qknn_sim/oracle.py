@@ -20,6 +20,7 @@ and the carry chain itself advances with one CNOT plus a U_!= per stage.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property
@@ -44,7 +45,7 @@ from .statevec import (
     restrict,
     toffoli,
 )
-from .subroutines import zero_reflection
+from .subroutines import fused_zero_reflection
 
 
 # --- comparator primitives ---------------------------------------------------
@@ -152,10 +153,12 @@ class OracleCircuit:
     each iteration ``search`` then ``diffusion``) and verdicts
     (``evaluate``). The state after r iterations depends only on (y, A, r),
     so the oracle keeps each simulated depth's index marginal and the
-    deepest state, which a deeper round extends. U runs once on
-    ``start``: the verdicts read that run, and the first query from
-    ``start`` (``apply()``) continues from it with S . U^dag. Constructing
-    an oracle simulates nothing.
+    deepest state, which a deeper round extends. ``start`` and its depth-0
+    marginal depend only on the layout: they are built once per layout and
+    shared read-only (``_start``). U runs once on ``start`` per oracle: the
+    verdicts read that run, and the first query from ``start`` (``apply()``)
+    continues from it with S . U^dag. Constructing an oracle simulates
+    nothing, and neither does a depth-0 round on a layout seen before.
     """
 
     layout: RegisterLayout
@@ -167,7 +170,7 @@ class OracleCircuit:
     # deepest Grover state (None: ``start``), index marginals and CDFs by r
     _state: StateVector | None = field(default=None, init=False, repr=False)
     _marginals: list[np.ndarray] = field(default_factory=list, init=False, repr=False)
-    _cdfs: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
+    _cdfs: dict[int, list[float]] = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def circuit(self) -> Circuit:
@@ -188,13 +191,11 @@ class OracleCircuit:
     def M(self) -> int:
         return 2 ** self.layout.size("index")
 
-    @cached_property
+    @property
     def start(self) -> StateVector:
-        """The uniform index state on ``search_layout(layout)``, built once per
-        search: the depth-0 marginal reads it, then ``_u_run`` runs U on it."""
-        layout = search_layout(self.layout)
-        return StateVector.zero_state(layout).apply_circuit(
-            Circuit([hadamard(q) for q in layout.qubits("index")]))
+        """The uniform index state on ``search_layout(layout)``, shared
+        read-only by every oracle on this layout (``_start``)."""
+        return _start(self.layout)[0]
 
     @property
     def diffusion(self) -> Circuit:
@@ -205,11 +206,8 @@ class OracleCircuit:
     @cached_property
     def _u_run(self) -> StateVector:
         """U on ``start``: the state the verdicts read and the first query
-        continues from. ``start`` is let go then: a search reads it first
-        for the depth-0 marginal, and no later step reads it."""
-        run = self.start.apply_circuit(self.U)
-        del self.start
-        return run
+        continues from."""
+        return self.start.apply_circuit(self.U)
 
     def apply(self, state: StateVector | None = None) -> StateVector:
         """One query of the search oracle on ``state``, or on ``start`` when
@@ -235,15 +233,20 @@ class OracleCircuit:
         joint = self._u_run.measure_probs(["index", "Q1", "Q2"])
         return self.M * joint[self.M: 2 * self.M]
 
+    @cached_property
+    def _verdicts(self) -> list[int]:
+        return (self.marked_probs > 0.5).astype(int).tolist()
+
     def evaluate(self, j: int) -> int:
         """Most probable Q3 outcome on basis input |j>|0...0>, read from
         ``marked_probs`` (0 on a tie, as argmax of ``q3_distribution``)."""
-        return int(self.marked_probs[j] > 0.5)
+        return self._verdicts[j]
 
     def marginal(self, r: int) -> np.ndarray:
-        """Index marginal after r Grover iterations of the search oracle."""
+        """Index marginal after r Grover iterations of the search oracle;
+        depth 0's is shared read-only by every oracle on this layout."""
         if not self._marginals:
-            self._marginals.append(self.start.measure_probs("index"))
+            self._marginals.append(_start(self.layout)[1])
         while len(self._marginals) <= r:
             self._state = self.apply(self._state).apply_circuit(self.diffusion)
             self._marginals.append(self._state.measure_probs("index"))
@@ -254,15 +257,27 @@ class OracleCircuit:
         same index and stream position, from a CDF built once per depth."""
         cdf = self._cdfs.get(r)
         if cdf is None:
-            cdf = self._cdfs[r] = choice_cdf(self.marginal(r))
-        return int(cdf.searchsorted(rng.random(), side="right"))
+            cdf = self._cdfs[r] = choice_cdf(self.marginal(r)).tolist()
+        return bisect.bisect_right(cdf, rng.random())
+
+
+@cache
+def _start(layout: RegisterLayout) -> tuple[StateVector, np.ndarray]:
+    """``OracleCircuit.start`` and its index marginal: once per layout, read-only."""
+    reduced = search_layout(layout)
+    state = StateVector.zero_state(reduced).apply_circuit(
+        Circuit([hadamard(q) for q in reduced.qubits("index")]))
+    marginal = state.measure_probs("index")
+    state.amplitudes.setflags(write=False)
+    marginal.setflags(write=False)
+    return state, marginal
 
 
 @cache
 def _diffusion(index: tuple[int, ...]) -> Circuit:
     """``OracleCircuit.diffusion``, built once per index register."""
     h_index = [hadamard(q) for q in index]
-    return Circuit(h_index + [fuse_run(zero_reflection(index).gates)] + h_index)
+    return Circuit(h_index + [fused_zero_reflection(index)] + h_index)
 
 
 def search_layout(layout: RegisterLayout) -> RegisterLayout:

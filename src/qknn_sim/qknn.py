@@ -9,6 +9,7 @@ among the tied classes.
 """
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 
@@ -18,7 +19,7 @@ from .datasets import DISCRIMINATION_MAX_FIDELITY
 from .kmax import CircuitBackend, KMaxResult, SearchConfig, TableBackend, k_maxima
 from .oracle import assemble_O_yA, oracle_layout
 from .qadc import PrecisionConfig, quantize_array
-from .statevec import SimulationError, require_count, require_unit_states
+from .statevec import Gate, RegisterLayout, SimulationError, require_count, require_unit_states
 from .subroutines import make_V, make_W
 
 # Similarity bits for discrimination: the smallest b with (1 - DISCRIMINATION_MAX_FIDELITY)
@@ -130,7 +131,7 @@ def qknn_classify(test_state: np.ndarray, train: TrainSet, k: int,
             raise SimulationError(f"circuit-exact mode is limited to {CIRCUIT_EXACT_RULE}; "
                                   f"got M = {train.M}, n = {train.n}, b = {cfg.b}")
         layout = oracle_layout(m, train.n, cfg.b)
-        V, W = make_V(test_state, layout), make_W(train.states, layout)
+        V, W = make_V(test_state, layout), _train_oracle(train.states.tobytes(), layout)
         # no oracle is kept: each accepted step swaps min(A) for a strictly larger
         # value, so no (y, A) is asked for twice. Every assembly goes through the
         # plan at its (y, A), which keeps across classifications what a test state
@@ -146,6 +147,15 @@ def qknn_classify(test_state: np.ndarray, train: TrainSet, k: int,
     return Classification(label, tuple(ranked),
                           tuple(float(table.exact[i]) for i in ranked),
                           result.oracle_queries, result.data_prep_queries)
+
+
+@functools.lru_cache(maxsize=1)
+def _train_oracle(states: bytes, layout: RegisterLayout) -> Gate:
+    """``make_W`` of the train states given as bytes, built once per train set
+    and layout (only the last one is kept) and read-only."""
+    W = make_W(np.frombuffer(states, dtype=complex).reshape(2 ** layout.size("index"), -1), layout)
+    W.matrix.setflags(write=False)
+    return W
 
 
 def discriminate(test_state: np.ndarray, train: TrainSet,

@@ -17,6 +17,9 @@ Conventions used throughout the package:
   MAX_DENSE_QUBITS qubits are refused before anything is allocated.
 - ``apply_circuit`` runs each gate on the prefix of the state up to its
   highest qubit (lazy width): above the qubits touched so far, all is 0.
+  It scans for the occupied width down from the state's bound on it
+  (``StateVector.width``), not from the top qubit, and copies only that
+  prefix; the scan narrows again where J^-1 and D^-1 clear the top exactly.
 - Each gate kernel reads its view of the state (axis order and controls=1
   slice, or for a permutation the indices it gathers through) from a plan
   made once per gate shape, width included, and kept. One circuit-exact
@@ -304,12 +307,14 @@ def permutation_run(gates: list[Gate], name: str) -> Gate:
 
 
 @functools.cache
-def _sector(width: int, mask: int, bits: int) -> np.ndarray:
+def _sector(width: int, mask: int, bits: int) -> tuple[np.ndarray, np.ndarray]:
     """The local indices of ``width`` targets that read ``bits`` under
-    ``mask``: shared, so read-only."""
-    cols = np.flatnonzero((np.arange(2 ** width) & mask) == bits)
+    ``mask``, and the others: shared, so read-only."""
+    inside = (np.arange(2 ** width) & mask) == bits
+    cols, rest = np.flatnonzero(inside), np.flatnonzero(~inside)
     cols.setflags(write=False)
-    return cols
+    rest.setflags(write=False)
+    return cols, rest
 
 
 def restrict(gate: Gate, values: dict[int, int], renumber: dict[int, int]) -> Gate:
@@ -319,7 +324,8 @@ def restrict(gate: Gate, values: dict[int, int], renumber: dict[int, int]) -> Ga
     out of that sector (a non-zero entry off the block, or a permutation
     image outside it) is refused."""
     fixed = [(p, values[q]) for p, q in enumerate(gate.targets) if q in values]
-    cols = _sector(len(gate.targets), sum(1 << p for p, _ in fixed), sum(v << p for p, v in fixed))
+    cols, rest = _sector(len(gate.targets), sum(1 << p for p, _ in fixed),
+                         sum(v << p for p, v in fixed))
     if gate.perm is not None:
         rank = np.full(len(gate.perm), -1)
         rank[cols] = np.arange(len(cols))
@@ -327,7 +333,7 @@ def restrict(gate: Gate, values: dict[int, int], renumber: dict[int, int]) -> Ga
         leaks = (perm < 0).any()
     else:
         matrix, perm = gate.matrix[np.ix_(cols, cols)], None
-        leaks = np.delete(gate.matrix[:, cols], cols, axis=0).any()
+        leaks = gate.matrix[np.ix_(rest, cols)].any()
     if leaks:
         raise SimulationError(f"{gate.name}: moves qubits {sorted(values)} off their basis values")
     return Gate.derived(gate.name, tuple(renumber[q] for q in gate.targets if q not in values),
@@ -383,11 +389,13 @@ def basis_permutation(targets: tuple[int, ...], perm: np.ndarray, name: str,
 
 @dataclass(eq=False)
 class StateVector:
-    """Pure n-qubit state: 2**n complex amplitudes plus an optional register layout."""
+    """Pure n-qubit state: 2**n complex amplitudes, an optional register layout
+    and a bound on its occupied width: from 2**width up all is 0 (None: n)."""
 
     num_qubits: int
     amplitudes: np.ndarray
     layout: RegisterLayout | None = None
+    width: int | None = None
 
     def __post_init__(self):
         if self.amplitudes.shape != (2 ** self.num_qubits,):
@@ -399,7 +407,7 @@ class StateVector:
         require_fits(f"a {n}-qubit state", 2 ** n)
         amps = np.zeros(2 ** n, dtype=complex)
         amps[0] = 1.0
-        return cls(n, amps, layout)
+        return cls(n, amps, layout, 0)
 
     def apply(self, gate: Gate) -> "StateVector":
         amps = self.amplitudes.copy()
@@ -407,16 +415,20 @@ class StateVector:
         return StateVector(self.num_qubits, amps, self.layout)
 
     def apply_circuit(self, circuit: Circuit) -> "StateVector":
-        # one working copy, each gate in place on amps[:2**w] (all above is 0), w grown to
-        # its qubits and one more if it holds all below, which gemv would round otherwise
-        amps, n = self.amplitudes.copy(), self.num_qubits
-        w = next((k for k in range(n, 0, -1) if amps[2 ** (k - 1): 2 ** k].any()), 0)
+        # the occupied width w, scanned down from the bound; one zeroed working copy of
+        # its prefix, each gate in place on amps[:2**w] (all above is 0), w grown to its
+        # qubits and one more if it holds all below, which gemv would round otherwise
+        n, src = self.num_qubits, self.amplitudes
+        bound = n if self.width is None else self.width
+        w = next((k for k in range(bound, 0, -1) if src[2 ** (k - 1): 2 ** k].any()), 0)
+        amps = np.zeros(2 ** n, dtype=complex)
+        amps[: 2 ** w] = src[: 2 ** w]
         for gate in circuit:
             qubits = gate.targets + gate.controls
             top = max(qubits, default=0) + 1
             w = min(n, max(w, top + (len(qubits) == top)))
             _apply_gate(amps[: 2 ** w], w, gate, gate.targets, gate.controls)
-        return StateVector(n, amps, self.layout)
+        return StateVector(n, amps, self.layout, w)
 
     # -- register helpers --
 

@@ -28,6 +28,7 @@ from .statevec import (
     SimulationError,
     circuit_to_matrix,
     cswap,
+    fuse_run,
     hadamard,
     mcz,
     pauli_x,
@@ -114,6 +115,16 @@ def zero_reflection(qubits: tuple[int, ...]) -> Circuit:
     return Circuit(flips + [core] + flips)
 
 
+@functools.cache
+def fused_zero_reflection(qubits: tuple[int, ...]) -> Gate:
+    """``zero_reflection`` as one dense gate, built once per register and
+    read-only. Its entries are exactly 0 or +-1, so applying it rounds
+    nothing the gate-by-gate circuit would not."""
+    gate = fuse_run(zero_reflection(qubits).gates)
+    gate.matrix.setflags(write=False)
+    return gate
+
+
 @dataclass(eq=False)
 class ReflectionOperator:
     """A reflection operator (G or H) plus the prep circuit it reflects about."""
@@ -128,11 +139,11 @@ def reflection_operator(name: str, prep: Circuit, layout: RegisterLayout,
     called ``name``.
 
     S0 reflects about |0..0> on the ``work`` registers, whose last one is
-    the interference ancilla B.
+    the interference ancilla B (``fused_zero_reflection``).
     """
     (bq,) = layout.qubits(work[-1])
     circ = Circuit([pauli_z(bq)] + prep.inverse().gates
-                   + zero_reflection(layout.qubits_of(work)).gates + prep.gates)
+                   + [fused_zero_reflection(layout.qubits_of(work))] + prep.gates)
     qubits = layout.qubits_of(support)
     gate = Gate.derived(name, qubits, (), circuit_to_matrix(circ, qubits))
     return ReflectionOperator(gate, prep)

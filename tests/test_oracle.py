@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qknn_sim import invariants
+from qknn_sim import qknn as qknn_module
 from qknn_sim import oracle as oracle_module
 from qknn_sim import statevec as statevec_module
 from qknn_sim.datasets import haar_random_state
@@ -32,7 +33,8 @@ from qknn_sim.oracle import (
 from qknn_sim.qadc import PrecisionConfig, arithmetic_map, fidelity_qadc_circuit, quantize_array
 from qknn_sim.statevec import (Circuit, StateVector, hadamard, mcz, pauli_x, permutation_run,
                                register_unitary)
-from qknn_sim.subroutines import build_G, inverse_qft, make_V, make_W, qpe_circuit
+from qknn_sim.subroutines import (build_G, fused_zero_reflection, inverse_qft, make_V, make_W,
+                                  qpe_circuit)
 from test_statevec import fix_classical
 
 # every (m, n, b) the circuit-exact rule admits: M in {2, 4, 8}, n <= 2, log2(M) <= b <= 3
@@ -460,6 +462,83 @@ def test_a_warm_plan_assembles_what_a_cold_one_does(m, n, b, monkeypatch):
         assemble_O_yA(warming[1], warming[2], layout, cfg, y, A)
         assert len(oracle_module._plans) == 1
         assert _assembly_keys(assemble_O_yA(V, W, layout, cfg, y, A)) == cold, (y, A)
+
+
+def _clear_shared_builds():
+    """Empty every build shared across assemblies and classifications."""
+    oracle_module._plans.clear()
+    oracle_module._start.cache_clear()
+    fused_zero_reflection.cache_clear()
+    qknn_module._train_oracle.cache_clear()
+
+
+@pytest.mark.parametrize("m,n,b", [(1, 1, 2), (1, 1, 3), (2, 1, 3), (2, 2, 3), (1, 2, 2)])
+def test_a_cold_oracle_reads_what_a_warm_one_does(m, n, b):
+    """With the plans, the start state per layout, W per train set and the
+    fused zero reflection per register all cleared, an oracle's verdict
+    probabilities and its index marginals at depths 0-2 equal those of the
+    same oracle assembled warm, bit for bit."""
+    rng = np.random.default_rng(100 * m + 10 * n + b)
+    layout, M = oracle_layout(m, n, b), 2 ** m
+    states = haar_random_state(n, [rng], M + 1)
+    train = qknn_module.TrainSet(states[:M], list(range(M)))
+    A = [int(i) for i in rng.permutation(M)[: max(1, M // 2)]]
+
+    def read():
+        W = qknn_module._train_oracle(train.states.tobytes(), layout)
+        oc = assemble_O_yA(make_V(states[M], layout), W, layout, PrecisionConfig(b), A[0], A)
+        return [oc.marked_probs] + [oc.marginal(r) for r in range(3)]
+
+    _clear_shared_builds()
+    cold = read()
+    warm = read()
+    assert len(oracle_module._plans) == 1
+    assert qknn_module._train_oracle.cache_info()[:2] == (1, 1)  # (hits, misses)
+    assert all(np.array_equal(c, w) for c, w in zip(cold, warm))
+
+
+def test_each_train_set_gets_its_own_W(monkeypatch):
+    """W is kept for the last train set and layout only, keyed by the states'
+    bytes: the same states give the same gate, from a new TrainSet too; other
+    states, in another TrainSet or written into the same one, get their own
+    make_W, bit for bit the gate make_W gives them."""
+    layout, cfg = oracle_layout(1, 1, 2), PrecisionConfig(2)
+    rng = np.random.default_rng(3)
+    first = qknn_module.TrainSet(haar_random_state(1, [rng], 2), ["a", "b"])
+    second = qknn_module.TrainSet(haar_random_state(1, [rng], 2), ["a", "b"])
+    psi = haar_random_state(1, [rng], 1)[0]
+    qknn_module._train_oracle.cache_clear()
+    used = []
+
+    def assemble(V, W, *args):
+        used.append(W)
+        return assemble_O_yA(V, W, *args)
+
+    monkeypatch.setattr(qknn_module, "assemble_O_yA", assemble)
+    for train in (first, qknn_module.TrainSet(first.states.copy(), ["a", "b"]), second):
+        qknn_module.qknn_classify(psi, train, 1, cfg, mode="circuit-exact")
+    Ws = list(dict.fromkeys(used))  # distinct gates, in order of first use
+    assert len(Ws) == 2 and not np.array_equal(Ws[0].matrix, Ws[1].matrix)
+    for W, train in zip(Ws, (first, second)):
+        assert np.array_equal(W.matrix, make_W(train.states, layout).matrix)
+    second.states[:] = first.states
+    qknn_module.qknn_classify(psi, second, 1, cfg, mode="circuit-exact")
+    assert used[-1] is not Ws[1] and np.array_equal(used[-1].matrix, Ws[0].matrix)
+
+
+def test_shared_builds_are_read_only():
+    """The start state and its marginal per layout, W per train set and the
+    fused zero reflection per register are shared: a write into any of them
+    raises instead of changing every later oracle."""
+    layout = oracle_layout(1, 1, 2)
+    train = qknn_module.TrainSet(haar_random_state(1, [np.random.default_rng(4)], 2), [0, 1])
+    state, marginal = oracle_module._start(layout)
+    shared = [state.amplitudes, marginal,
+              qknn_module._train_oracle(train.states.tobytes(), layout).matrix,
+              fused_zero_reflection(layout.qubits_of(["train", "test", "B"])).matrix]
+    for data in shared:
+        with pytest.raises(ValueError):
+            data[0] = 5
 
 
 def _index_mixing_W(layout, rng):
@@ -934,8 +1013,9 @@ def test_first_query_continues_from_the_verdict_run_of_U(monkeypatch):
 
 def test_assembling_and_handing_out_an_oracle_simulates_nothing(monkeypatch):
     """assemble_O_yA and CircuitBackend.oracle_for run no circuit on a state
-    and measure nothing; the first round simulates, and so does the first
-    verdict of a fresh oracle."""
+    and measure nothing. A depth-0 round reads the start marginal its layout
+    shares and runs no circuit either; a depth-1 round simulates, and so
+    does the first verdict of a fresh oracle."""
     calls = Counter()
     for name in ("apply_circuit", "measure_probs"):
         def counted(*args, _method=getattr(StateVector, name), _name=name, **kwargs):
@@ -947,7 +1027,11 @@ def test_assembling_and_handing_out_an_oracle_simulates_nothing(monkeypatch):
     oc = backend.oracle_for(1, frozenset({1}))
     assert oc is assembled(1, frozenset({1}))
     assert calls == Counter()
+    oracle_module._start(oc.layout)  # built once per layout: here, or by an earlier test
+    calls.clear()
     oc.run_round(0, np.random.default_rng(0))
+    assert calls == Counter()
+    oc.run_round(1, np.random.default_rng(0))
     assert calls["apply_circuit"] > 0 and calls["measure_probs"] > 0
     calls.clear()
     fresh = backend.oracle_for(2, frozenset({2}))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qknn_sim import statevec as statevec_module
 from qknn_sim.oracle import oracle_layout
 from qknn_sim.qadc import PrecisionConfig, arithmetic_map, fidelity_qadc_circuit
 from qknn_sim.statevec import (
@@ -32,7 +33,7 @@ from qknn_sim.statevec import (
     restrict,
     toffoli,
 )
-from qknn_sim.subroutines import inverse_qft, make_V, make_W
+from qknn_sim.subroutines import fused_zero_reflection, inverse_qft, make_V, make_W
 
 INV_SQRT2 = 1 / np.sqrt(2)
 
@@ -165,12 +166,13 @@ def test_public_constructors_refuse_a_non_unitary_matrix(build):
     lambda: Circuit([pauli_x(0)]).remap({0: 3}).gates[0],
     lambda: inverse_qft((4, 5)),
     lambda: arithmetic_map(PrecisionConfig(2), oracle_layout(1, 1, 2)),
-], ids=["H", "X", "MCZ", "CSWAP", "remap", "IQFT", "QA"])
+    lambda: fused_zero_reflection((1, 2, 3)),
+], ids=["H", "X", "MCZ", "CSWAP", "remap", "IQFT", "QA", "S0"])
 def test_fixed_gate_matrices_are_read_only(build):
     """Every fixed gate shares one module matrix, and so do the gates remap
-    makes from it; the inverse QFT and the arithmetic permutation are built
-    once per register and shared: a write through any of them raises
-    instead of changing every gate of that kind."""
+    makes from it; the inverse QFT, the arithmetic permutation and the fused
+    zero reflection are built once per register and shared: a write through
+    any of them raises instead of changing every gate of that kind."""
     gate = build()
     data = gate.perm if gate.matrix is None else gate.matrix
     with pytest.raises(ValueError):
@@ -434,6 +436,58 @@ def test_lazy_width_equals_the_full_width_loop(seed):
     assert got.num_qubits == n and got.amplitudes.shape == (2 ** n,)
     assert np.array_equal(got.amplitudes, _full_width_apply_circuit(state, Circuit(gates)))
     assert np.array_equal(state.amplitudes, amps)  # the input is not touched
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=80, deadline=None)
+def test_a_carried_width_bound_equals_no_bound(seed):
+    """A state from ``zero_state`` (bound 0) or from ``apply_circuit`` (the
+    widest width it touched) carries a bound on its occupied width. Two
+    random circuits run from it give the amplitudes and the bound that the
+    same circuits give on a copy with no bound, bit for bit, and every
+    amplitude from 2**width up is 0."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 11))
+    if rng.integers(2):
+        state = StateVector.zero_state(RegisterLayout.from_sizes([("q", n)]))
+        assert state.width == 0
+    else:
+        low = int(rng.integers(0, n + 1))
+        amps = np.zeros(2 ** n, dtype=complex)
+        amps[: 2 ** low] = random_state(low, rng)
+        state = StateVector(n, amps).apply_circuit(Circuit([]))
+    for _ in range(2):
+        gates = []
+        for _ in range(int(rng.integers(1, 6))):
+            top = int(rng.integers(1, n + 1))
+            gates.append(_random_gate(list(range(top)), min(top, 4), rng))
+        got = state.apply_circuit(Circuit(gates))
+        want = StateVector(n, state.amplitudes.copy()).apply_circuit(Circuit(gates))
+        assert np.array_equal(got.amplitudes, want.amplitudes)
+        assert got.width == want.width and not got.amplitudes[2 ** got.width:].any()
+        state = got
+
+
+def test_a_circuit_narrows_to_the_occupied_width_below_its_bound(monkeypatch):
+    """A permutation that returns the top qubit exactly to |0> leaves the
+    bound at the widest width touched (6); the next circuit scans down from
+    it and runs at the width its qubits need (2), with the amplitudes of the
+    same circuit on a copy with no bound."""
+    flip_top = basis_permutation((0, 5), np.array([0, 3, 2, 1]), "CX")  # qubit 5 ^= qubit 0
+    state = StateVector.zero_state(RegisterLayout.from_sizes([("q", 6)]))
+    state = state.apply_circuit(Circuit([hadamard(0), flip_top, flip_top]))
+    assert state.width == 6 and not state.amplitudes[2 ** 1:].any()
+    widths = []
+
+    def counted(amps, n, *args):
+        widths.append(n)
+        return _apply_gate(amps, n, *args)
+
+    monkeypatch.setattr(statevec_module, "_apply_gate", counted)
+    got = state.apply_circuit(Circuit([hadamard(1)]))
+    assert widths == [2] and got.width == 2
+    want = StateVector(6, state.amplitudes.copy()).apply_circuit(Circuit([hadamard(1)]))
+    assert np.array_equal(got.amplitudes, want.amplitudes)
 
 
 @pytest.mark.parametrize("n", [8, 11, 14])
